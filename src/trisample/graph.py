@@ -3,8 +3,9 @@
 This is the authoritative dataset in a streaming setup: mutations arrive
 as edge additions and deletions, and analytics code answers neighborhood
 queries against the current state.  Neighbor lists are kept sorted so a
-membership test costs O(log d) and intersections run in linear time;
-inserting or removing a neighbor costs O(d).
+membership test costs O(log d) and intersecting two lists costs
+O(min d * log max d) by binary search; inserting or removing a neighbor
+costs O(d).
 
 Single-writer model: mutations must be serialized by the caller.  Reads
 between mutations are safe; ``neighbors`` returns a snapshot that stays

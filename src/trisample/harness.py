@@ -129,6 +129,49 @@ def _feed(est, ev, g) -> None:
         est.process(ev)
 
 
+def _replicate(cfg: ExperimentConfig, r: int, traces: list):
+    """Replay replication ``r``: realize its stream, drive a fresh graph
+    store, tracker and estimators, and append trace rows on replication 0.
+
+    Returns (truth, final estimates, edges sampled, wall seconds) per
+    estimator.  Every per-replication object is local, so the stream, graph
+    and estimator state are freed before the next replication is realized.
+    """
+    events = cfg.stream.realize(derive_seed(cfg.seed, "stream", r))
+    ests = [
+        spec.build(derive_seed(cfg.seed, spec.kind, i, r))
+        for i, spec in enumerate(cfg.estimators)
+    ]
+    wall = [0.0] * len(ests)
+    g = Graph()
+    tracker = ExactTracker()
+    stride = cfg.trace_stride or max(1, len(events) // 500)
+    last = len(events)
+    for i, ev in enumerate(events, start=1):
+        if ev.beta == 1:
+            if not g.add_edge(ev.u, ev.v):
+                raise ValueError(f"inconsistent stream: duplicate addition ({ev.u}, {ev.v})")
+            tracker.apply(ev, g)
+        else:
+            tracker.apply(ev, g)  # before removal, while neighbors are visible
+            if not g.delete_edge(ev.u, ev.v):
+                raise ValueError(f"inconsistent stream: absent deletion ({ev.u}, {ev.v})")
+        if cfg.timing:
+            for j, est in enumerate(ests):
+                t0 = time.perf_counter()
+                _feed(est, ev, g)
+                wall[j] += time.perf_counter() - t0
+        else:
+            for est in ests:
+                _feed(est, ev, g)
+        if r == 0 and (i % stride == 0 or i == last):
+            for spec, est in zip(cfg.estimators, ests):
+                traces.append((i, tracker.count, spec.name, est.estimate()))
+    finals = [est.estimate() for est in ests]
+    sampled = [est.edges_sampled for est in ests]
+    return tracker.count, finals, sampled, wall
+
+
 def run_experiment(cfg: ExperimentConfig) -> tuple[MetricsReport, list]:
     """Replay ``cfg.replications`` stream realizations, feed every estimator
     and aggregate accuracy metrics against the exact tracker.
@@ -147,39 +190,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[MetricsReport, list]:
     traces: list[tuple[int, int, str, float]] = []
 
     for r in range(cfg.replications):
-        events = cfg.stream.realize(derive_seed(cfg.seed, "stream", r))
-        ests = [
-            spec.build(derive_seed(cfg.seed, spec.kind, i, r))
-            for i, spec in enumerate(cfg.estimators)
-        ]
-        g = Graph()
-        tracker = ExactTracker()
-        stride = cfg.trace_stride or max(1, len(events) // 500)
-        last = len(events)
-        for i, ev in enumerate(events, start=1):
-            if ev.beta == 1:
-                if not g.add_edge(ev.u, ev.v):
-                    raise ValueError(f"inconsistent stream: duplicate addition ({ev.u}, {ev.v})")
-                tracker.apply(ev, g)
-            else:
-                tracker.apply(ev, g)  # before removal, while neighbors are visible
-                if not g.delete_edge(ev.u, ev.v):
-                    raise ValueError(f"inconsistent stream: absent deletion ({ev.u}, {ev.v})")
-            if cfg.timing:
-                for j, est in enumerate(ests):
-                    t0 = time.perf_counter()
-                    _feed(est, ev, g)
-                    wall[r, j] += time.perf_counter() - t0
-            else:
-                for est in ests:
-                    _feed(est, ev, g)
-            if r == 0 and (i % stride == 0 or i == last):
-                for spec, est in zip(cfg.estimators, ests):
-                    traces.append((i, tracker.count, spec.name, est.estimate()))
-        truths[r] = tracker.count
-        for j, est in enumerate(ests):
-            finals[r, j] = est.estimate()
-            sampled[r, j] = est.edges_sampled
+        truths[r], finals[r], sampled[r], wall[r] = _replicate(cfg, r, traces)
 
     truth_mean = float(truths.mean())
     rows = []

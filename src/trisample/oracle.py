@@ -1,28 +1,35 @@
 """Exact triangle counting and the analytic variance bound.
 
-Ground truth for every experiment comes from here: a full recount via
-sorted neighbor-list intersection, an incremental tracker that follows an
-event stream, and the closed-form upper bound on the sampling estimator's
-variance for a given stream.
+Ground truth for every experiment comes from here: a full recount that
+orients edges by degree, an incremental tracker that follows an event
+stream by probing sorted neighbor lists, and the closed-form upper bound on
+the sampling estimator's variance for a given stream.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 
 def common_neighbor_count(a, b) -> int:
-    """Size of the intersection of two sorted sequences (merge scan)."""
-    i = j = n = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        x, y = a[i], b[j]
-        if x == y:
+    """Size of the intersection of two sorted sequences.
+
+    Each element of the shorter sequence is binary-searched in the longer
+    one, starting where the previous search ended, so the cost is
+    O(min(|a|, |b|) * log max(|a|, |b|)): an edge at a hub costs the leaf's
+    degree, not the hub's.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    end = len(b)
+    n = lo = 0
+    for x in a:
+        lo = bisect_left(b, x, lo)
+        if lo == end:
+            break
+        if b[lo] == x:
             n += 1
-            i += 1
-            j += 1
-        elif x < y:
-            i += 1
-        else:
-            j += 1
+            lo += 1
     return n
 
 
@@ -36,12 +43,17 @@ def triangles_of_edge(g, u: int, v: int) -> int:
 
 
 def exact_triangles(g) -> int:
-    """Exact global triangle count: one third of the summed common-neighbor
-    counts over all edges."""
-    total = 0
-    for u, v in g.edges():
-        total += common_neighbor_count(g.adjacency(u), g.adjacency(v))
-    return total // 3
+    """Exact global triangle count by the degree-ordered forward method.
+
+    Each edge points to the endpoint with the larger (degree, id), so every
+    triangle is counted once, at its edge between the two lower-ranked
+    corners, as the one common out-neighbor of those corners.  Out-sets hold
+    at most O(sqrt |E|) nodes each, which keeps hub edges cheap.
+    """
+    order = sorted(g.nodes(), key=lambda u: (g.degree(u), u))
+    rank = {u: i for i, u in enumerate(order)}
+    out = {u: {v for v in g.adjacency(u) if rank[v] > i} for i, u in enumerate(order)}
+    return sum(len(ou & out[v]) for ou in out.values() for v in ou)
 
 
 class ExactTracker:

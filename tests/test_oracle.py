@@ -4,16 +4,19 @@ import statistics
 import pytest
 
 from trisample import (
+    BaConfig,
     EdgeEvent,
     EsdEstimator,
     ExactTracker,
     Graph,
+    ba_graph,
     er_graph,
     exact_triangles,
     permutation_stream,
     triangles_of_edge,
     variance_bound,
 )
+from trisample.oracle import common_neighbor_count
 
 from helpers import (
     brute_force_common_neighbors,
@@ -32,6 +35,66 @@ def test_exact_triangles_matches_brute_force_on_er_corpus():
     for i, p in enumerate([0.1, 0.3, 0.5] * 4):
         g = er_graph(16 + 4 * i, p, seed=100 + i)
         assert exact_triangles(g) == brute_force_triangles(g)
+
+
+HUB = list(range(0, 12_000, 3))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([], []),
+        ([], [1, 2, 3]),
+        ([5], [5]),
+        ([5], [4, 6]),
+        ([1, 3, 5], [2, 4, 6]),
+        ([1, 2, 3], [10, 20, 30]),
+        ([100, 200], [1, 2, 3]),
+        ([2, 4, 8, 16], [2, 4, 8, 16]),
+        ([0, 9, 10, 2999, 11_997, 11_998, 50_000], HUB),
+        ([3, 6, 7, 11_999], HUB),
+    ],
+)
+def test_common_neighbor_count_matches_set_intersection(a, b):
+    expected = len(set(a) & set(b))
+    assert common_neighbor_count(a, b) == expected
+    assert common_neighbor_count(b, a) == expected
+
+
+def test_common_neighbor_count_random_sorted_lists():
+    rng = random.Random(11)
+    for _ in range(500):
+        a = sorted(rng.sample(range(300), rng.randrange(0, 40)))
+        b = sorted(rng.sample(range(300), rng.randrange(0, 300)))
+        assert common_neighbor_count(a, b) == len(set(a) & set(b))
+        assert common_neighbor_count(b, a) == len(set(a) & set(b))
+
+
+def test_exact_triangles_degree_ties():
+    # every node ties on degree, so the orientation falls back to node ids
+    cycle = Graph.from_edges([(i, (i + 1) % 7) for i in range(7)])
+    star = Graph.from_edges([(0, i) for i in range(1, 9)])
+    k5 = Graph.from_edges(complete_graph_edges(5))
+    triangle = Graph.from_edges([(0, 1), (1, 2), (0, 2)])
+    for g in (cycle, star, k5, triangle):
+        assert exact_triangles(g) == brute_force_triangles(g)
+    assert exact_triangles(k5) == 10
+
+
+def test_exact_triangles_keeps_degree_zero_nodes():
+    g = Graph.from_edges(complete_graph_edges(6))
+    g.add_node(40)
+    for u, v in [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2)]:
+        g.delete_edge(u, v)
+    assert g.degree(0) == 0 and 0 in g.nodes()
+    assert exact_triangles(g) == brute_force_triangles(g) == 7  # K5 minus an edge
+    assert exact_triangles(Graph()) == 0
+
+
+def test_exact_triangles_ba_graph_with_hub():
+    g = ba_graph(BaConfig(500, 20, 0.3, 5, 1.5, seed=3))
+    assert max(g.degree(u) for u in g.nodes()) > 100
+    assert exact_triangles(g) == brute_force_triangles(g)
 
 
 def test_triangles_of_edge():
