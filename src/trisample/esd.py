@@ -57,7 +57,7 @@ class EsdEstimator:
         edge inserted for beta=+1, removed for beta=-1."""
         if self.mode != "dynamic":
             raise ValueError("process_event requires dynamic mode")
-        if self.rng.random() <= self._alpha:
+        if self.rng.random() < self._alpha:
             present = g.has_edge(ev.u, ev.v)
             if ev.beta == 1 and not present:
                 raise ValueError(f"addition ({ev.u}, {ev.v}) was not applied to the graph")
@@ -96,7 +96,7 @@ class EsdEstimator:
         u, v = edge
         if not g.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) is not in the graph")
-        if self.rng.random() <= self._alpha:
+        if self.rng.random() < self._alpha:
             self.edges_sampled += 1
             self.update_count(u, v, 1, g)
             self.update_count(v, u, 1, g)

@@ -2,8 +2,9 @@
 
 Ground truth for every experiment comes from here: a full recount that
 orients edges by degree, an incremental tracker that follows an event
-stream by probing sorted neighbor lists, and the closed-form upper bound on
-the sampling estimator's variance for a given stream.
+stream by probing sorted neighbor lists where a per-event truth is needed,
+and the closed-form upper bound on the sampling estimator's variance for a
+given stream.
 """
 
 from __future__ import annotations
@@ -47,22 +48,37 @@ def exact_triangles(g) -> int:
 
     Each edge points to the endpoint with the larger (degree, id), so every
     triangle is counted once, at its edge between the two lower-ranked
-    corners, as the one common out-neighbor of those corners.  Out-sets hold
-    at most O(sqrt |E|) nodes each, which keeps hub edges cheap.
+    corners, as the one common out-neighbor of those corners.  Out-lists
+    hold at most O(sqrt |E|) nodes each, which keeps hub edges cheap.  They
+    stay lists, and only the current node's out-list becomes a set, which
+    keeps the transient memory near one short list per node.  Most edges
+    close no triangle, so an allocation-free disjointness test runs before
+    each intersection.
     """
     order = sorted(g.nodes(), key=lambda u: (g.degree(u), u))
     rank = {u: i for i, u in enumerate(order)}
-    out = {u: {v for v in g.adjacency(u) if rank[v] > i} for i, u in enumerate(order)}
-    return sum(len(ou & out[v]) for ou in out.values() for v in ou)
+    out = {u: [v for v in g.adjacency(u) if rank[v] > i] for i, u in enumerate(order)}
+    total = 0
+    for ou in out.values():
+        if len(ou) > 1:
+            seen = set(ou)
+            for v in ou:
+                ov = out[v]
+                if not seen.isdisjoint(ov):
+                    total += len(seen.intersection(ov))
+    return total
 
 
 class ExactTracker:
     """Incremental exact triangle count over an event stream.
 
-    Call contract: apply additions AFTER inserting the edge into the graph,
-    and deletions BEFORE removing it, so the edge's common neighbors are
-    visible at apply time.  A count that would go negative means the caller
-    violated that ordering.
+    Call contract: apply each event once, right after the graph has applied
+    it.  The count itself does not depend on that order, since Γ(u) ∩ Γ(v)
+    never contains u or v, so the edge's own presence cannot change it;
+    reading degrees after the mutation sees every degree peak, because each
+    peak is reached by an addition.  A count that would go negative means
+    the tracker and the graph are out of step: the graph holds triangles
+    whose building events the tracker never saw.
 
     Also records the per-event triangle-overlap trace and the peak degree
     seen, the ingredients of :func:`variance_bound`.
@@ -78,7 +94,8 @@ class ExactTracker:
         self.count += h if ev.beta == 1 else -h
         if self.count < 0:
             raise ValueError(
-                "negative triangle count: tracker apply() ordering contract violated"
+                "negative triangle count: the tracker is out of step with the graph "
+                "(it was not applied to every event that built the graph)"
             )
         self.h_trace.append(h)
         du = g.degree(ev.u)

@@ -5,12 +5,17 @@ addition and beta=-1 for a deletion.  Generators are pure functions of
 their inputs and seed: the same arguments produce byte-identical streams,
 and generated streams are consistent by construction (they never add a
 present edge nor delete an absent one).
+
+A ``StreamSpec`` validates its edge list and builds the addition events
+once, at its first ``realize``, and caches them; each realization then only
+shuffles that list (and draws its deletions), with the same RNG use and
+output as the module-level generators, which share the same code.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .graph import read_edge_list
@@ -55,32 +60,26 @@ def _check_prob(name: str, p: float) -> None:
         raise ValueError(f"{name} must be in [0, 1], got {p}")
 
 
-def permutation_stream(edges, seed: int) -> list[EdgeEvent]:
-    """Addition-only stream: every input edge exactly once, in a uniformly
-    random order determined by ``seed``."""
-    pool = _check_simple(edges)
-    random.Random(seed).shuffle(pool)
-    return [EdgeEvent(u, v, 1) for u, v in pool]
+def _additions(edges) -> list[EdgeEvent]:
+    """One addition event per edge of a validated simple edge list."""
+    return [EdgeEvent(u, v, 1) for u, v in _check_simple(edges)]
 
 
-def dynamic_edge_deletion_stream(edges, p_e: float, p_d: float, seed: int) -> list[EdgeEvent]:
-    """Permuted additions with interleaved edge-deletion events.
-
-    After each addition, with probability ``p_e`` a deletion event runs:
-    every edge currently present is deleted independently with probability
-    ``p_d``, emitted in ascending (u, v) order.  Each original edge arrives
-    exactly once, so deleted edges stay deleted.
-    """
-    _check_prob("p_e", p_e)
-    _check_prob("p_d", p_d)
-    pool = _check_simple(edges)
-    rng = random.Random(seed)
+def _shuffled(additions, rng) -> list[EdgeEvent]:
+    """A shuffled copy of ``additions``; the order depends only on ``rng``
+    and the length, not on what the list holds."""
+    pool = list(additions)
     rng.shuffle(pool)
+    return pool
+
+
+def _with_edge_deletions(additions, p_e: float, p_d: float, seed: int) -> list[EdgeEvent]:
+    rng = random.Random(seed)
     events = []
     present: set[tuple[int, int]] = set()
-    for u, v in pool:
-        events.append(EdgeEvent(u, v, 1))
-        present.add((u, v))
+    for ev in _shuffled(additions, rng):
+        events.append(ev)
+        present.add((ev.u, ev.v))
         if rng.random() < p_e:
             for e in sorted(present):
                 if rng.random() < p_d:
@@ -89,25 +88,14 @@ def dynamic_edge_deletion_stream(edges, p_e: float, p_d: float, seed: int) -> li
     return events
 
 
-def dynamic_node_deletion_stream(edges, p_e: float, p_d: float, seed: int) -> list[EdgeEvent]:
-    """Permuted additions with interleaved node-deletion events.
-
-    After each addition, with probability ``p_e`` a deletion event runs:
-    each node currently having at least one incident edge is marked
-    independently with probability ``p_d`` (visited in ascending id order),
-    then every present edge touching a marked node is deleted, in ascending
-    (u, v) order.  An edge shared by two marked nodes is emitted once.
-    """
-    _check_prob("p_e", p_e)
-    _check_prob("p_d", p_d)
-    pool = _check_simple(edges)
+def _with_node_deletions(additions, p_e: float, p_d: float, seed: int) -> list[EdgeEvent]:
     rng = random.Random(seed)
-    rng.shuffle(pool)
     events = []
     present: set[tuple[int, int]] = set()
     deg: dict[int, int] = {}
-    for u, v in pool:
-        events.append(EdgeEvent(u, v, 1))
+    for ev in _shuffled(additions, rng):
+        u, v = ev.u, ev.v
+        events.append(ev)
         present.add((u, v))
         deg[u] = deg.get(u, 0) + 1
         deg[v] = deg.get(v, 0) + 1
@@ -125,6 +113,39 @@ def dynamic_node_deletion_stream(edges, p_e: float, p_d: float, seed: int) -> li
                         if deg[x] == 0:
                             del deg[x]
     return events
+
+
+def permutation_stream(edges, seed: int) -> list[EdgeEvent]:
+    """Addition-only stream: every input edge exactly once, in a uniformly
+    random order determined by ``seed``."""
+    return _shuffled(_additions(edges), random.Random(seed))
+
+
+def dynamic_edge_deletion_stream(edges, p_e: float, p_d: float, seed: int) -> list[EdgeEvent]:
+    """Permuted additions with interleaved edge-deletion events.
+
+    After each addition, with probability ``p_e`` a deletion event runs:
+    every edge currently present is deleted independently with probability
+    ``p_d``, emitted in ascending (u, v) order.  Each original edge arrives
+    exactly once, so deleted edges stay deleted.
+    """
+    _check_prob("p_e", p_e)
+    _check_prob("p_d", p_d)
+    return _with_edge_deletions(_additions(edges), p_e, p_d, seed)
+
+
+def dynamic_node_deletion_stream(edges, p_e: float, p_d: float, seed: int) -> list[EdgeEvent]:
+    """Permuted additions with interleaved node-deletion events.
+
+    After each addition, with probability ``p_e`` a deletion event runs:
+    each node currently having at least one incident edge is marked
+    independently with probability ``p_d`` (visited in ascending id order),
+    then every present edge touching a marked node is deleted, in ascending
+    (u, v) order.  An edge shared by two marked nodes is emitted once.
+    """
+    _check_prob("p_e", p_e)
+    _check_prob("p_d", p_d)
+    return _with_node_deletions(_additions(edges), p_e, p_d, seed)
 
 
 def snapshot_diffs(snapshots) -> list[list[EdgeEvent]]:
@@ -203,6 +224,10 @@ class StreamSpec:
     "node-deletion" need ``edges`` (the latter two also ``p_e``/``p_d``),
     "snapshot-diff" needs ``snapshots`` and "file" needs ``path``.  The two
     file-backed kinds ignore the realize seed.
+
+    The first ``realize`` validates the input and builds its events once;
+    later calls reuse them, so the inputs are read at that first call and
+    not again.  Each call returns a new list: callers may mutate it.
     """
 
     kind: str
@@ -211,6 +236,7 @@ class StreamSpec:
     path: str | None = None
     p_e: float = 0.0
     p_d: float = 0.0
+    _base: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _SPEC_KINDS:
@@ -224,13 +250,22 @@ class StreamSpec:
         _check_prob("p_e", self.p_e)
         _check_prob("p_d", self.p_d)
 
-    def realize(self, seed: int) -> list[EdgeEvent]:
-        if self.kind == "permutation":
-            return permutation_stream(self.edges, seed)
-        if self.kind == "edge-deletion":
-            return dynamic_edge_deletion_stream(self.edges, self.p_e, self.p_d, seed)
-        if self.kind == "node-deletion":
-            return dynamic_node_deletion_stream(self.edges, self.p_e, self.p_d, seed)
+    def _build(self) -> list[EdgeEvent]:
+        """The seed-independent events: one addition per edge for the
+        generated kinds, the whole stream for the file-backed ones."""
         if self.kind == "snapshot-diff":
             return snapshot_diff_stream(self.snapshots)
-        return read_stream_file(self.path)
+        if self.kind == "file":
+            return read_stream_file(self.path)
+        return _additions(self.edges)
+
+    def realize(self, seed: int) -> list[EdgeEvent]:
+        if self._base is None:
+            self._base = self._build()
+        if self.kind == "permutation":
+            return _shuffled(self._base, random.Random(seed))
+        if self.kind == "edge-deletion":
+            return _with_edge_deletions(self._base, self.p_e, self.p_d, seed)
+        if self.kind == "node-deletion":
+            return _with_node_deletions(self._base, self.p_e, self.p_d, seed)
+        return list(self._base)

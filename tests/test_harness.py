@@ -2,6 +2,7 @@ import csv
 import math
 import random
 import statistics
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from trisample import (
     ExperimentConfig,
     StreamSpec,
     confidence_interval,
+    derive_seed,
     emit_csv,
     er_graph,
+    exact_triangles,
     nrmse,
     relative_error,
     run_experiment,
@@ -226,3 +229,62 @@ def test_run_experiment_rejects_inconsistent_stream(tmp_path):
     )
     with pytest.raises(ValueError):
         run_experiment(cfg)
+
+
+# ---------------------------------------------------------------------------
+# only replication 0 runs the tracker; the others recount their final graph
+
+
+def _set_recount(edges) -> int:
+    adj = defaultdict(set)
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return sum(len(adj[u] & adj[v]) for u, v in edges) // 3
+
+
+def _final_edges(events):
+    present = set()
+    for ev in events:
+        e = (min(ev.u, ev.v), max(ev.u, ev.v))
+        if ev.beta == 1:
+            present.add(e)
+        else:
+            present.remove(e)
+    return present
+
+
+@pytest.mark.parametrize("kind", ["edge-deletion", "node-deletion"])
+def test_truth_is_mean_of_per_replication_recounts(kind):
+    edges = list(er_graph(30, 0.35, seed=13).edges())
+    stream = dict(kind=kind, edges=edges, p_e=0.1, p_d=0.2)
+    reps, seed = 4, 14
+    cfg = ExperimentConfig(
+        stream=StreamSpec(**stream),
+        estimators=[EstimatorSpec("esd", 0.5), EstimatorSpec("triest", 30)],
+        replications=reps,
+        seed=seed,
+    )
+    report, traces = run_experiment(cfg)
+    truths = [
+        _set_recount(_final_edges(StreamSpec(**stream).realize(derive_seed(seed, "stream", r))))
+        for r in range(reps)
+    ]
+    assert len(set(truths)) > 1  # the deletions really differ per replication
+    assert report.truth == float(np.asarray(truths, dtype=float).mean())
+    assert traces[-1][1] == truths[0]
+
+
+def test_permutation_truth_is_base_graph_count():
+    base = er_graph(40, 0.3, seed=15)
+    cfg = ExperimentConfig(
+        stream=StreamSpec("permutation", edges=list(base.edges())),
+        estimators=[EstimatorSpec("esd", 0.3), EstimatorSpec("doulion", 0.3)],
+        replications=3,
+        seed=16,
+    )
+    report, traces = run_experiment(cfg)
+    truth = exact_triangles(base)
+    assert truth == _set_recount(list(base.edges())) > 0
+    assert report.truth == truth
+    assert traces[-1][1] == truth

@@ -10,6 +10,7 @@ from trisample import (
     ExactTracker,
     Graph,
     ba_graph,
+    dynamic_node_deletion_stream,
     er_graph,
     exact_triangles,
     permutation_stream,
@@ -162,6 +163,27 @@ def test_tracker_agrees_with_recount_on_dynamic_stream():
         if step % 500 == 0:
             assert tracker.count == exact_triangles(g)
     assert tracker.count == exact_triangles(g)
+
+
+def test_tracker_deletion_order_does_not_matter():
+    # Γ(u) ∩ Γ(v) never holds u or v, so applying a deletion before or after
+    # the edge leaves the graph gives the same count, trace and peak degree
+    edges = list(er_graph(50, 0.3, seed=21).edges())
+    events = dynamic_node_deletion_stream(edges, p_e=0.05, p_d=0.1, seed=22)
+    assert any(ev.beta == -1 for ev in events)
+    before, after = ExactTracker(), ExactTracker()
+    g = Graph()
+    for ev in events:
+        if ev.beta == 1:
+            g.add_edge(ev.u, ev.v)
+            before.apply(ev, g)
+        else:
+            before.apply(ev, g)
+            g.delete_edge(ev.u, ev.v)
+        after.apply(ev, g)
+    assert after.count == before.count == exact_triangles(g)
+    assert after.h_trace == before.h_trace
+    assert after.max_degree == before.max_degree
 
 
 def test_variance_bound_alpha_half_zeroes_second_term():

@@ -241,3 +241,61 @@ def test_stream_spec_dispatch(tmp_path):
         StreamSpec("permutation")
     with pytest.raises(ValueError):
         StreamSpec("edge-deletion", edges=edges, p_e=1.5)
+
+
+# ---------------------------------------------------------------------------
+# StreamSpec builds its events once and reuses them across realizations
+
+
+def _spec_and_generator(kind, edges):
+    if kind == "permutation":
+        return StreamSpec(kind, edges=edges), lambda seed: permutation_stream(edges, seed)
+    gen = dynamic_edge_deletion_stream if kind == "edge-deletion" else dynamic_node_deletion_stream
+    spec = StreamSpec(kind, edges=edges, p_e=0.1, p_d=0.2)
+    return spec, lambda seed: gen(edges, 0.1, 0.2, seed)
+
+
+@pytest.mark.parametrize("kind", ["permutation", "edge-deletion", "node-deletion"])
+def test_stream_spec_realize_matches_generator(kind):
+    # reversed pairs check that the cached events are canonicalized too
+    edges = [(v, u) if i % 3 else (u, v) for i, (u, v) in enumerate(random_edges(40, 150, 15))]
+    spec, generate = _spec_and_generator(kind, edges)
+    for seed in (0, 1, 7, 123456789):
+        assert spec.realize(seed) == generate(seed)
+
+
+@pytest.mark.parametrize("kind", ["permutation", "edge-deletion", "node-deletion"])
+def test_stream_spec_realizations_are_independent_lists(kind):
+    spec, generate = _spec_and_generator(kind, random_edges(30, 80, seed=16))
+    first = spec.realize(4)
+    assert spec.realize(4) == first
+    first.reverse()
+    first.append(EdgeEvent(98, 99, 1))
+    assert spec.realize(4) == generate(4)
+    spec.realize(5).clear()
+    assert spec.realize(5) == generate(5)
+
+
+def test_stream_spec_file_and_snapshots_reuse_one_read(tmp_path):
+    events = dynamic_edge_deletion_stream(random_edges(20, 50, seed=17), 0.2, 0.3, seed=18)
+    path = tmp_path / "s.txt"
+    write_stream_file(events, path)
+    spec = StreamSpec("file", path=str(path))
+    first = spec.realize(0)
+    assert first == read_stream_file(path)
+    first.clear()
+    path.unlink()  # later realizations reuse the first read
+    assert spec.realize(1) == events
+    snaps = [[(1, 2), (2, 3)], [(2, 3), (3, 4)]]
+    spec = StreamSpec("snapshot-diff", snapshots=snaps)
+    spec.realize(0).pop()
+    assert spec.realize(2) == snapshot_diff_stream(snaps)
+
+
+@pytest.mark.parametrize("kind", ["permutation", "edge-deletion", "node-deletion"])
+@pytest.mark.parametrize("edges", [[(1, 2), (3, 4), (2, 1)], [(1, 2), (3, 3)]])
+def test_stream_spec_rejects_bad_edges_on_every_realize(kind, edges):
+    spec = StreamSpec(kind, edges=edges, p_e=0.5, p_d=0.5)
+    for seed in range(3):
+        with pytest.raises(ValueError):
+            spec.realize(seed)
