@@ -8,11 +8,17 @@ estimate moves by the inverse of the probability of the observed
 both endpoints.  Sampled edges are discarded immediately: the estimator
 holds no subgraph, needs O(d) transient space for the neighborhood it
 inspects, and costs O(log d) per sampled edge.
+
+The coin and the sampled update are separate primitives, so a replay
+driver can draw the coins of upcoming events ahead (``coins_lost``) and
+call the estimator only on the events it samples (``sample``), with the
+same random draws, in the same order, as ``process_event`` on every event.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 
 OMEGA_DYNAMIC = 0.5  # a new triangle is observable via 2 tuples of its closing edge
 OMEGA_STATIC = 1.0 / 6.0  # full-edge streams expose all 3 edges, 2 tuples each
@@ -24,9 +30,10 @@ class EsdEstimator:
     ``alpha`` is fixed at construction (the inverse-probability scale
     factors assume it never changes).  ``mode`` is "dynamic" for add/delete
     streams or "static" for a one-pass random-order stream over a fixed
-    graph's edges.  One ``rng.random()`` coin is drawn per event and each
-    neighbor probe consumes exactly one ``rng.randrange()`` value, so runs
-    replay deterministically from the seed.
+    graph's edges.  Each event consumes one ``rng.random()`` coin, drawn by
+    ``process_event`` or ahead of time by ``coins_lost``, and each neighbor
+    probe of a sampled event consumes exactly one ``rng.randrange()`` value,
+    so runs replay deterministically from the seed either way.
     """
 
     def __init__(self, alpha: float, mode: str = "dynamic", seed: int = 0, rng=None):
@@ -63,29 +70,50 @@ class EsdEstimator:
                 raise ValueError(f"addition ({ev.u}, {ev.v}) was not applied to the graph")
             if ev.beta == -1 and present:
                 raise ValueError(f"deletion ({ev.u}, {ev.v}) was not applied to the graph")
-            self.edges_sampled += 1
-            self.update_count(ev.u, ev.v, ev.beta, g)
-            self.update_count(ev.v, ev.u, ev.beta, g)
+            self.sample(ev, g)
+
+    def coins_lost(self, limit: int) -> int:
+        """Draw the coins of up to ``limit`` upcoming events, stopping at the
+        first one won, and return how many were lost before it (``limit``
+        when none was won).  The next event to sample is then that many
+        events ahead; its coin has been drawn, so ``sample`` draws none."""
+        rand = self.rng.random
+        alpha = self._alpha
+        for k in range(limit):
+            if rand() < alpha:
+                return k
+        return limit
+
+    def sample(self, ev, g) -> None:
+        """The update for an event whose coin was won: probe both endpoints.
+        Draws no coin and trusts ``g`` to reflect ``ev`` already, as
+        ``process_event`` checks."""
+        self.edges_sampled += 1
+        self.update_count(ev.u, ev.v, ev.beta, g)
+        self.update_count(ev.v, ev.u, ev.beta, g)
 
     def update_count(self, u: int, v: int, beta: int, g) -> None:
         """Probe Γ(u) for a node closing a triangle with (u, v) and move the
         estimate by the inverse probability of the observed tuple.
 
-        For additions the probe excludes v (tuple probability
-        alpha/(d(u)-1)); for deletions v already left Γ(u) and the probe
-        spans all of it (probability alpha/d(u)).  Degrees are post-event.
+        For additions the probe excludes v, which must be in Γ(u) (tuple
+        probability alpha/(d(u)-1)); for deletions v already left Γ(u) and
+        the probe spans all of it (probability alpha/d(u)).  Degrees are
+        post-event.  Each probe draws one ``rng.randrange`` value, as
+        ``Graph.random_neighbor`` does.
         """
-        d = g.degree(u)
+        nbrs = g.adjacency(u)
+        d = len(nbrs)
         if beta == 1:
             if d > 1:
-                a = g.random_neighbor(u, self.rng, exclude=v)
-                if g.has_edge(a, v):
+                # draw among the d-1 neighbors other than v by skipping v's slot
+                i = bisect_left(nbrs, v)
+                j = self.rng.randrange(d - 1)
+                if g.has_edge(nbrs[j] if j < i else nbrs[j + 1], v):
                     self.t_est += self.omega * (d - 1) / self._alpha
-        else:
-            if d > 0:
-                a = g.random_neighbor(u, self.rng)
-                if g.has_edge(a, v):
-                    self.t_est -= self.omega * d / self._alpha
+        elif d > 0:
+            if g.has_edge(nbrs[self.rng.randrange(d)], v):
+                self.t_est -= self.omega * d / self._alpha
 
     def process_static(self, edge, g) -> None:
         """Static variant: ``g`` is the whole graph and the stream delivers

@@ -3,7 +3,10 @@ emission for estimator comparisons.
 
 Each replication realizes the stream, drives one shared graph store and
 feeds every configured estimator; metrics aggregate the final estimates
-against the exact ground truth.  The incremental exact tracker runs only on
+against the exact ground truth.  The baselines see every event.  Each ESD
+estimator draws its coins ahead, up to the next one it wins, and is called
+only on the events it samples; its random draws and results are the same as
+when it is fed every event.  The incremental exact tracker runs only on
 replication 0, the one whose running truth goes into the trace; every other
 replication recounts its final graph once, which costs far less than
 following each event.  Reports are a pure function of the config:
@@ -125,11 +128,59 @@ class MetricsReport:
     truth: float
 
 
-def _feed(est, ev, g) -> None:
-    if isinstance(est, EsdEstimator):
-        est.process_event(ev, g)
-    else:
-        est.process(ev)
+def _timed(fn, wall: list, j: int):
+    """``fn`` with its wall time added to ``wall[j]`` on every call."""
+
+    def call(*args):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        wall[j] += time.perf_counter() - t0
+        return out
+
+    return call
+
+
+def _replay(cfg, events, ests, g, tracker, traces, wall) -> None:
+    """Apply ``events`` to ``g`` and feed the estimators ``ests`` built from
+    ``cfg.estimators``.  A baseline's ``process`` runs on every event.  An
+    ESD is filed in ``due`` under the index of the next event whose coin it
+    wins and is called only there; ``coins_lost`` stops at the stream's end,
+    so no coin is drawn for an event that does not exist.  Each estimator
+    draws from its own RNG, so the order they are fed in changes nothing."""
+    last = len(events)
+    process = []
+    due: dict[int, list] = {}
+    for j, (spec, est) in enumerate(zip(cfg.estimators, ests)):
+        if spec.kind == "esd":
+            sample, coins_lost = est.sample, est.coins_lost
+            if cfg.timing:
+                sample, coins_lost = _timed(sample, wall, j), _timed(coins_lost, wall, j)
+            lost = coins_lost(last)
+            if lost < last:
+                due.setdefault(lost + 1, []).append((sample, coins_lost))
+        else:
+            process.append(_timed(est.process, wall, j) if cfg.timing else est.process)
+    stride = cfg.trace_stride or max(1, last // 500)
+    for i, ev in enumerate(events, start=1):
+        if ev.beta == 1:
+            if not g.add_edge(ev.u, ev.v):
+                raise ValueError(f"inconsistent stream: duplicate addition ({ev.u}, {ev.v})")
+        elif not g.delete_edge(ev.u, ev.v):
+            raise ValueError(f"inconsistent stream: absent deletion ({ev.u}, {ev.v})")
+        if tracker is not None:
+            tracker.apply(ev, g)
+        for fn in process:
+            fn(ev)
+        for calls in due.pop(i, ()):
+            sample, coins_lost = calls
+            sample(ev, g)
+            left = last - i
+            lost = coins_lost(left)
+            if lost < left:
+                due.setdefault(i + lost + 1, []).append(calls)
+        if tracker is not None and (i % stride == 0 or i == last):
+            for spec, est in zip(cfg.estimators, ests):
+                traces.append((i, tracker.count, spec.name, est.estimate()))
 
 
 def _replicate(cfg: ExperimentConfig, r: int, traces: list):
@@ -151,34 +202,14 @@ def _replicate(cfg: ExperimentConfig, r: int, traces: list):
     wall = [0.0] * len(ests)
     g = Graph()
     tracker = ExactTracker() if r == 0 else None
-    stride = cfg.trace_stride or max(1, len(events) // 500)
-    last = len(events)
-    for i, ev in enumerate(events, start=1):
-        if ev.beta == 1:
-            if not g.add_edge(ev.u, ev.v):
-                raise ValueError(f"inconsistent stream: duplicate addition ({ev.u}, {ev.v})")
-        elif not g.delete_edge(ev.u, ev.v):
-            raise ValueError(f"inconsistent stream: absent deletion ({ev.u}, {ev.v})")
-        if tracker is not None:
-            tracker.apply(ev, g)
-        if cfg.timing:
-            for j, est in enumerate(ests):
-                t0 = time.perf_counter()
-                _feed(est, ev, g)
-                wall[j] += time.perf_counter() - t0
-        else:
-            for est in ests:
-                _feed(est, ev, g)
-        if tracker is not None and (i % stride == 0 or i == last):
-            for spec, est in zip(cfg.estimators, ests):
-                traces.append((i, tracker.count, spec.name, est.estimate()))
+    _replay(cfg, events, ests, g, tracker, traces, wall)
     finals = [est.estimate() for est in ests]
     sampled = [est.edges_sampled for est in ests]
     if tracker is not None:
         return tracker.count, finals, sampled, wall
-    # Free the stream and the estimators (the loop variable holds the last
-    # one) before the recount allocates.
-    events = ests = est = None
+    # Free the stream and the estimators before the recount allocates; the
+    # bound methods and the schedule that held them died with _replay.
+    events = ests = None
     return exact_triangles(g), finals, sampled, wall
 
 

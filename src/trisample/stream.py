@@ -183,7 +183,8 @@ def read_stream_file(path) -> list[EdgeEvent]:
     """Parse a stream file written by ``write_stream_file``.
 
     Blank lines and '#' comments are ignored; anything else must be
-    "u v +1" or "u v -1".
+    "u v +1" or "u v -1" with unsigned ids and u != v.  A malformed line
+    raises ``ValueError`` naming ``path:lineno``.
     """
     events = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -200,6 +201,8 @@ def read_stream_file(path) -> list[EdgeEvent]:
                 raise ValueError(f"{path}:{lineno}: node ids must be unsigned integers") from None
             if u < 0 or v < 0:
                 raise ValueError(f"{path}:{lineno}: node ids must be unsigned integers")
+            if u == v:
+                raise ValueError(f"{path}:{lineno}: self-loop on node {u}")
             events.append(EdgeEvent(u, v, 1 if parts[2] == "+1" else -1))
     return events
 

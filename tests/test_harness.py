@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import hashlib
 import math
 import random
 import statistics
@@ -8,11 +10,14 @@ import numpy as np
 import pytest
 
 from trisample import (
+    EsdEstimator,
     EstimatorSpec,
     ExperimentConfig,
+    Graph,
     StreamSpec,
     confidence_interval,
     derive_seed,
+    dynamic_edge_deletion_stream,
     emit_csv,
     er_graph,
     exact_triangles,
@@ -20,9 +25,9 @@ from trisample import (
     relative_error,
     run_experiment,
 )
-from trisample.harness import SUMMARY_HEADER, TRACE_HEADER, trace_path_for
+from trisample.harness import SUMMARY_HEADER, TRACE_HEADER, _replay, trace_path_for
 
-from helpers import complete_graph_edges
+from helpers import complete_graph_edges, replay
 
 TRIANGLE = [(1, 2), (2, 3), (1, 3)]
 
@@ -288,3 +293,87 @@ def test_permutation_truth_is_base_graph_count():
     assert truth == _set_recount(list(base.edges())) > 0
     assert report.truth == truth
     assert traces[-1][1] == truth
+
+
+# ---------------------------------------------------------------------------
+# ESD is called only on the events it samples, with the same random draws
+
+
+@pytest.mark.parametrize("alpha", [1e-9, 0.05, 0.5, 1.0])
+def test_esd_schedule_matches_feeding_every_event(alpha):
+    edges = list(er_graph(40, 0.3, seed=23).edges())
+    events = dynamic_edge_deletion_stream(edges, p_e=0.05, p_d=0.2, seed=24)
+    assert any(ev.beta == -1 for ev in events)
+    seeds = (1, 2, 3)
+
+    fed = [EsdEstimator(alpha, seed=s) for s in seeds]
+    g = Graph()
+    for ev in events:
+        replay([ev], g)
+        for est in fed:
+            est.process_event(ev, g)
+
+    scheduled = [EsdEstimator(alpha, seed=s) for s in seeds]
+    cfg = ExperimentConfig(
+        stream=StreamSpec("permutation", edges=edges),
+        estimators=[EstimatorSpec("esd", alpha) for _ in seeds],
+    )
+    g2 = Graph()
+    _replay(cfg, events, scheduled, g2, None, [], [0.0] * len(seeds))
+
+    assert g2 == g
+    for a, b in zip(fed, scheduled):
+        assert b.t_est == a.t_est
+        assert b.edges_sampled == a.edges_sampled
+        assert b.rng.getstate() == a.rng.getstate()
+    if alpha == 1.0:
+        assert all(est.edges_sampled == len(events) for est in scheduled)
+    if alpha == 1e-9:
+        assert all(est.edges_sampled == 0 for est in scheduled)
+
+
+def test_timing_changes_only_wall_ms():
+    edges = list(er_graph(30, 0.35, seed=25).edges())
+    cfg_args = dict(
+        stream=StreamSpec("edge-deletion", edges=edges, p_e=0.05, p_d=0.2),
+        estimators=[
+            EstimatorSpec("esd", 0.5),
+            EstimatorSpec("doulion", 0.5),
+            EstimatorSpec("triest", 40),
+        ],
+        replications=3,
+        seed=26,
+    )
+    plain, plain_traces = run_experiment(ExperimentConfig(**cfg_args))
+    timed, timed_traces = run_experiment(ExperimentConfig(**cfg_args, timing=True))
+    assert timed_traces == plain_traces
+    assert timed.truth == plain.truth
+    for a, b in zip(plain.rows, timed.rows):
+        assert a.wall_ms_mean == 0.0
+        assert b.wall_ms_mean > 0.0
+        assert a == dataclasses.replace(b, wall_ms_mean=0.0)
+
+
+# sha256 of emit_csv's summary and trace files for the config below.  These
+# pin every seeded draw of the stream and the three estimators: a change
+# that alters RNG use must update them and say so in CHANGES.md.
+GOLDEN_SUMMARY_SHA256 = "ddf36bd3de4b2ea561e492040fcd4ac08a0092abb2d4a7d7367af8d93a924e14"
+GOLDEN_TRACE_SHA256 = "57899a24f45c1fa8d1fcb3755f99d42f2ffc4a589e8f7b07ac1029395cd8cd60"
+
+
+def test_emit_csv_golden_sha256(tmp_path):
+    edges = list(er_graph(40, 0.3, seed=21).edges())
+    cfg = ExperimentConfig(
+        stream=StreamSpec("edge-deletion", edges=edges, p_e=0.05, p_d=0.2),
+        estimators=[
+            EstimatorSpec("esd", 0.3),
+            EstimatorSpec("doulion", 0.3),
+            EstimatorSpec("triest", 60),
+        ],
+        replications=3,
+        seed=22,
+    )
+    out = tmp_path / "golden.csv"
+    emit_csv(*run_experiment(cfg), out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SUMMARY_SHA256
+    assert hashlib.sha256(trace_path_for(out).read_bytes()).hexdigest() == GOLDEN_TRACE_SHA256

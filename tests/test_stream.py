@@ -207,7 +207,7 @@ def test_stream_file_parse(tmp_path):
     assert read_stream_file(path) == [EdgeEvent(1, 2, 1), EdgeEvent(1, 2, -1)]
 
 
-@pytest.mark.parametrize("content", ["1 2\n", "1 2 2\n", "1 2 1\n", "x y +1\n"])
+@pytest.mark.parametrize("content", ["1 2\n", "1 2 2\n", "1 2 1\n", "x y +1\n", "3 3 +1\n"])
 def test_stream_file_errors_carry_line_number(tmp_path, content):
     path = tmp_path / "bad.txt"
     path.write_text(content)
