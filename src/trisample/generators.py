@@ -1,7 +1,14 @@
-"""Synthetic graphs: Erdős–Rényi seeds and preferential-attachment growth."""
+"""Synthetic graphs: Erdős–Rényi seeds and preferential-attachment growth.
+
+Preferential attachment keeps one weight array for the whole growth: each
+new node costs one sequential prefix sum over the existing nodes' weights,
+plus weight updates for the k + 1 nodes it touches (its k targets and
+itself).
+"""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -34,8 +41,8 @@ class BaConfig:
             raise ValueError("n_total must be >= seed_nodes")
         if not 0.0 <= self.seed_edge_prob <= 1.0:
             raise ValueError(f"seed_edge_prob must be in [0, 1], got {self.seed_edge_prob}")
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be non-negative, got {self.gamma}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
+            raise ValueError(f"gamma must be finite and non-negative, got {self.gamma}")
 
 
 # Desk-scale reference recipes for the six study graphs; the per-node
@@ -67,64 +74,80 @@ def er_graph(n: int, edge_prob: float, seed: int) -> Graph:
     return g
 
 
-def _pick_from_cum(cum: np.ndarray, rng) -> int:
-    """Index drawn via cumulative-weight inversion; zero-weight entries are
-    never selected."""
-    r = rng.random() * cum[-1]
-    idx = int(np.searchsorted(cum, r, side="right"))
-    if idx == len(cum):  # float rounding pushed r onto the total
+def _last_positive(cum: np.ndarray) -> int:
+    """Index of the last positive-weight entry of running sum ``cum``."""
+    idx = len(cum) - 1
+    while idx > 0 and cum[idx] == cum[idx - 1]:
         idx -= 1
-        while idx > 0 and cum[idx] == cum[idx - 1]:
-            idx -= 1
     return idx
 
 
 def weighted_choice(weights, rng) -> int:
     """Index drawn with probability proportional to its non-negative weight
     (cumulative-weight inversion)."""
-    cum = np.cumsum(np.asarray(weights, dtype=float))
+    w = np.asarray(weights, dtype=float)
+    if not np.all(np.isfinite(w)) or np.any(w < 0.0):
+        raise ValueError("weights must be finite and non-negative")
+    cum = np.cumsum(w)
     if len(cum) == 0 or cum[-1] <= 0.0:
         raise ValueError("total weight must be positive")
-    return _pick_from_cum(cum, rng)
+    return _pick_distinct(w, cum, 1, rng)[0]
+
+
+def _pick_distinct(w: np.ndarray, cum: np.ndarray, k: int, rng) -> list[int]:
+    """Pick ``k`` distinct indices with probability proportional to the
+    weights ``w``, whose running sum is ``cum``, by cumulative-weight
+    inversion; zero-weight entries are never picked and neither array is
+    modified.
+
+    Rejection on within-batch repeats keeps each pick exactly proportional
+    among the not-yet-picked.  Picks are resolved in rounds: a round draws
+    one coin per pick still missing, inverts them with one search and
+    rejects repeats in draw order.  The one-at-a-time loop would draw every
+    one of those coins too, since it stops only once ``k`` are picked, so
+    the RNG use is the same.  If rejection stalls (weight concentrated on
+    picked nodes) the running sum is rebuilt without them.  When every
+    remaining weight is zero the pick falls back to uniform.
+    """
+    m = len(w)
+    if m < k:
+        raise ValueError(f"cannot attach {k} edges among {m} existing nodes")
+    picked: list[int] = []
+    chosen: set[int] = set()
+    attempts_left = 200 * k + 200
+    rand = rng.random
+    while len(picked) < k:
+        total = cum[-1]
+        if total <= 0.0:
+            idx = rng.randrange(m)
+            if idx not in chosen:
+                picked.append(idx)
+                chosen.add(idx)
+            continue
+        if attempts_left <= 0:
+            w = w.copy()
+            w[list(chosen)] = 0.0
+            cum = np.cumsum(w)
+            attempts_left = 200 * k + 200
+            continue
+        draws = min(k - len(picked), attempts_left)
+        attempts_left -= draws
+        coins = np.array([rand() for _ in range(draws)]) * total
+        for idx in cum.searchsorted(coins, side="right").tolist():
+            if idx == m:  # float rounding pushed the coin onto the total
+                idx = _last_positive(cum)
+            if idx not in chosen:
+                picked.append(idx)
+                chosen.add(idx)
+    return picked
 
 
 def _attachment_targets(degrees: np.ndarray, gamma: float, k: int, rng) -> list[int]:
     """Pick ``k`` distinct indices with probability proportional to
-    degree**gamma, weights frozen for the whole batch.
-
-    Rejection on within-batch repeats keeps each pick exactly proportional
-    among the not-yet-picked; if rejection stalls (weight concentrated on
-    picked nodes) the cumulative weights are rebuilt without them.  When
-    every remaining weight is zero the pick falls back to uniform.
-    """
-    m = len(degrees)
-    if m < k:
-        raise ValueError(f"cannot attach {k} edges among {m} existing nodes")
+    degree**gamma, weights frozen for the whole batch (see
+    ``_pick_distinct``)."""
     w = np.power(degrees, gamma)  # 0**0 == 1, so gamma=0 is uniform
-    cum = np.cumsum(w)
-    total = float(cum[-1])
-    picked: list[int] = []
-    chosen: set[int] = set()
-    attempts_left = 200 * k + 200
-    while len(picked) < k:
-        if total <= 0.0:
-            idx = rng.randrange(m)
-            if idx in chosen:
-                continue
-        else:
-            if attempts_left <= 0:
-                w[list(chosen)] = 0.0
-                cum = np.cumsum(w)
-                total = float(cum[-1])
-                attempts_left = 200 * k + 200
-                continue
-            idx = _pick_from_cum(cum, rng)
-            attempts_left -= 1
-            if idx in chosen:
-                continue
-        picked.append(int(idx))
-        chosen.add(int(idx))
-    return picked
+    return _pick_distinct(w, np.cumsum(w), k, rng)
 
 
 def ba_graph(cfg: BaConfig) -> Graph:
@@ -134,6 +157,12 @@ def ba_graph(cfg: BaConfig) -> Graph:
     raised to ``cfg.gamma``; a new node's targets are distinct, so the
     result is simple with exactly seed edges plus
     (n_total - seed_nodes) * edges_per_new_node grown edges.
+
+    The weights live in one array for the whole growth.  Per new node the
+    cost is one sequential running sum over the existing nodes plus the
+    weights of the k + 1 touched nodes (its targets and itself), each
+    recomputed with the same ``np.power`` call, so every weight and sum is
+    bitwise what recomputing them all would give.
     """
     g = er_graph(cfg.seed_nodes, cfg.seed_edge_prob, derive_seed(cfg.seed, "er-seed"))
     rng = random.Random(derive_seed(cfg.seed, "attach"))
@@ -141,13 +170,17 @@ def ba_graph(cfg: BaConfig) -> Graph:
     degrees = np.zeros(cfg.n_total, dtype=np.float64)
     for u in range(cfg.seed_nodes):
         degrees[u] = g.degree(u)
+    w = np.power(degrees, cfg.gamma)
+    cum = np.empty_like(w)
     for new in range(cfg.seed_nodes, cfg.n_total):
-        targets = _attachment_targets(degrees[:new], cfg.gamma, k, rng)
+        targets = _pick_distinct(w[:new], np.cumsum(w[:new], out=cum[:new]), k, rng)
         g.add_node(new)
         for t in targets:
             g.add_edge(new, t)
         degrees[targets] += 1.0
         degrees[new] = float(k)
+        touched = targets + [new]
+        w[touched] = np.power(degrees[touched], cfg.gamma)
     return g
 
 

@@ -14,7 +14,7 @@ valid across later mutations.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -105,12 +105,18 @@ class Graph:
         """Insert undirected edge (u, v).
 
         Returns False without touching the graph on a self-loop or an
-        already-present edge.
+        already-present edge.  Each endpoint list is searched once: the
+        slot that shows v absent from Γ(u) is where v goes.
         """
-        if u == v or self.has_edge(u, v):
+        if u == v:
             return False
-        insort(self._adj.setdefault(u, []), v)
-        insort(self._adj.setdefault(v, []), u)
+        a = self._adj.setdefault(u, [])  # a new u has no edge to find
+        i = bisect_left(a, v)
+        if i < len(a) and a[i] == v:
+            return False
+        a.insert(i, v)
+        b = self._adj.setdefault(v, [])
+        b.insert(bisect_left(b, u), u)
         self._edge_count += 1
         return True
 
@@ -121,10 +127,13 @@ class Graph:
         deletion-heavy streams revisit the same nodes; ``compact`` drops
         them explicitly.
         """
-        if not self.has_edge(u, v):
+        a = self._adj.get(u)
+        if not a:
             return False
-        a = self._adj[u]
-        del a[bisect_left(a, v)]
+        i = bisect_left(a, v)
+        if i == len(a) or a[i] != v:
+            return False
+        del a[i]
         b = self._adj[v]
         del b[bisect_left(b, u)]
         self._edge_count -= 1

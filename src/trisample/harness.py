@@ -39,14 +39,26 @@ TRACE_HEADER = "event_index,truth,estimator,estimate"
 
 
 def relative_error(estimates, truth: float) -> float:
-    """Signed bias of the mean: (mean - truth) / truth."""
+    """Signed bias of the mean: (mean - truth) / truth; NaN for a zero
+    truth."""
+    if truth == 0.0:
+        return math.nan
     return (float(np.mean(estimates)) - truth) / truth
 
 
-def nrmse(estimates, truth: float) -> float:
-    """Root mean squared error normalized by the true value."""
+def nrmse(estimates, truth) -> float:
+    """Root mean squared error normalized by the true value.
+
+    ``truth`` is one value or one per estimate (when the replications end
+    on different graphs); each estimate is compared with its own truth and
+    the error is normalized by their mean.  NaN when that mean is zero.
+    """
     e = np.asarray(estimates, dtype=float)
-    return float(np.sqrt(np.mean((e - truth) ** 2))) / truth
+    t = np.asarray(truth, dtype=float)
+    scale = float(np.mean(t))
+    if scale == 0.0:
+        return math.nan
+    return float(np.sqrt(np.mean((e - t) ** 2))) / scale
 
 
 def confidence_interval(estimates, level: float = 0.95) -> tuple[float, float]:
@@ -239,13 +251,6 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[MetricsReport, list]:
     rows = []
     for j, spec in enumerate(cfg.estimators):
         col = finals[:, j]
-        mean = float(col.mean())
-        if truth_mean != 0.0:
-            rel = (mean - truth_mean) / truth_mean
-            nr = float(np.sqrt(np.mean((col - truths) ** 2))) / truth_mean
-        else:
-            rel = math.nan
-            nr = math.nan
         var = float(col.var(ddof=1)) if cfg.replications > 1 else 0.0
         lo, hi = confidence_interval(col)
         rows.append(
@@ -254,9 +259,9 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[MetricsReport, list]:
                 param=spec.param,
                 replications=cfg.replications,
                 truth=truth_mean,
-                mean=mean,
-                rel_err=rel,
-                nrmse=nr,
+                mean=float(col.mean()),
+                rel_err=relative_error(col, truth_mean),
+                nrmse=nrmse(col, truths),
                 var=var,
                 ci_low=lo,
                 ci_high=hi,

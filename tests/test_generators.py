@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -14,7 +15,7 @@ from trisample import (
     graph_stats,
     weighted_choice,
 )
-from trisample.generators import _attachment_targets
+from trisample.generators import _attachment_targets, _pick_distinct
 
 from helpers import assert_graph_invariants, complete_graph_edges
 
@@ -58,6 +59,9 @@ def test_ba_config_validation():
         BaConfig(10, 5, 0.1, 2, -0.5)
     with pytest.raises(ValueError):
         BaConfig(10, 5, 0.1, 0, 1.0)
+    for gamma in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            BaConfig(10, 5, 0.1, 2, gamma)
 
 
 def test_ba_graph_total_equals_seed_returns_er_seed():
@@ -81,6 +85,25 @@ def test_ba_graph_deterministic():
     assert ba_graph(cfg) == ba_graph(cfg)
 
 
+# sha256 of repr(sorted(edges)), recorded when every weight was recomputed
+# for each new node; growing the weights incrementally must not change them
+BA_GOLDEN = [
+    (BaConfig(2000, 100, 0.1, 10, 1.5, seed=42), "eecb745579178aac22768e37905cd6e9ff31aa0ffc7ef6ed710ff4988834649c"),
+    (BaConfig(2000, 100, 0.1, 5, 1.0, seed=42), "0509be7f71791766d7e7509b97847f52e4d4cf052c9992f922c8edadbfa99ede"),
+    (BaConfig(2000, 100, 0.1, 5, 1.5, seed=42), "03f215e2dcf853b2af4b6282b9011f9ee0f4462778efe8114641ce947d6e81df"),
+    (BaConfig(2000, 100, 0.1, 5, 2.0, seed=42), "5e600ae9262e158435d8760666a6edde2e2746cd7a7a9e2e1765abbdd6b7ca44"),
+    (BaConfig(600, 20, 0.2, 4, 0.0, seed=3), "2ed4bcaffdbcb034d4b0b291e928214bbc8c80189fb2977c5139b7de5b008ceb"),
+    # empty seed graph: every weight is zero and the first pick is uniform
+    (BaConfig(500, 10, 0.0, 3, 1.5, seed=7), "95ab9f10855efcf4d0ad19bd8062a608fb0c6e0738810ba9c04b5fad07aabf5d"),
+]
+
+
+@pytest.mark.parametrize("cfg,digest", BA_GOLDEN)
+def test_ba_graph_golden_edges(cfg, digest):
+    edges = sorted(ba_graph(cfg).edges())
+    assert hashlib.sha256(repr(edges).encode()).hexdigest() == digest
+
+
 def test_attachment_uniform_when_gamma_zero():
     # degree**0 == 1 for every node, including isolated ones
     degrees = np.array([0.0, 1.0, 5.0, 2.0])
@@ -101,6 +124,24 @@ def test_attachment_targets_distinct_and_infeasible():
     assert sorted(targets) == [0, 1, 2]
     with pytest.raises(ValueError):
         _attachment_targets(degrees, 1.0, 4, rng)
+
+
+def test_attachment_stalled_rejection_rebuilds_without_picked():
+    # after the hub, every draw lands on it again: the picker must rebuild
+    # its running sum without the hub to find the other two
+    rng = random.Random(12)
+    for _ in range(5):
+        assert sorted(_attachment_targets(np.array([1e6, 1.0, 1.0]), 2.0, 3, rng)) == [0, 1, 2]
+
+
+def test_pick_distinct_leaves_its_arrays_unchanged():
+    w = np.array([1e12, 1.0, 0.0, 1.0, 3.0])
+    cum = np.cumsum(w)
+    w_before, cum_before = w.copy(), cum.copy()
+    picked = _pick_distinct(w, cum, 4, random.Random(13))  # stalls and rebuilds
+    assert sorted(picked) == [0, 1, 3, 4]
+    assert np.array_equal(w, w_before)
+    assert np.array_equal(cum, cum_before)
 
 
 def test_attachment_zero_weights_falls_back_to_uniform():
@@ -130,6 +171,12 @@ def test_weighted_choice_frequencies_match_degree_power():
 def test_weighted_choice_rejects_zero_total():
     with pytest.raises(ValueError):
         weighted_choice([0.0, 0.0], random.Random(0))
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+def test_weighted_choice_rejects_negative_or_non_finite_weight(bad):
+    with pytest.raises(ValueError):
+        weighted_choice([1.0, bad, 5.0], random.Random(0))
 
 
 def test_ba_heavy_tail_versus_uniform_attachment():

@@ -34,6 +34,21 @@ def test_add_edge_self_loop_rejected():
     assert g.edge_count == 0
 
 
+def test_rejected_mutations_add_no_nodes_and_keep_insertion_order():
+    g = Graph()
+    assert g.add_edge(2, 1)
+    assert g.add_edge(3, 1)
+    assert not g.add_edge(1, 2)
+    assert not g.add_edge(4, 4)
+    assert not g.delete_edge(5, 6)
+    assert not g.delete_edge(1, 9)
+    assert list(g.nodes()) == [2, 1, 3]
+    assert g.delete_edge(1, 3)
+    assert not g.delete_edge(3, 1)
+    assert g.neighbors(1) == (2,)
+    assert g.edge_count == 1
+
+
 def test_delete_edge_symmetric_orientation():
     g = Graph.from_edges([(1, 2)])
     assert g.delete_edge(2, 1)

@@ -59,6 +59,18 @@ def test_nrmse_two_pass_agreement():
     assert nrmse(xs, truth) == pytest.approx(direct)
 
 
+def test_nrmse_per_replication_truths():
+    # each estimate against its own truth, normalized by the mean truth
+    assert nrmse([11.0, 18.0], [10.0, 20.0]) == pytest.approx(math.sqrt(2.5) / 15.0)
+    assert nrmse([3.0, 5.0], [4.0, 4.0]) == nrmse([3.0, 5.0], 4.0)
+
+
+def test_metrics_are_nan_for_zero_truth():
+    assert math.isnan(relative_error([1.0, 2.0], 0.0))
+    assert math.isnan(nrmse([1.0, 2.0], 0.0))
+    assert math.isnan(nrmse([1.0, 2.0], [0.0, 0.0]))
+
+
 def test_confidence_interval_constant_vector():
     lo, hi = confidence_interval([5.0, 5.0, 5.0, 5.0])
     assert lo == hi == 5.0
