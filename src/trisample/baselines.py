@@ -2,7 +2,18 @@
 edge reservoir with random pairing for deletions.
 
 Both maintain their own sampled subgraph and never query the main graph
-store; they see only the event stream.
+store; they see only the event stream.  They speak the replay protocol of
+the sampling estimator: ``skip(events, start, stop)`` draws the coins of
+upcoming events and does the bookkeeping of those that leave the sample
+unchanged, and returns the position of the first event that changes it;
+``act(ev, g)`` applies that event without redrawing its coin.  ``process``
+is the two in a row for one event.  A replay driver thus calls a baseline
+only on the events that touch its sample, with the same random draws as
+``process`` on every event.
+
+Both assume a consistent stream: no addition of a present edge and no
+deletion of an absent one.  The replay driver rejects any other, so the
+reservoir keeps only a count of live edges, not the edges themselves.
 """
 
 from __future__ import annotations
@@ -33,16 +44,37 @@ class DoulionEstimator:
         self.edges_sampled = 0
 
     def process(self, ev) -> None:
+        if self.skip((ev,), 0, 1) == 0:
+            self.act(ev, None)
+
+    def skip(self, events, start: int, stop: int) -> int:
+        """Position of the first event in ``events[start:stop]`` that changes
+        the sample (``stop`` if none): an addition whose coin is won, or a
+        deletion of a sampled edge.  Other deletions need no draw."""
+        rand = self.rng.random
+        p = self.p
+        has_edge = self.sample.has_edge
+        for k in range(start, stop):
+            ev = events[k]
+            if ev.beta == 1:
+                if rand() < p:
+                    return k
+            elif has_edge(ev.u, ev.v):
+                return k
+        return stop
+
+    def act(self, ev, g) -> None:
+        """Add a won addition to the sample or drop a sampled edge; ``g`` is
+        unused, since the sparsifier sees only the stream."""
         if ev.beta == 1:
-            if self.rng.random() < self.p and self.sample.add_edge(ev.u, ev.v):
+            if self.sample.add_edge(ev.u, ev.v):
                 # the new edge cannot be its own common neighbor, so
                 # counting after the insert is exact
                 self.tri_in_sample += triangles_of_edge(self.sample, ev.u, ev.v)
                 self.edges_sampled += 1
         else:
-            if self.sample.has_edge(ev.u, ev.v):
-                self.tri_in_sample -= triangles_of_edge(self.sample, ev.u, ev.v)
-                self.sample.delete_edge(ev.u, ev.v)
+            self.tri_in_sample -= triangles_of_edge(self.sample, ev.u, ev.v)
+            self.sample.delete_edge(ev.u, ev.v)
 
     def estimate(self) -> float:
         if self.p == 0.0:
@@ -59,7 +91,8 @@ class TriestEstimator:
     unsampled edges leave "good" debts that swallow future insertions.  The
     weighted triangle counter tau follows every reservoir mutation, and the
     estimate rescales tau by the cubic over-counting factor of sampling
-    triangles from s live edges through min(capacity, s) slots.
+    triangles from s live edges through min(capacity, s) slots.  s is a
+    count kept from the stream, so the state is O(capacity).
     """
 
     def __init__(self, capacity: int, seed: int = 0, rng=None):
@@ -70,7 +103,7 @@ class TriestEstimator:
         self.sample = Graph()
         self._edges: list[tuple[int, int]] = []  # reservoir slots
         self._slot: dict[tuple[int, int], int] = {}
-        self._live: set[tuple[int, int]] = set()  # current true-graph edges
+        self._live = 0  # current true-graph edge count
         self.tau = 0
         self.t_add = 0
         self.c_bad = 0  # uncompensated deletions of reservoir edges
@@ -83,38 +116,71 @@ class TriestEstimator:
     @property
     def live_edges(self) -> int:
         """Size of the true graph as tracked from the event stream."""
-        return len(self._live)
+        return self._live
 
     def process(self, ev) -> None:
+        if self.skip((ev,), 0, 1) == 0:
+            self.act(ev, None)
+
+    def skip(self, events, start: int, stop: int) -> int:
+        """Position of the first event in ``events[start:stop]`` that changes
+        the reservoir (``stop`` if none); the others are counted.  An
+        addition stops while the reservoir fills, and after that when its
+        coin is won: capacity/t without debts, c_bad/(c_bad + c_good) with
+        them.  A lost coin with debts pays a good one.  A deletion stops
+        on a reservoir edge and otherwise leaves a good debt."""
+        rand = self.rng.random
+        cap = self.capacity
+        slot = self._slot
+        filling = len(self._edges) < cap
+        c_bad, c_good, t_add, live = self.c_bad, self.c_good, self.t_add, self._live
+        k = stop
+        for i in range(start, stop):
+            ev = events[i]
+            if ev.beta == 1:
+                if c_good == 0 and c_bad == 0:
+                    if filling or rand() < cap / (t_add + 1):
+                        k = i
+                        break
+                elif rand() < c_bad / (c_bad + c_good):
+                    k = i
+                    break
+                else:
+                    c_good -= 1
+                t_add += 1
+                live += 1
+            else:
+                u, v = ev.u, ev.v
+                if ((u, v) if u < v else (v, u)) in slot:
+                    k = i
+                    break
+                c_good += 1
+                live -= 1
+        self.c_good, self.t_add, self._live = c_good, t_add, live
+        return k
+
+    def act(self, ev, g) -> None:
+        """Apply an event ``skip`` stopped at: insert or replace for an
+        addition, drop the reservoir edge for a deletion.  Its coin is
+        already drawn; a replacement draws its slot.  ``g`` is unused."""
         e = (ev.u, ev.v) if ev.u < ev.v else (ev.v, ev.u)
         if ev.beta == 1:
-            if e in self._live:
-                return  # malformed duplicate addition: ignore
-            self._live.add(e)
             self.t_add += 1
-            if self.c_bad + self.c_good == 0:
-                if len(self._edges) < self.capacity:
-                    self._insert(e)
-                elif self.rng.random() < self.capacity / self.t_add:
-                    self._replace(self.rng.randrange(self.capacity), e)
+            self._live += 1
+            if self.c_bad + self.c_good:
+                self._insert(e)
+                self.c_bad -= 1
+            elif len(self._edges) < self.capacity:
+                self._insert(e)
             else:
-                if self.rng.random() < self.c_bad / (self.c_bad + self.c_good):
-                    self._insert(e)
-                    self.c_bad -= 1
-                else:
-                    self.c_good -= 1
+                self._replace(self.rng.randrange(self.capacity), e)
         else:
-            if e not in self._live:
-                return  # absent from both the graph and the reservoir: no-op
-            self._live.discard(e)
-            if e in self._slot:
-                self._remove(e)
-                self.c_bad += 1
-            else:
-                self.c_good += 1
+            self._live -= 1
+            self._remove(e)
+            self.c_bad += 1
 
     def estimate(self) -> float:
-        s = len(self._live)
+        s = self._live
         m = min(self.capacity, s)
         if m < 3:
             return float(self.tau)

@@ -44,18 +44,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_stream(args) -> int:
-    if args.snapshots:
-        spec = StreamSpec("snapshot-diff", snapshots=read_snapshot_dir(args.snapshots))
-    else:
-        if not args.edges:
-            raise ValueError("either --edges or --snapshots is required")
-        edges = read_edge_list(args.edges)
-        if args.pe > 0.0:
-            kind = "node-deletion" if args.node_del else "edge-deletion"
-            spec = StreamSpec(kind, edges=edges, p_e=args.pe, p_d=args.pd)
-        else:
-            spec = StreamSpec("permutation", edges=edges)
-    events = spec.realize(args.seed)
+    events = _stream_spec_from_args(args).realize(args.seed)
     write_stream_file(events, args.out)
     adds = sum(1 for ev in events if ev.beta == 1)
     print(f"wrote {args.out}: events={len(events)} additions={adds} deletions={len(events) - adds}")
@@ -84,10 +73,17 @@ def cmd_exact(args) -> int:
 
 
 def _stream_spec_from_args(args) -> StreamSpec:
-    if args.stream:
-        return StreamSpec("file", path=args.stream)
+    """The stream that ``--snapshots`` (``stream``), ``--stream`` (``run``)
+    or ``--edges`` with ``--pe``/``--pd``/``--node-del`` describe."""
+    snapshots = getattr(args, "snapshots", None)
+    stream = getattr(args, "stream", None)
+    if snapshots:
+        return StreamSpec("snapshot-diff", snapshots=read_snapshot_dir(snapshots))
+    if stream:
+        return StreamSpec("file", path=stream)
     if not args.edges:
-        raise ValueError("either --edges or --stream is required")
+        source = "--snapshots" if hasattr(args, "snapshots") else "--stream"
+        raise ValueError(f"either --edges or {source} is required")
     edges = read_edge_list(args.edges)
     if args.pe > 0.0:
         kind = "node-deletion" if args.node_del else "edge-deletion"

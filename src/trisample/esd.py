@@ -9,10 +9,13 @@ both endpoints.  Sampled edges are discarded immediately: the estimator
 holds no subgraph, needs O(d) transient space for the neighborhood it
 inspects, and costs O(log d) per sampled edge.
 
-The coin and the sampled update are separate primitives, so a replay
-driver can draw the coins of upcoming events ahead (``coins_lost``) and
-call the estimator only on the events it samples (``sample``), with the
-same random draws, in the same order, as ``process_event`` on every event.
+The estimator speaks the replay protocol that the baselines share:
+``skip`` draws the coins of upcoming events until one is won, and ``act``
+is the sampled update for that event.  A replay driver calls it only on
+the events it samples, with the same random draws, in the same order, as
+``process_event`` on every event.  Like the baselines, it assumes a
+consistent stream (no duplicate addition, no absent deletion); the driver
+rejects any other.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ class EsdEstimator:
     factors assume it never changes).  ``mode`` is "dynamic" for add/delete
     streams or "static" for a one-pass random-order stream over a fixed
     graph's edges.  Each event consumes one ``rng.random()`` coin, drawn by
-    ``process_event`` or ahead of time by ``coins_lost``, and each neighbor
+    ``process_event`` or ahead of time by ``skip``, and each neighbor
     probe of a sampled event consumes exactly one ``rng.randrange()`` value,
     so runs replay deterministically from the seed either way.
     """
@@ -64,27 +67,27 @@ class EsdEstimator:
         edge inserted for beta=+1, removed for beta=-1."""
         if self.mode != "dynamic":
             raise ValueError("process_event requires dynamic mode")
-        if self.rng.random() < self._alpha:
+        if self.skip((ev,), 0, 1) == 0:
             present = g.has_edge(ev.u, ev.v)
             if ev.beta == 1 and not present:
                 raise ValueError(f"addition ({ev.u}, {ev.v}) was not applied to the graph")
             if ev.beta == -1 and present:
                 raise ValueError(f"deletion ({ev.u}, {ev.v}) was not applied to the graph")
-            self.sample(ev, g)
+            self.act(ev, g)
 
-    def coins_lost(self, limit: int) -> int:
-        """Draw the coins of up to ``limit`` upcoming events, stopping at the
-        first one won, and return how many were lost before it (``limit``
-        when none was won).  The next event to sample is then that many
-        events ahead; its coin has been drawn, so ``sample`` draws none."""
+    def skip(self, events, start: int, stop: int) -> int:
+        """Draw the coins of ``events[start:stop]``, stopping at the first
+        one won, and return its position (``stop`` when none was won).  A
+        lost coin needs no bookkeeping, so the events are not read.  The
+        won event's coin has been drawn, so ``act`` draws none."""
         rand = self.rng.random
         alpha = self._alpha
-        for k in range(limit):
+        for k in range(start, stop):
             if rand() < alpha:
                 return k
-        return limit
+        return stop
 
-    def sample(self, ev, g) -> None:
+    def act(self, ev, g) -> None:
         """The update for an event whose coin was won: probe both endpoints.
         Draws no coin and trusts ``g`` to reflect ``ev`` already, as
         ``process_event`` checks."""

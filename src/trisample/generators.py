@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,17 @@ class BaConfig:
             raise ValueError(f"seed_edge_prob must be in [0, 1], got {self.seed_edge_prob}")
         if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
             raise ValueError(f"gamma must be finite and non-negative, got {self.gamma}")
+        # Every weight is at most (n_total - 1)**gamma, so the prefix sum of
+        # n_total of them stays finite below this bound.  Past it an inf
+        # total makes every pick land on the first inf-weight node.
+        if self.n_total > 1 and self.gamma * math.log(self.n_total - 1) + math.log(
+            self.n_total
+        ) >= math.log(sys.float_info.max):
+            raise ValueError(
+                f"gamma={self.gamma} overflows the attachment weights of "
+                f"{self.n_total} nodes: need gamma*ln(n_total - 1) + ln(n_total) "
+                f"< ln(sys.float_info.max)"
+            )
 
 
 # Desk-scale reference recipes for the six study graphs; the per-node

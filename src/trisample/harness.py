@@ -3,10 +3,12 @@ emission for estimator comparisons.
 
 Each replication realizes the stream, drives one shared graph store and
 feeds every configured estimator; metrics aggregate the final estimates
-against the exact ground truth.  The baselines see every event.  Each ESD
-estimator draws its coins ahead, up to the next one it wins, and is called
-only on the events it samples; its random draws and results are the same as
-when it is fed every event.  The incremental exact tracker runs only on
+against the exact ground truth.  The sampling estimator and both baselines
+are driven through one protocol: each draws its coins ahead (``skip``), up
+to the next event it must act on, and is called (``act``) only there; its
+random draws and results are the same as when it is fed every event.  The
+driver is the one place that rejects an inconsistent stream, and the
+estimators rely on it.  The incremental exact tracker runs only on
 replication 0, the one whose running truth goes into the trace; every other
 replication recounts its final graph once, which costs far less than
 following each event.  Reports are a pure function of the config:
@@ -110,6 +112,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.trace_stride is not None and self.trace_stride < 1:
+            raise ValueError(f"trace_stride must be >= 1, got {self.trace_stride}")
         if not self.estimators:
             raise ValueError("at least one estimator is required")
 
@@ -154,45 +158,52 @@ def _timed(fn, wall: list, j: int):
 
 def _replay(cfg, events, ests, g, tracker, traces, wall) -> None:
     """Apply ``events`` to ``g`` and feed the estimators ``ests`` built from
-    ``cfg.estimators``.  A baseline's ``process`` runs on every event.  An
-    ESD is filed in ``due`` under the index of the next event whose coin it
-    wins and is called only there; ``coins_lost`` stops at the stream's end,
-    so no coin is drawn for an event that does not exist.  Each estimator
-    draws from its own RNG, so the order they are fed in changes nothing."""
+    ``cfg.estimators``.
+
+    Every estimator is driven by one schedule, ``due``, which files it
+    under the position of the next event it must act on.  There its
+    ``act`` runs once the graph reflects the event, and its next ``skip``
+    draws coins ahead to find the next such position.  A skip never passes
+    ``stop``: the stream's end, or with a tracker the next trace point,
+    because a baseline's skip moves the counts its estimate reads.  An
+    estimator filed under ``stop`` itself has not acted there; it resumes
+    skipping from ``stop`` once that point's trace rows are written.  Each
+    estimator draws from its own RNG, so the order they are fed in changes
+    nothing.
+    """
     last = len(events)
-    process = []
-    due: dict[int, list] = {}
-    for j, (spec, est) in enumerate(zip(cfg.estimators, ests)):
-        if spec.kind == "esd":
-            sample, coins_lost = est.sample, est.coins_lost
-            if cfg.timing:
-                sample, coins_lost = _timed(sample, wall, j), _timed(coins_lost, wall, j)
-            lost = coins_lost(last)
-            if lost < last:
-                due.setdefault(lost + 1, []).append((sample, coins_lost))
-        else:
-            process.append(_timed(est.process, wall, j) if cfg.timing else est.process)
-    stride = cfg.trace_stride or max(1, last // 500)
-    for i, ev in enumerate(events, start=1):
-        if ev.beta == 1:
-            if not g.add_edge(ev.u, ev.v):
-                raise ValueError(f"inconsistent stream: duplicate addition ({ev.u}, {ev.v})")
-        elif not g.delete_edge(ev.u, ev.v):
-            raise ValueError(f"inconsistent stream: absent deletion ({ev.u}, {ev.v})")
+    if tracker is None:
+        bounds = [last]
+    else:
+        stride = cfg.trace_stride or max(1, last // 500)
+        bounds = [*range(stride, last, stride), last] if last else []
+    calls = [(est.act, est.skip) for est in ests]
+    if cfg.timing:
+        calls = [
+            (_timed(act, wall, j), _timed(skip, wall, j)) for j, (act, skip) in enumerate(calls)
+        ]
+    due: dict[int, list] = {0: calls}
+    start = 0
+    for stop in bounds:
+        for pair in due.pop(start, ()):
+            due.setdefault(pair[1](events, start, stop), []).append(pair)
+        for i in range(start, stop):
+            ev = events[i]
+            if ev.beta == 1:
+                if not g.add_edge(ev.u, ev.v):
+                    raise ValueError(f"inconsistent stream: duplicate addition ({ev.u}, {ev.v})")
+            elif not g.delete_edge(ev.u, ev.v):
+                raise ValueError(f"inconsistent stream: absent deletion ({ev.u}, {ev.v})")
+            if tracker is not None:
+                tracker.apply(ev, g)
+            for pair in due.pop(i, ()):
+                act, skip = pair
+                act(ev, g)
+                due.setdefault(skip(events, i + 1, stop), []).append(pair)
         if tracker is not None:
-            tracker.apply(ev, g)
-        for fn in process:
-            fn(ev)
-        for calls in due.pop(i, ()):
-            sample, coins_lost = calls
-            sample(ev, g)
-            left = last - i
-            lost = coins_lost(left)
-            if lost < left:
-                due.setdefault(i + lost + 1, []).append(calls)
-        if tracker is not None and (i % stride == 0 or i == last):
             for spec, est in zip(cfg.estimators, ests):
-                traces.append((i, tracker.count, spec.name, est.estimate()))
+                traces.append((stop, tracker.count, spec.name, est.estimate()))
+        start = stop
 
 
 def _replicate(cfg: ExperimentConfig, r: int, traces: list):

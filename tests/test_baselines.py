@@ -6,12 +6,17 @@ import pytest
 from trisample import (
     DoulionEstimator,
     EdgeEvent,
+    EstimatorSpec,
+    ExperimentConfig,
     Graph,
+    StreamSpec,
     TriestEstimator,
     dynamic_edge_deletion_stream,
     er_graph,
     exact_triangles,
     permutation_stream,
+    run_experiment,
+    write_stream_file,
 )
 
 from helpers import complete_graph_edges
@@ -170,12 +175,19 @@ def test_triest_estimate_scaling_formula():
     assert est.estimate() == pytest.approx(est.tau * rho)
 
 
-def test_triest_deletion_of_absent_edge_noop():
-    est = TriestEstimator(4, seed=23)
-    est.process(EdgeEvent(1, 2, 1))
-    before = (est.tau, est.c_bad, est.c_good, est.edges_sampled)
-    est.process(EdgeEvent(8, 9, -1))
-    assert (est.tau, est.c_bad, est.c_good, est.edges_sampled) == before
+def test_triest_absent_deletion_rejected_by_driver(tmp_path):
+    # the reservoir counts live edges instead of storing them, so the
+    # driver, not the baseline, rejects a deletion of an absent edge
+    path = tmp_path / "absent.txt"
+    write_stream_file([EdgeEvent(1, 2, 1), EdgeEvent(8, 9, -1)], path)
+    cfg = ExperimentConfig(
+        stream=StreamSpec("file", path=str(path)),
+        estimators=[EstimatorSpec("triest", 4)],
+        replications=1,
+        seed=23,
+    )
+    with pytest.raises(ValueError, match="inconsistent stream: absent deletion"):
+        run_experiment(cfg)
 
 
 def test_triest_random_pairing_counters_stay_nonnegative():

@@ -109,6 +109,23 @@ def test_run_requires_an_estimator(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("stride", ["0", "-5"])
+def test_run_and_compare_reject_non_positive_stride(tmp_path, capsys, command, stride):
+    k4 = write_k4(tmp_path)
+    args = [command, "--edges", str(k4), "--reps", "2", "--stride", stride, "--out", str(tmp_path / "x.csv")]
+    rc = main(args + (["--alpha", "0.5"] if command == "run" else []))
+    assert rc == 1
+    assert "trace_stride must be >= 1" in capsys.readouterr().err
+
+
+def test_stream_requires_an_input(tmp_path, capsys):
+    assert main(["stream", "--out", str(tmp_path / "s.txt")]) == 1
+    assert "either --edges or --snapshots is required" in capsys.readouterr().err
+    assert main(["run", "--alpha", "0.5", "--out", str(tmp_path / "r.csv")]) == 1
+    assert "either --edges or --stream is required" in capsys.readouterr().err
+
+
 def test_run_missing_file_errors(tmp_path, capsys):
     rc = main(["run", "--edges", str(tmp_path / "nope.txt"), "--alpha", "0.5",
                "--out", str(tmp_path / "x.csv")])

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -62,6 +63,19 @@ def test_ba_config_validation():
     for gamma in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             BaConfig(10, 5, 0.1, 2, gamma)
+
+
+def test_ba_config_rejects_gamma_whose_weights_overflow():
+    # 299**200 overflows float64, and an inf weight total would send every
+    # pick to the first inf-weight node
+    with pytest.raises(ValueError, match="overflows"):
+        BaConfig(300, 20, 0.3, 3, 200.0)
+    # the bound is gamma*ln(n_total - 1) + ln(n_total) < ln(float max)
+    limit = (math.log(sys.float_info.max) - math.log(300)) / math.log(299)
+    BaConfig(300, 20, 0.3, 3, limit * 0.999)
+    with pytest.raises(ValueError):
+        BaConfig(300, 20, 0.3, 3, limit * 1.001)
+    BaConfig(1, 1, 0.0, 1, 1e6)  # one node has no degree to overflow
 
 
 def test_ba_graph_total_equals_seed_returns_er_seed():

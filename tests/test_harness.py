@@ -10,14 +10,11 @@ import numpy as np
 import pytest
 
 from trisample import (
-    EsdEstimator,
     EstimatorSpec,
     ExperimentConfig,
-    Graph,
     StreamSpec,
     confidence_interval,
     derive_seed,
-    dynamic_edge_deletion_stream,
     emit_csv,
     er_graph,
     exact_triangles,
@@ -25,9 +22,9 @@ from trisample import (
     relative_error,
     run_experiment,
 )
-from trisample.harness import SUMMARY_HEADER, TRACE_HEADER, _replay, trace_path_for
+from trisample.harness import SUMMARY_HEADER, TRACE_HEADER, trace_path_for
 
-from helpers import complete_graph_edges, replay
+from helpers import complete_graph_edges
 
 TRIANGLE = [(1, 2), (2, 3), (1, 3)]
 
@@ -108,6 +105,16 @@ def test_config_validation():
         ExperimentConfig(stream=spec, estimators=[EstimatorSpec("esd", 0.5)], replications=0)
     with pytest.raises(ValueError):
         EstimatorSpec("unknown", 0.5)
+
+
+@pytest.mark.parametrize("stride", [0, -5])
+def test_trace_stride_must_be_positive(stride):
+    # the default stride is trace_stride=None; 0 and negatives are errors
+    spec = StreamSpec("permutation", edges=TRIANGLE)
+    with pytest.raises(ValueError, match="trace_stride"):
+        ExperimentConfig(stream=spec, estimators=[EstimatorSpec("esd", 0.5)], trace_stride=stride)
+    cfg = ExperimentConfig(stream=spec, estimators=[EstimatorSpec("esd", 0.5)], trace_stride=1)
+    assert [row[0] for row in run_experiment(cfg)[1]] == [1, 2, 3]
 
 
 def test_run_experiment_k3_alpha_one_exact():
@@ -305,43 +312,6 @@ def test_permutation_truth_is_base_graph_count():
     assert truth == _set_recount(list(base.edges())) > 0
     assert report.truth == truth
     assert traces[-1][1] == truth
-
-
-# ---------------------------------------------------------------------------
-# ESD is called only on the events it samples, with the same random draws
-
-
-@pytest.mark.parametrize("alpha", [1e-9, 0.05, 0.5, 1.0])
-def test_esd_schedule_matches_feeding_every_event(alpha):
-    edges = list(er_graph(40, 0.3, seed=23).edges())
-    events = dynamic_edge_deletion_stream(edges, p_e=0.05, p_d=0.2, seed=24)
-    assert any(ev.beta == -1 for ev in events)
-    seeds = (1, 2, 3)
-
-    fed = [EsdEstimator(alpha, seed=s) for s in seeds]
-    g = Graph()
-    for ev in events:
-        replay([ev], g)
-        for est in fed:
-            est.process_event(ev, g)
-
-    scheduled = [EsdEstimator(alpha, seed=s) for s in seeds]
-    cfg = ExperimentConfig(
-        stream=StreamSpec("permutation", edges=edges),
-        estimators=[EstimatorSpec("esd", alpha) for _ in seeds],
-    )
-    g2 = Graph()
-    _replay(cfg, events, scheduled, g2, None, [], [0.0] * len(seeds))
-
-    assert g2 == g
-    for a, b in zip(fed, scheduled):
-        assert b.t_est == a.t_est
-        assert b.edges_sampled == a.edges_sampled
-        assert b.rng.getstate() == a.rng.getstate()
-    if alpha == 1.0:
-        assert all(est.edges_sampled == len(events) for est in scheduled)
-    if alpha == 1e-9:
-        assert all(est.edges_sampled == 0 for est in scheduled)
 
 
 def test_timing_changes_only_wall_ms():

@@ -1,0 +1,152 @@
+"""The replay schedule: ``_replay`` drives every estimator through ``skip``
+and ``act`` and must leave it exactly where feeding it every event through
+``process`` (baselines) or ``process_event`` (ESD) does, with the same
+random draws and the same trace rows."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trisample import (
+    EdgeEvent,
+    EstimatorSpec,
+    ExactTracker,
+    ExperimentConfig,
+    Graph,
+    StreamSpec,
+    dynamic_edge_deletion_stream,
+    er_graph,
+)
+from trisample.harness import _replay
+
+from helpers import replay
+
+TRIANGLE = [(1, 2), (2, 3), (1, 3)]
+
+
+def state(est):
+    """Everything an estimator carries from one event to the next."""
+    s = {
+        "estimate": est.estimate(),
+        "edges_sampled": est.edges_sampled,
+        "rng": est.rng.getstate(),
+    }
+    for name in ("tau", "c_bad", "c_good", "t_add", "live_edges", "_edges", "tri_in_sample"):
+        if hasattr(est, name):
+            s[name] = getattr(est, name)
+    if hasattr(est, "sample"):
+        s["sample"] = sorted(est.sample.edges())
+    return s
+
+
+def feed_every_event(specs, seeds, events, stride=None):
+    """Reference run: every estimator sees every event after the graph does.
+    With a stride, returns the trace rows ``_replay`` writes with a tracker."""
+    ests = [spec.build(seed) for spec, seed in zip(specs, seeds)]
+    g, tracker, rows = Graph(), ExactTracker(), []
+    for i, ev in enumerate(events, start=1):
+        replay([ev], g)
+        tracker.apply(ev, g)
+        for spec, est in zip(specs, ests):
+            if spec.kind == "esd":
+                est.process_event(ev, g)
+            else:
+                est.process(ev)
+        if stride is not None and (i % stride == 0 or i == len(events)):
+            rows.extend((i, tracker.count, spec.name, est.estimate()) for spec, est in zip(specs, ests))
+    return ests, g, rows
+
+
+def scheduled(specs, seeds, events, stride=None):
+    cfg = ExperimentConfig(stream=StreamSpec("permutation", edges=TRIANGLE), estimators=specs, trace_stride=stride)
+    ests = [spec.build(seed) for spec, seed in zip(specs, seeds)]
+    g, rows = Graph(), []
+    _replay(cfg, events, ests, g, ExactTracker() if stride else None, rows, [0.0] * len(ests))
+    return ests, g, rows
+
+
+@pytest.mark.parametrize(
+    "kind,param",
+    [
+        ("esd", 1e-9),
+        ("esd", 0.05),
+        ("esd", 0.5),
+        ("esd", 1.0),
+        ("doulion", 0.0),
+        ("doulion", 0.05),
+        ("doulion", 0.5),
+        ("doulion", 1.0),
+        ("triest", 1),
+        ("triest", 20),
+        ("triest", 150),
+        ("triest", 10_000),
+    ],
+)
+def test_schedule_matches_feeding_every_event(kind, param):
+    edges = list(er_graph(40, 0.3, seed=23).edges())
+    events = dynamic_edge_deletion_stream(edges, p_e=0.05, p_d=0.2, seed=24)
+    assert any(ev.beta == -1 for ev in events)
+    specs = [EstimatorSpec(kind, param) for _ in range(3)]
+    seeds = (1, 2, 3)
+
+    fed, g, _ = feed_every_event(specs, seeds, events)
+    ests, g2, _ = scheduled(specs, seeds, events)
+
+    assert g2 == g
+    for a, b in zip(fed, ests):
+        assert state(b) == state(a)
+    if kind != "triest" and param == 1.0:  # every event's coin is won
+        adds = sum(ev.beta == 1 for ev in events)
+        assert all(est.edges_sampled == (len(events) if kind == "esd" else adds) for est in ests)
+    if kind != "triest" and param in (1e-9, 0.0):
+        assert all(est.edges_sampled == 0 for est in ests)
+    if param == 10_000:  # the reservoir never fills, so it holds the graph
+        assert all(sorted(est.sample.edges()) == sorted(g.edges()) for est in ests)
+
+
+@st.composite
+def consistent_streams(draw):
+    """Toggle random pairs on a few nodes: a pair's first event adds it, the
+    next deletes it, the one after re-adds it."""
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda p: p[0] != p[1]),
+            max_size=80,
+        )
+    )
+    present, events = set(), []
+    for u, v in pairs:
+        e = (min(u, v), max(u, v))
+        events.append(EdgeEvent(u, v, -1 if e in present else 1))
+        present ^= {e}
+    return events
+
+
+estimator_specs = st.lists(
+    st.one_of(
+        st.builds(EstimatorSpec, st.just("esd"), st.sampled_from([1e-9, 0.2, 0.6, 1.0])),
+        st.builds(EstimatorSpec, st.just("doulion"), st.sampled_from([0.0, 0.3, 0.7, 1.0])),
+        st.builds(EstimatorSpec, st.just("triest"), st.integers(1, 12)),
+    ),
+    min_size=1,
+    max_size=4,
+)
+seeds = st.lists(st.integers(0, 2**32), min_size=4, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(events=consistent_streams(), specs=estimator_specs, seeds=seeds)
+def test_schedule_state_matches_on_random_streams(events, specs, seeds):
+    fed, g, _ = feed_every_event(specs, seeds, events)
+    ests, g2, _ = scheduled(specs, seeds, events)
+    assert g2 == g
+    assert [state(est) for est in ests] == [state(est) for est in fed]
+
+
+@settings(max_examples=100, deadline=None)
+@given(events=consistent_streams(), specs=estimator_specs, seeds=seeds, stride=st.sampled_from([1, 3]))
+def test_schedule_trace_rows_match_on_random_streams(events, specs, seeds, stride):
+    fed, _, expected = feed_every_event(specs, seeds, events, stride)
+    ests, _, rows = scheduled(specs, seeds, events, stride)
+    assert rows == expected
+    assert [state(est) for est in ests] == [state(est) for est in fed]
