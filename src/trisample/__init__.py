@@ -27,6 +27,7 @@ from .harness import (
     emit_csv,
     nrmse,
     relative_error,
+    replay,
     run_experiment,
 )
 from .oracle import ExactTracker, exact_triangles, triangles_of_edge, variance_bound
@@ -76,6 +77,7 @@ __all__ = [
     "read_snapshot_dir",
     "read_stream_file",
     "relative_error",
+    "replay",
     "run_experiment",
     "snapshot_diff_stream",
     "snapshot_diffs",

@@ -13,6 +13,7 @@ from .harness import (
     ExperimentConfig,
     MetricsReport,
     emit_csv,
+    replay,
     run_experiment,
     trace_path_for,
 )
@@ -58,12 +59,7 @@ def cmd_exact(args) -> int:
         g = Graph.from_edges(read_edge_list(args.edges))
     else:
         g = Graph()
-        for ev in read_stream_file(args.stream):
-            if ev.beta == 1:
-                if not g.add_edge(ev.u, ev.v):
-                    raise ValueError(f"stream adds present edge ({ev.u}, {ev.v})")
-            elif not g.delete_edge(ev.u, ev.v):
-                raise ValueError(f"stream deletes absent edge ({ev.u}, {ev.v})")
+        replay(read_stream_file(args.stream), g)
     stats = graph_stats(g)
     print(
         f"nodes={stats.nodes} edges={stats.edges} "
@@ -73,17 +69,21 @@ def cmd_exact(args) -> int:
 
 
 def _stream_spec_from_args(args) -> StreamSpec:
-    """The stream that ``--snapshots`` (``stream``), ``--stream`` (``run``)
-    or ``--edges`` with ``--pe``/``--pd``/``--node-del`` describe."""
-    snapshots = getattr(args, "snapshots", None)
-    stream = getattr(args, "stream", None)
-    if snapshots:
-        return StreamSpec("snapshot-diff", snapshots=read_snapshot_dir(snapshots))
-    if stream:
-        return StreamSpec("file", path=stream)
-    if not args.edges:
-        source = "--snapshots" if hasattr(args, "snapshots") else "--stream"
-        raise ValueError(f"either --edges or {source} is required")
+    """The stream that exactly one source describes: ``--edges`` with
+    ``--pe``/``--pd``/``--node-del``, or ``--snapshots`` (``stream``) or
+    ``--stream`` (``run``), which take no deletion options."""
+    flag = "--snapshots" if hasattr(args, "snapshots") else "--stream"
+    other = getattr(args, flag[2:])
+    if not args.edges and not other:
+        raise ValueError(f"either --edges or {flag} is required")
+    if args.edges and other:
+        raise ValueError(f"exactly one of --edges or {flag} is required")
+    if other:
+        if args.pe or args.pd or args.node_del:
+            raise ValueError(f"--pe, --pd and --node-del apply only to --edges, not to {flag}")
+        if flag == "--snapshots":
+            return StreamSpec("snapshot-diff", snapshots=read_snapshot_dir(other))
+        return StreamSpec("file", path=other)
     edges = read_edge_list(args.edges)
     if args.pe > 0.0:
         kind = "node-deletion" if args.node_del else "edge-deletion"

@@ -102,8 +102,8 @@ class EsdEstimator:
         For additions the probe excludes v, which must be in Γ(u) (tuple
         probability alpha/(d(u)-1)); for deletions v already left Γ(u) and
         the probe spans all of it (probability alpha/d(u)).  Degrees are
-        post-event.  Each probe draws one ``rng.randrange`` value, as
-        ``Graph.random_neighbor`` does.
+        post-event.  Each probe draws one ``rng.randrange`` value, so a
+        replay is deterministic from the seed.
         """
         nbrs = g.adjacency(u)
         d = len(nbrs)

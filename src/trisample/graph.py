@@ -15,7 +15,7 @@ valid across later mutations.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class Graph:
@@ -74,26 +74,6 @@ class Graph:
         i = bisect_left(nbrs, target)
         return i < len(nbrs) and nbrs[i] == target
 
-    def random_neighbor(self, u: int, rng, exclude: Optional[int] = None) -> Optional[int]:
-        """Uniform draw from Γ(u), optionally excluding one node.
-
-        Consumes exactly one ``rng.randrange`` call per draw so replays are
-        deterministic.  Returns None when the candidate set is empty.
-        """
-        nbrs = self._adj.get(u)
-        if not nbrs:
-            return None
-        n = len(nbrs)
-        if exclude is None:
-            return nbrs[rng.randrange(n)]
-        i = bisect_left(nbrs, exclude)
-        if i < n and nbrs[i] == exclude:
-            if n == 1:
-                return None
-            j = rng.randrange(n - 1)
-            return nbrs[j] if j < i else nbrs[j + 1]
-        return nbrs[rng.randrange(n)]
-
     # ------------------------------------------------------------------
     # mutations
 
@@ -124,8 +104,8 @@ class Graph:
         """Remove undirected edge (u, v); False when absent.
 
         Endpoints stay in the adjacency map even at degree zero, since
-        deletion-heavy streams revisit the same nodes; ``compact`` drops
-        them explicitly.
+        deletion-heavy streams revisit the same nodes; such a node behaves
+        like an unknown one except in ``nodes`` and ``node_count``.
         """
         a = self._adj.get(u)
         if not a:
@@ -138,10 +118,6 @@ class Graph:
         del b[bisect_left(b, u)]
         self._edge_count -= 1
         return True
-
-    def compact(self) -> None:
-        """Drop nodes whose neighbor lists are empty."""
-        self._adj = {u: nbrs for u, nbrs in self._adj.items() if nbrs}
 
     # ------------------------------------------------------------------
     # iteration / construction

@@ -1,26 +1,28 @@
 """Experiment runner: replicated stream replays, accuracy metrics and CSV
 emission for estimator comparisons.
 
-Each replication realizes the stream, drives one shared graph store and
-feeds every configured estimator; metrics aggregate the final estimates
-against the exact ground truth.  The sampling estimator and both baselines
-are driven through one protocol: each draws its coins ahead (``skip``), up
-to the next event it must act on, and is called (``act``) only there; its
-random draws and results are the same as when it is fed every event.  The
-driver is the one place that rejects an inconsistent stream, and the
-estimators rely on it.  The incremental exact tracker runs only on
-replication 0, the one whose running truth goes into the trace; every other
-replication recounts its final graph once, which costs far less than
-following each event.  Reports are a pure function of the config:
-per-estimator wall-clock stays 0.0 unless timing is explicitly enabled,
-since measured times would break byte-identical output.
+Each replication realizes the stream and hands it to ``replay``, which
+drives one shared graph store and every configured estimator; metrics
+aggregate the final estimates against the exact ground truth.  ``replay``
+is public and is the one function that applies a stream to a graph store
+(the CLI's ``exact --stream`` uses it too), so it is also the one place
+that rejects an inconsistent stream, which the estimators rely on.  It
+drives the sampling estimator and both baselines through one protocol:
+each draws its coins ahead (``skip``), up to the next event it must act
+on, and is called (``act``) only there; its random draws and results are
+the same as when it is fed every event.  The incremental exact tracker
+runs only on replication 0, the one whose running truth goes into the
+trace; every other replication recounts its final graph once, which costs
+far less than following each event.  Reports are a pure function of the
+config: per-estimator wall-clock stays 0.0 unless timing is explicitly
+enabled, since measured times would break byte-identical output.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from statistics import NormalDist
 
@@ -120,6 +122,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class EstimatorMetrics:
+    # The field order is the summary CSV's column order (SUMMARY_HEADER).
     name: str
     param: float
     replications: int
@@ -156,9 +159,18 @@ def _timed(fn, wall: list, j: int):
     return call
 
 
-def _replay(cfg, events, ests, g, tracker, traces, wall) -> None:
-    """Apply ``events`` to ``g`` and feed the estimators ``ests`` built from
-    ``cfg.estimators``.
+def replay(events, g, ests=(), tracker=None, stride=None, wall=None) -> list:
+    """Apply ``events`` to the graph store ``g`` and feed the estimators
+    ``ests`` and the exact ``tracker`` (both optional) after each event.
+
+    This is the one place a stream is checked: an addition of a present
+    edge or a deletion of an absent one raises ``ValueError("inconsistent
+    stream: ...")``, since the estimators and the tracker assume a
+    consistent stream.  With a tracker, returns one trace row
+    ``(position, tracker.count, [estimates])`` every ``stride`` (>= 1)
+    events, by default ``max(1, len(events) // 500)``, and at the stream's
+    end; without one, returns ``[]``.  With a ``wall`` list, each estimator's
+    time is added to ``wall[j]``.
 
     Every estimator is driven by one schedule, ``due``, which files it
     under the position of the next event it must act on.  There its
@@ -167,22 +179,25 @@ def _replay(cfg, events, ests, g, tracker, traces, wall) -> None:
     ``stop``: the stream's end, or with a tracker the next trace point,
     because a baseline's skip moves the counts its estimate reads.  An
     estimator filed under ``stop`` itself has not acted there; it resumes
-    skipping from ``stop`` once that point's trace rows are written.  Each
+    skipping from ``stop`` once that point's trace row is written.  Each
     estimator draws from its own RNG, so the order they are fed in changes
     nothing.
     """
+    if stride is not None and stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
     last = len(events)
     if tracker is None:
         bounds = [last]
     else:
-        stride = cfg.trace_stride or max(1, last // 500)
+        stride = stride or max(1, last // 500)
         bounds = [*range(stride, last, stride), last] if last else []
     calls = [(est.act, est.skip) for est in ests]
-    if cfg.timing:
+    if wall is not None:
         calls = [
             (_timed(act, wall, j), _timed(skip, wall, j)) for j, (act, skip) in enumerate(calls)
         ]
     due: dict[int, list] = {0: calls}
+    rows = []
     start = 0
     for stop in bounds:
         for pair in due.pop(start, ()):
@@ -201,9 +216,9 @@ def _replay(cfg, events, ests, g, tracker, traces, wall) -> None:
                 act(ev, g)
                 due.setdefault(skip(events, i + 1, stop), []).append(pair)
         if tracker is not None:
-            for spec, est in zip(cfg.estimators, ests):
-                traces.append((stop, tracker.count, spec.name, est.estimate()))
+            rows.append((stop, tracker.count, [est.estimate() for est in ests]))
         start = stop
+    return rows
 
 
 def _replicate(cfg: ExperimentConfig, r: int, traces: list):
@@ -225,13 +240,15 @@ def _replicate(cfg: ExperimentConfig, r: int, traces: list):
     wall = [0.0] * len(ests)
     g = Graph()
     tracker = ExactTracker() if r == 0 else None
-    _replay(cfg, events, ests, g, tracker, traces, wall)
+    timed = wall if cfg.timing else None
+    for stop, truth, estimates in replay(events, g, ests, tracker, cfg.trace_stride, timed):
+        traces.extend((stop, truth, spec.name, est) for spec, est in zip(cfg.estimators, estimates))
     finals = [est.estimate() for est in ests]
     sampled = [est.edges_sampled for est in ests]
     if tracker is not None:
         return tracker.count, finals, sampled, wall
     # Free the stream and the estimators before the recount allocates; the
-    # bound methods and the schedule that held them died with _replay.
+    # bound methods and the schedule that held them died with replay.
     events = ests = None
     return exact_triangles(g), finals, sampled, wall
 
@@ -301,21 +318,7 @@ def emit_csv(report: MetricsReport, traces, path) -> None:
     with open(p, "w", encoding="utf-8") as fh:
         fh.write(SUMMARY_HEADER + "\n")
         for row in report.rows:
-            fields = (
-                row.name,
-                row.param,
-                row.replications,
-                row.truth,
-                row.mean,
-                row.rel_err,
-                row.nrmse,
-                row.var,
-                row.ci_low,
-                row.ci_high,
-                row.edges_sampled_mean,
-                row.wall_ms_mean,
-            )
-            fh.write(",".join(_fmt(v) for v in fields) + "\n")
+            fh.write(",".join(_fmt(v) for v in astuple(row)) + "\n")
     with open(trace_path_for(p), "w", encoding="utf-8") as fh:
         fh.write(TRACE_HEADER + "\n")
         for idx, truth, name, est in traces:

@@ -126,6 +126,39 @@ def test_stream_requires_an_input(tmp_path, capsys):
     assert "either --edges or --stream is required" in capsys.readouterr().err
 
 
+def test_a_second_source_or_unused_deletion_option_is_rejected(tmp_path, capsys):
+    k4 = write_k4(tmp_path)
+    stream = tmp_path / "s.txt"
+    assert main(["stream", "--edges", str(k4), "--seed", "2", "--out", str(stream)]) == 0
+    snapdir = tmp_path / "snaps"
+    snapdir.mkdir()
+    (snapdir / "00.txt").write_text("1 2\n")
+    capsys.readouterr()
+    out = ["--out", str(tmp_path / "x.csv")]
+    for argv, message in [
+        (["run", "--edges", str(k4), "--stream", str(stream), "--pe", "0.5", "--pd", "0.5", "--alpha", "1"],
+         "exactly one of --edges or --stream is required"),
+        (["stream", "--edges", str(k4), "--snapshots", str(snapdir)],
+         "exactly one of --edges or --snapshots is required"),
+        (["run", "--stream", str(stream), "--pe", "0.5", "--alpha", "1"], "apply only to --edges"),
+        (["run", "--stream", str(stream), "--pd", "0.5", "--alpha", "1"], "apply only to --edges"),
+        (["stream", "--snapshots", str(snapdir), "--node-del"], "apply only to --edges"),
+    ]:
+        assert main(argv + out) == 1, argv
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["exact", "run"])
+def test_exact_and_run_reject_an_inconsistent_stream_alike(tmp_path, capsys, command):
+    stream = tmp_path / "bad.txt"
+    stream.write_text("1 2 +1\n1 3 -1\n")
+    argv = [command, "--stream", str(stream)]
+    if command == "run":
+        argv += ["--alpha", "0.5", "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 1
+    assert "inconsistent stream: absent deletion (1, 3)" in capsys.readouterr().err
+
+
 def test_run_missing_file_errors(tmp_path, capsys):
     rc = main(["run", "--edges", str(tmp_path / "nope.txt"), "--alpha", "0.5",
                "--out", str(tmp_path / "x.csv")])

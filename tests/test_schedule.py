@@ -1,7 +1,8 @@
-"""The replay schedule: ``_replay`` drives every estimator through ``skip``
+"""The replay schedule: ``replay`` drives every estimator through ``skip``
 and ``act`` and must leave it exactly where feeding it every event through
 ``process`` (baselines) or ``process_event`` (ESD) does, with the same
-random draws and the same trace rows."""
+random draws and the same trace rows; its running truth must match a
+recount after every event."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,17 +12,14 @@ from trisample import (
     EdgeEvent,
     EstimatorSpec,
     ExactTracker,
-    ExperimentConfig,
     Graph,
-    StreamSpec,
     dynamic_edge_deletion_stream,
     er_graph,
+    replay,
 )
-from trisample.harness import _replay
 
-from helpers import replay
-
-TRIANGLE = [(1, 2), (2, 3), (1, 3)]
+import helpers
+from helpers import assert_graph_invariants, brute_force_triangles
 
 
 def state(est):
@@ -41,11 +39,11 @@ def state(est):
 
 def feed_every_event(specs, seeds, events, stride=None):
     """Reference run: every estimator sees every event after the graph does.
-    With a stride, returns the trace rows ``_replay`` writes with a tracker."""
+    With a stride, returns the trace rows ``replay`` returns with a tracker."""
     ests = [spec.build(seed) for spec, seed in zip(specs, seeds)]
     g, tracker, rows = Graph(), ExactTracker(), []
     for i, ev in enumerate(events, start=1):
-        replay([ev], g)
+        helpers.replay([ev], g)
         tracker.apply(ev, g)
         for spec, est in zip(specs, ests):
             if spec.kind == "esd":
@@ -53,15 +51,14 @@ def feed_every_event(specs, seeds, events, stride=None):
             else:
                 est.process(ev)
         if stride is not None and (i % stride == 0 or i == len(events)):
-            rows.extend((i, tracker.count, spec.name, est.estimate()) for spec, est in zip(specs, ests))
+            rows.append((i, tracker.count, [est.estimate() for est in ests]))
     return ests, g, rows
 
 
 def scheduled(specs, seeds, events, stride=None):
-    cfg = ExperimentConfig(stream=StreamSpec("permutation", edges=TRIANGLE), estimators=specs, trace_stride=stride)
     ests = [spec.build(seed) for spec, seed in zip(specs, seeds)]
-    g, rows = Graph(), []
-    _replay(cfg, events, ests, g, ExactTracker() if stride else None, rows, [0.0] * len(ests))
+    g = Graph()
+    rows = replay(events, g, ests, ExactTracker() if stride else None, stride)
     return ests, g, rows
 
 
@@ -150,3 +147,24 @@ def test_schedule_trace_rows_match_on_random_streams(events, specs, seeds, strid
     ests, _, rows = scheduled(specs, seeds, events, stride)
     assert rows == expected
     assert [state(est) for est in ests] == [state(est) for est in fed]
+
+
+@settings(max_examples=150, deadline=None)
+@given(events=consistent_streams())
+def test_replay_truth_matches_recount_after_every_event(events):
+    g = Graph()
+    rows = replay(events, g, tracker=ExactTracker(), stride=1)
+    assert [i for i, _, _ in rows] == list(range(1, len(events) + 1))
+    for i, truth, estimates in rows:
+        assert estimates == []
+        assert truth == brute_force_triangles(helpers.replay(events[:i]))
+    assert_graph_invariants(g)
+    untraced = Graph()
+    assert replay(events, untraced) == []
+    assert untraced == g == helpers.replay(events)
+
+
+@pytest.mark.parametrize("stride", [0, -5])
+def test_replay_rejects_non_positive_stride(stride):
+    with pytest.raises(ValueError, match="stride must be >= 1"):
+        replay([EdgeEvent(1, 2, 1)], Graph(), tracker=ExactTracker(), stride=stride)
