@@ -1,6 +1,6 @@
 """Streaming triangle estimation for fully dynamic graphs.
 
-A mutable graph store with sorted adjacency, edge-event stream generators,
+A mutable graph store with sorted adjacency, edge-event streams,
 a per-event edge-sampling triangle estimator alongside sparsifier and
 reservoir baselines, an exact oracle, and an experiment harness with a CLI
 front end.
@@ -15,7 +15,6 @@ from .generators import (
     ba_graph,
     er_graph,
     graph_stats,
-    weighted_choice,
 )
 from .graph import Graph, read_edge_list, write_edge_list
 from .harness import (
@@ -35,12 +34,8 @@ from .seeding import derive_seed
 from .stream import (
     EdgeEvent,
     StreamSpec,
-    dynamic_edge_deletion_stream,
-    dynamic_node_deletion_stream,
-    permutation_stream,
     read_snapshot_dir,
     read_stream_file,
-    snapshot_diff_stream,
     snapshot_diffs,
     write_stream_file,
 )
@@ -65,25 +60,20 @@ __all__ = [
     "ba_graph",
     "confidence_interval",
     "derive_seed",
-    "dynamic_edge_deletion_stream",
-    "dynamic_node_deletion_stream",
     "emit_csv",
     "er_graph",
     "exact_triangles",
     "graph_stats",
     "nrmse",
-    "permutation_stream",
     "read_edge_list",
     "read_snapshot_dir",
     "read_stream_file",
     "relative_error",
     "replay",
     "run_experiment",
-    "snapshot_diff_stream",
     "snapshot_diffs",
     "triangles_of_edge",
     "variance_bound",
-    "weighted_choice",
     "write_edge_list",
     "write_stream_file",
 ]

@@ -18,12 +18,7 @@ from .harness import (
     trace_path_for,
 )
 from .seeding import derive_seed
-from .stream import (
-    StreamSpec,
-    read_snapshot_dir,
-    read_stream_file,
-    write_stream_file,
-)
+from .stream import StreamSpec, read_snapshot_dir, write_stream_file
 
 
 def cmd_generate(args) -> int:
@@ -53,13 +48,9 @@ def cmd_stream(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    if bool(args.edges) == bool(args.stream):
-        raise ValueError("exactly one of --edges or --stream is required")
-    if args.edges:
-        g = Graph.from_edges(read_edge_list(args.edges))
-    else:
-        g = Graph()
-        replay(read_stream_file(args.stream), g)
+    g = Graph()
+    # any seed: every order of an edge list ends on the same graph
+    replay(_stream_spec_from_args(args).realize(0), g)
     stats = graph_stats(g)
     print(
         f"nodes={stats.nodes} edges={stats.edges} "
@@ -71,7 +62,9 @@ def cmd_exact(args) -> int:
 def _stream_spec_from_args(args) -> StreamSpec:
     """The stream that exactly one source describes: ``--edges`` with
     ``--pe``/``--pd``/``--node-del``, or ``--snapshots`` (``stream``) or
-    ``--stream`` (``run``), which take no deletion options."""
+    ``--stream`` (``run``, ``exact``), which take no deletion options.
+    ``--pd`` and ``--node-del`` shape deletion events, so they need a
+    positive ``--pe``."""
     flag = "--snapshots" if hasattr(args, "snapshots") else "--stream"
     other = getattr(args, flag[2:])
     if not args.edges and not other:
@@ -84,8 +77,10 @@ def _stream_spec_from_args(args) -> StreamSpec:
         if flag == "--snapshots":
             return StreamSpec("snapshot-diff", snapshots=read_snapshot_dir(other))
         return StreamSpec("file", path=other)
+    if not args.pe and (args.pd or args.node_del):
+        raise ValueError("--pd and --node-del need a positive --pe")
     edges = read_edge_list(args.edges)
-    if args.pe > 0.0:
+    if args.pe:
         kind = "node-deletion" if args.node_del else "edge-deletion"
         return StreamSpec(kind, edges=edges, p_e=args.pe, p_d=args.pd)
     return StreamSpec("permutation", edges=edges)
@@ -187,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     ex = sub.add_parser("exact", help="exact triangle count of a graph or replayed stream")
     ex.add_argument("--edges")
     ex.add_argument("--stream")
-    ex.set_defaults(func=cmd_exact)
+    # exact takes no deletion options; the shared resolver reads them as unset
+    ex.set_defaults(func=cmd_exact, pe=0.0, pd=0.0, node_del=False)
 
     run = sub.add_parser("run", help="run a replicated estimation experiment")
     run.add_argument("--edges", help="edge list to stream (see --pe/--pd/--node-del)")

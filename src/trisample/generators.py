@@ -94,18 +94,6 @@ def _last_positive(cum: np.ndarray) -> int:
     return idx
 
 
-def weighted_choice(weights, rng) -> int:
-    """Index drawn with probability proportional to its non-negative weight
-    (cumulative-weight inversion)."""
-    w = np.asarray(weights, dtype=float)
-    if not np.all(np.isfinite(w)) or np.any(w < 0.0):
-        raise ValueError("weights must be finite and non-negative")
-    cum = np.cumsum(w)
-    if len(cum) == 0 or cum[-1] <= 0.0:
-        raise ValueError("total weight must be positive")
-    return _pick_distinct(w, cum, 1, rng)[0]
-
-
 def _pick_distinct(w: np.ndarray, cum: np.ndarray, k: int, rng) -> list[int]:
     """Pick ``k`` distinct indices with probability proportional to the
     weights ``w``, whose running sum is ``cum``, by cumulative-weight
@@ -154,14 +142,6 @@ def _pick_distinct(w: np.ndarray, cum: np.ndarray, k: int, rng) -> list[int]:
     return picked
 
 
-def _attachment_targets(degrees: np.ndarray, gamma: float, k: int, rng) -> list[int]:
-    """Pick ``k`` distinct indices with probability proportional to
-    degree**gamma, weights frozen for the whole batch (see
-    ``_pick_distinct``)."""
-    w = np.power(degrees, gamma)  # 0**0 == 1, so gamma=0 is uniform
-    return _pick_distinct(w, np.cumsum(w), k, rng)
-
-
 def ba_graph(cfg: BaConfig) -> Graph:
     """Grow a preferential-attachment graph from an ER seed.
 
@@ -182,12 +162,11 @@ def ba_graph(cfg: BaConfig) -> Graph:
     degrees = np.zeros(cfg.n_total, dtype=np.float64)
     for u in range(cfg.seed_nodes):
         degrees[u] = g.degree(u)
-    w = np.power(degrees, cfg.gamma)
+    w = np.power(degrees, cfg.gamma)  # 0**0 == 1, so gamma=0 is uniform
     cum = np.empty_like(w)
     for new in range(cfg.seed_nodes, cfg.n_total):
         targets = _pick_distinct(w[:new], np.cumsum(w[:new], out=cum[:new]), k, rng)
-        g.add_node(new)
-        for t in targets:
+        for t in targets:  # the first add_edge inserts ``new`` itself
             g.add_edge(new, t)
         degrees[targets] += 1.0
         degrees[new] = float(k)

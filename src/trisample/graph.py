@@ -171,16 +171,23 @@ def read_edge_list(path) -> list[tuple[int, int]]:
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 'u v', got {raw.rstrip()!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: node ids must be unsigned integers") from None
-            if u < 0 or v < 0:
-                raise ValueError(f"{path}:{lineno}: node ids must be unsigned integers")
-            if u == v:
-                raise ValueError(f"{path}:{lineno}: self-loop on node {u}")
-            edges.append((u, v))
+            edges.append(_parse_endpoints(path, lineno, parts[0], parts[1]))
     return edges
+
+
+def _parse_endpoints(path, lineno: int, a: str, b: str) -> tuple[int, int]:
+    """The two node ids of line ``lineno`` of an edge-list or stream file:
+    unsigned decimal integers that differ.  A bad pair raises
+    ``ValueError`` naming ``path:lineno``."""
+    try:
+        u, v = int(a), int(b)
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: node ids must be unsigned integers") from None
+    if u < 0 or v < 0:
+        raise ValueError(f"{path}:{lineno}: node ids must be unsigned integers")
+    if u == v:
+        raise ValueError(f"{path}:{lineno}: self-loop on node {u}")
+    return u, v
 
 
 def write_edge_list(edges_or_graph, path) -> None:

@@ -1,15 +1,11 @@
-"""Edge-event model and stream generators for dynamic-graph experiments.
+"""Edge-event model and stream construction for dynamic-graph experiments.
 
 A stream is an ordered sequence of ((u, v), beta) events, beta=+1 for an
-addition and beta=-1 for a deletion.  Generators are pure functions of
-their inputs and seed: the same arguments produce byte-identical streams,
-and generated streams are consistent by construction (they never add a
-present edge nor delete an absent one).
-
-A ``StreamSpec`` validates its edge list and builds the addition events
-once, at its first ``realize``, and caches them; each realization then only
-shuffles that list (and draws its deletions), with the same RNG use and
-output as the module-level generators, which share the same code.
+addition and beta=-1 for a deletion.  A ``StreamSpec`` is the one way to
+build one: its realizations are pure functions of its inputs and the seed,
+so the same arguments produce byte-identical streams, and generated streams
+are consistent by construction (they never add a present edge nor delete an
+absent one).
 """
 
 from __future__ import annotations
@@ -18,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .graph import read_edge_list
+from .graph import _parse_endpoints, read_edge_list
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,11 +54,6 @@ def _check_simple(edges) -> list[tuple[int, int]]:
 def _check_prob(name: str, p: float) -> None:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {p}")
-
-
-def _additions(edges) -> list[EdgeEvent]:
-    """One addition event per edge of a validated simple edge list."""
-    return [EdgeEvent(u, v, 1) for u, v in _check_simple(edges)]
 
 
 def _shuffled(additions, rng) -> list[EdgeEvent]:
@@ -115,39 +106,6 @@ def _with_node_deletions(additions, p_e: float, p_d: float, seed: int) -> list[E
     return events
 
 
-def permutation_stream(edges, seed: int) -> list[EdgeEvent]:
-    """Addition-only stream: every input edge exactly once, in a uniformly
-    random order determined by ``seed``."""
-    return _shuffled(_additions(edges), random.Random(seed))
-
-
-def dynamic_edge_deletion_stream(edges, p_e: float, p_d: float, seed: int) -> list[EdgeEvent]:
-    """Permuted additions with interleaved edge-deletion events.
-
-    After each addition, with probability ``p_e`` a deletion event runs:
-    every edge currently present is deleted independently with probability
-    ``p_d``, emitted in ascending (u, v) order.  Each original edge arrives
-    exactly once, so deleted edges stay deleted.
-    """
-    _check_prob("p_e", p_e)
-    _check_prob("p_d", p_d)
-    return _with_edge_deletions(_additions(edges), p_e, p_d, seed)
-
-
-def dynamic_node_deletion_stream(edges, p_e: float, p_d: float, seed: int) -> list[EdgeEvent]:
-    """Permuted additions with interleaved node-deletion events.
-
-    After each addition, with probability ``p_e`` a deletion event runs:
-    each node currently having at least one incident edge is marked
-    independently with probability ``p_d`` (visited in ascending id order),
-    then every present edge touching a marked node is deleted, in ascending
-    (u, v) order.  An edge shared by two marked nodes is emitted once.
-    """
-    _check_prob("p_e", p_e)
-    _check_prob("p_d", p_d)
-    return _with_node_deletions(_additions(edges), p_e, p_d, seed)
-
-
 def snapshot_diffs(snapshots) -> list[list[EdgeEvent]]:
     """Per-transition event chunks between consecutive snapshots.
 
@@ -164,12 +122,6 @@ def snapshot_diffs(snapshots) -> list[list[EdgeEvent]]:
         chunks.append(chunk)
         prev = cur
     return chunks
-
-
-def snapshot_diff_stream(snapshots) -> list[EdgeEvent]:
-    """Flattened snapshot transitions; replaying from an empty graph
-    reconstructs every snapshot at its chunk boundary."""
-    return [ev for chunk in snapshot_diffs(snapshots) for ev in chunk]
 
 
 def write_stream_file(events, path) -> None:
@@ -195,14 +147,7 @@ def read_stream_file(path) -> list[EdgeEvent]:
             parts = line.split()
             if len(parts) != 3 or parts[2] not in ("+1", "-1"):
                 raise ValueError(f"{path}:{lineno}: expected 'u v +1|-1', got {raw.rstrip()!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: node ids must be unsigned integers") from None
-            if u < 0 or v < 0:
-                raise ValueError(f"{path}:{lineno}: node ids must be unsigned integers")
-            if u == v:
-                raise ValueError(f"{path}:{lineno}: self-loop on node {u}")
+            u, v = _parse_endpoints(path, lineno, parts[0], parts[1])
             events.append(EdgeEvent(u, v, 1 if parts[2] == "+1" else -1))
     return events
 
@@ -221,12 +166,33 @@ _SPEC_KINDS = ("permutation", "edge-deletion", "node-deletion", "snapshot-diff",
 
 @dataclass
 class StreamSpec:
-    """Recipe for producing an event sequence.
+    """Recipe for producing an event sequence; ``realize(seed)`` builds it.
 
-    kind selects the generator: "permutation", "edge-deletion" and
-    "node-deletion" need ``edges`` (the latter two also ``p_e``/``p_d``),
-    "snapshot-diff" needs ``snapshots`` and "file" needs ``path``.  The two
-    file-backed kinds ignore the realize seed.
+    ``kind`` selects the model:
+
+    - "permutation" (needs ``edges``): every input edge added exactly once,
+      in a uniformly random order determined by the seed.
+    - "edge-deletion" (needs ``edges``, ``p_e``, ``p_d``): permuted
+      additions with interleaved edge deletions.  After each addition, with
+      probability ``p_e`` a deletion event runs: every edge currently
+      present is deleted independently with probability ``p_d``, emitted in
+      ascending (u, v) order.  Each original edge arrives exactly once, so
+      deleted edges stay deleted.
+    - "node-deletion" (needs ``edges``, ``p_e``, ``p_d``): permuted
+      additions with interleaved node deletions.  After each addition, with
+      probability ``p_e`` a deletion event runs: each node currently having
+      at least one incident edge is marked independently with probability
+      ``p_d`` (visited in ascending id order), then every present edge
+      touching a marked node is deleted, in ascending (u, v) order.  An
+      edge shared by two marked nodes is emitted once.
+    - "snapshot-diff" (needs ``snapshots``): the ``snapshot_diffs`` chunks,
+      flattened; replaying them from an empty graph reconstructs every
+      snapshot at its chunk boundary.
+    - "file" (needs ``path``): the events of a stream file.
+
+    Edge lists must be simple: a self-loop or a duplicate pair, (v, u)
+    included, raises ``ValueError`` at every ``realize``.  The
+    snapshot-diff and file kinds ignore the seed.
 
     The first ``realize`` validates the input and builds its events once;
     later calls reuse them, so the inputs are read at that first call and
@@ -254,13 +220,14 @@ class StreamSpec:
         _check_prob("p_d", self.p_d)
 
     def _build(self) -> list[EdgeEvent]:
-        """The seed-independent events: one addition per edge for the
-        generated kinds, the whole stream for the file-backed ones."""
+        """The seed-independent events: one addition per edge of the
+        validated edge list for the generated kinds, the whole stream for
+        the snapshot-diff and file kinds."""
         if self.kind == "snapshot-diff":
-            return snapshot_diff_stream(self.snapshots)
+            return [ev for chunk in snapshot_diffs(self.snapshots) for ev in chunk]
         if self.kind == "file":
             return read_stream_file(self.path)
-        return _additions(self.edges)
+        return [EdgeEvent(u, v, 1) for u, v in _check_simple(self.edges)]
 
     def realize(self, seed: int) -> list[EdgeEvent]:
         if self._base is None:

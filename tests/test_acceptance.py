@@ -21,12 +21,10 @@ from trisample import (
     StreamSpec,
     TriestEstimator,
     ba_graph,
-    dynamic_edge_deletion_stream,
     emit_csv,
     er_graph,
     exact_triangles,
     graph_stats,
-    permutation_stream,
     read_edge_list,
     read_stream_file,
     run_experiment,
@@ -68,7 +66,7 @@ def test_c01_oracle_matches_brute_force():
 
 def test_c02_tracker_matches_recount_checkpoints():
     base = er_graph(300, 0.2, seed=2)
-    events = dynamic_edge_deletion_stream(list(base.edges()), p_e=0.001, p_d=0.05, seed=3)
+    events = StreamSpec("edge-deletion", edges=list(base.edges()), p_e=0.001, p_d=0.05).realize(3)
     assert len(events) >= 9000
     stride = max(1, len(events) // 20)
     g = Graph()
@@ -111,7 +109,7 @@ def test_c03_esd_unbiased_on_additions():
 
 def test_c04_esd_unbiased_fully_dynamic():
     g = ba_criterion_graph()
-    events = dynamic_edge_deletion_stream(list(g.edges()), p_e=0.001, p_d=0.05, seed=2024)
+    events = StreamSpec("edge-deletion", edges=list(g.edges()), p_e=0.001, p_d=0.05).realize(2024)
     assert any(ev.beta == -1 for ev in events)
     gt = Graph()
     tracker = ExactTracker()
@@ -154,8 +152,9 @@ def test_c05_static_mode_k30():
     assert truth == 4060
     r = 1000
     ests = [EsdEstimator(0.2, mode="static", seed=100 + i) for i in range(r)]
+    stream = StreamSpec("permutation", edges=edges)
     for rep_idx, est in enumerate(ests):
-        for ev in permutation_stream(edges, seed=derive_seed(9, "static", rep_idx)):
+        for ev in stream.realize(derive_seed(9, "static", rep_idx)):
             est.process_static((ev.u, ev.v), g)
     finals = [est.estimate() for est in ests]
     mean = statistics.fmean(finals)
@@ -179,7 +178,7 @@ def test_c06_degenerate_exactness():
     for name, g in corpus_graphs():
         edges = list(g.edges())
         truth = exact_triangles(g)
-        events = permutation_stream(edges, seed=8)
+        events = StreamSpec("permutation", edges=edges).realize(8)
         dou = DoulionEstimator(1.0, seed=9)
         tri = TriestEstimator(max(1, len(edges)), seed=10)
         for ev in events:
@@ -207,7 +206,7 @@ def test_c06_degenerate_exactness():
 
 def test_c07_variance_bound():
     def check(edges, stream_seed, alpha, r=5000):
-        events = permutation_stream(edges, stream_seed)
+        events = StreamSpec("permutation", edges=edges).realize(stream_seed)
         g = Graph()
         tracker = ExactTracker()
         for ev in events:

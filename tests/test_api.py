@@ -1,0 +1,45 @@
+import trisample
+
+# The public names, pinned so that a name only tests would use is not
+# exported again without a decision to.
+PUBLIC = [
+    "BA_PRESETS",
+    "BaConfig",
+    "DoulionEstimator",
+    "EdgeEvent",
+    "EsdEstimator",
+    "EstimatorMetrics",
+    "EstimatorSpec",
+    "ExactTracker",
+    "ExperimentConfig",
+    "Graph",
+    "GraphStats",
+    "MetricsReport",
+    "StreamSpec",
+    "TriestEstimator",
+    "ba_graph",
+    "confidence_interval",
+    "derive_seed",
+    "emit_csv",
+    "er_graph",
+    "exact_triangles",
+    "graph_stats",
+    "nrmse",
+    "read_edge_list",
+    "read_snapshot_dir",
+    "read_stream_file",
+    "relative_error",
+    "replay",
+    "run_experiment",
+    "snapshot_diffs",
+    "triangles_of_edge",
+    "variance_bound",
+    "write_edge_list",
+    "write_stream_file",
+]
+
+
+def test_public_names_are_pinned_and_resolve():
+    assert sorted(trisample.__all__) == PUBLIC
+    for name in PUBLIC:
+        assert getattr(trisample, name) is not None, name

@@ -11,10 +11,8 @@ from trisample import (
     Graph,
     StreamSpec,
     TriestEstimator,
-    dynamic_edge_deletion_stream,
     er_graph,
     exact_triangles,
-    permutation_stream,
     run_experiment,
     write_stream_file,
 )
@@ -37,7 +35,7 @@ def test_doulion_validation():
 
 def test_doulion_p_one_mirrors_graph_exactly():
     base = er_graph(30, 0.3, seed=1)
-    events = dynamic_edge_deletion_stream(list(base.edges()), p_e=0.05, p_d=0.3, seed=2)
+    events = StreamSpec("edge-deletion", edges=list(base.edges()), p_e=0.05, p_d=0.3).realize(2)
     est = drive(DoulionEstimator(1.0, seed=3), events)
     g = Graph()
     for ev in events:
@@ -50,18 +48,18 @@ def test_doulion_p_one_mirrors_graph_exactly():
 
 
 def test_doulion_p_zero_always_zero():
-    events = permutation_stream(complete_graph_edges(5), seed=4)
+    events = StreamSpec("permutation", edges=complete_graph_edges(5)).realize(4)
     est = drive(DoulionEstimator(0.0, seed=5), events)
     assert est.estimate() == 0.0
     assert est.edges_sampled == 0
 
 
 def test_doulion_triangle_stream_unbiased():
-    events_base = complete_graph_edges(3)
+    stream = StreamSpec("permutation", edges=complete_graph_edges(3))
     finals = []
     n = 10_000
     for seed in range(n):
-        est = drive(DoulionEstimator(0.5, seed=seed), permutation_stream(events_base, seed=seed))
+        est = drive(DoulionEstimator(0.5, seed=seed), stream.realize(seed))
         finals.append(est.estimate())
     mean = statistics.fmean(finals)
     se = statistics.stdev(finals) / math.sqrt(n)
@@ -70,7 +68,7 @@ def test_doulion_triangle_stream_unbiased():
 
 def test_doulion_incremental_count_matches_recount():
     base = er_graph(40, 0.3, seed=6)
-    events = dynamic_edge_deletion_stream(list(base.edges()), p_e=0.05, p_d=0.25, seed=7)
+    events = StreamSpec("edge-deletion", edges=list(base.edges()), p_e=0.05, p_d=0.25).realize(7)
     est = DoulionEstimator(0.6, seed=8)
     for i, ev in enumerate(events, start=1):
         est.process(ev)
@@ -95,7 +93,7 @@ def test_triest_validation():
 def test_triest_capacity_covers_stream_is_exact():
     base = er_graph(25, 0.4, seed=10)
     edges = list(base.edges())
-    events = permutation_stream(edges, seed=11)
+    events = StreamSpec("permutation", edges=edges).realize(11)
     est = drive(TriestEstimator(len(edges), seed=12), events)
     assert est.edges_sampled == len(edges)
     assert est.estimate() == exact_triangles(base)
@@ -103,7 +101,7 @@ def test_triest_capacity_covers_stream_is_exact():
 
 def test_triest_capacity_covers_dynamic_stream_is_exact():
     base = er_graph(25, 0.4, seed=13)
-    events = dynamic_edge_deletion_stream(list(base.edges()), p_e=0.05, p_d=0.3, seed=14)
+    events = StreamSpec("edge-deletion", edges=list(base.edges()), p_e=0.05, p_d=0.3).realize(14)
     est = drive(TriestEstimator(len(list(base.edges())), seed=15), events)
     g = Graph()
     for ev in events:
@@ -116,7 +114,7 @@ def test_triest_capacity_covers_dynamic_stream_is_exact():
 
 
 def test_triest_capacity_one_never_counts():
-    events = permutation_stream(complete_graph_edges(6), seed=16)
+    events = StreamSpec("permutation", edges=complete_graph_edges(6)).realize(16)
     est = drive(TriestEstimator(1, seed=17), events)
     assert est.tau == 0
     assert est.estimate() == 0.0
@@ -146,8 +144,9 @@ def test_triest_unbiased_on_addition_stream():
     m = math.ceil(len(edges) / 2)
     finals = []
     n = 4000
+    stream = StreamSpec("permutation", edges=edges)
     for seed in range(n):
-        est = drive(TriestEstimator(m, seed=seed), permutation_stream(edges, seed=seed + n))
+        est = drive(TriestEstimator(m, seed=seed), stream.realize(seed + n))
         finals.append(est.estimate())
     mean = statistics.fmean(finals)
     se = statistics.stdev(finals) / math.sqrt(n)
@@ -156,7 +155,7 @@ def test_triest_unbiased_on_addition_stream():
 
 def test_triest_tau_matches_sample_recount_on_dynamic_stream():
     base = er_graph(40, 0.3, seed=19)
-    events = dynamic_edge_deletion_stream(list(base.edges()), p_e=0.05, p_d=0.25, seed=20)
+    events = StreamSpec("edge-deletion", edges=list(base.edges()), p_e=0.05, p_d=0.25).realize(20)
     est = TriestEstimator(60, seed=21)
     for i, ev in enumerate(events, start=1):
         est.process(ev)
@@ -192,7 +191,7 @@ def test_triest_absent_deletion_rejected_by_driver(tmp_path):
 
 def test_triest_random_pairing_counters_stay_nonnegative():
     base = er_graph(20, 0.5, seed=25)
-    events = dynamic_edge_deletion_stream(list(base.edges()), p_e=0.3, p_d=0.4, seed=26)
+    events = StreamSpec("edge-deletion", edges=list(base.edges()), p_e=0.3, p_d=0.4).realize(26)
     est = TriestEstimator(10, seed=27)
     for ev in events:
         est.process(ev)

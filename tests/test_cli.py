@@ -124,6 +124,8 @@ def test_stream_requires_an_input(tmp_path, capsys):
     assert "either --edges or --snapshots is required" in capsys.readouterr().err
     assert main(["run", "--alpha", "0.5", "--out", str(tmp_path / "r.csv")]) == 1
     assert "either --edges or --stream is required" in capsys.readouterr().err
+    assert main(["exact"]) == 1
+    assert "either --edges or --stream is required" in capsys.readouterr().err
 
 
 def test_a_second_source_or_unused_deletion_option_is_rejected(tmp_path, capsys):
@@ -143,6 +145,9 @@ def test_a_second_source_or_unused_deletion_option_is_rejected(tmp_path, capsys)
         (["run", "--stream", str(stream), "--pe", "0.5", "--alpha", "1"], "apply only to --edges"),
         (["run", "--stream", str(stream), "--pd", "0.5", "--alpha", "1"], "apply only to --edges"),
         (["stream", "--snapshots", str(snapdir), "--node-del"], "apply only to --edges"),
+        (["stream", "--edges", str(k4), "--pd", "0.9", "--node-del"], "need a positive --pe"),
+        (["stream", "--edges", str(k4), "--pd", "0.9"], "need a positive --pe"),
+        (["run", "--edges", str(k4), "--node-del", "--alpha", "1"], "need a positive --pe"),
     ]:
         assert main(argv + out) == 1, argv
         assert message in capsys.readouterr().err
@@ -157,6 +162,17 @@ def test_exact_and_run_reject_an_inconsistent_stream_alike(tmp_path, capsys, com
         argv += ["--alpha", "0.5", "--out", str(tmp_path / "x.csv")]
     assert main(argv) == 1
     assert "inconsistent stream: absent deletion (1, 3)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["exact", "run"])
+def test_exact_and_run_reject_a_duplicate_edge_alike(tmp_path, capsys, command):
+    edges = tmp_path / "dup.txt"
+    edges.write_text("1 2\n2 3\n2 1\n")
+    argv = [command, "--edges", str(edges)]
+    if command == "run":
+        argv += ["--alpha", "0.5", "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 1
+    assert "duplicate edge (1, 2) in edge list" in capsys.readouterr().err
 
 
 def test_run_missing_file_errors(tmp_path, capsys):

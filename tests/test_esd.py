@@ -9,10 +9,9 @@ from trisample import (
     EsdEstimator,
     ExactTracker,
     Graph,
-    dynamic_edge_deletion_stream,
+    StreamSpec,
     er_graph,
     exact_triangles,
-    permutation_stream,
     triangles_of_edge,
 )
 
@@ -179,7 +178,7 @@ def test_static_k3_is_exact():
     g = Graph.from_edges(complete_graph_edges(3))
     for seed in range(5):
         est = EsdEstimator(1.0, mode="static", seed=seed)
-        for ev in permutation_stream(list(g.edges()), seed=seed):
+        for ev in StreamSpec("permutation", edges=list(g.edges())).realize(seed):
             est.process_static((ev.u, ev.v), g)
         assert est.estimate() == pytest.approx(1.0)
 
@@ -194,11 +193,11 @@ def test_static_star_is_zero():
 
 def test_static_k4_unbiased():
     g = Graph.from_edges(complete_graph_edges(4))
-    edges = list(g.edges())
+    stream = StreamSpec("permutation", edges=list(g.edges()))
     finals = []
     for seed in range(10_000):
         est = EsdEstimator(1.0, mode="static", seed=seed)
-        for ev in permutation_stream(edges, seed=seed + 1_000_000):
+        for ev in stream.realize(seed + 1_000_000):
             est.process_static((ev.u, ev.v), g)
         finals.append(est.estimate())
     mean = statistics.fmean(finals)
@@ -229,12 +228,12 @@ def run_additions(events, alpha, seed):
 
 def test_unbiased_on_addition_stream():
     g = er_graph(60, 0.3, seed=15)
-    edges = list(g.edges())
     truth = exact_triangles(g)
     finals = []
     r = 400
+    stream = StreamSpec("permutation", edges=list(g.edges()))
     for rep in range(r):
-        events = permutation_stream(edges, seed=1000 + rep)
+        events = stream.realize(1000 + rep)
         finals.append(run_additions(events, alpha=0.3, seed=rep).estimate())
     mean = statistics.fmean(finals)
     se = statistics.stdev(finals) / math.sqrt(r)
@@ -243,7 +242,7 @@ def test_unbiased_on_addition_stream():
 
 def test_unbiased_under_deletions():
     base = er_graph(50, 0.35, seed=16)
-    events = dynamic_edge_deletion_stream(list(base.edges()), p_e=0.02, p_d=0.2, seed=17)
+    events = StreamSpec("edge-deletion", edges=list(base.edges()), p_e=0.02, p_d=0.2).realize(17)
     g = Graph()
     tracker = ExactTracker()
     for ev in events:
@@ -275,11 +274,11 @@ def test_unbiased_under_deletions():
 
 def test_chebyshev_consistency():
     g = er_graph(40, 0.4, seed=18)
-    edges = list(g.edges())
     truth = exact_triangles(g)
     finals = []
+    stream = StreamSpec("permutation", edges=list(g.edges()))
     for rep in range(600):
-        events = permutation_stream(edges, seed=3000 + rep)
+        events = stream.realize(3000 + rep)
         finals.append(run_additions(events, alpha=0.25, seed=rep).estimate())
     var = statistics.variance(finals)
     n = len(finals)
@@ -291,12 +290,12 @@ def test_chebyshev_consistency():
 
 def test_variance_grows_as_alpha_halves():
     g = er_graph(40, 0.4, seed=19)
-    edges = list(g.edges())
+    stream = StreamSpec("permutation", edges=list(g.edges()))
 
     def empirical_var(alpha):
         finals = []
         for rep in range(400):
-            events = permutation_stream(edges, seed=7000 + rep)
+            events = stream.realize(7000 + rep)
             finals.append(run_additions(events, alpha=alpha, seed=rep).estimate())
         return statistics.variance(finals)
 
@@ -307,7 +306,7 @@ def test_variance_grows_as_alpha_halves():
 
 def test_replay_determinism():
     g = er_graph(30, 0.3, seed=20)
-    events = permutation_stream(list(g.edges()), seed=21)
+    events = StreamSpec("permutation", edges=list(g.edges())).realize(21)
     a = run_additions(events, alpha=0.2, seed=5).estimate()
     b = run_additions(events, alpha=0.2, seed=5).estimate()
     assert a == b

@@ -14,9 +14,8 @@ from trisample import (
     er_graph,
     exact_triangles,
     graph_stats,
-    weighted_choice,
 )
-from trisample.generators import _attachment_targets, _pick_distinct
+from trisample.generators import _pick_distinct
 
 from helpers import assert_graph_invariants, complete_graph_edges
 
@@ -90,7 +89,7 @@ def test_ba_graph_edge_count_identity():
     g = ba_graph(cfg)
     seed_edges = er_graph(30, 0.2, derive_seed(5, "er-seed")).edge_count
     assert g.edge_count == seed_edges + (300 - 30) * 5
-    assert g.node_count == 300
+    assert list(g.nodes()) == list(range(300))  # each new node joins in id order
     assert_graph_invariants(g)
 
 
@@ -120,32 +119,34 @@ def test_ba_graph_golden_edges(cfg, digest):
 
 def test_attachment_uniform_when_gamma_zero():
     # degree**0 == 1 for every node, including isolated ones
-    degrees = np.array([0.0, 1.0, 5.0, 2.0])
+    w = np.power(np.array([0.0, 1.0, 5.0, 2.0]), 0.0)  # as ba_graph weighs them
+    cum = np.cumsum(w)
     rng = random.Random(7)
     counts = [0, 0, 0, 0]
     n = 40_000
     for _ in range(n):
-        counts[_attachment_targets(degrees, 0.0, 1, rng)[0]] += 1
+        counts[_pick_distinct(w, cum, 1, rng)[0]] += 1
     sigma = math.sqrt(n * 0.25 * 0.75)
     for c in counts:
         assert abs(c - n / 4) <= 3 * sigma
 
 
 def test_attachment_targets_distinct_and_infeasible():
-    degrees = np.array([1.0, 2.0, 3.0])
+    w = np.array([1.0, 2.0, 3.0])
     rng = random.Random(8)
-    targets = _attachment_targets(degrees, 1.0, 3, rng)
+    targets = _pick_distinct(w, np.cumsum(w), 3, rng)
     assert sorted(targets) == [0, 1, 2]
     with pytest.raises(ValueError):
-        _attachment_targets(degrees, 1.0, 4, rng)
+        _pick_distinct(w, np.cumsum(w), 4, rng)
 
 
 def test_attachment_stalled_rejection_rebuilds_without_picked():
     # after the hub, every draw lands on it again: the picker must rebuild
     # its running sum without the hub to find the other two
+    w = np.array([1e6, 1.0, 1.0]) ** 2.0
     rng = random.Random(12)
     for _ in range(5):
-        assert sorted(_attachment_targets(np.array([1e6, 1.0, 1.0]), 2.0, 3, rng)) == [0, 1, 2]
+        assert sorted(_pick_distinct(w, np.cumsum(w), 3, rng)) == [0, 1, 2]
 
 
 def test_pick_distinct_leaves_its_arrays_unchanged():
@@ -159,10 +160,10 @@ def test_pick_distinct_leaves_its_arrays_unchanged():
 
 
 def test_attachment_zero_weights_falls_back_to_uniform():
-    degrees = np.zeros(6)
+    w = np.zeros(6)
     rng = random.Random(9)
     for _ in range(50):
-        targets = _attachment_targets(degrees, 2.0, 3, rng)
+        targets = _pick_distinct(w, np.cumsum(w), 3, rng)
         assert len(set(targets)) == 3
 
 
@@ -176,21 +177,10 @@ def test_weighted_choice_frequencies_match_degree_power():
     n = 100_000
     counts = np.zeros(5)
     for _ in range(n):
-        counts[weighted_choice(weights, rng)] += 1
+        counts[_pick_distinct(weights, np.cumsum(weights), 1, rng)[0]] += 1
     for i in range(5):
         sigma = math.sqrt(n * probs[i] * (1 - probs[i]))
         assert abs(counts[i] - n * probs[i]) <= 3 * sigma
-
-
-def test_weighted_choice_rejects_zero_total():
-    with pytest.raises(ValueError):
-        weighted_choice([0.0, 0.0], random.Random(0))
-
-
-@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
-def test_weighted_choice_rejects_negative_or_non_finite_weight(bad):
-    with pytest.raises(ValueError):
-        weighted_choice([1.0, bad, 5.0], random.Random(0))
 
 
 def test_ba_heavy_tail_versus_uniform_attachment():

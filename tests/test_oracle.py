@@ -9,11 +9,10 @@ from trisample import (
     EsdEstimator,
     ExactTracker,
     Graph,
+    StreamSpec,
     ba_graph,
-    dynamic_node_deletion_stream,
     er_graph,
     exact_triangles,
-    permutation_stream,
     triangles_of_edge,
     variance_bound,
 )
@@ -169,7 +168,7 @@ def test_tracker_deletion_order_does_not_matter():
     # Γ(u) ∩ Γ(v) never holds u or v, so applying a deletion before or after
     # the edge leaves the graph gives the same count, trace and peak degree
     edges = list(er_graph(50, 0.3, seed=21).edges())
-    events = dynamic_node_deletion_stream(edges, p_e=0.05, p_d=0.1, seed=22)
+    events = StreamSpec("node-deletion", edges=edges, p_e=0.05, p_d=0.1).realize(22)
     assert any(ev.beta == -1 for ev in events)
     before, after = ExactTracker(), ExactTracker()
     g = Graph()
@@ -208,7 +207,7 @@ def test_variance_bound_rejects_bad_alpha(alpha):
 def test_variance_bound_dominates_empirical_variance_k4():
     # small Monte Carlo sanity check; the acceptance suite runs the full one
     edges = complete_graph_edges(4)
-    events = permutation_stream(edges, seed=21)
+    events = StreamSpec("permutation", edges=edges).realize(21)
     g = Graph()
     tracker = ExactTracker()
     for ev in events:

@@ -13,7 +13,7 @@ from trisample import (
     EstimatorSpec,
     ExactTracker,
     Graph,
-    dynamic_edge_deletion_stream,
+    StreamSpec,
     er_graph,
     replay,
 )
@@ -81,7 +81,7 @@ def scheduled(specs, seeds, events, stride=None):
 )
 def test_schedule_matches_feeding_every_event(kind, param):
     edges = list(er_graph(40, 0.3, seed=23).edges())
-    events = dynamic_edge_deletion_stream(edges, p_e=0.05, p_d=0.2, seed=24)
+    events = StreamSpec("edge-deletion", edges=edges, p_e=0.05, p_d=0.2).realize(24)
     assert any(ev.beta == -1 for ev in events)
     specs = [EstimatorSpec(kind, param) for _ in range(3)]
     seeds = (1, 2, 3)

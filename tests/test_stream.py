@@ -9,11 +9,7 @@ from trisample import (
     EdgeEvent,
     Graph,
     StreamSpec,
-    dynamic_edge_deletion_stream,
-    dynamic_node_deletion_stream,
-    permutation_stream,
     read_stream_file,
-    snapshot_diff_stream,
     snapshot_diffs,
     write_stream_file,
 )
@@ -33,33 +29,34 @@ def test_edge_event_validation():
 
 
 def test_permutation_stream_is_permutation_of_additions():
-    events = permutation_stream(TRIANGLE, seed=5)
+    events = StreamSpec("permutation", edges=TRIANGLE).realize(5)
     assert len(events) == 3
     assert all(ev.beta == 1 for ev in events)
     assert {(ev.u, ev.v) for ev in events} == set(TRIANGLE)
 
 
 def test_permutation_stream_deterministic():
-    a = permutation_stream(TRIANGLE, seed=11)
-    b = permutation_stream(TRIANGLE, seed=11)
+    a = StreamSpec("permutation", edges=TRIANGLE).realize(11)
+    b = StreamSpec("permutation", edges=TRIANGLE).realize(11)
     assert a == b
-    c = permutation_stream(TRIANGLE, seed=12)
+    c = StreamSpec("permutation", edges=TRIANGLE).realize(12)
     assert len(c) == 3  # different seed may or may not differ; only length is guaranteed
 
 
 def test_permutation_stream_rejects_duplicates_and_loops():
     with pytest.raises(ValueError):
-        permutation_stream([(1, 2), (2, 1)], seed=0)
+        StreamSpec("permutation", edges=[(1, 2), (2, 1)]).realize(0)
     with pytest.raises(ValueError):
-        permutation_stream([(4, 4)], seed=0)
+        StreamSpec("permutation", edges=[(4, 4)]).realize(0)
 
 
 def test_permutation_stream_order_frequencies():
     edges = [(0, 1), (0, 2), (0, 3), (0, 4)]
     orders = {p: 0 for p in permutations(edges)}
     n = 10_000
+    spec = StreamSpec("permutation", edges=edges)
     for seed in range(n):
-        events = permutation_stream(edges, seed=seed)
+        events = spec.realize(seed)
         orders[tuple((ev.u, ev.v) for ev in events)] += 1
     assert len(orders) == 24
     assert stats.chisquare(list(orders.values())).pvalue > 0.001
@@ -77,13 +74,13 @@ def random_edges(n_nodes, m, seed):
 
 def test_edge_deletion_stream_pe_zero_is_pure_permutation():
     edges = random_edges(30, 60, seed=1)
-    events = dynamic_edge_deletion_stream(edges, p_e=0.0, p_d=0.5, seed=2)
+    events = StreamSpec("edge-deletion", edges=edges, p_e=0.0, p_d=0.5).realize(2)
     assert [ev.beta for ev in events] == [1] * 60
 
 
 def test_edge_deletion_stream_full_wipe():
     edges = random_edges(20, 40, seed=3)
-    events = dynamic_edge_deletion_stream(edges, p_e=1.0, p_d=1.0, seed=4)
+    events = StreamSpec("edge-deletion", edges=edges, p_e=1.0, p_d=1.0).realize(4)
     # every addition is immediately deleted, so deletions mirror additions
     g = replay(events)
     assert g.edge_count == 0
@@ -95,7 +92,7 @@ def test_edge_deletion_stream_full_wipe():
 def test_edge_deletion_stream_replay_consistent():
     edges = random_edges(50, 300, seed=5)
     for seed in range(5):
-        replay(dynamic_edge_deletion_stream(edges, p_e=0.05, p_d=0.3, seed=seed))
+        replay(StreamSpec("edge-deletion", edges=edges, p_e=0.05, p_d=0.3).realize(seed))
 
 
 def test_edge_deletion_event_count_expectation():
@@ -111,7 +108,7 @@ def test_edge_deletion_event_count_expectation():
     n_seeds = 30
     total = 0
     for seed in range(n_seeds):
-        events = dynamic_edge_deletion_stream(edges, p_e=p_e, p_d=0.01, seed=seed)
+        events = StreamSpec("edge-deletion", edges=edges, p_e=p_e, p_d=0.01).realize(seed)
         prev = 1
         for ev in events:
             if ev.beta == -1 and prev == 1:
@@ -123,7 +120,7 @@ def test_edge_deletion_event_count_expectation():
 
 def test_node_deletion_stream_pd_one_empties_graph():
     edges = random_edges(25, 80, seed=7)
-    events = dynamic_node_deletion_stream(edges, p_e=1.0, p_d=1.0, seed=8)
+    events = StreamSpec("node-deletion", edges=edges, p_e=1.0, p_d=1.0).realize(8)
     g = replay(events)
     assert g.edge_count == 0
 
@@ -132,7 +129,7 @@ def test_node_deletion_star_center_emits_degree_deletions():
     # star: deleting every node wipes exactly degree(center) edges
     k = 7
     edges = [(0, i) for i in range(1, k + 1)]
-    events = dynamic_node_deletion_stream(edges, p_e=1.0, p_d=1.0, seed=9)
+    events = StreamSpec("node-deletion", edges=edges, p_e=1.0, p_d=1.0).realize(9)
     adds = [ev for ev in events if ev.beta == 1]
     dels = [ev for ev in events if ev.beta == -1]
     assert len(adds) == k
@@ -144,7 +141,7 @@ def test_node_deletion_star_center_emits_degree_deletions():
 def test_node_deletion_shared_edge_emitted_once():
     edges = random_edges(40, 200, seed=10)
     for seed in range(10):
-        events = dynamic_node_deletion_stream(edges, p_e=0.2, p_d=0.3, seed=seed)
+        events = StreamSpec("node-deletion", edges=edges, p_e=0.2, p_d=0.3).realize(seed)
         replay(events)  # absent deletions would fail: no double-emission
         seen = set()
         for ev in events:
@@ -161,7 +158,7 @@ def test_snapshot_diff_identical_snapshots_no_events():
 
 
 def test_snapshot_diff_example_sequence():
-    events = snapshot_diff_stream([[], [(1, 2)], [(2, 3)]])
+    events = StreamSpec("snapshot-diff", snapshots=[[], [(1, 2)], [(2, 3)]]).realize(0)
     assert events == [EdgeEvent(1, 2, 1), EdgeEvent(1, 2, -1), EdgeEvent(2, 3, 1)]
 
 
@@ -219,8 +216,9 @@ def test_stream_file_errors_carry_line_number(tmp_path, content):
 def test_generated_streams_byte_identical(tmp_path):
     edges = random_edges(40, 150, seed=13)
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-    write_stream_file(dynamic_edge_deletion_stream(edges, 0.1, 0.2, seed=14), a)
-    write_stream_file(dynamic_edge_deletion_stream(edges, 0.1, 0.2, seed=14), b)
+    for out in (a, b):
+        spec = StreamSpec("edge-deletion", edges=edges, p_e=0.1, p_d=0.2)
+        write_stream_file(spec.realize(14), out)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -247,37 +245,27 @@ def test_stream_spec_dispatch(tmp_path):
 # StreamSpec builds its events once and reuses them across realizations
 
 
-def _spec_and_generator(kind, edges):
-    if kind == "permutation":
-        return StreamSpec(kind, edges=edges), lambda seed: permutation_stream(edges, seed)
-    gen = dynamic_edge_deletion_stream if kind == "edge-deletion" else dynamic_node_deletion_stream
-    spec = StreamSpec(kind, edges=edges, p_e=0.1, p_d=0.2)
-    return spec, lambda seed: gen(edges, 0.1, 0.2, seed)
-
-
-@pytest.mark.parametrize("kind", ["permutation", "edge-deletion", "node-deletion"])
-def test_stream_spec_realize_matches_generator(kind):
-    # reversed pairs check that the cached events are canonicalized too
-    edges = [(v, u) if i % 3 else (u, v) for i, (u, v) in enumerate(random_edges(40, 150, 15))]
-    spec, generate = _spec_and_generator(kind, edges)
-    for seed in (0, 1, 7, 123456789):
-        assert spec.realize(seed) == generate(seed)
+def _spec(kind, edges):
+    return StreamSpec(kind, edges=edges, p_e=0.1, p_d=0.2)
 
 
 @pytest.mark.parametrize("kind", ["permutation", "edge-deletion", "node-deletion"])
 def test_stream_spec_realizations_are_independent_lists(kind):
-    spec, generate = _spec_and_generator(kind, random_edges(30, 80, seed=16))
+    # reversed pairs check that the cached events are canonicalized too
+    edges = [(v, u) if i % 3 else (u, v) for i, (u, v) in enumerate(random_edges(30, 80, seed=16))]
+    spec = _spec(kind, edges)
     first = spec.realize(4)
     assert spec.realize(4) == first
+    assert all(ev.u < ev.v for ev in first)
     first.reverse()
     first.append(EdgeEvent(98, 99, 1))
-    assert spec.realize(4) == generate(4)
+    assert spec.realize(4) == _spec(kind, edges).realize(4)
     spec.realize(5).clear()
-    assert spec.realize(5) == generate(5)
+    assert spec.realize(5) == _spec(kind, edges).realize(5)
 
 
 def test_stream_spec_file_and_snapshots_reuse_one_read(tmp_path):
-    events = dynamic_edge_deletion_stream(random_edges(20, 50, seed=17), 0.2, 0.3, seed=18)
+    events = StreamSpec("edge-deletion", edges=random_edges(20, 50, seed=17), p_e=0.2, p_d=0.3).realize(18)
     path = tmp_path / "s.txt"
     write_stream_file(events, path)
     spec = StreamSpec("file", path=str(path))
@@ -289,7 +277,12 @@ def test_stream_spec_file_and_snapshots_reuse_one_read(tmp_path):
     snaps = [[(1, 2), (2, 3)], [(2, 3), (3, 4)]]
     spec = StreamSpec("snapshot-diff", snapshots=snaps)
     spec.realize(0).pop()
-    assert spec.realize(2) == snapshot_diff_stream(snaps)
+    assert spec.realize(2) == [
+        EdgeEvent(1, 2, 1),
+        EdgeEvent(2, 3, 1),
+        EdgeEvent(1, 2, -1),
+        EdgeEvent(3, 4, 1),
+    ]
 
 
 @pytest.mark.parametrize("kind", ["permutation", "edge-deletion", "node-deletion"])
