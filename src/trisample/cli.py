@@ -123,11 +123,12 @@ def cmd_compare(args) -> int:
     fractions = [float(tok) for tok in args.sizes.split(",") if tok]
     if not fractions:
         raise ValueError("--sizes must list at least one fraction")
+    for frac in fractions:
+        if not 0.0 < frac <= 1.0:
+            raise ValueError(f"sample fraction must be in (0, 1], got {frac}")
     all_rows = []
     truth = 0.0
     for i, frac in enumerate(fractions):
-        if not 0.0 < frac <= 1.0:
-            raise ValueError(f"sample fraction must be in (0, 1], got {frac}")
         capacity = max(1, round(frac * len(edges)))
         cfg = ExperimentConfig(
             stream=StreamSpec("permutation", edges=edges),
@@ -138,7 +139,6 @@ def cmd_compare(args) -> int:
             ],
             replications=args.reps,
             seed=derive_seed(args.seed, "size", i),
-            trace_stride=args.stride,
         )
         report, _ = run_experiment(cfg)
         all_rows.extend(report.rows)
@@ -206,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--sizes", default="0.005,0.01,0.02,0.05", help="comma-separated edge fractions")
     cmp_.add_argument("--reps", type=int, default=100)
     cmp_.add_argument("--seed", type=int, default=0)
-    cmp_.add_argument("--stride", type=int)
     cmp_.add_argument("--out", required=True)
     cmp_.set_defaults(func=cmd_compare)
 

@@ -1,13 +1,14 @@
 """Per-event edge-sampling estimator of the global triangle count.
 
-Each stream event is inspected with probability ``alpha`` after its effect
-has been applied to the graph store.  For a sampled edge, both endpoint
-neighborhoods are probed for a node closing a triangle, and the running
-estimate moves by the inverse of the probability of the observed
-(edge, node) tuple, weighted because the same triangle is observable from
-both endpoints.  Sampled edges are discarded immediately: the estimator
-holds no subgraph, needs O(d) transient space for the neighborhood it
-inspects, and costs O(log d) per sampled edge.
+Each stream event is inspected with probability ``alpha``.  For a sampled
+edge (u, v), each endpoint's other neighbors Γ(u)∖{v} are probed for a
+node closing a triangle, and the running estimate moves by the inverse of
+the probability of the observed (edge, node) tuple, weighted because the
+same triangle is observable from both endpoints.  Γ(u)∖{v} is the same set
+before and after the store applies the event, so the estimator may run
+either side of the mutation.  Sampled edges are discarded immediately: the
+estimator holds no subgraph, needs O(d) transient space for the
+neighborhood it inspects, and costs O(log d) per sampled edge.
 
 The estimator speaks the replay protocol that the baselines share:
 ``skip`` draws the coins of upcoming events until one is won, and ``act``
@@ -63,16 +64,11 @@ class EsdEstimator:
         return self.t_est
 
     def process_event(self, ev, g) -> None:
-        """Consume one stream event.  ``g`` must already reflect it: the
-        edge inserted for beta=+1, removed for beta=-1."""
+        """Consume one stream event; ``g`` may hold the graph before or
+        after it."""
         if self.mode != "dynamic":
             raise ValueError("process_event requires dynamic mode")
         if self.skip((ev,), 0, 1) == 0:
-            present = g.has_edge(ev.u, ev.v)
-            if ev.beta == 1 and not present:
-                raise ValueError(f"addition ({ev.u}, {ev.v}) was not applied to the graph")
-            if ev.beta == -1 and present:
-                raise ValueError(f"deletion ({ev.u}, {ev.v}) was not applied to the graph")
             self.act(ev, g)
 
     def skip(self, events, start: int, stop: int) -> int:
@@ -89,39 +85,35 @@ class EsdEstimator:
 
     def act(self, ev, g) -> None:
         """The update for an event whose coin was won: probe both endpoints.
-        Draws no coin and trusts ``g`` to reflect ``ev`` already, as
-        ``process_event`` checks."""
+        Draws no coin; ``g`` may hold the graph before or after ``ev``."""
         self.edges_sampled += 1
         self.update_count(ev.u, ev.v, ev.beta, g)
         self.update_count(ev.v, ev.u, ev.beta, g)
 
     def update_count(self, u: int, v: int, beta: int, g) -> None:
-        """Probe Γ(u) for a node closing a triangle with (u, v) and move the
-        estimate by the inverse probability of the observed tuple.
+        """Probe Γ(u)∖{v} for a node closing a triangle with (u, v) and move
+        the estimate by ``beta`` times the inverse probability of the
+        observed tuple, alpha/d with d = |Γ(u)∖{v}|.
 
-        For additions the probe excludes v, which must be in Γ(u) (tuple
-        probability alpha/(d(u)-1)); for deletions v already left Γ(u) and
-        the probe spans all of it (probability alpha/d(u)).  Degrees are
-        post-event.  Each probe draws one ``rng.randrange`` value, so a
-        replay is deterministic from the seed.
+        The set does not depend on whether ``g`` holds (u, v), so neither
+        does the probe: v's slot, if present, is skipped.  Each probe draws
+        one ``rng.randrange`` value, so a replay is deterministic from the
+        seed.
         """
         nbrs = g.adjacency(u)
-        d = len(nbrs)
-        if beta == 1:
-            if d > 1:
-                # draw among the d-1 neighbors other than v by skipping v's slot
-                i = bisect_left(nbrs, v)
-                j = self.rng.randrange(d - 1)
-                if g.has_edge(nbrs[j] if j < i else nbrs[j + 1], v):
-                    self.t_est += self.omega * (d - 1) / self._alpha
-        elif d > 0:
-            if g.has_edge(nbrs[self.rng.randrange(d)], v):
-                self.t_est -= self.omega * d / self._alpha
+        n = len(nbrs)
+        i = bisect_left(nbrs, v)
+        gap = 1 if i < n and nbrs[i] == v else 0  # v's own slot, skipped
+        d = n - gap
+        if d > 0:
+            j = self.rng.randrange(d)
+            if g.has_edge(nbrs[j] if j < i else nbrs[j + gap], v):
+                self.t_est += beta * self.omega * d / self._alpha
 
     def process_static(self, edge, g) -> None:
         """Static variant: ``g`` is the whole graph and the stream delivers
-        each of its edges exactly once, in random order.  Sampled edges take
-        the addition branch with the static weight."""
+        each of its edges exactly once, in random order.  Sampled edges are
+        probed like additions, with the static weight."""
         if self.mode != "static":
             raise ValueError("process_static requires static mode")
         u, v = edge

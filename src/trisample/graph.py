@@ -129,12 +129,6 @@ class Graph:
                 if u < v:
                     yield (u, v)
 
-    def copy(self) -> "Graph":
-        g = Graph()
-        g._adj = {u: list(nbrs) for u, nbrs in self._adj.items()}
-        g._edge_count = self._edge_count
-        return g
-
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from edge pairs; duplicates and self-loops are
@@ -160,7 +154,8 @@ def read_edge_list(path) -> list[tuple[int, int]]:
     """Parse an edge-list file: one "u v" pair per line.
 
     Blank lines and lines starting with '#' or '%' are ignored.  Node ids
-    must be unsigned decimal integers and self-loops are rejected.
+    must be unsigned decimal integers (ASCII digits only) and self-loops
+    are rejected.
     """
     edges = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -177,14 +172,11 @@ def read_edge_list(path) -> list[tuple[int, int]]:
 
 def _parse_endpoints(path, lineno: int, a: str, b: str) -> tuple[int, int]:
     """The two node ids of line ``lineno`` of an edge-list or stream file:
-    unsigned decimal integers that differ.  A bad pair raises
-    ``ValueError`` naming ``path:lineno``."""
-    try:
-        u, v = int(a), int(b)
-    except ValueError:
-        raise ValueError(f"{path}:{lineno}: node ids must be unsigned integers") from None
-    if u < 0 or v < 0:
+    unsigned decimal integers, ASCII digits only, that differ.  A bad pair
+    raises ``ValueError`` naming ``path:lineno``."""
+    if not (a.isascii() and a.isdigit() and b.isascii() and b.isdigit()):
         raise ValueError(f"{path}:{lineno}: node ids must be unsigned integers")
+    u, v = int(a), int(b)
     if u == v:
         raise ValueError(f"{path}:{lineno}: self-loop on node {u}")
     return u, v

@@ -72,13 +72,13 @@ def exact_triangles(g) -> int:
 class ExactTracker:
     """Incremental exact triangle count over an event stream.
 
-    Call contract: apply each event once, right after the graph has applied
-    it.  The count itself does not depend on that order, since Γ(u) ∩ Γ(v)
-    never contains u or v, so the edge's own presence cannot change it;
-    reading degrees after the mutation sees every degree peak, because each
-    peak is reached by an addition.  A count that would go negative means
-    the tracker and the graph are out of step: the graph holds triangles
-    whose building events the tracker never saw.
+    Call contract: apply each event once.  The count does not depend on
+    whether the graph has applied it yet, since Γ(u) ∩ Γ(v) never contains
+    u or v, so the edge's own presence cannot change it.  ``max_degree``
+    sees every degree peak when the tracker runs after additions, because
+    each peak is reached by one.  A count that would go negative means the
+    tracker and the graph are out of step: the graph holds triangles whose
+    building events the tracker never saw.
 
     Also records the per-event triangle-overlap trace and the peak degree
     seen, the ingredients of :func:`variance_bound`.

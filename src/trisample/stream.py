@@ -83,15 +83,13 @@ def _with_node_deletions(additions, p_e: float, p_d: float, seed: int) -> list[E
     rng = random.Random(seed)
     events = []
     present: set[tuple[int, int]] = set()
-    deg: dict[int, int] = {}
     for ev in _shuffled(additions, rng):
-        u, v = ev.u, ev.v
         events.append(ev)
-        present.add((u, v))
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
+        present.add((ev.u, ev.v))
         if rng.random() < p_e:
-            marked = {node for node in sorted(deg) if rng.random() < p_d}
+            # the nodes with at least one incident edge, in ascending order
+            touched = sorted({x for e in present for x in e})
+            marked = {node for node in touched if rng.random() < p_d}
             if not marked:
                 continue
             for e in sorted(present):
@@ -99,10 +97,6 @@ def _with_node_deletions(additions, p_e: float, p_d: float, seed: int) -> list[E
                 if a in marked or b in marked:
                     events.append(EdgeEvent(a, b, -1))
                     present.discard(e)
-                    for x in (a, b):
-                        deg[x] -= 1
-                        if deg[x] == 0:
-                            del deg[x]
     return events
 
 

@@ -112,10 +112,16 @@ def test_run_requires_an_estimator(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["run", "compare"])
 @pytest.mark.parametrize("stride", ["0", "-5"])
 def test_run_and_compare_reject_non_positive_stride(tmp_path, capsys, command, stride):
+    # compare writes no trace, so it has no --stride at all
     k4 = write_k4(tmp_path)
     args = [command, "--edges", str(k4), "--reps", "2", "--stride", stride, "--out", str(tmp_path / "x.csv")]
-    rc = main(args + (["--alpha", "0.5"] if command == "run" else []))
-    assert rc == 1
+    if command == "compare":
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --stride" in capsys.readouterr().err
+        return
+    assert main(args + ["--alpha", "0.5"]) == 1
     assert "trace_stride must be >= 1" in capsys.readouterr().err
 
 
@@ -193,10 +199,16 @@ def test_compare_sweep(tmp_path):
 
 
 def test_compare_rejects_bad_fraction(tmp_path, capsys):
+    # every fraction is checked before the first experiment runs
     er = write_k4(tmp_path)
-    rc = main(["compare", "--edges", str(er), "--sizes", "1.5", "--out", str(tmp_path / "c.csv")])
-    assert rc == 1
-    assert "fraction" in capsys.readouterr().err
+    out = tmp_path / "c.csv"
+    for sizes in ("1.5", "0.5,1.5"):
+        rc = main(["compare", "--edges", str(er), "--sizes", sizes, "--reps", "2", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "sample fraction must be in (0, 1], got 1.5" in captured.err
+        assert "-- sample fraction" not in captured.out
+        assert not out.exists() and not (tmp_path / "c_trace.csv").exists()
 
 
 def test_module_entry_point():

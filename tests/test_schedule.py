@@ -2,7 +2,8 @@
 and ``act`` and must leave it exactly where feeding it every event through
 ``process`` (baselines) or ``process_event`` (ESD) does, with the same
 random draws and the same trace rows; its running truth must match a
-recount after every event."""
+recount after every event.  ESD itself must end in the same state whether
+it is fed before or after the store applies each event."""
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from trisample import (
     EdgeEvent,
+    EsdEstimator,
     EstimatorSpec,
     ExactTracker,
     Graph,
@@ -147,6 +149,18 @@ def test_schedule_trace_rows_match_on_random_streams(events, specs, seeds, strid
     ests, _, rows = scheduled(specs, seeds, events, stride)
     assert rows == expected
     assert [state(est) for est in ests] == [state(est) for est in fed]
+
+
+@settings(max_examples=150, deadline=None)
+@given(events=consistent_streams(), alpha=st.sampled_from([0.2, 0.6, 1.0]), seed=st.integers(0, 2**32))
+def test_esd_is_the_same_fed_before_or_after_the_mutation(events, alpha, seed):
+    before, after = EsdEstimator(alpha, seed=seed), EsdEstimator(alpha, seed=seed)
+    g = Graph()
+    for ev in events:
+        before.process_event(ev, g)
+        helpers.replay([ev], g)
+        after.process_event(ev, g)
+    assert state(before) == state(after)
 
 
 @settings(max_examples=150, deadline=None)

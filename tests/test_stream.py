@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from itertools import permutations
@@ -151,6 +152,24 @@ def test_node_deletion_shared_edge_emitted_once():
                 seen.add(e)
 
 
+# sha256 of repr([(u, v, beta), ...]) over random_edges(40, 200, seed=10):
+# pins the node-deletion model's draw order, not only its consistency
+NODE_DELETION_GOLDEN = [
+    (0.2, 0.3, 0, "dc29bf52faed6676893d63bad53b56c81de72985cbf94683156d9dc06de5eb5b"),
+    (0.5, 0.1, 1, "3e7cef72dbce06a6f4be8feb28ae73a9bbbe5505719dbc81fd6771f83ab0918c"),
+    (1.0, 0.5, 2, "37ca89a1a753b2bba14d8fa448f74005b56765be5497f7a00d8b090a65faee7d"),
+    (0.05, 0.9, 3, "d2c50587f7768d08e131b2a5dc1ab4211d322e6b16c222b922a1615bf308e2b2"),
+]
+
+
+@pytest.mark.parametrize("p_e,p_d,seed,digest", NODE_DELETION_GOLDEN)
+def test_node_deletion_golden_events(p_e, p_d, seed, digest):
+    edges = random_edges(40, 200, seed=10)
+    events = StreamSpec("node-deletion", edges=edges, p_e=p_e, p_d=p_d).realize(seed)
+    rows = [(ev.u, ev.v, ev.beta) for ev in events]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
 def test_snapshot_diff_identical_snapshots_no_events():
     snap = [(1, 2), (3, 4)]
     chunks = snapshot_diffs([snap, snap])
@@ -204,7 +223,10 @@ def test_stream_file_parse(tmp_path):
     assert read_stream_file(path) == [EdgeEvent(1, 2, 1), EdgeEvent(1, 2, -1)]
 
 
-@pytest.mark.parametrize("content", ["1 2\n", "1 2 2\n", "1 2 1\n", "x y +1\n", "3 3 +1\n"])
+@pytest.mark.parametrize(
+    "content",
+    ["1 2\n", "1 2 2\n", "1 2 1\n", "x y +1\n", "3 3 +1\n", "+1 2 +1\n", "1_0 3 -1\n", "3 \u0661 +1\n"],
+)
 def test_stream_file_errors_carry_line_number(tmp_path, content):
     path = tmp_path / "bad.txt"
     path.write_text(content)
