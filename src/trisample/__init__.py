@@ -16,7 +16,7 @@ from .generators import (
     er_graph,
     graph_stats,
 )
-from .graph import Graph, read_edge_list, write_edge_list
+from .graph import Graph
 from .harness import (
     EstimatorMetrics,
     EstimatorSpec,
@@ -34,9 +34,11 @@ from .seeding import derive_seed
 from .stream import (
     EdgeEvent,
     StreamSpec,
+    read_edge_list,
     read_snapshot_dir,
     read_stream_file,
     snapshot_diffs,
+    write_edge_list,
     write_stream_file,
 )
 

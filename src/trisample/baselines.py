@@ -34,11 +34,11 @@ class DoulionEstimator:
     ending at exactly the value a batch recount would give.
     """
 
-    def __init__(self, p: float, seed: int = 0, rng=None):
+    def __init__(self, p: float, seed: int = 0):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {p}")
         self.p = p
-        self.rng = rng if rng is not None else random.Random(seed)
+        self.rng = random.Random(seed)
         self.sample = Graph()
         self.tri_in_sample = 0
         self.edges_sampled = 0
@@ -95,11 +95,11 @@ class TriestEstimator:
     count kept from the stream, so the state is O(capacity).
     """
 
-    def __init__(self, capacity: int, seed: int = 0, rng=None):
+    def __init__(self, capacity: int, seed: int = 0):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.rng = rng if rng is not None else random.Random(seed)
+        self.rng = random.Random(seed)
         self.sample = Graph()
         self._edges: list[tuple[int, int]] = []  # reservoir slots
         self._slot: dict[tuple[int, int], int] = {}

@@ -7,7 +7,7 @@ import argparse
 import sys
 
 from .generators import BaConfig, ba_graph, er_graph, graph_stats
-from .graph import Graph, read_edge_list, write_edge_list
+from .graph import Graph
 from .harness import (
     EstimatorSpec,
     ExperimentConfig,
@@ -18,7 +18,7 @@ from .harness import (
     trace_path_for,
 )
 from .seeding import derive_seed
-from .stream import StreamSpec, read_snapshot_dir, write_stream_file
+from .stream import StreamSpec, read_edge_list, read_snapshot_dir, write_edge_list, write_stream_file
 
 
 def cmd_generate(args) -> int:

@@ -24,6 +24,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 
+from .stream import EdgeEvent
+
 OMEGA_DYNAMIC = 0.5  # a new triangle is observable via 2 tuples of its closing edge
 OMEGA_STATIC = 1.0 / 6.0  # full-edge streams expose all 3 edges, 2 tuples each
 
@@ -119,7 +121,5 @@ class EsdEstimator:
         u, v = edge
         if not g.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) is not in the graph")
-        if self.rng.random() < self._alpha:
-            self.edges_sampled += 1
-            self.update_count(u, v, 1, g)
-            self.update_count(v, u, 1, g)
+        if self.skip((edge,), 0, 1) == 0:
+            self.act(EdgeEvent(u, v, 1), g)

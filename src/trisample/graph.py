@@ -8,8 +8,7 @@ O(min d * log max d) by binary search; inserting or removing a neighbor
 costs O(d).
 
 Single-writer model: mutations must be serialized by the caller.  Reads
-between mutations are safe; ``neighbors`` returns a snapshot that stays
-valid across later mutations.
+between mutations are safe.
 """
 
 from __future__ import annotations
@@ -42,14 +41,6 @@ class Graph:
     def nodes(self):
         """View of all known node ids."""
         return self._adj.keys()
-
-    def neighbors(self, u: int) -> tuple:
-        """Snapshot of the neighbors of ``u``, sorted ascending.
-
-        Unknown nodes have no neighbors.  The returned tuple is not
-        invalidated by later mutations.
-        """
-        return tuple(self._adj.get(u, ()))
 
     def adjacency(self, u: int) -> Sequence[int]:
         """Live sorted neighbor sequence of ``u`` (empty if unknown).
@@ -149,49 +140,3 @@ class Graph:
     def __repr__(self):
         return f"Graph(nodes={self.node_count}, edges={self._edge_count})"
 
-
-def read_edge_list(path) -> list[tuple[int, int]]:
-    """Parse an edge-list file: one "u v" pair per line.
-
-    Blank lines and lines starting with '#' or '%' are ignored.  Node ids
-    must be unsigned decimal integers (ASCII digits only) and self-loops
-    are rejected.
-    """
-    edges = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line[0] in "#%":
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'u v', got {raw.rstrip()!r}")
-            edges.append(_parse_endpoints(path, lineno, parts[0], parts[1]))
-    return edges
-
-
-def _parse_endpoints(path, lineno: int, a: str, b: str) -> tuple[int, int]:
-    """The two node ids of line ``lineno`` of an edge-list or stream file:
-    unsigned decimal integers, ASCII digits only, that differ.  A bad pair
-    raises ``ValueError`` naming ``path:lineno``."""
-    if not (a.isascii() and a.isdigit() and b.isascii() and b.isdigit()):
-        raise ValueError(f"{path}:{lineno}: node ids must be unsigned integers")
-    u, v = int(a), int(b)
-    if u == v:
-        raise ValueError(f"{path}:{lineno}: self-loop on node {u}")
-    return u, v
-
-
-def write_edge_list(edges_or_graph, path) -> None:
-    """Write edges one per line as "u v".
-
-    A Graph is emitted in sorted canonical order; a plain edge sequence is
-    written as given, so read(write(x)) round-trips exactly.
-    """
-    if isinstance(edges_or_graph, Graph):
-        rows = sorted(edges_or_graph.edges())
-    else:
-        rows = list(edges_or_graph)
-    with open(path, "w", encoding="utf-8") as fh:
-        for u, v in rows:
-            fh.write(f"{u} {v}\n")

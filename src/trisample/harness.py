@@ -40,6 +40,7 @@ SUMMARY_HEADER = (
     "var,ci_low,ci_high,edges_sampled_mean,wall_ms_mean"
 )
 TRACE_HEADER = "event_index,truth,estimator,estimate"
+_Z95 = NormalDist().inv_cdf(0.975)  # two-sided 95% normal quantile
 
 
 def relative_error(estimates, truth: float) -> float:
@@ -65,15 +66,14 @@ def nrmse(estimates, truth) -> float:
     return float(np.sqrt(np.mean((e - t) ** 2))) / scale
 
 
-def confidence_interval(estimates, level: float = 0.95) -> tuple[float, float]:
-    """Normal-approximation interval mean ± z * sd / sqrt(n); z is the
-    two-sided quantile (1.9600 at the default 95% level)."""
+def confidence_interval(estimates) -> tuple[float, float]:
+    """Normal-approximation 95% interval mean ± z * sd / sqrt(n), with z
+    the two-sided quantile 1.9600."""
     e = np.asarray(estimates, dtype=float)
     mean = float(np.mean(e))
     if len(e) < 2:
         return (mean, mean)
-    z = NormalDist().inv_cdf(0.5 + level / 2.0)
-    half = z * float(np.std(e, ddof=1)) / math.sqrt(len(e))
+    half = _Z95 * float(np.std(e, ddof=1)) / math.sqrt(len(e))
     return (mean - half, mean + half)
 
 

@@ -1,11 +1,11 @@
-"""Edge-event model and stream construction for dynamic-graph experiments.
+"""Edge-event model, stream construction and the text formats.
 
 A stream is an ordered sequence of ((u, v), beta) events, beta=+1 for an
 addition and beta=-1 for a deletion.  A ``StreamSpec`` is the one way to
 build one: its realizations are pure functions of its inputs and the seed,
 so the same arguments produce byte-identical streams, and generated streams
 are consistent by construction (they never add a present edge nor delete an
-absent one).
+absent one).  Edge lists and stream files are read by one record parser.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .graph import _parse_endpoints, read_edge_list
+from .graph import Graph
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,47 +56,44 @@ def _check_prob(name: str, p: float) -> None:
         raise ValueError(f"{name} must be in [0, 1], got {p}")
 
 
-def _shuffled(additions, rng) -> list[EdgeEvent]:
-    """A shuffled copy of ``additions``; the order depends only on ``rng``
-    and the length, not on what the list holds."""
-    pool = list(additions)
-    rng.shuffle(pool)
-    return pool
+def _edge_victims(present, p_d: float, rng) -> list[tuple[int, int]]:
+    """Each present edge, in ascending order, deleted with probability p_d."""
+    return [e for e in sorted(present) if rng.random() < p_d]
 
 
-def _with_edge_deletions(additions, p_e: float, p_d: float, seed: int) -> list[EdgeEvent]:
+def _node_victims(present, p_d: float, rng) -> list[tuple[int, int]]:
+    """The present edges touching a node marked with probability p_d; the
+    nodes with an incident edge are visited in ascending id order."""
+    touched = sorted({x for e in present for x in e})
+    marked = {node for node in touched if rng.random() < p_d}
+    if not marked:
+        return []
+    return [e for e in sorted(present) if e[0] in marked or e[1] in marked]
+
+
+# the generated kinds and their deletion rules (None: additions only)
+_VICTIMS = {"permutation": None, "edge-deletion": _edge_victims, "node-deletion": _node_victims}
+
+
+def _generate(additions, p_e: float, victims, p_d: float, seed: int) -> list[EdgeEvent]:
+    """A shuffled copy of ``additions``.  When ``p_e`` is positive, a
+    ``p_e`` coin follows each addition, and a won coin deletes the edges
+    that ``victims(present, p_d, rng)`` picks.  The shuffle depends only on
+    the seed and the length, not on what the list holds."""
     rng = random.Random(seed)
+    order = list(additions)
+    rng.shuffle(order)
+    if not p_e:
+        return order
     events = []
     present: set[tuple[int, int]] = set()
-    for ev in _shuffled(additions, rng):
+    for ev in order:
         events.append(ev)
         present.add((ev.u, ev.v))
         if rng.random() < p_e:
-            for e in sorted(present):
-                if rng.random() < p_d:
-                    events.append(EdgeEvent(e[0], e[1], -1))
-                    present.discard(e)
-    return events
-
-
-def _with_node_deletions(additions, p_e: float, p_d: float, seed: int) -> list[EdgeEvent]:
-    rng = random.Random(seed)
-    events = []
-    present: set[tuple[int, int]] = set()
-    for ev in _shuffled(additions, rng):
-        events.append(ev)
-        present.add((ev.u, ev.v))
-        if rng.random() < p_e:
-            # the nodes with at least one incident edge, in ascending order
-            touched = sorted({x for e in present for x in e})
-            marked = {node for node in touched if rng.random() < p_d}
-            if not marked:
-                continue
-            for e in sorted(present):
-                a, b = e
-                if a in marked or b in marked:
-                    events.append(EdgeEvent(a, b, -1))
-                    present.discard(e)
+            for e in victims(present, p_d, rng):
+                events.append(EdgeEvent(e[0], e[1], -1))
+                present.discard(e)
     return events
 
 
@@ -118,32 +115,68 @@ def snapshot_diffs(snapshots) -> list[list[EdgeEvent]]:
     return chunks
 
 
+def _records(path, usage: str, comments: str, ok=None):
+    """Yield ``(u, v, fields)`` for each record line of a text file.
+
+    Blank lines and lines starting with a character of ``comments`` are
+    skipped.  A record has as many fields as ``usage`` and passes ``ok``;
+    its first two fields are node ids, unsigned decimal integers (ASCII
+    digits only) that differ.  A bad line raises ``ValueError`` naming
+    ``path:lineno``.
+    """
+    width = len(usage.split())
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line[0] in comments:
+                continue
+            fields = line.split()
+            if len(fields) != width or (ok is not None and not ok(fields)):
+                raise ValueError(f"{path}:{lineno}: expected '{usage}', got {raw.rstrip()!r}")
+            a, b = fields[0], fields[1]
+            if not (a.isascii() and a.isdigit() and b.isascii() and b.isdigit()):
+                raise ValueError(f"{path}:{lineno}: node ids must be unsigned integers")
+            u, v = int(a), int(b)
+            if u == v:
+                raise ValueError(f"{path}:{lineno}: self-loop on node {u}")
+            yield u, v, fields
+
+
+def read_edge_list(path) -> list[tuple[int, int]]:
+    """Parse an edge-list file: one "u v" pair per line; '#' and '%' start
+    comments."""
+    return [(u, v) for u, v, _ in _records(path, "u v", "#%")]
+
+
+def write_edge_list(edges_or_graph, path) -> None:
+    """Write edges one per line as "u v".
+
+    A Graph is emitted in sorted canonical order; a plain edge sequence is
+    written as given, so read(write(x)) round-trips exactly.
+    """
+    if isinstance(edges_or_graph, Graph):
+        rows = sorted(edges_or_graph.edges())
+    else:
+        rows = list(edges_or_graph)
+    with open(path, "w", encoding="utf-8") as fh:
+        for u, v in rows:
+            fh.write(f"{u} {v}\n")
+
+
+def read_stream_file(path) -> list[EdgeEvent]:
+    """Parse a stream file written by ``write_stream_file``: one "u v +1" or
+    "u v -1" event per line; '#' starts a comment."""
+    return [
+        EdgeEvent(u, v, int(f[2]))
+        for u, v, f in _records(path, "u v +1|-1", "#", lambda f: f[2] in ("+1", "-1"))
+    ]
+
+
 def write_stream_file(events, path) -> None:
     """One event per line: "u v +1" or "u v -1"."""
     with open(path, "w", encoding="utf-8") as fh:
         for ev in events:
             fh.write(f"{ev.u} {ev.v} {ev.beta:+d}\n")
-
-
-def read_stream_file(path) -> list[EdgeEvent]:
-    """Parse a stream file written by ``write_stream_file``.
-
-    Blank lines and '#' comments are ignored; anything else must be
-    "u v +1" or "u v -1" with unsigned ids and u != v.  A malformed line
-    raises ``ValueError`` naming ``path:lineno``.
-    """
-    events = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3 or parts[2] not in ("+1", "-1"):
-                raise ValueError(f"{path}:{lineno}: expected 'u v +1|-1', got {raw.rstrip()!r}")
-            u, v = _parse_endpoints(path, lineno, parts[0], parts[1])
-            events.append(EdgeEvent(u, v, 1 if parts[2] == "+1" else -1))
-    return events
 
 
 def read_snapshot_dir(path) -> list[list[tuple[int, int]]]:
@@ -155,7 +188,7 @@ def read_snapshot_dir(path) -> list[list[tuple[int, int]]]:
     return [read_edge_list(p) for p in files]
 
 
-_SPEC_KINDS = ("permutation", "edge-deletion", "node-deletion", "snapshot-diff", "file")
+_SPEC_KINDS = (*_VICTIMS, "snapshot-diff", "file")
 
 
 @dataclass
@@ -204,7 +237,7 @@ class StreamSpec:
     def __post_init__(self):
         if self.kind not in _SPEC_KINDS:
             raise ValueError(f"unknown stream kind {self.kind!r}")
-        if self.kind in ("permutation", "edge-deletion", "node-deletion") and self.edges is None:
+        if self.kind in _VICTIMS and self.edges is None:
             raise ValueError(f"stream kind {self.kind!r} requires edges")
         if self.kind == "snapshot-diff" and self.snapshots is None:
             raise ValueError("snapshot-diff stream requires snapshots")
@@ -226,10 +259,7 @@ class StreamSpec:
     def realize(self, seed: int) -> list[EdgeEvent]:
         if self._base is None:
             self._base = self._build()
-        if self.kind == "permutation":
-            return _shuffled(self._base, random.Random(seed))
-        if self.kind == "edge-deletion":
-            return _with_edge_deletions(self._base, self.p_e, self.p_d, seed)
-        if self.kind == "node-deletion":
-            return _with_node_deletions(self._base, self.p_e, self.p_d, seed)
+        if self.kind in _VICTIMS:
+            victims = _VICTIMS[self.kind]
+            return _generate(self._base, self.p_e if victims else 0.0, victims, self.p_d, seed)
         return list(self._base)

@@ -23,7 +23,7 @@ def brute_force_triangles(g: Graph) -> int:
 
 
 def brute_force_common_neighbors(g: Graph, u: int, v: int) -> int:
-    return len(set(g.neighbors(u)) & set(g.neighbors(v)))
+    return len(set(g.adjacency(u)) & set(g.adjacency(v)))
 
 
 def complete_graph_edges(n: int) -> list:
@@ -35,7 +35,7 @@ def assert_graph_invariants(g: Graph) -> None:
     edge_count = half the degree sum."""
     total = 0
     for u in g.nodes():
-        nbrs = list(g.neighbors(u))
+        nbrs = list(g.adjacency(u))
         assert nbrs == sorted(set(nbrs)), f"neighbor list of {u} not strictly sorted"
         assert u not in nbrs, f"self-loop on {u}"
         for v in nbrs:

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import trisample
 
 # The public names, pinned so that a name only tests would use is not
@@ -43,3 +46,15 @@ def test_public_names_are_pinned_and_resolve():
     assert sorted(trisample.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(trisample, name) is not None, name
+
+
+def test_no_module_imports_a_private_name_from_another():
+    found = []
+    for path in sorted(Path(trisample.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("trisample"):
+                continue
+            found += [f"{path.name}: {alias.name}" for alias in node.names if alias.name.startswith("_")]
+    assert found == []

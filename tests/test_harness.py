@@ -81,7 +81,7 @@ def test_confidence_interval_symmetric_two_point():
 
 def test_confidence_interval_z_value():
     xs = [1.0, 2.0, 3.0, 4.0, 5.0]
-    lo, hi = confidence_interval(xs, level=0.95)
+    lo, hi = confidence_interval(xs)
     half = 1.9600 * statistics.stdev(xs) / math.sqrt(len(xs))
     assert (hi - lo) / 2 == pytest.approx(half, rel=1e-3)
 

@@ -75,8 +75,10 @@ def random_edges(n_nodes, m, seed):
 
 def test_edge_deletion_stream_pe_zero_is_pure_permutation():
     edges = random_edges(30, 60, seed=1)
-    events = StreamSpec("edge-deletion", edges=edges, p_e=0.0, p_d=0.5).realize(2)
-    assert [ev.beta for ev in events] == [1] * 60
+    shuffled = StreamSpec("permutation", edges=edges).realize(2)
+    assert [ev.beta for ev in shuffled] == [1] * 60
+    for kind in ("edge-deletion", "node-deletion"):
+        assert StreamSpec(kind, edges=edges, p_e=0.0, p_d=0.5).realize(2) == shuffled
 
 
 def test_edge_deletion_stream_full_wipe():
@@ -153,19 +155,30 @@ def test_node_deletion_shared_edge_emitted_once():
 
 
 # sha256 of repr([(u, v, beta), ...]) over random_edges(40, 200, seed=10):
-# pins the node-deletion model's draw order, not only its consistency
-NODE_DELETION_GOLDEN = [
-    (0.2, 0.3, 0, "dc29bf52faed6676893d63bad53b56c81de72985cbf94683156d9dc06de5eb5b"),
-    (0.5, 0.1, 1, "3e7cef72dbce06a6f4be8feb28ae73a9bbbe5505719dbc81fd6771f83ab0918c"),
-    (1.0, 0.5, 2, "37ca89a1a753b2bba14d8fa448f74005b56765be5497f7a00d8b090a65faee7d"),
-    (0.05, 0.9, 3, "d2c50587f7768d08e131b2a5dc1ab4211d322e6b16c222b922a1615bf308e2b2"),
+# pins each generated model's draw order, not only its consistency
+GENERATED_GOLDEN = [
+    ("permutation", 0.0, 0.0, 0, "576c6ef8772ab3636d04826e0567828fdbdeeed3fa42132f22aa7ed2ff542d53"),
+    ("permutation", 0.0, 0.0, 1, "00823710912c800d75748f8d05b1c49ced74efcef2b3587e721cff88c8c818e2"),
+    ("edge-deletion", 0.2, 0.3, 0, "0d76c2442d38c61a2258fecada53a05741364943ee44fd34ad7dddccf33172b8"),
+    ("edge-deletion", 0.5, 0.1, 1, "c7762ef99d2bc3d32a9174b578baf44b61ae089c9deac6130e421ab39a8063f5"),
+    ("edge-deletion", 1.0, 0.5, 2, "e9b755e45eb4f1fe117d1431ec0688ee341427723b10226740b330040da20566"),
+    ("edge-deletion", 0.05, 0.9, 3, "a0c0d0c0768c73c4108d614726edfd94424419a2f5f34a50f53e374f0056c726"),
+    ("node-deletion", 0.2, 0.3, 0, "dc29bf52faed6676893d63bad53b56c81de72985cbf94683156d9dc06de5eb5b"),
+    ("node-deletion", 0.5, 0.1, 1, "3e7cef72dbce06a6f4be8feb28ae73a9bbbe5505719dbc81fd6771f83ab0918c"),
+    ("node-deletion", 1.0, 0.5, 2, "37ca89a1a753b2bba14d8fa448f74005b56765be5497f7a00d8b090a65faee7d"),
+    ("node-deletion", 0.05, 0.9, 3, "d2c50587f7768d08e131b2a5dc1ab4211d322e6b16c222b922a1615bf308e2b2"),
 ]
 
 
-@pytest.mark.parametrize("p_e,p_d,seed,digest", NODE_DELETION_GOLDEN)
-def test_node_deletion_golden_events(p_e, p_d, seed, digest):
+# the ids leave the kind out, so the node-deletion rows keep their names
+@pytest.mark.parametrize(
+    "kind,p_e,p_d,seed,digest",
+    GENERATED_GOLDEN,
+    ids=["-".join(map(str, row[1:])) for row in GENERATED_GOLDEN],
+)
+def test_node_deletion_golden_events(kind, p_e, p_d, seed, digest):
     edges = random_edges(40, 200, seed=10)
-    events = StreamSpec("node-deletion", edges=edges, p_e=p_e, p_d=p_d).realize(seed)
+    events = StreamSpec(kind, edges=edges, p_e=p_e, p_d=p_d).realize(seed)
     rows = [(ev.u, ev.v, ev.beta) for ev in events]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
