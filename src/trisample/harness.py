@@ -12,7 +12,9 @@ each draws its coins ahead (``skip``), up to the next event it must act
 on, and is called (``act``) only there; its random draws and results are
 the same as when it is fed every event.  The incremental exact tracker
 runs only on replication 0, the one whose running truth goes into the
-trace; every other replication recounts its final graph once, which costs
+trace.  Every deletion-free realization of one stream spec ends on the same
+graph, so the first such replication's truth serves every later one; a
+replication with deletions recounts its own final graph once, which costs
 far less than following each event.  Reports are a pure function of the
 config: per-estimator wall-clock stays 0.0 unless timing is explicitly
 enabled, since measured times would break byte-identical output.
@@ -221,16 +223,19 @@ def replay(events, g, ests=(), tracker=None, stride=None, wall=None) -> list:
     return rows
 
 
-def _replicate(cfg: ExperimentConfig, r: int, traces: list):
+def _replicate(cfg: ExperimentConfig, r: int, traces: list, fixed: int | None):
     """Replay replication ``r``: realize its stream, drive a fresh graph
     store and estimators, and on replication 0 also the exact tracker,
     whose running count goes into the trace rows.
 
-    Returns (truth, final estimates, edges sampled, wall seconds) per
-    estimator.  The truth is the tracker's count on replication 0 and a
-    recount of the final graph on the others.  Every per-replication object
-    is local, so the stream, graph and estimator state are freed before the
-    next replication is realized.
+    Returns (truth, final estimates, edges sampled, wall seconds, whether
+    the replication was deletion-free).  The truth is the tracker's count
+    on replication 0, ``fixed`` (an earlier deletion-free replication's
+    truth, if any) on a later deletion-free one, and otherwise a recount of
+    the final graph.  ``replay`` keeps the stream consistent, so the store
+    ends with one edge per event exactly when nothing was deleted.  Every
+    per-replication object is local, so the stream, graph and estimator
+    state are freed before the next replication is realized.
     """
     events = cfg.stream.realize(derive_seed(cfg.seed, "stream", r))
     ests = [
@@ -245,12 +250,17 @@ def _replicate(cfg: ExperimentConfig, r: int, traces: list):
         traces.extend((stop, truth, spec.name, est) for spec, est in zip(cfg.estimators, estimates))
     finals = [est.estimate() for est in ests]
     sampled = [est.edges_sampled for est in ests]
+    deletion_free = g.edge_count == len(events)
     if tracker is not None:
-        return tracker.count, finals, sampled, wall
-    # Free the stream and the estimators before the recount allocates; the
-    # bound methods and the schedule that held them died with replay.
-    events = ests = None
-    return exact_triangles(g), finals, sampled, wall
+        truth = tracker.count
+    elif deletion_free and fixed is not None:
+        truth = fixed
+    else:
+        # Free the stream and the estimators before the recount allocates;
+        # the bound methods and the schedule that held them died with replay.
+        events = ests = None
+        truth = exact_triangles(g)
+    return truth, finals, sampled, wall, deletion_free
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[MetricsReport, list]:
@@ -260,10 +270,12 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[MetricsReport, list]:
     Returns (report, trace_rows).  Trace rows (event_index, truth, name,
     estimate) come from the first replication only, every trace-stride
     events and at stream end.  Ground truth is the exact tracker's count on
-    that first replication, which is traced, and an exact recount of the
-    final graph on every other one; when the stream model randomizes
-    deletions the per-replication truths differ and metrics normalize by
-    their mean.
+    that first replication, which is traced.  Deletion-free realizations of
+    one ``StreamSpec`` end on one graph, so the first deletion-free
+    replication's truth is reused by every later deletion-free one, and
+    each replication with deletions recounts its final graph; when the
+    stream model randomizes deletions the per-replication truths differ and
+    metrics normalize by their mean.
     """
     n_est = len(cfg.estimators)
     finals = np.zeros((cfg.replications, n_est))
@@ -272,8 +284,12 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[MetricsReport, list]:
     wall = np.zeros((cfg.replications, n_est))
     traces: list[tuple[int, int, str, float]] = []
 
+    fixed = None  # the truth of the graph every deletion-free replication ends on
     for r in range(cfg.replications):
-        truths[r], finals[r], sampled[r], wall[r] = _replicate(cfg, r, traces)
+        truth, finals[r], sampled[r], wall[r], deletion_free = _replicate(cfg, r, traces, fixed)
+        truths[r] = truth
+        if deletion_free:
+            fixed = truth
 
     truth_mean = float(truths.mean())
     rows = []

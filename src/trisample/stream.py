@@ -57,18 +57,20 @@ def _check_prob(name: str, p: float) -> None:
 
 
 def _edge_victims(present, p_d: float, rng) -> list[tuple[int, int]]:
-    """Each present edge, in ascending order, deleted with probability p_d."""
-    return [e for e in sorted(present) if rng.random() < p_d]
+    """Each present edge (``present`` is sorted), in ascending order,
+    deleted with probability p_d."""
+    return [e for e in present if rng.random() < p_d]
 
 
 def _node_victims(present, p_d: float, rng) -> list[tuple[int, int]]:
-    """The present edges touching a node marked with probability p_d; the
-    nodes with an incident edge are visited in ascending id order."""
+    """The present edges (``present`` is sorted) touching a node marked with
+    probability p_d; the nodes with an incident edge are visited in
+    ascending id order."""
     touched = sorted({x for e in present for x in e})
     marked = {node for node in touched if rng.random() < p_d}
     if not marked:
         return []
-    return [e for e in sorted(present) if e[0] in marked or e[1] in marked]
+    return [e for e in present if e[0] in marked or e[1] in marked]
 
 
 # the generated kinds and their deletion rules (None: additions only)
@@ -78,22 +80,30 @@ _VICTIMS = {"permutation": None, "edge-deletion": _edge_victims, "node-deletion"
 def _generate(additions, p_e: float, victims, p_d: float, seed: int) -> list[EdgeEvent]:
     """A shuffled copy of ``additions``.  When ``p_e`` is positive, a
     ``p_e`` coin follows each addition, and a won coin deletes the edges
-    that ``victims(present, p_d, rng)`` picks.  The shuffle depends only on
-    the seed and the length, not on what the list holds."""
+    that ``victims(present, p_d, rng)`` picks from the sorted present edges.
+    The shuffle depends only on the seed and the length, not on what the
+    list holds."""
     rng = random.Random(seed)
     order = list(additions)
     rng.shuffle(order)
     if not p_e:
         return order
     events = []
-    present: set[tuple[int, int]] = set()
+    present: list[tuple[int, int]] = []  # sorted, as of the last won coin
+    batch: list[tuple[int, int]] = []  # the additions since then
     for ev in order:
         events.append(ev)
-        present.add((ev.u, ev.v))
+        batch.append((ev.u, ev.v))
         if rng.random() < p_e:
-            for e in victims(present, p_d, rng):
-                events.append(EdgeEvent(e[0], e[1], -1))
-                present.discard(e)
+            # Timsort keeps the sorted survivors as one run and merges into it
+            present += batch
+            present.sort()
+            batch = []
+            gone = victims(present, p_d, rng)
+            if gone:
+                events += [EdgeEvent(u, v, -1) for u, v in gone]
+                dead = set(gone)
+                present = [e for e in present if e not in dead]
     return events
 
 
@@ -219,7 +229,14 @@ class StreamSpec:
 
     Edge lists must be simple: a self-loop or a duplicate pair, (v, u)
     included, raises ``ValueError`` at every ``realize``.  The
-    snapshot-diff and file kinds ignore the seed.
+    snapshot-diff and file kinds ignore the seed.  ``p_e`` and ``p_d``
+    shape only the two deletion models; a nonzero value for another kind
+    raises ``ValueError``.
+
+    Deletion-free realizations of one spec end on one graph: a generated
+    stream with no deletion adds each input edge once, and the
+    snapshot-diff and file kinds replay the same stream for every seed.
+    ``run_experiment`` relies on this to count that graph's triangles once.
 
     The first ``realize`` validates the input and builds its events once;
     later calls reuse them, so the inputs are read at that first call and
@@ -245,6 +262,8 @@ class StreamSpec:
             raise ValueError("file stream requires a path")
         _check_prob("p_e", self.p_e)
         _check_prob("p_d", self.p_d)
+        if not _VICTIMS.get(self.kind) and (self.p_e or self.p_d):
+            raise ValueError(f"stream kind {self.kind!r} takes no p_e or p_d")
 
     def _build(self) -> list[EdgeEvent]:
         """The seed-independent events: one addition per edge of the
@@ -260,6 +279,5 @@ class StreamSpec:
         if self._base is None:
             self._base = self._build()
         if self.kind in _VICTIMS:
-            victims = _VICTIMS[self.kind]
-            return _generate(self._base, self.p_e if victims else 0.0, victims, self.p_d, seed)
+            return _generate(self._base, self.p_e, _VICTIMS[self.kind], self.p_d, seed)
         return list(self._base)

@@ -9,6 +9,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
+import trisample.harness
 from trisample import (
     EstimatorSpec,
     ExperimentConfig,
@@ -21,6 +22,7 @@ from trisample import (
     nrmse,
     relative_error,
     run_experiment,
+    write_stream_file,
 )
 from trisample.harness import SUMMARY_HEADER, TRACE_HEADER, trace_path_for
 
@@ -256,7 +258,9 @@ def test_run_experiment_rejects_inconsistent_stream(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# only replication 0 runs the tracker; the others recount their final graph
+# only replication 0 runs the tracker; a later replication reuses the truth of
+# an earlier deletion-free one when it is deletion-free too, and otherwise
+# recounts its final graph
 
 
 def _set_recount(edges) -> int:
@@ -359,3 +363,98 @@ def test_emit_csv_golden_sha256(tmp_path):
     emit_csv(*run_experiment(cfg), out)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SUMMARY_SHA256
     assert hashlib.sha256(trace_path_for(out).read_bytes()).hexdigest() == GOLDEN_TRACE_SHA256
+
+
+def _count_recounts(monkeypatch) -> list:
+    """Record every graph the harness recounts."""
+    recounted = []
+
+    def counting(g):
+        recounted.append(g)
+        return exact_triangles(g)
+
+    monkeypatch.setattr(trisample.harness, "exact_triangles", counting)
+    return recounted
+
+
+def test_deletion_free_replications_reuse_the_truth(monkeypatch, tmp_path):
+    recounted = _count_recounts(monkeypatch)
+    base = er_graph(30, 0.3, seed=28)
+    edges = list(base.edges())
+    reps = 5
+    spec = EstimatorSpec("esd", 0.5)
+    report, _ = run_experiment(
+        ExperimentConfig(StreamSpec("permutation", edges=edges), [spec], reps, seed=29)
+    )
+    assert recounted == []
+    assert report.truth == exact_triangles(base) > 0
+
+    events = StreamSpec("edge-deletion", edges=edges, p_e=0.1, p_d=0.3).realize(30)
+    assert any(ev.beta == -1 for ev in events)
+    path = tmp_path / "dyn.txt"
+    write_stream_file(events, path)
+    report, _ = run_experiment(
+        ExperimentConfig(StreamSpec("file", path=str(path)), [spec], reps, seed=31)
+    )
+    assert len(recounted) == reps - 1  # a stream with deletions recounts each time
+    assert report.truth == _set_recount(_final_edges(events))
+
+
+@pytest.mark.parametrize("seed", [0, 2])  # replication 0 with deletions, and without
+def test_per_replication_truths_with_some_deletion_free(monkeypatch, seed):
+    recounted = _count_recounts(monkeypatch)
+    replicated = []
+    replicate = trisample.harness._replicate
+
+    def recording(*args):
+        out = replicate(*args)
+        replicated.append(out[0])
+        return out
+
+    monkeypatch.setattr(trisample.harness, "_replicate", recording)
+    edges = list(er_graph(20, 0.3, seed=27).edges())
+    stream = dict(kind="edge-deletion", edges=edges, p_e=0.012, p_d=0.3)
+    reps = 6
+    cfg = ExperimentConfig(
+        stream=StreamSpec(**stream),
+        estimators=[EstimatorSpec("esd", 0.5), EstimatorSpec("doulion", 1.0)],
+        replications=reps,
+        seed=seed,
+    )
+    report, _ = run_experiment(cfg)
+    realized = [StreamSpec(**stream).realize(derive_seed(seed, "stream", r)) for r in range(reps)]
+    free = [all(ev.beta == 1 for ev in events) for events in realized]
+    assert any(free) and not all(free)  # both paths run
+    truths = [_set_recount(_final_edges(events)) for events in realized]
+    assert replicated == truths
+    assert report.truth == float(np.asarray(truths, dtype=float).mean())
+    assert report.rows[1].nrmse == 0.0  # Doulion at p=1 mirrors each final graph
+    # replication 0 has the tracker; a later one recounts unless it is
+    # deletion-free and an earlier one was too
+    assert len(recounted) == sum(not (free[r] and any(free[:r])) for r in range(1, reps))
+
+
+# The same pins for a permutation stream, whose later replications reuse
+# the truth instead of recounting; recorded before that reuse existed.
+GOLDEN_PERMUTATION_SUMMARY_SHA256 = "829a94d3d218a584ca9466f6675043372074023d43c834e9d7d184ab65c59443"
+GOLDEN_PERMUTATION_TRACE_SHA256 = "0d4771a48030824e7cfd8fcf2581af60c94fe892ef3d2f41653ff38fd0ff5edd"
+
+
+def test_emit_csv_golden_sha256_permutation(tmp_path):
+    edges = list(er_graph(40, 0.3, seed=23).edges())
+    cfg = ExperimentConfig(
+        stream=StreamSpec("permutation", edges=edges),
+        estimators=[
+            EstimatorSpec("esd", 0.3),
+            EstimatorSpec("doulion", 0.3),
+            EstimatorSpec("triest", 60),
+        ],
+        replications=4,
+        seed=24,
+    )
+    out = tmp_path / "golden.csv"
+    emit_csv(*run_experiment(cfg), out)
+    summary = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert summary == GOLDEN_PERMUTATION_SUMMARY_SHA256
+    trace = hashlib.sha256(trace_path_for(out).read_bytes()).hexdigest()
+    assert trace == GOLDEN_PERMUTATION_TRACE_SHA256

@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trisample import (
+    DoulionEstimator,
     EdgeEvent,
     EsdEstimator,
     EstimatorSpec,
     ExactTracker,
     Graph,
     StreamSpec,
+    TriestEstimator,
     er_graph,
     replay,
 )
@@ -176,6 +178,21 @@ def test_replay_truth_matches_recount_after_every_event(events):
     untraced = Graph()
     assert replay(events, untraced) == []
     assert untraced == g == helpers.replay(events)
+
+
+@settings(max_examples=150, deadline=None)
+@given(events=consistent_streams(), seed=st.integers(0, 2**32), spare=st.integers(0, 5))
+def test_full_sample_baselines_are_exact_on_random_streams(events, seed, spare):
+    live = peak = 0
+    for ev in events:
+        live += ev.beta
+        peak = max(peak, live)
+    # a reservoir that holds the largest graph of the stream never evicts
+    ests = [DoulionEstimator(1.0, seed=seed), TriestEstimator(max(1, peak) + spare, seed=seed)]
+    g = Graph()
+    replay(events, g, ests)
+    truth = brute_force_triangles(g)
+    assert [est.estimate() for est in ests] == [truth, truth]
 
 
 @pytest.mark.parametrize("stride", [0, -5])

@@ -1,17 +1,23 @@
 import hashlib
 import math
 import random
+import tempfile
 from itertools import permutations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from trisample import (
     EdgeEvent,
     Graph,
     StreamSpec,
+    read_edge_list,
     read_stream_file,
     snapshot_diffs,
+    write_edge_list,
     write_stream_file,
 )
 
@@ -230,6 +236,23 @@ def test_stream_file_round_trip(tmp_path):
     assert read_stream_file(path) == events
 
 
+node_pairs = st.tuples(st.integers(0, 10**12), st.integers(0, 10**12)).filter(lambda p: p[0] != p[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pairs=st.lists(node_pairs, max_size=40),
+    events=st.lists(st.builds(lambda p, beta: EdgeEvent(*p, beta), node_pairs, st.sampled_from([1, -1]))),
+)
+def test_edge_list_and_stream_file_round_trip_property(pairs, events):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.txt"
+        write_edge_list(pairs, path)
+        assert read_edge_list(path) == pairs
+        write_stream_file(events, path)
+        assert read_stream_file(path) == events
+
+
 def test_stream_file_parse(tmp_path):
     path = tmp_path / "s.txt"
     path.write_text("# header\n1 2 +1\n1 2 -1\n")
@@ -276,12 +299,25 @@ def test_stream_spec_dispatch(tmp_path):
         StreamSpec("edge-deletion", edges=edges, p_e=1.5)
 
 
+@pytest.mark.parametrize("kind", ["permutation", "snapshot-diff", "file"])
+@pytest.mark.parametrize(
+    "rates", [dict(p_e=0.5), dict(p_d=0.2), dict(p_e=1.0, p_d=1.0)], ids=["p_e", "p_d", "both"]
+)
+def test_stream_spec_rejects_rates_for_kinds_without_deletions(kind, rates):
+    inputs = dict(edges=TRIANGLE, snapshots=[TRIANGLE], path="s.txt")
+    StreamSpec(kind, **inputs, p_e=0.0, p_d=0.0)
+    with pytest.raises(ValueError, match=f"stream kind '{kind}' takes no p_e or p_d"):
+        StreamSpec(kind, **inputs, **rates)
+
+
 # ---------------------------------------------------------------------------
 # StreamSpec builds its events once and reuses them across realizations
 
 
-def _spec(kind, edges):
-    return StreamSpec(kind, edges=edges, p_e=0.1, p_d=0.2)
+def _spec(kind, edges, p_e=0.1, p_d=0.2):
+    if kind == "permutation":  # the rates shape only the deletion models
+        p_e = p_d = 0.0
+    return StreamSpec(kind, edges=edges, p_e=p_e, p_d=p_d)
 
 
 @pytest.mark.parametrize("kind", ["permutation", "edge-deletion", "node-deletion"])
@@ -323,7 +359,7 @@ def test_stream_spec_file_and_snapshots_reuse_one_read(tmp_path):
 @pytest.mark.parametrize("kind", ["permutation", "edge-deletion", "node-deletion"])
 @pytest.mark.parametrize("edges", [[(1, 2), (3, 4), (2, 1)], [(1, 2), (3, 3)]])
 def test_stream_spec_rejects_bad_edges_on_every_realize(kind, edges):
-    spec = StreamSpec(kind, edges=edges, p_e=0.5, p_d=0.5)
+    spec = _spec(kind, edges, p_e=0.5, p_d=0.5)
     for seed in range(3):
         with pytest.raises(ValueError):
             spec.realize(seed)
