@@ -18,7 +18,10 @@ from .harness import (
     trace_path_for,
 )
 from .seeding import derive_seed
-from .stream import StreamSpec, read_edge_list, read_snapshot_dir, write_edge_list, write_stream_file
+from .stream import (
+    StreamSpec, read_edge_list, read_snapshot_dir, read_stream_file, snapshot_diffs,
+    write_edge_list, write_stream_file,
+)
 
 
 def cmd_generate(args) -> int:
@@ -34,7 +37,7 @@ def cmd_generate(args) -> int:
             seed=args.seed,
         )
         g = ba_graph(cfg)
-    write_edge_list(g, args.out)
+    write_edge_list(sorted(g.edges()), args.out)
     print(f"wrote {args.out}: nodes={g.node_count} edges={g.edge_count}")
     return 0
 
@@ -75,8 +78,8 @@ def _stream_spec_from_args(args) -> StreamSpec:
         if args.pe or args.pd or args.node_del:
             raise ValueError(f"--pe, --pd and --node-del apply only to --edges, not to {flag}")
         if flag == "--snapshots":
-            return StreamSpec("snapshot-diff", snapshots=read_snapshot_dir(other))
-        return StreamSpec("file", path=other)
+            return StreamSpec("events", events=snapshot_diffs(read_snapshot_dir(other)))
+        return StreamSpec("events", events=read_stream_file(other))
     if not args.pe and (args.pd or args.node_del):
         raise ValueError("--pd and --node-del need a positive --pe")
     edges = read_edge_list(args.edges)

@@ -35,7 +35,8 @@ class Graph:
 
     @property
     def node_count(self) -> int:
-        """Known nodes, including ones whose neighborhoods emptied out."""
+        """Known nodes: the endpoints of present edges, plus the nodes that
+        ``add_node`` added and no edge has touched since."""
         return len(self._adj)
 
     def nodes(self):
@@ -94,9 +95,9 @@ class Graph:
     def delete_edge(self, u: int, v: int) -> bool:
         """Remove undirected edge (u, v); False when absent.
 
-        Endpoints stay in the adjacency map even at degree zero, since
-        deletion-heavy streams revisit the same nodes; such a node behaves
-        like an unknown one except in ``nodes`` and ``node_count``.
+        An endpoint whose last edge goes leaves the adjacency map, so a
+        store's size follows its live edges (plus ``add_node``'s nodes):
+        an estimator's sample graph stays as small as its sample.
         """
         a = self._adj.get(u)
         if not a:
@@ -105,8 +106,12 @@ class Graph:
         if i == len(a) or a[i] != v:
             return False
         del a[i]
+        if not a:
+            del self._adj[u]
         b = self._adj[v]
         del b[bisect_left(b, u)]
+        if not b:
+            del self._adj[v]
         self._edge_count -= 1
         return True
 
@@ -130,7 +135,7 @@ class Graph:
         return g
 
     def __eq__(self, other):
-        # degree-0 entries behave like unknown nodes, so ignore them
+        # add_node's degree-0 entries behave like unknown nodes, so ignore them
         if not isinstance(other, Graph):
             return NotImplemented
         mine = {u: nbrs for u, nbrs in self._adj.items() if nbrs}

@@ -13,11 +13,13 @@ on, and is called (``act``) only there; its random draws and results are
 the same as when it is fed every event.  The incremental exact tracker
 runs only on replication 0, the one whose running truth goes into the
 trace.  Every deletion-free realization of one stream spec ends on the same
-graph, so the first such replication's truth serves every later one; a
-replication with deletions recounts its own final graph once, which costs
-far less than following each event.  Reports are a pure function of the
-config: per-estimator wall-clock stays 0.0 unless timing is explicitly
-enabled, since measured times would break byte-identical output.
+graph (a generated stream adds each input edge once, and the ``events``
+kind replays one stream for every seed), so the first such replication's
+truth serves every later one; a replication with deletions recounts its
+own final graph once, which costs far less than following each event.
+Reports are a pure function of the config: per-estimator wall-clock stays
+0.0 unless timing is explicitly enabled, since measured times would break
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -271,7 +273,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[MetricsReport, list]:
     estimate) come from the first replication only, every trace-stride
     events and at stream end.  Ground truth is the exact tracker's count on
     that first replication, which is traced.  Deletion-free realizations of
-    one ``StreamSpec`` end on one graph, so the first deletion-free
+    one ``StreamSpec`` end on one graph (its input edges, or the final
+    graph of an ``events`` stream), so the first deletion-free
     replication's truth is reused by every later deletion-free one, and
     each replication with deletions recounts its final graph; when the
     stream model randomizes deletions the per-replication truths differ and

@@ -5,7 +5,8 @@ addition and beta=-1 for a deletion.  A ``StreamSpec`` is the one way to
 build one: its realizations are pure functions of its inputs and the seed,
 so the same arguments produce byte-identical streams, and generated streams
 are consistent by construction (they never add a present edge nor delete an
-absent one).  Edge lists and stream files are read by one record parser.
+absent one).  The readers turn files into edge lists and events for a spec
+to replay, through one record parser; no code here touches a graph store.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-
-from .graph import Graph
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,22 +106,22 @@ def _generate(additions, p_e: float, victims, p_d: float, seed: int) -> list[Edg
     return events
 
 
-def snapshot_diffs(snapshots) -> list[list[EdgeEvent]]:
-    """Per-transition event chunks between consecutive snapshots.
+def snapshot_diffs(snapshots) -> list[EdgeEvent]:
+    """The stream that walks a chain of snapshots from the empty graph.
 
-    Chunk i transforms snapshot i-1 (the empty graph for i=0) into snapshot
-    i: deletions first, then additions, each ascending by (u, v).  Snapshots
-    must be simple edge lists.
+    Each transition from snapshot i-1 (the empty graph for i=0) to snapshot
+    i emits its deletions first, then its additions, each ascending by
+    (u, v); replaying the stream rebuilds each snapshot at the end of its
+    transition.  Snapshots must be simple edge lists.
     """
-    chunks = []
+    events = []
     prev: set[tuple[int, int]] = set()
     for snap in snapshots:
         cur = set(_check_simple(snap))
-        chunk = [EdgeEvent(u, v, -1) for u, v in sorted(prev - cur)]
-        chunk += [EdgeEvent(u, v, 1) for u, v in sorted(cur - prev)]
-        chunks.append(chunk)
+        events += [EdgeEvent(u, v, -1) for u, v in sorted(prev - cur)]
+        events += [EdgeEvent(u, v, 1) for u, v in sorted(cur - prev)]
         prev = cur
-    return chunks
+    return events
 
 
 def _records(path, usage: str, comments: str, ok=None):
@@ -158,18 +157,11 @@ def read_edge_list(path) -> list[tuple[int, int]]:
     return [(u, v) for u, v, _ in _records(path, "u v", "#%")]
 
 
-def write_edge_list(edges_or_graph, path) -> None:
-    """Write edges one per line as "u v".
-
-    A Graph is emitted in sorted canonical order; a plain edge sequence is
-    written as given, so read(write(x)) round-trips exactly.
-    """
-    if isinstance(edges_or_graph, Graph):
-        rows = sorted(edges_or_graph.edges())
-    else:
-        rows = list(edges_or_graph)
+def write_edge_list(edges, path) -> None:
+    """Write edge pairs one per line as "u v", in the order given, so
+    read(write(x)) round-trips exactly."""
     with open(path, "w", encoding="utf-8") as fh:
-        for u, v in rows:
+        for u, v in edges:
             fh.write(f"{u} {v}\n")
 
 
@@ -198,7 +190,7 @@ def read_snapshot_dir(path) -> list[list[tuple[int, int]]]:
     return [read_edge_list(p) for p in files]
 
 
-_SPEC_KINDS = (*_VICTIMS, "snapshot-diff", "file")
+_SPEC_KINDS = (*_VICTIMS, "events")
 
 
 @dataclass
@@ -222,21 +214,20 @@ class StreamSpec:
       ``p_d`` (visited in ascending id order), then every present edge
       touching a marked node is deleted, in ascending (u, v) order.  An
       edge shared by two marked nodes is emitted once.
-    - "snapshot-diff" (needs ``snapshots``): the ``snapshot_diffs`` chunks,
-      flattened; replaying them from an empty graph reconstructs every
-      snapshot at its chunk boundary.
-    - "file" (needs ``path``): the events of a stream file.
+    - "events" (needs ``events``): the given events, replayed as they are
+      for every seed, such as a stream file from ``read_stream_file`` or a
+      snapshot chain from ``snapshot_diffs``.
 
     Edge lists must be simple: a self-loop or a duplicate pair, (v, u)
-    included, raises ``ValueError`` at every ``realize``.  The
-    snapshot-diff and file kinds ignore the seed.  ``p_e`` and ``p_d``
-    shape only the two deletion models; a nonzero value for another kind
-    raises ``ValueError``.
+    included, raises ``ValueError`` at every ``realize``.  Each kind takes
+    only its own inputs: ``events`` for the events kind and ``edges`` for
+    the others, and ``p_e`` and ``p_d`` shape only the two deletion models;
+    an input the kind does not read raises ``ValueError``.
 
     Deletion-free realizations of one spec end on one graph: a generated
-    stream with no deletion adds each input edge once, and the
-    snapshot-diff and file kinds replay the same stream for every seed.
-    ``run_experiment`` relies on this to count that graph's triangles once.
+    stream with no deletion adds each input edge once, and the events kind
+    replays the same stream for every seed.  ``run_experiment`` relies on
+    this to count that graph's triangles once.
 
     The first ``realize`` validates the input and builds its events once;
     later calls reuse them, so the inputs are read at that first call and
@@ -245,8 +236,7 @@ class StreamSpec:
 
     kind: str
     edges: list | None = None
-    snapshots: list | None = None
-    path: str | None = None
+    events: list | None = None
     p_e: float = 0.0
     p_d: float = 0.0
     _base: list | None = field(default=None, init=False, repr=False, compare=False)
@@ -254,12 +244,11 @@ class StreamSpec:
     def __post_init__(self):
         if self.kind not in _SPEC_KINDS:
             raise ValueError(f"unknown stream kind {self.kind!r}")
-        if self.kind in _VICTIMS and self.edges is None:
-            raise ValueError(f"stream kind {self.kind!r} requires edges")
-        if self.kind == "snapshot-diff" and self.snapshots is None:
-            raise ValueError("snapshot-diff stream requires snapshots")
-        if self.kind == "file" and self.path is None:
-            raise ValueError("file stream requires a path")
+        needs, other = ("events", "edges") if self.kind == "events" else ("edges", "events")
+        if getattr(self, other) is not None:
+            raise ValueError(f"stream kind {self.kind!r} takes no {other}")
+        if getattr(self, needs) is None:
+            raise ValueError(f"stream kind {self.kind!r} requires {needs}")
         _check_prob("p_e", self.p_e)
         _check_prob("p_d", self.p_d)
         if not _VICTIMS.get(self.kind) and (self.p_e or self.p_d):
@@ -267,12 +256,10 @@ class StreamSpec:
 
     def _build(self) -> list[EdgeEvent]:
         """The seed-independent events: one addition per edge of the
-        validated edge list for the generated kinds, the whole stream for
-        the snapshot-diff and file kinds."""
-        if self.kind == "snapshot-diff":
-            return [ev for chunk in snapshot_diffs(self.snapshots) for ev in chunk]
-        if self.kind == "file":
-            return read_stream_file(self.path)
+        validated edge list for the generated kinds, a copy of the given
+        events for the events kind."""
+        if self.kind == "events":
+            return list(self.events)
         return [EdgeEvent(u, v, 1) for u, v in _check_simple(self.edges)]
 
     def realize(self, seed: int) -> list[EdgeEvent]:

@@ -48,13 +48,24 @@ def test_public_names_are_pinned_and_resolve():
         assert getattr(trisample, name) is not None, name
 
 
+def _package_imports(path):
+    """The import statements of a package module that name the package."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("trisample")):
+            yield node
+        elif isinstance(node, ast.Import) and any(a.name.startswith("trisample") for a in node.names):
+            yield node
+
+
 def test_no_module_imports_a_private_name_from_another():
     found = []
     for path in sorted(Path(trisample.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(node, ast.ImportFrom):
-                continue
-            if node.level == 0 and not (node.module or "").startswith("trisample"):
-                continue
+        for node in _package_imports(path):
             found += [f"{path.name}: {alias.name}" for alias in node.names if alias.name.startswith("_")]
     assert found == []
+
+
+def test_stream_module_imports_nothing_from_the_package():
+    # streams are events and edge pairs; the graph store is not their layer
+    path = Path(trisample.__file__).parent / "stream.py"
+    assert [ast.unparse(node) for node in _package_imports(path)] == []

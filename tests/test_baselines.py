@@ -14,7 +14,6 @@ from trisample import (
     er_graph,
     exact_triangles,
     run_experiment,
-    write_stream_file,
 )
 
 from helpers import complete_graph_edges
@@ -164,6 +163,15 @@ def test_triest_tau_matches_sample_recount_on_dynamic_stream():
             assert est.edges_sampled <= 60
 
 
+def test_triest_sample_holds_only_the_nodes_of_its_edges():
+    # evicted edges take their emptied endpoints with them, so the reservoir
+    # graph stays O(capacity) however many nodes the stream visits
+    base = er_graph(300, 0.05, seed=24)
+    est = drive(TriestEstimator(40, seed=24), StreamSpec("permutation", edges=list(base.edges())).realize(24))
+    assert est.edges_sampled == 40
+    assert est.sample.node_count <= 2 * 40
+
+
 def test_triest_estimate_scaling_formula():
     est = TriestEstimator(5, seed=22)
     for u, v in complete_graph_edges(5):  # 10 edges through a size-5 reservoir
@@ -174,13 +182,11 @@ def test_triest_estimate_scaling_formula():
     assert est.estimate() == pytest.approx(est.tau * rho)
 
 
-def test_triest_absent_deletion_rejected_by_driver(tmp_path):
+def test_triest_absent_deletion_rejected_by_driver():
     # the reservoir counts live edges instead of storing them, so the
     # driver, not the baseline, rejects a deletion of an absent edge
-    path = tmp_path / "absent.txt"
-    write_stream_file([EdgeEvent(1, 2, 1), EdgeEvent(8, 9, -1)], path)
     cfg = ExperimentConfig(
-        stream=StreamSpec("file", path=str(path)),
+        stream=StreamSpec("events", events=[EdgeEvent(1, 2, 1), EdgeEvent(8, 9, -1)]),
         estimators=[EstimatorSpec("triest", 4)],
         replications=1,
         seed=23,

@@ -1,9 +1,9 @@
 import pytest
 
-from trisample import read_edge_list, read_stream_file
+from trisample import read_edge_list, read_stream_file, write_edge_list
 from trisample.cli import main
 
-from helpers import complete_graph_edges
+from helpers import complete_graph_edges, replay
 
 
 def write_k4(tmp_path):
@@ -83,6 +83,28 @@ def test_exact_on_stream(tmp_path, capsys):
     assert main(["stream", "--edges", str(k4), "--seed", "2", "--out", str(stream)]) == 0
     assert main(["exact", "--stream", str(stream)]) == 0
     assert "triangles=4" in capsys.readouterr().out
+
+
+def test_exact_stream_counts_only_the_nodes_left(tmp_path, capsys):
+    # node deletions empty some nodes; the replayed store forgets them, so
+    # the stream's counts are the final edge list's
+    ba = tmp_path / "ba.txt"
+    args = ["--nodes", "200", "--seed-nodes", "20", "--edges-per-node", "3", "--seed", "6", "--out", str(ba)]
+    assert main(["generate", "ba", *args]) == 0
+    stream = tmp_path / "s.txt"
+    assert main([
+        "stream", "--edges", str(ba), "--pe", "0.02", "--pd", "0.05", "--node-del", "--seed", "6",
+        "--out", str(stream),
+    ]) == 0
+    final = tmp_path / "final.txt"
+    g = replay(read_stream_file(stream))
+    assert g.node_count < 200
+    write_edge_list(sorted(g.edges()), final)
+    capsys.readouterr()
+    assert main(["exact", "--stream", str(stream)]) == 0
+    from_stream = capsys.readouterr().out
+    assert main(["exact", "--edges", str(final)]) == 0
+    assert from_stream == capsys.readouterr().out
 
 
 def test_run_outputs_deterministic_csv(tmp_path):

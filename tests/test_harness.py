@@ -22,7 +22,6 @@ from trisample import (
     nrmse,
     relative_error,
     run_experiment,
-    write_stream_file,
 )
 from trisample.harness import SUMMARY_HEADER, TRACE_HEADER, trace_path_for
 
@@ -243,13 +242,11 @@ def test_emit_csv_empty_traces_header_only(tmp_path):
     assert trace_path_for(out).read_text() == TRACE_HEADER + "\n"
 
 
-def test_run_experiment_rejects_inconsistent_stream(tmp_path):
-    from trisample import EdgeEvent, write_stream_file
+def test_run_experiment_rejects_inconsistent_stream():
+    from trisample import EdgeEvent
 
-    bad = tmp_path / "bad.txt"
-    write_stream_file([EdgeEvent(1, 2, 1), EdgeEvent(1, 2, 1)], bad)
     cfg = ExperimentConfig(
-        stream=StreamSpec("file", path=str(bad)),
+        stream=StreamSpec("events", events=[EdgeEvent(1, 2, 1), EdgeEvent(1, 2, 1)]),
         estimators=[EstimatorSpec("esd", 1.0)],
         replications=1,
     )
@@ -377,7 +374,7 @@ def _count_recounts(monkeypatch) -> list:
     return recounted
 
 
-def test_deletion_free_replications_reuse_the_truth(monkeypatch, tmp_path):
+def test_deletion_free_replications_reuse_the_truth(monkeypatch):
     recounted = _count_recounts(monkeypatch)
     base = er_graph(30, 0.3, seed=28)
     edges = list(base.edges())
@@ -391,10 +388,8 @@ def test_deletion_free_replications_reuse_the_truth(monkeypatch, tmp_path):
 
     events = StreamSpec("edge-deletion", edges=edges, p_e=0.1, p_d=0.3).realize(30)
     assert any(ev.beta == -1 for ev in events)
-    path = tmp_path / "dyn.txt"
-    write_stream_file(events, path)
     report, _ = run_experiment(
-        ExperimentConfig(StreamSpec("file", path=str(path)), [spec], reps, seed=31)
+        ExperimentConfig(StreamSpec("events", events=events), [spec], reps, seed=31)
     )
     assert len(recounted) == reps - 1  # a stream with deletions recounts each time
     assert report.truth == _set_recount(_final_edges(events))

@@ -86,7 +86,8 @@ def test_exact_triangles_keeps_degree_zero_nodes():
     g.add_node(40)
     for u, v in [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2)]:
         g.delete_edge(u, v)
-    assert g.degree(0) == 0 and 0 in g.nodes()
+    assert g.degree(0) == 0 and 0 not in g.nodes()
+    assert g.degree(40) == 0 and 40 in g.nodes()
     assert exact_triangles(g) == brute_force_triangles(g) == 7  # K5 minus an edge
     assert exact_triangles(Graph()) == 0
 

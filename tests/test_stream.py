@@ -12,7 +12,6 @@ from scipy import stats
 
 from trisample import (
     EdgeEvent,
-    Graph,
     StreamSpec,
     read_edge_list,
     read_stream_file,
@@ -191,21 +190,23 @@ def test_node_deletion_golden_events(kind, p_e, p_d, seed, digest):
 
 def test_snapshot_diff_identical_snapshots_no_events():
     snap = [(1, 2), (3, 4)]
-    chunks = snapshot_diffs([snap, snap])
-    assert chunks[1] == []
+    assert snapshot_diffs([snap, snap]) == snapshot_diffs([snap])
 
 
 def test_snapshot_diff_example_sequence():
-    events = StreamSpec("snapshot-diff", snapshots=[[], [(1, 2)], [(2, 3)]]).realize(0)
+    events = snapshot_diffs([[], [(1, 2)], [(2, 3)]])
     assert events == [EdgeEvent(1, 2, 1), EdgeEvent(1, 2, -1), EdgeEvent(2, 3, 1)]
 
 
 def test_snapshot_diff_deletions_before_additions_sorted():
-    chunks = snapshot_diffs([[(1, 2), (3, 4)], [(0, 5), (3, 4), (2, 6)]])
-    assert chunks[1] == [EdgeEvent(1, 2, -1), EdgeEvent(0, 5, 1), EdgeEvent(2, 6, 1)]
+    snaps = [[(1, 2), (3, 4)], [(0, 5), (3, 4), (2, 6)]]
+    first = len(snapshot_diffs(snaps[:1]))
+    assert snapshot_diffs(snaps)[first:] == [EdgeEvent(1, 2, -1), EdgeEvent(0, 5, 1), EdgeEvent(2, 6, 1)]
 
 
 def test_snapshot_chain_replay_reconstructs_every_snapshot():
+    # each shorter chain's stream is a prefix of the whole chain's, and it
+    # replays to the chain's last snapshot
     rng = random.Random(11)
     snapshots = []
     for _ in range(10):
@@ -217,11 +218,11 @@ def test_snapshot_chain_replay_reconstructs_every_snapshot():
             if rng.random() < 0.4
         )
         snapshots.append(snap)
-    chunks = snapshot_diffs(snapshots)
-    g = Graph()
-    for snap, chunk in zip(snapshots, chunks):
-        replay(chunk, g)
-        assert set(g.edges()) == set(snap)
+    events = snapshot_diffs(snapshots)
+    for k in range(1, len(snapshots) + 1):
+        prefix = snapshot_diffs(snapshots[:k])
+        assert events[: len(prefix)] == prefix
+        assert set(replay(prefix).edges()) == set(snapshots[k - 1])
 
 
 def test_stream_file_round_trip(tmp_path):
@@ -280,34 +281,51 @@ def test_generated_streams_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_stream_spec_dispatch(tmp_path):
+def test_stream_spec_dispatch():
     edges = [(1, 2), (2, 3)]
     assert len(StreamSpec("permutation", edges=edges).realize(0)) == 2
     assert StreamSpec("edge-deletion", edges=edges, p_e=0.0, p_d=0.0).realize(0)
-    assert StreamSpec("snapshot-diff", snapshots=[edges]).realize(0) == [
-        EdgeEvent(1, 2, 1),
-        EdgeEvent(2, 3, 1),
-    ]
-    path = tmp_path / "s.txt"
-    write_stream_file([EdgeEvent(5, 6, 1)], path)
-    assert StreamSpec("file", path=str(path)).realize(123) == [EdgeEvent(5, 6, 1)]
+    events = [EdgeEvent(5, 6, 1), EdgeEvent(5, 6, -1)]
+    assert StreamSpec("events", events=events).realize(123) == events
     with pytest.raises(ValueError):
         StreamSpec("bogus", edges=edges)
     with pytest.raises(ValueError):
         StreamSpec("permutation")
     with pytest.raises(ValueError):
+        StreamSpec("events")
+    with pytest.raises(ValueError):
         StreamSpec("edge-deletion", edges=edges, p_e=1.5)
 
 
-@pytest.mark.parametrize("kind", ["permutation", "snapshot-diff", "file"])
+# each kind with the one input it reads
+INPUTS = {"permutation": dict(edges=TRIANGLE), "events": dict(events=[EdgeEvent(1, 2, 1)])}
+
+
+@pytest.mark.parametrize("kind", ["permutation", "events"])
 @pytest.mark.parametrize(
     "rates", [dict(p_e=0.5), dict(p_d=0.2), dict(p_e=1.0, p_d=1.0)], ids=["p_e", "p_d", "both"]
 )
 def test_stream_spec_rejects_rates_for_kinds_without_deletions(kind, rates):
-    inputs = dict(edges=TRIANGLE, snapshots=[TRIANGLE], path="s.txt")
-    StreamSpec(kind, **inputs, p_e=0.0, p_d=0.0)
+    StreamSpec(kind, **INPUTS[kind], p_e=0.0, p_d=0.0)
     with pytest.raises(ValueError, match=f"stream kind '{kind}' takes no p_e or p_d"):
-        StreamSpec(kind, **inputs, **rates)
+        StreamSpec(kind, **INPUTS[kind], **rates)
+
+
+@pytest.mark.parametrize(
+    "kind,extra",
+    [
+        ("permutation", "events"),
+        ("edge-deletion", "events"),
+        ("node-deletion", "events"),
+        ("events", "edges"),
+    ],
+)
+def test_stream_spec_rejects_an_input_its_kind_does_not_read(kind, extra):
+    inputs = dict(edges=TRIANGLE, events=[EdgeEvent(1, 2, 1)])
+    with pytest.raises(ValueError, match=f"stream kind '{kind}' takes no {extra}"):
+        StreamSpec(kind, **inputs)
+    del inputs[extra]
+    StreamSpec(kind, **inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -335,25 +353,20 @@ def test_stream_spec_realizations_are_independent_lists(kind):
     assert spec.realize(5) == _spec(kind, edges).realize(5)
 
 
-def test_stream_spec_file_and_snapshots_reuse_one_read(tmp_path):
+def test_stream_spec_events_copies_its_input_once():
     events = StreamSpec("edge-deletion", edges=random_edges(20, 50, seed=17), p_e=0.2, p_d=0.3).realize(18)
-    path = tmp_path / "s.txt"
-    write_stream_file(events, path)
-    spec = StreamSpec("file", path=str(path))
+    given = list(events)
+    spec = StreamSpec("events", events=given)
     first = spec.realize(0)
-    assert first == read_stream_file(path)
+    assert first == events and first is not given
     first.clear()
-    path.unlink()  # later realizations reuse the first read
-    assert spec.realize(1) == events
-    snaps = [[(1, 2), (2, 3)], [(2, 3), (3, 4)]]
-    spec = StreamSpec("snapshot-diff", snapshots=snaps)
-    spec.realize(0).pop()
-    assert spec.realize(2) == [
-        EdgeEvent(1, 2, 1),
-        EdgeEvent(2, 3, 1),
-        EdgeEvent(1, 2, -1),
-        EdgeEvent(3, 4, 1),
-    ]
+    given.reverse()  # later realizations reuse the first copy
+    given.append(EdgeEvent(98, 99, 1))
+    for seed in (0, 1, 2):
+        out = spec.realize(seed)
+        assert out == events
+        out.pop()
+    assert spec.realize(3) == events
 
 
 @pytest.mark.parametrize("kind", ["permutation", "edge-deletion", "node-deletion"])
