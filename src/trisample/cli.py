@@ -37,8 +37,12 @@ def cmd_generate(args) -> int:
             seed=args.seed,
         )
         g = ba_graph(cfg)
-    write_edge_list(sorted(g.edges()), args.out)
-    print(f"wrote {args.out}: nodes={g.node_count} edges={g.edge_count}")
+    edges = sorted(g.edges())
+    write_edge_list(edges, args.out)
+    # the file holds only endpoints: an isolated node of an ER graph or of a
+    # BA seed graph is not in it, so it is not counted
+    nodes = len({x for e in edges for x in e})
+    print(f"wrote {args.out}: nodes={nodes} edges={len(edges)}")
     return 0
 
 

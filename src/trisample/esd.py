@@ -10,6 +10,11 @@ either side of the mutation.  Sampled edges are discarded immediately: the
 estimator holds no subgraph, needs O(d) transient space for the
 neighborhood it inspects, and costs O(log d) per sampled edge.
 
+Randomness comes from an ``rng`` with ``random()`` for the coins and
+``getrandbits(k)`` for the probes.  A probe over d candidates draws one
+uniform index, the value ``rng.randrange(d)`` gives, with the same draws:
+k = d.bit_length() bits, redrawn while the value is >= d.
+
 The estimator speaks the replay protocol that the baselines share:
 ``skip`` draws the coins of upcoming events until one is won, and ``act``
 is the sampled update for that event.  A replay driver calls it only on
@@ -38,8 +43,11 @@ class EsdEstimator:
     streams or "static" for a one-pass random-order stream over a fixed
     graph's edges.  Each event consumes one ``rng.random()`` coin, drawn by
     ``process_event`` or ahead of time by ``skip``, and each neighbor
-    probe of a sampled event consumes exactly one ``rng.randrange()`` value,
-    so runs replay deterministically from the seed either way.
+    probe of a sampled event draws one uniform index, the value
+    ``rng.randrange`` gives, from ``rng.getrandbits``, so runs replay
+    deterministically from the seed either way.  ``rng`` defaults to
+    ``random.Random(seed)``; one passed in needs ``random`` and
+    ``getrandbits``, or the constructor raises ``TypeError``.
     """
 
     def __init__(self, alpha: float, mode: str = "dynamic", seed: int = 0, rng=None):
@@ -51,7 +59,12 @@ class EsdEstimator:
         self.mode = mode
         self.omega = OMEGA_DYNAMIC if mode == "dynamic" else OMEGA_STATIC
         self.t_est = 0.0
-        self.rng = rng if rng is not None else random.Random(seed)
+        if rng is None:
+            rng = random.Random(seed)
+        for method in ("random", "getrandbits"):
+            if not callable(getattr(rng, method, None)):
+                raise TypeError(f"rng must provide {method}(), which {type(rng).__name__} lacks")
+        self.rng = rng
         self.edges_sampled = 0
 
     @property
@@ -99,17 +112,30 @@ class EsdEstimator:
 
         The set does not depend on whether ``g`` holds (u, v), so neither
         does the probe: v's slot, if present, is skipped.  Each probe draws
-        one ``rng.randrange`` value, so a replay is deterministic from the
-        seed.
+        one uniform index, the value ``rng.randrange(d)`` gives, from
+        ``rng.getrandbits`` with the same draws, so a replay is
+        deterministic from the seed.  The picked node w closes a triangle
+        when (w, v) is an edge, found by bisecting the shorter of Γ(w) and
+        Γ(v), as ``Graph.has_edge`` does.
         """
-        nbrs = g.adjacency(u)
+        adjacency = g.adjacency
+        nbrs = adjacency(u)
         n = len(nbrs)
         i = bisect_left(nbrs, v)
         gap = 1 if i < n and nbrs[i] == v else 0  # v's own slot, skipped
         d = n - gap
         if d > 0:
-            j = self.rng.randrange(d)
-            if g.has_edge(nbrs[j] if j < i else nbrs[j + gap], v):
+            bits = self.rng.getrandbits
+            k = d.bit_length()
+            j = bits(k)
+            while j >= d:
+                j = bits(k)
+            w = nbrs[j] if j < i else nbrs[j + gap]
+            a = adjacency(w)
+            b = adjacency(v)
+            nb, target = (a, v) if len(a) <= len(b) else (b, w)
+            p = bisect_left(nb, target)
+            if p < len(nb) and nb[p] == target:
                 self.t_est += beta * self.omega * d / self._alpha
 
     def process_static(self, edge, g) -> None:

@@ -78,17 +78,25 @@ class Graph:
 
         Returns False without touching the graph on a self-loop or an
         already-present edge.  Each endpoint list is searched once: the
-        slot that shows v absent from Γ(u) is where v goes.
+        slot that shows v absent from Γ(u) is where v goes.  A new
+        endpoint gets its one-neighbor list directly, u before v.
         """
         if u == v:
             return False
-        a = self._adj.setdefault(u, [])  # a new u has no edge to find
-        i = bisect_left(a, v)
-        if i < len(a) and a[i] == v:
-            return False
-        a.insert(i, v)
-        b = self._adj.setdefault(v, [])
-        b.insert(bisect_left(b, u), u)
+        adj = self._adj
+        a = adj.get(u)
+        if a is None:
+            adj[u] = [v]
+        else:
+            i = bisect_left(a, v)
+            if i < len(a) and a[i] == v:
+                return False
+            a.insert(i, v)
+        b = adj.get(v)
+        if b is None:
+            adj[v] = [u]
+        else:
+            b.insert(bisect_left(b, u), u)
         self._edge_count += 1
         return True
 

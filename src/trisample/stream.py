@@ -80,11 +80,24 @@ def _generate(additions, p_e: float, victims, p_d: float, seed: int) -> list[Edg
     """A shuffled copy of ``additions``.  When ``p_e`` is positive, a
     ``p_e`` coin follows each addition, and a won coin deletes the edges
     that ``victims(present, p_d, rng)`` picks from the sorted present edges.
-    The shuffle depends only on the seed and the length, not on what the
-    list holds."""
+
+    The shuffle is Fisher–Yates from the last slot down.  Slot i swaps with
+    an index below i + 1 drawn from ``getrandbits`` by the rejection rule
+    of ``random.Random._randbelow`` (k = n.bit_length() bits, redrawn while
+    the value is >= n), so it is the permutation ``rng.shuffle`` makes, with
+    the same draws, for every seed and length, without depending on how the
+    standard library implements ``shuffle``.  It depends only on the seed
+    and the length, not on what the list holds."""
     rng = random.Random(seed)
     order = list(additions)
-    rng.shuffle(order)
+    bits = rng.getrandbits
+    for i in range(len(order) - 1, 0, -1):
+        n = i + 1
+        k = n.bit_length()
+        j = bits(k)
+        while j >= n:
+            j = bits(k)
+        order[i], order[j] = order[j], order[i]
     if not p_e:
         return order
     events = []

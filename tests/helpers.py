@@ -67,7 +67,9 @@ class ScriptedRng:
     def random(self) -> float:
         return self._randoms.pop(0)
 
-    def randrange(self, n: int) -> int:
+    def getrandbits(self, k: int) -> int:
+        """The next scripted index, served as the k-bit draw that
+        ``randrange`` would have accepted for it."""
         v = self._randranges.pop(0)
-        assert 0 <= v < n, f"scripted randrange value {v} out of range({n})"
+        assert 0 <= v < 2**k, f"scripted value {v} does not fit in {k} bits"
         return v

@@ -21,6 +21,21 @@ def test_generate_er(tmp_path, capsys):
     assert "edges=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("kind", ["er", "ba"])
+def test_generate_and_exact_agree_on_the_written_graph(tmp_path, capsys, kind):
+    # at p=0.01, 30 of ER(100)'s nodes have no edge, and this BA graph's
+    # sparse seed leaves three nodes without an edge: the file holds neither
+    out = tmp_path / f"{kind}.txt"
+    shape = ["--edge-prob", "0.01"] if kind == "er" else ["--seed-nodes", "20", "--edges-per-node", "3"]
+    assert main(["generate", kind, "--nodes", "100", *shape, "--seed", "1", "--out", str(out)]) == 0
+    generated = capsys.readouterr().out.split(": ")[1].split()
+    assert main(["exact", "--edges", str(out)]) == 0
+    exact = capsys.readouterr().out.split()
+    assert generated == exact[:2]
+    if kind == "er":
+        assert generated == ["nodes=70", "edges=60"]
+
+
 def test_generate_ba(tmp_path):
     out = tmp_path / "ba.txt"
     rc = main([

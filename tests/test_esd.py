@@ -1,15 +1,20 @@
 import math
 import random
 import statistics
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+import trisample
 from trisample import (
+    BaConfig,
     EdgeEvent,
     EsdEstimator,
     ExactTracker,
     Graph,
     StreamSpec,
+    ba_graph,
     er_graph,
     exact_triangles,
     triangles_of_edge,
@@ -26,6 +31,16 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         EsdEstimator(0.5, mode="batch")
     assert EsdEstimator(1.0).estimate() == 0.0
+
+
+@pytest.mark.parametrize("missing", ["random", "getrandbits"])
+def test_constructor_names_the_rng_method_it_lacks(missing):
+    # the probe draws from getrandbits, so an rng offering only the
+    # randrange of the old contract is refused before any event
+    methods = {"random": random.random, "getrandbits": random.getrandbits, "randrange": random.randrange}
+    del methods[missing]
+    with pytest.raises(TypeError, match=rf"{missing}\(\)"):
+        EsdEstimator(0.5, rng=SimpleNamespace(**methods))
 
 
 def test_alpha_is_fixed_after_construction():
@@ -92,6 +107,31 @@ def test_update_count_deletion_empty_neighborhood_noop():
     est = EsdEstimator(0.5, rng=ScriptedRng())
     est.update_count(1, 2, -1, g)
     assert est.estimate() == 0.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 255, 256, 257, 4096, 4097])
+def test_probe_picks_the_candidate_randrange_draws(d):
+    # Γ(0)∖{v} holds d candidates with v's slot in their middle, and one
+    # candidate, the target, is also a neighbor of v: the estimate moves
+    # exactly when randrange(d) lands on it, and the draws leave the rng
+    # where randrange leaves it (a d of 2**m or 2**m + 1 rejects about half
+    # of its draws)
+    v = d // 2 + 1
+    cands = [x for x in range(1, d + 2) if x != v]
+    g = Graph.from_edges([(0, x) for x in range(1, d + 2)])
+    hits = 0
+    for seed in range(200):
+        ref = random.Random(seed)
+        pick = ref.randrange(d)
+        target = (pick + seed % 2) % d  # the pick on even seeds, its successor on odd ones
+        g.add_edge(v, cands[target])
+        est = EsdEstimator(1.0, rng=random.Random(seed))
+        est.update_count(0, v, 1, g)
+        g.delete_edge(v, cands[target])
+        assert est.estimate() == (0.5 * d if pick == target else 0.0)
+        assert est.rng.getstate() == ref.getstate()
+        hits += pick == target
+    assert hits == (200 if d == 1 else 100)
 
 
 def test_add_then_delete_same_closing_edge_nets_zero():
@@ -300,3 +340,35 @@ def test_replay_determinism():
     a = run_additions(events, alpha=0.2, seed=5).estimate()
     b = run_additions(events, alpha=0.2, seed=5).estimate()
     assert a == b
+
+
+class ClosureRecordingEsd(EsdEstimator):
+    """ESD that also records beta * d for every probe that closes a
+    triangle, so the exact sum of its increments can be formed."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.closing = []
+
+    def update_count(self, u, v, beta, g):
+        before = self.t_est
+        super().update_count(u, v, beta, g)
+        if self.t_est != before:
+            nbrs = g.adjacency(u)
+            self.closing.append(beta * (len(nbrs) - (v in nbrs)))
+
+
+def test_float_estimate_keeps_the_exact_sum_of_its_increments():
+    # t_est adds one float per closing probe; over a BA edge-deletion
+    # stream it must stay far below the CSV's 10 significant digits from
+    # the exact sum, and hit it exactly where the increments cancel
+    edges = sorted(ba_graph(BaConfig(600, 20, 0.2, 5, 1.5, seed=33)).edges())
+    events = StreamSpec("edge-deletion", edges=edges, p_e=0.01, p_d=0.05).realize(34)
+    assert any(ev.beta == -1 for ev in events)
+    for alpha in (0.05, 0.3):
+        ests = [ClosureRecordingEsd(alpha, seed=35 + i) for i in range(8)]
+        trisample.replay(events, Graph(), ests)
+        for est in ests:
+            assert any(x < 0 for x in est.closing) and any(x > 0 for x in est.closing)
+            exact = Fraction(sum(est.closing)) * Fraction(est.omega) / Fraction(alpha)
+            assert abs(Fraction(est.t_est) - exact) <= abs(exact) / 10**12

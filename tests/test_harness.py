@@ -11,10 +11,12 @@ import pytest
 
 import trisample.harness
 from trisample import (
+    BaConfig,
     EstimatorSpec,
     ExperimentConfig,
     StreamSpec,
     confidence_interval,
+    ba_graph,
     derive_seed,
     emit_csv,
     er_graph,
@@ -453,3 +455,27 @@ def test_emit_csv_golden_sha256_permutation(tmp_path):
     assert summary == GOLDEN_PERMUTATION_SUMMARY_SHA256
     trace = hashlib.sha256(trace_path_for(out).read_bytes()).hexdigest()
     assert trace == GOLDEN_PERMUTATION_TRACE_SHA256
+
+
+# The same pins for a node-deletion stream of a BA graph whose hub has
+# degree 379, so ESD probes ranges past 256 that need rejection draws;
+# recorded before the probes and the shuffle drew from getrandbits.
+GOLDEN_NODE_DELETION_SUMMARY_SHA256 = "433d93732016ce8cc9a12bcec1179cb64cb51678ec9573e818ce0d4e6d635987"
+GOLDEN_NODE_DELETION_TRACE_SHA256 = "2a76768b23e573ea2df8defdd87a0aaabd5fb3d61fb41404e81fe613f4d368f2"
+
+
+def test_emit_csv_golden_sha256_node_deletion(tmp_path):
+    edges = sorted(ba_graph(BaConfig(800, 20, 0.2, 3, 1.5, seed=5)).edges())
+    cfg = ExperimentConfig(
+        stream=StreamSpec("node-deletion", edges=edges, p_e=0.002, p_d=0.05),
+        estimators=[EstimatorSpec("esd", 0.5, label=f"esd-{i}") for i in range(8)]
+        + [EstimatorSpec("doulion", 0.5), EstimatorSpec("triest", 600)],
+        replications=2,
+        seed=32,
+    )
+    out = tmp_path / "golden.csv"
+    emit_csv(*run_experiment(cfg), out)
+    summary = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert summary == GOLDEN_NODE_DELETION_SUMMARY_SHA256
+    trace = hashlib.sha256(trace_path_for(out).read_bytes()).hexdigest()
+    assert trace == GOLDEN_NODE_DELETION_TRACE_SHA256

@@ -49,6 +49,17 @@ def test_permutation_stream_deterministic():
     assert len(c) == 3  # different seed may or may not differ; only length is guaranteed
 
 
+def test_permutation_is_the_stdlib_shuffle_of_the_additions():
+    # the Fisher–Yates loop draws what random.Random.shuffle draws, for
+    # every length, including the bit-length steps of the index range
+    for n in range(301):
+        spec = StreamSpec("permutation", edges=[(0, i) for i in range(1, n + 1)])
+        for seed in range(20):
+            expected = list(range(1, n + 1))
+            random.Random(seed).shuffle(expected)
+            assert [ev.v for ev in spec.realize(seed)] == expected
+
+
 def test_permutation_stream_rejects_duplicates_and_loops():
     with pytest.raises(ValueError):
         StreamSpec("permutation", edges=[(1, 2), (2, 1)]).realize(0)
