@@ -6,10 +6,11 @@ store; they see only the event stream.  They speak the replay protocol of
 the sampling estimator: ``skip(events, start, stop)`` draws the coins of
 upcoming events and does the bookkeeping of those that leave the sample
 unchanged, and returns the position of the first event that changes it;
-``act(ev, g)`` applies that event without redrawing its coin.  ``process``
-is the two in a row for one event.  A replay driver thus calls a baseline
-only on the events that touch its sample, with the same random draws as
-``process`` on every event.
+``step(events, i, stop, g)`` applies ``events[i]`` without redrawing its
+coin and then skips from ``i + 1``.  ``process`` is ``skip`` then ``step``
+for one event.  A replay driver thus calls a baseline once per event that
+touches its sample, with the same random draws as ``process`` on every
+event.
 
 Both assume a consistent stream: no addition of a present edge and no
 deletion of an absent one.  The replay driver rejects any other, so the
@@ -44,8 +45,9 @@ class DoulionEstimator:
         self.edges_sampled = 0
 
     def process(self, ev) -> None:
-        if self.skip((ev,), 0, 1) == 0:
-            self.act(ev, None)
+        events = (ev,)
+        if self.skip(events, 0, 1) == 0:
+            self.step(events, 0, 1, None)
 
     def skip(self, events, start: int, stop: int) -> int:
         """Position of the first event in ``events[start:stop]`` that changes
@@ -63,9 +65,11 @@ class DoulionEstimator:
                 return k
         return stop
 
-    def act(self, ev, g) -> None:
-        """Add a won addition to the sample or drop a sampled edge; ``g`` is
-        unused, since the sparsifier sees only the stream."""
+    def step(self, events, i: int, stop: int, g) -> int:
+        """Add ``events[i]``, a won addition, to the sample or drop the
+        sampled edge it deletes, then skip from ``i + 1``; ``g`` is unused,
+        since the sparsifier sees only the stream."""
+        ev = events[i]
         if ev.beta == 1:
             if self.sample.add_edge(ev.u, ev.v):
                 # the new edge cannot be its own common neighbor, so
@@ -75,6 +79,7 @@ class DoulionEstimator:
         else:
             self.tri_in_sample -= triangles_of_edge(self.sample, ev.u, ev.v)
             self.sample.delete_edge(ev.u, ev.v)
+        return self.skip(events, i + 1, stop)
 
     def estimate(self) -> float:
         if self.p == 0.0:
@@ -119,8 +124,9 @@ class TriestEstimator:
         return self._live
 
     def process(self, ev) -> None:
-        if self.skip((ev,), 0, 1) == 0:
-            self.act(ev, None)
+        events = (ev,)
+        if self.skip(events, 0, 1) == 0:
+            self.step(events, 0, 1, None)
 
     def skip(self, events, start: int, stop: int) -> int:
         """Position of the first event in ``events[start:stop]`` that changes
@@ -159,10 +165,12 @@ class TriestEstimator:
         self.c_good, self.t_add, self._live = c_good, t_add, live
         return k
 
-    def act(self, ev, g) -> None:
-        """Apply an event ``skip`` stopped at: insert or replace for an
-        addition, drop the reservoir edge for a deletion.  Its coin is
-        already drawn; a replacement draws its slot.  ``g`` is unused."""
+    def step(self, events, i: int, stop: int, g) -> int:
+        """Apply ``events[i]``, where ``skip`` stopped: insert or replace for
+        an addition, drop the reservoir edge for a deletion; then skip from
+        ``i + 1``.  Its coin is already drawn; a replacement draws its slot.
+        ``g`` is unused."""
+        ev = events[i]
         e = (ev.u, ev.v) if ev.u < ev.v else (ev.v, ev.u)
         if ev.beta == 1:
             self.t_add += 1
@@ -178,6 +186,7 @@ class TriestEstimator:
             self._live -= 1
             self._remove(e)
             self.c_bad += 1
+        return self.skip(events, i + 1, stop)
 
     def estimate(self) -> float:
         s = self._live

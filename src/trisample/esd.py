@@ -8,7 +8,8 @@ same triangle is observable from both endpoints.  Γ(u)∖{v} is the same set
 before and after the store applies the event, so the estimator may run
 either side of the mutation.  Sampled edges are discarded immediately: the
 estimator holds no subgraph, needs O(d) transient space for the
-neighborhood it inspects, and costs O(log d) per sampled edge.
+neighborhood it inspects, and costs O(log d) per sampled edge: one
+presence test for the edge and one probe per endpoint.
 
 Randomness comes from an ``rng`` with ``random()`` for the coins and
 ``getrandbits(k)`` for the probes.  A probe over d candidates draws one
@@ -16,12 +17,12 @@ uniform index, the value ``rng.randrange(d)`` gives, with the same draws:
 k = d.bit_length() bits, redrawn while the value is >= d.
 
 The estimator speaks the replay protocol that the baselines share:
-``skip`` draws the coins of upcoming events until one is won, and ``act``
-is the sampled update for that event.  A replay driver calls it only on
-the events it samples, with the same random draws, in the same order, as
-``process_event`` on every event.  Like the baselines, it assumes a
-consistent stream (no duplicate addition, no absent deletion); the driver
-rejects any other.
+``skip`` draws the coins of upcoming events until one is won, and ``step``
+is the sampled update for that event followed by the coins up to the next
+won one.  A replay driver calls it once per sampled event, with the same
+random draws, in the same order, as ``process_event`` on every event.
+Like the baselines, it assumes a consistent stream (no duplicate
+addition, no absent deletion); the driver rejects any other.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ class EsdEstimator:
     factors assume it never changes).  ``mode`` is "dynamic" for add/delete
     streams or "static" for a one-pass random-order stream over a fixed
     graph's edges.  Each event consumes one ``rng.random()`` coin, drawn by
-    ``process_event`` or ahead of time by ``skip``, and each neighbor
-    probe of a sampled event draws one uniform index, the value
+    ``skip`` or by the ``step`` of the sampled event before it, and each
+    neighbor probe of a sampled event draws one uniform index, the value
     ``rng.randrange`` gives, from ``rng.getrandbits``, so runs replay
     deterministically from the seed either way.  ``rng`` defaults to
     ``random.Random(seed)``; one passed in needs ``random`` and
@@ -83,14 +84,15 @@ class EsdEstimator:
         after it."""
         if self.mode != "dynamic":
             raise ValueError("process_event requires dynamic mode")
-        if self.skip((ev,), 0, 1) == 0:
-            self.act(ev, g)
+        events = (ev,)
+        if self.skip(events, 0, 1) == 0:
+            self.step(events, 0, 1, g)
 
     def skip(self, events, start: int, stop: int) -> int:
         """Draw the coins of ``events[start:stop]``, stopping at the first
         one won, and return its position (``stop`` when none was won).  A
         lost coin needs no bookkeeping, so the events are not read.  The
-        won event's coin has been drawn, so ``act`` draws none."""
+        won event's coin has been drawn, so ``step`` draws none for it."""
         rand = self.rng.random
         alpha = self._alpha
         for k in range(start, stop):
@@ -98,45 +100,76 @@ class EsdEstimator:
                 return k
         return stop
 
-    def act(self, ev, g) -> None:
-        """The update for an event whose coin was won: probe both endpoints.
-        Draws no coin; ``g`` may hold the graph before or after ``ev``."""
-        self.edges_sampled += 1
-        self.update_count(ev.u, ev.v, ev.beta, g)
-        self.update_count(ev.v, ev.u, ev.beta, g)
+    def step(self, events, i: int, stop: int, g) -> int:
+        """The update for ``events[i]``, whose coin was won, then the coins
+        of ``events[i+1:stop]`` as ``skip`` draws them; returns the position
+        of the next won coin (``stop`` when none was).  ``g`` may hold the
+        graph before or after ``events[i]``.
 
-    def update_count(self, u: int, v: int, beta: int, g) -> None:
-        """Probe Γ(u)∖{v} for a node closing a triangle with (u, v) and move
-        the estimate by ``beta`` times the inverse probability of the
-        observed tuple, alpha/d with d = |Γ(u)∖{v}|.
-
-        The set does not depend on whether ``g`` holds (u, v), so neither
-        does the probe: v's slot, if present, is skipped.  Each probe draws
-        one uniform index, the value ``rng.randrange(d)`` gives, from
+        Each endpoint a of the edge (u, v), with b the other one, probes
+        Γ(a)∖{b} for a node closing a triangle with (a, b) and moves the
+        estimate by ``beta`` times the inverse probability of the observed
+        tuple, alpha/d with d = |Γ(a)∖{b}|; u probes first.  The set does
+        not depend on whether ``g`` holds (u, v), so neither does the probe.
+        One bisect of the shorter of Γ(u) and Γ(v) tells whether the edge
+        is present; if it is, b's slot in Γ(a) is skipped, so index j picks
+        Γ(a)[j], or Γ(a)[j+1] when Γ(a)[j] >= b.  Each probe draws one
+        uniform index, the value ``rng.randrange(d)`` gives, from
         ``rng.getrandbits`` with the same draws, so a replay is
         deterministic from the seed.  The picked node w closes a triangle
-        when (w, v) is an edge, found by bisecting the shorter of Γ(w) and
-        Γ(v), as ``Graph.has_edge`` does.
+        when (w, b) is an edge, found by bisecting the shorter of Γ(w) and
+        Γ(b), as ``Graph.has_edge`` does.
         """
+        ev = events[i]
+        u, v, beta = ev.u, ev.v, ev.beta
+        self.edges_sampled += 1
         adjacency = g.adjacency
-        nbrs = adjacency(u)
-        n = len(nbrs)
-        i = bisect_left(nbrs, v)
-        gap = 1 if i < n and nbrs[i] == v else 0  # v's own slot, skipped
-        d = n - gap
+        nu = adjacency(u)
+        nv = adjacency(v)
+        if len(nu) <= len(nv):
+            s = bisect_left(nu, v)
+            present = s < len(nu) and nu[s] == v
+        else:
+            s = bisect_left(nv, u)
+            present = s < len(nv) and nv[s] == u
+        bits = self.rng.getrandbits
+        # u's probe, then v's, written out: a loop over the two endpoints
+        # measured about 6% slower on a replay of 64 estimators
+        d = len(nu) - present
         if d > 0:
-            bits = self.rng.getrandbits
             k = d.bit_length()
             j = bits(k)
             while j >= d:
                 j = bits(k)
-            w = nbrs[j] if j < i else nbrs[j + gap]
-            a = adjacency(w)
-            b = adjacency(v)
-            nb, target = (a, v) if len(a) <= len(b) else (b, w)
-            p = bisect_left(nb, target)
-            if p < len(nb) and nb[p] == target:
+            w = nu[j]
+            if present and w >= v:
+                w = nu[j + 1]
+            nw = adjacency(w)
+            lst, target = (nw, v) if len(nw) <= len(nv) else (nv, w)
+            p = bisect_left(lst, target)
+            if p < len(lst) and lst[p] == target:
                 self.t_est += beta * self.omega * d / self._alpha
+        d = len(nv) - present
+        if d > 0:
+            k = d.bit_length()
+            j = bits(k)
+            while j >= d:
+                j = bits(k)
+            w = nv[j]
+            if present and w >= u:
+                w = nv[j + 1]
+            nw = adjacency(w)
+            lst, target = (nw, u) if len(nw) <= len(nu) else (nu, w)
+            p = bisect_left(lst, target)
+            if p < len(lst) and lst[p] == target:
+                self.t_est += beta * self.omega * d / self._alpha
+        # skip's coin loop, inline: a sampled event costs one call
+        rand = self.rng.random
+        alpha = self._alpha
+        for k in range(i + 1, stop):
+            if rand() < alpha:
+                return k
+        return stop
 
     def process_static(self, edge, g) -> None:
         """Static variant: ``g`` is the whole graph and the stream delivers
@@ -148,4 +181,4 @@ class EsdEstimator:
         if not g.has_edge(u, v):
             raise ValueError(f"edge ({u}, {v}) is not in the graph")
         if self.skip((edge,), 0, 1) == 0:
-            self.act(EdgeEvent(u, v, 1), g)
+            self.step((EdgeEvent(u, v, 1),), 0, 1, g)

@@ -135,11 +135,15 @@ class Graph:
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from edge pairs; duplicates and self-loops are
-        silently dropped."""
+        """Build a graph from edge pairs.  A self-loop or a pair already
+        given (in either orientation) raises ``ValueError``, as the edge-list
+        readers do."""
         g = cls()
         for u, v in edges:
-            g.add_edge(u, v)
+            if not g.add_edge(u, v):
+                if u == v:
+                    raise ValueError(f"self-loop ({u}, {v}) in edge list")
+                raise ValueError(f"duplicate edge {(min(u, v), max(u, v))} in edge list")
         return g
 
     def __eq__(self, other):

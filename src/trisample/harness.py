@@ -9,17 +9,19 @@ is public and is the one function that applies a stream to a graph store
 that rejects an inconsistent stream, which the estimators rely on.  It
 drives the sampling estimator and both baselines through one protocol:
 each draws its coins ahead (``skip``), up to the next event it must act
-on, and is called (``act``) only there; its random draws and results are
-the same as when it is fed every event.  The incremental exact tracker
-runs only on replication 0, the one whose running truth goes into the
-trace.  Every deletion-free realization of one stream spec ends on the same
-graph (a generated stream adds each input edge once, and the ``events``
-kind replays one stream for every seed), so the first such replication's
-truth serves every later one; a replication with deletions recounts its
-own final graph once, which costs far less than following each event.
-Reports are a pure function of the config: per-estimator wall-clock stays
-0.0 unless timing is explicitly enabled, since measured times would break
-byte-identical output.
+on, and is called there once (``step``) to apply that event and draw
+ahead again; its random draws and results are the same as when it is fed
+every event.  The incremental exact tracker runs only on replication 0,
+the one whose running truth goes into the trace.  Every deletion-free
+realization of one stream spec ends on the same graph (a generated stream
+adds each input edge once, and the ``events`` kind replays one stream for
+every seed), so the first such replication's truth serves every later
+one.  A replication with deletions whose events equal replication 0's
+(an ``events`` stream replays the same list) reuses replication 0's
+truth; any other recounts its own final graph once, which costs far less
+than following each event.  Reports are a pure function of the config:
+per-estimator wall-clock stays 0.0 unless timing is explicitly enabled,
+since measured times would break byte-identical output.
 """
 
 from __future__ import annotations
@@ -93,6 +95,9 @@ class EstimatorSpec:
     def __post_init__(self):
         if self.kind not in ("esd", "doulion", "triest"):
             raise ValueError(f"unknown estimator kind {self.kind!r}")
+        # build() truncates param to an int, and the CSV reports param as given
+        if self.kind == "triest" and not (self.param >= 1 and float(self.param).is_integer()):
+            raise ValueError(f"reservoir capacity must be an integer >= 1, got {self.param}")
 
     @property
     def name(self) -> str:
@@ -178,14 +183,14 @@ def replay(events, g, ests=(), tracker=None, stride=None, wall=None) -> list:
 
     Every estimator is driven by one schedule, ``due``, which files it
     under the position of the next event it must act on.  There its
-    ``act`` runs once the graph reflects the event, and its next ``skip``
-    draws coins ahead to find the next such position.  A skip never passes
-    ``stop``: the stream's end, or with a tracker the next trace point,
-    because a baseline's skip moves the counts its estimate reads.  An
-    estimator filed under ``stop`` itself has not acted there; it resumes
-    skipping from ``stop`` once that point's trace row is written.  Each
-    estimator draws from its own RNG, so the order they are fed in changes
-    nothing.
+    ``step`` runs once the graph reflects the event: it applies the event
+    and draws coins ahead, and returns the next such position.  Drawing
+    ahead never passes ``stop``: the stream's end, or with a tracker the
+    next trace point, because a baseline's skip moves the counts its
+    estimate reads.  An estimator filed under ``stop`` itself has not acted
+    there; its ``skip`` resumes from ``stop`` once that point's trace row
+    is written.  Each estimator draws from its own RNG, so the order they
+    are fed in changes nothing.
     """
     if stride is not None and stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
@@ -195,11 +200,13 @@ def replay(events, g, ests=(), tracker=None, stride=None, wall=None) -> list:
     else:
         stride = stride or max(1, last // 500)
         bounds = [*range(stride, last, stride), last] if last else []
-    calls = [(est.act, est.skip) for est in ests]
+    calls = [(est.step, est.skip) for est in ests]
     if wall is not None:
         calls = [
-            (_timed(act, wall, j), _timed(skip, wall, j)) for j, (act, skip) in enumerate(calls)
+            (_timed(step, wall, j), _timed(skip, wall, j)) for j, (step, skip) in enumerate(calls)
         ]
+    # a plain dict, not a defaultdict: the pop below runs on every event,
+    # and it is slower on a dict subclass
     due: dict[int, list] = {0: calls}
     rows = []
     start = 0
@@ -216,28 +223,33 @@ def replay(events, g, ests=(), tracker=None, stride=None, wall=None) -> list:
             if tracker is not None:
                 tracker.apply(ev, g)
             for pair in due.pop(i, ()):
-                act, skip = pair
-                act(ev, g)
-                due.setdefault(skip(events, i + 1, stop), []).append(pair)
+                k = pair[0](events, i, stop, g)
+                if k in due:
+                    due[k].append(pair)
+                else:
+                    due[k] = [pair]
         if tracker is not None:
             rows.append((stop, tracker.count, [est.estimate() for est in ests]))
         start = stop
     return rows
 
 
-def _replicate(cfg: ExperimentConfig, r: int, traces: list, fixed: int | None):
+def _replicate(cfg: ExperimentConfig, r: int, traces: list, fixed: int | None, first):
     """Replay replication ``r``: realize its stream, drive a fresh graph
     store and estimators, and on replication 0 also the exact tracker,
     whose running count goes into the trace rows.
 
     Returns (truth, final estimates, edges sampled, wall seconds, whether
-    the replication was deletion-free).  The truth is the tracker's count
-    on replication 0, ``fixed`` (an earlier deletion-free replication's
-    truth, if any) on a later deletion-free one, and otherwise a recount of
-    the final graph.  ``replay`` keeps the stream consistent, so the store
-    ends with one edge per event exactly when nothing was deleted.  Every
-    per-replication object is local, so the stream, graph and estimator
-    state are freed before the next replication is realized.
+    the replication was deletion-free, ``first``).  ``first`` is replication
+    0's events and truth when it had deletions, else None; replication 0
+    sets it.  The truth is the tracker's count on replication 0, ``fixed``
+    (an earlier deletion-free replication's truth, if any) on a later
+    deletion-free one, ``first``'s truth when the events equal ``first``'s,
+    and otherwise a recount of the final graph.  ``replay`` keeps the
+    stream consistent, so the store ends with one edge per event exactly
+    when nothing was deleted.  Every other per-replication object is local,
+    so the stream, graph and estimator state are freed before the next
+    replication is realized.
     """
     events = cfg.stream.realize(derive_seed(cfg.seed, "stream", r))
     ests = [
@@ -255,14 +267,18 @@ def _replicate(cfg: ExperimentConfig, r: int, traces: list, fixed: int | None):
     deletion_free = g.edge_count == len(events)
     if tracker is not None:
         truth = tracker.count
+        if not deletion_free:
+            first = (events, truth)
     elif deletion_free and fixed is not None:
         truth = fixed
+    elif first is not None and events == first[0]:
+        truth = first[1]
     else:
         # Free the stream and the estimators before the recount allocates;
         # the bound methods and the schedule that held them died with replay.
         events = ests = None
         truth = exact_triangles(g)
-    return truth, finals, sampled, wall, deletion_free
+    return truth, finals, sampled, wall, deletion_free, first
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[MetricsReport, list]:
@@ -275,8 +291,9 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[MetricsReport, list]:
     that first replication, which is traced.  Deletion-free realizations of
     one ``StreamSpec`` end on one graph (its input edges, or the final
     graph of an ``events`` stream), so the first deletion-free
-    replication's truth is reused by every later deletion-free one, and
-    each replication with deletions recounts its final graph; when the
+    replication's truth is reused by every later deletion-free one.  A
+    replication with deletions reuses replication 0's truth when its events
+    equal replication 0's, and otherwise recounts its final graph; when the
     stream model randomizes deletions the per-replication truths differ and
     metrics normalize by their mean.
     """
@@ -288,8 +305,11 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[MetricsReport, list]:
     traces: list[tuple[int, int, str, float]] = []
 
     fixed = None  # the truth of the graph every deletion-free replication ends on
+    first = None  # replication 0's events and truth, kept only when it had deletions
     for r in range(cfg.replications):
-        truth, finals[r], sampled[r], wall[r], deletion_free = _replicate(cfg, r, traces, fixed)
+        truth, finals[r], sampled[r], wall[r], deletion_free, first = _replicate(
+            cfg, r, traces, fixed, first
+        )
         truths[r] = truth
         if deletion_free:
             fixed = truth

@@ -1,6 +1,7 @@
 import math
 import random
 import statistics
+from bisect import bisect_left
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -80,42 +81,55 @@ def test_worked_addition_example():
     assert est.estimate() == pytest.approx(2.0)
 
 
-def test_update_count_addition_increment_scale():
+def step_one(est, ev, g) -> None:
+    """Apply one sampled event through ``step``, which then has no coin to
+    draw ahead."""
+    assert est.step((ev,), 0, 1, g) == 1
+
+
+def test_step_addition_increment_scale():
     # d(u)=5 after insert, alpha=0.01, closing node found: +0.5*4/0.01 = 200
-    g = Graph.from_edges([(0, 9), (0, 2), (0, 3), (0, 4), (0, 5), (9, 2)])
-    est = EsdEstimator(0.01, rng=ScriptedRng(randranges=[0]))
+    g = Graph.from_edges([(0, 9), (0, 2), (0, 3), (0, 4), (0, 5), (9, 2), (9, 7)])
+    rng = ScriptedRng(randranges=[0, 1])
+    est = EsdEstimator(0.01, rng=rng)
     # candidates of 0 excluding 9 are [2,3,4,5]; scripted pick lands on 2,
-    # which is a neighbor of 9
-    est.update_count(0, 9, 1, g)
+    # which is a neighbor of 9; 9's probe picks 7 from [2, 7], which is not
+    # a neighbor of 0
+    step_one(est, EdgeEvent(0, 9, 1), g)
     assert est.estimate() == pytest.approx(200.0)
+    assert rng._randranges == []
 
 
-def test_update_count_deletion_decrement_scale():
+def test_step_deletion_decrement_scale():
     # d(u)=4 after delete, alpha=0.1, closing node found: -0.5*4/0.1 = -20
-    g = Graph.from_edges([(0, 1), (0, 2), (0, 3), (0, 4), (1, 9)])
+    g = Graph.from_edges([(0, 1), (0, 2), (0, 3), (0, 4), (1, 9), (8, 9)])
     g.add_edge(0, 9)
     g.delete_edge(0, 9)
-    est = EsdEstimator(0.1, rng=ScriptedRng(randranges=[0]))
-    # Γ(0) = [1,2,3,4]; pick 1, which is a neighbor of 9
-    est.update_count(0, 9, -1, g)
+    rng = ScriptedRng(randranges=[0, 1])
+    est = EsdEstimator(0.1, rng=rng)
+    # Γ(0) = [1,2,3,4]; pick 1, which is a neighbor of 9; 9's probe picks 8
+    # from [1, 8], which is not a neighbor of 0
+    step_one(est, EdgeEvent(0, 9, -1), g)
     assert est.estimate() == pytest.approx(-20.0)
+    assert rng._randranges == []
 
 
-def test_update_count_deletion_empty_neighborhood_noop():
+def test_step_deletion_empty_neighborhood_noop():
     g = Graph.from_edges([(1, 2)])
     g.delete_edge(1, 2)
     est = EsdEstimator(0.5, rng=ScriptedRng())
-    est.update_count(1, 2, -1, g)
+    step_one(est, EdgeEvent(1, 2, -1), g)
     assert est.estimate() == 0.0
 
 
 @pytest.mark.parametrize("d", [1, 2, 255, 256, 257, 4096, 4097])
 def test_probe_picks_the_candidate_randrange_draws(d):
     # Γ(0)∖{v} holds d candidates with v's slot in their middle, and one
-    # candidate, the target, is also a neighbor of v: the estimate moves
-    # exactly when randrange(d) lands on it, and the draws leave the rng
-    # where randrange leaves it (a d of 2**m or 2**m + 1 rejects about half
-    # of its draws)
+    # candidate, the target, is also a neighbor of v: 0's probe moves the
+    # estimate exactly when randrange(d) lands on it, and the draws leave
+    # the rng where randrange leaves it (a d of 2**m or 2**m + 1 rejects
+    # about half of its draws).  v's probe then has the target as its one
+    # candidate, which closes, so it adds 0.5 and draws randrange(1)
     v = d // 2 + 1
     cands = [x for x in range(1, d + 2) if x != v]
     g = Graph.from_edges([(0, x) for x in range(1, d + 2)])
@@ -123,15 +137,59 @@ def test_probe_picks_the_candidate_randrange_draws(d):
     for seed in range(200):
         ref = random.Random(seed)
         pick = ref.randrange(d)
+        ref.randrange(1)
         target = (pick + seed % 2) % d  # the pick on even seeds, its successor on odd ones
         g.add_edge(v, cands[target])
         est = EsdEstimator(1.0, rng=random.Random(seed))
-        est.update_count(0, v, 1, g)
+        step_one(est, EdgeEvent(0, v, 1), g)
         g.delete_edge(v, cands[target])
-        assert est.estimate() == (0.5 * d if pick == target else 0.0)
+        assert est.estimate() == (0.5 * d if pick == target else 0.0) + 0.5
         assert est.rng.getstate() == ref.getstate()
         hits += pick == target
     assert hits == (200 if d == 1 else 100)
+
+
+def neighbors_around(n, offset):
+    """n neighbors for node 20 or 21: about half below 20 and the rest
+    above 21, so the other endpoint's slot sits inside the list."""
+    low = n // 2
+    return [offset + 2 * k for k in range(low)] + [40 + offset + 2 * k for k in range(n - low)]
+
+
+@pytest.mark.parametrize("n_u, n_v", [(3, 6), (6, 3), (4, 4), (5, 5)])
+@pytest.mark.parametrize("beta, present", [(1, False), (1, True), (-1, True), (-1, False)])
+def test_step_presence_test_matches_randrange_picks(n_u, n_v, beta, present):
+    # step tests once whether (u, v) is in the store, by bisecting the
+    # shorter of Γ(u) and Γ(v), here u's, v's or a tie, and then probes
+    # both endpoints.  Fed before or after the store applies an
+    # addition or a deletion, each probe must pick what randrange(d) picks
+    # from Γ(a)∖{b}, move the estimate by the same increments and leave the
+    # rng where randrange leaves it, for picks just below, at and above b's
+    # slot s in Γ(a)
+    u, v = 20, 21
+    nbrs = {u: neighbors_around(n_u, 0), v: neighbors_around(n_v, 2)}
+    g = Graph.from_edges([(a, w) for a in (u, v) for w in nbrs[a]] + [(u, v)] * present)
+    slot = {a: bisect_left(g.adjacency(a), b) for a, b in ((u, v), (v, u))}
+    seen = {u: set(), v: set()}
+    closes = set()
+    for seed in range(300):
+        ref = random.Random(seed)
+        t_est = 0.0
+        for a, b in ((u, v), (v, u)):
+            cands = [w for w in g.adjacency(a) if w != b]
+            j = ref.randrange(len(cands))
+            seen[a].add(j - slot[a])
+            closed = g.has_edge(cands[j], b)
+            closes.add(closed)
+            if closed:
+                t_est += beta * 0.5 * len(cands) / 1.0
+        est = EsdEstimator(1.0, rng=random.Random(seed))
+        step_one(est, EdgeEvent(u, v, beta), g)
+        assert est.t_est == t_est
+        assert est.rng.getstate() == ref.getstate()
+        assert est.edges_sampled == 1
+    assert all({-1, 0, 1} <= seen[a] for a in (u, v))
+    assert closes == {False, True}
 
 
 def test_add_then_delete_same_closing_edge_nets_zero():
@@ -148,20 +206,22 @@ def test_add_then_delete_same_closing_edge_nets_zero():
 
 
 def expected_event_increment(g, u, v, beta, mode="dynamic"):
-    """Branch enumeration at alpha=1: run update_count once per possible
-    pick from Γ(a)∖{b} in both directions and average the increments."""
+    """Branch enumeration at alpha=1: run ``step`` once per pair of picks,
+    one from Γ(u)∖{v} and one from Γ(v)∖{u}, and average the increments.
+    An endpoint with no candidate draws no pick."""
+    n_u = sum(w != v for w in g.adjacency(u))
+    n_v = sum(w != u for w in g.adjacency(v))
+    picks_u = range(n_u) if n_u else [None]
+    picks_v = range(n_v) if n_v else [None]
     total = 0.0
-    for a, b in ((u, v), (v, u)):
-        n_cand = sum(w != b for w in g.adjacency(a))
-        if n_cand == 0:
-            continue
-        acc = 0.0
-        for j in range(n_cand):
-            est = EsdEstimator(1.0, mode=mode, rng=ScriptedRng(randranges=[j]))
-            est.update_count(a, b, beta, g)
-            acc += est.t_est
-        total += acc / n_cand
-    return total
+    for j_u in picks_u:
+        for j_v in picks_v:
+            rng = ScriptedRng(randranges=[j for j in (j_u, j_v) if j is not None])
+            est = EsdEstimator(1.0, mode=mode, rng=rng)
+            step_one(est, EdgeEvent(u, v, beta), g)
+            assert rng._randranges == []
+            total += est.t_est
+    return total / (len(picks_u) * len(picks_v))
 
 
 def test_expected_increment_equals_edge_triangle_count():
@@ -342,20 +402,30 @@ def test_replay_determinism():
     assert a == b
 
 
-class ClosureRecordingEsd(EsdEstimator):
-    """ESD that also records beta * d for every probe that closes a
-    triangle, so the exact sum of its increments can be formed."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.closing = []
-
-    def update_count(self, u, v, beta, g):
-        before = self.t_est
-        super().update_count(u, v, beta, g)
-        if self.t_est != before:
-            nbrs = g.adjacency(u)
-            self.closing.append(beta * (len(nbrs) - (v in nbrs)))
+def closing_increments(events, alpha, seed):
+    """Re-run ESD's draws for ``events`` from ``random.Random(seed)``
+    without the estimator: a coin per event, and per sampled event one
+    ``randrange`` pick per endpoint over its other neighbors, read after
+    the store applies the event.  Returns beta * d for every pick that
+    closes a triangle, in order, and the float sum ESD accumulates from
+    them."""
+    rng = random.Random(seed)
+    g = Graph()
+    closing = []
+    t_est = 0.0
+    for ev in events:
+        if ev.beta == 1:
+            g.add_edge(ev.u, ev.v)
+        else:
+            g.delete_edge(ev.u, ev.v)
+        if rng.random() >= alpha:
+            continue
+        for a, b in ((ev.u, ev.v), (ev.v, ev.u)):
+            cands = [w for w in g.adjacency(a) if w != b]
+            if cands and g.has_edge(cands[rng.randrange(len(cands))], b):
+                closing.append(ev.beta * len(cands))
+                t_est += ev.beta * 0.5 * len(cands) / alpha
+    return closing, t_est
 
 
 def test_float_estimate_keeps_the_exact_sum_of_its_increments():
@@ -366,9 +436,11 @@ def test_float_estimate_keeps_the_exact_sum_of_its_increments():
     events = StreamSpec("edge-deletion", edges=edges, p_e=0.01, p_d=0.05).realize(34)
     assert any(ev.beta == -1 for ev in events)
     for alpha in (0.05, 0.3):
-        ests = [ClosureRecordingEsd(alpha, seed=35 + i) for i in range(8)]
+        ests = [EsdEstimator(alpha, seed=35 + i) for i in range(8)]
         trisample.replay(events, Graph(), ests)
-        for est in ests:
-            assert any(x < 0 for x in est.closing) and any(x > 0 for x in est.closing)
-            exact = Fraction(sum(est.closing)) * Fraction(est.omega) / Fraction(alpha)
+        for i, est in enumerate(ests):
+            closing, t_est = closing_increments(events, alpha, 35 + i)
+            assert est.t_est == t_est  # the re-run made the estimator's draws
+            assert any(x < 0 for x in closing) and any(x > 0 for x in closing)
+            exact = Fraction(sum(closing)) * Fraction(est.omega) / Fraction(alpha)
             assert abs(Fraction(est.t_est) - exact) <= abs(exact) / 10**12

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from trisample import Graph, read_edge_list, write_edge_list
+from trisample import Graph, StreamSpec, read_edge_list, write_edge_list
 from trisample.cli import main
 
 from helpers import assert_graph_invariants
@@ -169,6 +169,23 @@ def test_edge_list_parse_errors_carry_line_numbers(tmp_path, content, fragment):
     with pytest.raises(ValueError) as err:
         read_edge_list(path)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "edges,message",
+    [
+        ([(1, 2), (3, 3)], "self-loop (3, 3) in edge list"),
+        ([(1, 2), (2, 3), (1, 2)], "duplicate edge (1, 2) in edge list"),
+        ([(4, 2), (2, 4)], "duplicate edge (2, 4) in edge list"),
+    ],
+)
+def test_from_edges_rejects_what_a_stream_spec_rejects(edges, message):
+    # one input policy: the store's builder refuses the pairs that an edge
+    # list fed to a StreamSpec (and so to the CLI) is refused for, alike
+    for build in (Graph.from_edges, lambda e: StreamSpec("permutation", edges=e).realize(0)):
+        with pytest.raises(ValueError) as err:
+            build(edges)
+        assert str(err.value) == message
 
 
 def test_write_edge_list_from_graph_sorted(tmp_path):

@@ -110,6 +110,15 @@ def test_config_validation():
         EstimatorSpec("unknown", 0.5)
 
 
+@pytest.mark.parametrize("capacity", [2.7, 0.5, 0, -3, float("nan"), float("inf")])
+def test_reservoir_capacity_must_be_an_integer_of_at_least_one(capacity):
+    # the summary CSV reports the spec's param, so a capacity the reservoir
+    # would run rounded is refused when the spec is built
+    with pytest.raises(ValueError, match="reservoir capacity"):
+        EstimatorSpec("triest", capacity)
+    assert EstimatorSpec("triest", 3.0).build(0).capacity == 3
+
+
 @pytest.mark.parametrize("stride", [0, -5])
 def test_trace_stride_must_be_positive(stride):
     # the default stride is trace_stride=None; 0 and negatives are errors
@@ -393,7 +402,8 @@ def test_deletion_free_replications_reuse_the_truth(monkeypatch):
     report, _ = run_experiment(
         ExperimentConfig(StreamSpec("events", events=events), [spec], reps, seed=31)
     )
-    assert len(recounted) == reps - 1  # a stream with deletions recounts each time
+    # every replication replays replication 0's events, so none recounts
+    assert recounted == []
     assert report.truth == _set_recount(_final_edges(events))
 
 

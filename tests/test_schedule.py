@@ -1,5 +1,5 @@
 """The replay schedule: ``replay`` drives every estimator through ``skip``
-and ``act`` and must leave it exactly where feeding it every event through
+and ``step`` and must leave it exactly where feeding it every event through
 ``process`` (baselines) or ``process_event`` (ESD) does, with the same
 random draws and the same trace rows; its running truth must match a
 recount after every event.  ESD itself must end in the same state whether
