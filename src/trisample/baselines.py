@@ -101,9 +101,10 @@ class TriestEstimator:
     """
 
     def __init__(self, capacity: int, seed: int = 0):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
+        # 3.0 runs as 3 slots; 2.7, 0, nan and inf are refused
+        if not (capacity >= 1 and float(capacity).is_integer()):
+            raise ValueError(f"reservoir capacity must be an integer >= 1, got {capacity}")
+        self.capacity = int(capacity)
         self.rng = random.Random(seed)
         self.sample = Graph()
         self._edges: list[tuple[int, int]] = []  # reservoir slots

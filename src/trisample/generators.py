@@ -1,9 +1,11 @@
 """Synthetic graphs: Erdős–Rényi seeds and preferential-attachment growth.
 
-Preferential attachment keeps one weight array for the whole growth: each
-new node costs one sequential prefix sum over the existing nodes' weights,
-plus weight updates for the k + 1 nodes it touches (its k targets and
-itself).
+Preferential attachment keeps one weight array for the whole growth and the
+degrees in a Python list.  Each new node costs a fixed handful of numpy
+calls, whatever the graph's size: one sequential prefix sum over the
+existing nodes' weights (native code, linear in their number), one search
+per round of picks, and one power over the k + 1 nodes it touches (its k
+targets and itself); plus k store inserts.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ def _pick_distinct(w: np.ndarray, cum: np.ndarray, k: int, rng) -> list[int]:
     attempts_left = 200 * k + 200
     rand = rng.random
     while len(picked) < k:
-        total = cum[-1]
+        total = float(cum[-1])
         if total <= 0.0:
             idx = rng.randrange(m)
             if idx not in chosen:
@@ -132,7 +134,7 @@ def _pick_distinct(w: np.ndarray, cum: np.ndarray, k: int, rng) -> list[int]:
             continue
         draws = min(k - len(picked), attempts_left)
         attempts_left -= draws
-        coins = np.array([rand() for _ in range(draws)]) * total
+        coins = [rand() * total for _ in range(draws)]
         for idx in cum.searchsorted(coins, side="right").tolist():
             if idx == m:  # float rounding pushed the coin onto the total
                 idx = _last_positive(cum)
@@ -150,28 +152,34 @@ def ba_graph(cfg: BaConfig) -> Graph:
     result is simple with exactly seed edges plus
     (n_total - seed_nodes) * edges_per_new_node grown edges.
 
-    The weights live in one array for the whole growth.  Per new node the
-    cost is one sequential running sum over the existing nodes plus the
-    weights of the k + 1 touched nodes (its targets and itself), each
-    recomputed with the same ``np.power`` call, so every weight and sum is
-    bitwise what recomputing them all would give.
+    Per new node the cost is one ``np.add.accumulate`` running sum over the
+    existing nodes' weights, one ``searchsorted`` per round of picks, k
+    ``Graph.add_edge`` calls and one ``np.power`` over the k + 1 touched
+    degrees (its targets, then itself) written back into the weight array.
+    Each weight is recomputed by the same ``np.power`` call on the same
+    values, so every weight and sum is bitwise what recomputing them all
+    would give.
     """
     g = er_graph(cfg.seed_nodes, cfg.seed_edge_prob, derive_seed(cfg.seed, "er-seed"))
     rng = random.Random(derive_seed(cfg.seed, "attach"))
     k = cfg.edges_per_new_node
-    degrees = np.zeros(cfg.n_total, dtype=np.float64)
+    gamma = cfg.gamma
+    degrees = [0.0] * cfg.n_total
     for u in range(cfg.seed_nodes):
-        degrees[u] = g.degree(u)
-    w = np.power(degrees, cfg.gamma)  # 0**0 == 1, so gamma=0 is uniform
+        degrees[u] = float(g.degree(u))
+    w = np.power(degrees, gamma)  # 0**0 == 1, so gamma=0 is uniform
     cum = np.empty_like(w)
+    accumulate = np.add.accumulate
+    add_edge = g.add_edge
     for new in range(cfg.seed_nodes, cfg.n_total):
-        targets = _pick_distinct(w[:new], np.cumsum(w[:new], out=cum[:new]), k, rng)
+        head = w[:new]
+        targets = _pick_distinct(head, accumulate(head, out=cum[:new]), k, rng)
         for t in targets:  # the first add_edge inserts ``new`` itself
-            g.add_edge(new, t)
-        degrees[targets] += 1.0
+            add_edge(new, t)
+            degrees[t] += 1.0
         degrees[new] = float(k)
         touched = targets + [new]
-        w[touched] = np.power(degrees[touched], cfg.gamma)
+        w[touched] = np.power([degrees[t] for t in touched], gamma)
     return g
 
 

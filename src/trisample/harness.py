@@ -95,9 +95,10 @@ class EstimatorSpec:
     def __post_init__(self):
         if self.kind not in ("esd", "doulion", "triest"):
             raise ValueError(f"unknown estimator kind {self.kind!r}")
-        # build() truncates param to an int, and the CSV reports param as given
-        if self.kind == "triest" and not (self.param >= 1 and float(self.param).is_integer()):
-            raise ValueError(f"reservoir capacity must be an integer >= 1, got {self.param}")
+        # the CSV reports param as given, so the reservoir's constructor
+        # refuses, before any replication, a capacity it would not run as given
+        if self.kind == "triest":
+            TriestEstimator(self.param)
 
     @property
     def name(self) -> str:
@@ -108,7 +109,7 @@ class EstimatorSpec:
             return EsdEstimator(self.param, seed=seed)
         if self.kind == "doulion":
             return DoulionEstimator(self.param, seed=seed)
-        return TriestEstimator(int(self.param), seed=seed)
+        return TriestEstimator(self.param, seed=seed)
 
 
 @dataclass

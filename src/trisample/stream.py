@@ -31,6 +31,25 @@ class EdgeEvent:
             raise ValueError(f"beta must be +1 or -1, got {self.beta}")
 
 
+_new_event = object.__new__
+_set_u, _set_v, _set_beta = EdgeEvent.u.__set__, EdgeEvent.v.__set__, EdgeEvent.beta.__set__
+
+
+def _events(pairs, beta: int) -> list[EdgeEvent]:
+    """One event of sign ``beta`` per pair of ``pairs``, already checked to
+    be distinct endpoints: the fields are set through the slots, so
+    ``EdgeEvent``'s checks do not run a second time."""
+    out = []
+    append = out.append
+    for u, v in pairs:
+        ev = _new_event(EdgeEvent)
+        _set_u(ev, u)
+        _set_v(ev, v)
+        _set_beta(ev, beta)
+        append(ev)
+    return out
+
+
 def _canonical(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
@@ -113,7 +132,7 @@ def _generate(additions, p_e: float, victims, p_d: float, seed: int) -> list[Edg
             batch = []
             gone = victims(present, p_d, rng)
             if gone:
-                events += [EdgeEvent(u, v, -1) for u, v in gone]
+                events += _events(gone, -1)
                 dead = set(gone)
                 present = [e for e in present if e not in dead]
     return events
@@ -131,8 +150,8 @@ def snapshot_diffs(snapshots) -> list[EdgeEvent]:
     prev: set[tuple[int, int]] = set()
     for snap in snapshots:
         cur = set(_check_simple(snap))
-        events += [EdgeEvent(u, v, -1) for u, v in sorted(prev - cur)]
-        events += [EdgeEvent(u, v, 1) for u, v in sorted(cur - prev)]
+        events += _events(sorted(prev - cur), -1)
+        events += _events(sorted(cur - prev), 1)
         prev = cur
     return events
 
@@ -273,7 +292,7 @@ class StreamSpec:
         events for the events kind."""
         if self.kind == "events":
             return list(self.events)
-        return [EdgeEvent(u, v, 1) for u, v in _check_simple(self.edges)]
+        return _events(_check_simple(self.edges), 1)
 
     def realize(self, seed: int) -> list[EdgeEvent]:
         if self._base is None:

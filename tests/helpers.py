@@ -1,8 +1,11 @@
 """Shared test utilities: independent oracles and a scripted RNG."""
 
+import random
 from itertools import combinations
 
-from trisample import Graph
+import numpy as np
+
+from trisample import Graph, derive_seed, er_graph
 
 
 def brute_force_triangles(g: Graph) -> int:
@@ -73,3 +76,65 @@ class ScriptedRng:
         v = self._randranges.pop(0)
         assert 0 <= v < 2**k, f"scripted value {v} does not fit in {k} bits"
         return v
+
+
+def _reference_pick_distinct(w, cum, k, rng) -> list[int]:
+    """Rounds of cumulative-weight inversion with rejection of repeats, a
+    rebuild of the running sum without the picked indices when rejection
+    stalls, and uniform picks once every remaining weight is zero."""
+    m = len(w)
+    if m < k:
+        raise ValueError(f"cannot attach {k} edges among {m} existing nodes")
+    picked: list[int] = []
+    chosen: set[int] = set()
+    attempts_left = 200 * k + 200
+    while len(picked) < k:
+        total = cum[-1]
+        if total <= 0.0:
+            idx = rng.randrange(m)
+            if idx not in chosen:
+                picked.append(idx)
+                chosen.add(idx)
+            continue
+        if attempts_left <= 0:
+            w = w.copy()
+            w[list(chosen)] = 0.0
+            cum = np.cumsum(w)
+            attempts_left = 200 * k + 200
+            continue
+        draws = min(k - len(picked), attempts_left)
+        attempts_left -= draws
+        coins = np.array([rng.random() for _ in range(draws)]) * total
+        for idx in cum.searchsorted(coins, side="right").tolist():
+            if idx == m:  # float rounding pushed the coin onto the total
+                idx = len(cum) - 1
+                while idx > 0 and cum[idx] == cum[idx - 1]:
+                    idx -= 1
+            if idx not in chosen:
+                picked.append(idx)
+                chosen.add(idx)
+    return picked
+
+
+def reference_ba_graph(cfg) -> Graph:
+    """Per-node ``ba_graph`` reference: degrees and weights in numpy arrays,
+    one ``np.cumsum`` per new node, numpy fancy indexing for the degree and
+    weight updates.  ``ba_graph`` must grow the same graph, node order and
+    neighbor order included, for every config."""
+    g = er_graph(cfg.seed_nodes, cfg.seed_edge_prob, derive_seed(cfg.seed, "er-seed"))
+    rng = random.Random(derive_seed(cfg.seed, "attach"))
+    k = cfg.edges_per_new_node
+    degrees = np.zeros(cfg.n_total, dtype=np.float64)
+    for u in range(cfg.seed_nodes):
+        degrees[u] = g.degree(u)
+    w = np.power(degrees, cfg.gamma)
+    cum = np.empty_like(w)
+    for new in range(cfg.seed_nodes, cfg.n_total):
+        targets = _reference_pick_distinct(w[:new], np.cumsum(w[:new], out=cum[:new]), k, rng)
+        for t in targets:
+            g.add_edge(new, t)
+        degrees[targets] += 1.0
+        degrees[new] = float(k)
+        touched = targets + [new]
+        w[touched] = np.power(degrees[touched], cfg.gamma)
+    return g

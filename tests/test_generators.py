@@ -5,8 +5,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trisample import (
+    BA_PRESETS,
     BaConfig,
     Graph,
     ba_graph,
@@ -17,7 +20,7 @@ from trisample import (
 )
 from trisample.generators import _pick_distinct
 
-from helpers import assert_graph_invariants, complete_graph_edges
+from helpers import assert_graph_invariants, complete_graph_edges, reference_ba_graph
 
 
 def test_er_graph_extremes():
@@ -115,6 +118,59 @@ BA_GOLDEN = [
 def test_ba_graph_golden_edges(cfg, digest):
     edges = sorted(ba_graph(cfg).edges())
     assert hashlib.sha256(repr(edges).encode()).hexdigest() == digest
+
+
+def _sha(x) -> str:
+    return hashlib.sha256(repr(x).encode()).hexdigest()
+
+
+# sha256 of repr(list(g.nodes())) and of repr(list(g.edges())), unsorted:
+# the order a StreamSpec built from ``g.edges()`` receives its edges in.
+# Recorded when degrees and weights were numpy arrays updated per node.
+BA_ORDER_GOLDEN = [
+    (BA_GOLDEN[0][0], "edd6c0024ff499a09e180e0cf8d1acdee66f285b5544a28346b6e74c5ffa0710", "eecb745579178aac22768e37905cd6e9ff31aa0ffc7ef6ed710ff4988834649c"),
+    (BA_GOLDEN[1][0], "edd6c0024ff499a09e180e0cf8d1acdee66f285b5544a28346b6e74c5ffa0710", "0509be7f71791766d7e7509b97847f52e4d4cf052c9992f922c8edadbfa99ede"),
+    (BA_GOLDEN[2][0], "edd6c0024ff499a09e180e0cf8d1acdee66f285b5544a28346b6e74c5ffa0710", "03f215e2dcf853b2af4b6282b9011f9ee0f4462778efe8114641ce947d6e81df"),
+    (BA_GOLDEN[3][0], "edd6c0024ff499a09e180e0cf8d1acdee66f285b5544a28346b6e74c5ffa0710", "5e600ae9262e158435d8760666a6edde2e2746cd7a7a9e2e1765abbdd6b7ca44"),
+    (BA_GOLDEN[4][0], "48f4454773a3144f04ee4b93781982309e8f9a20467f5f18ac413df7e17ff4fd", "2ed4bcaffdbcb034d4b0b291e928214bbc8c80189fb2977c5139b7de5b008ceb"),
+    (BA_GOLDEN[5][0], "2d0f2158e924e7b2523220ddd9d9fe2ebbb42e7ecb1394580c9b93c3f225d6d6", "95ab9f10855efcf4d0ad19bd8062a608fb0c6e0738810ba9c04b5fad07aabf5d"),
+    # the perm-ba20k benchmark graph: 199,509 edges, hub degree about 15.5k
+    (BA_PRESETS["ba1"], "8bf40514cfc6e9593259f4db0904e65efe222c36718de567e968f25643fa97ad", "1438d791e36f4d534aaaaf92a1d3c46f97b8ab660af371852e84bfed1d363679"),
+]
+
+
+@pytest.mark.parametrize("cfg,nodes_digest,edges_digest", BA_ORDER_GOLDEN)
+def test_ba_graph_golden_node_and_edge_order(cfg, nodes_digest, edges_digest):
+    g = ba_graph(cfg)
+    assert _sha(list(g.nodes())) == nodes_digest
+    assert _sha(list(g.edges())) == edges_digest
+
+
+@st.composite
+def small_ba_configs(draw):
+    k = draw(st.integers(1, 6))
+    seed_nodes = draw(st.integers(k, 20))
+    return BaConfig(
+        n_total=draw(st.integers(seed_nodes, 80)),
+        seed_nodes=seed_nodes,
+        seed_edge_prob=draw(st.floats(0.0, 1.0)),
+        edges_per_new_node=k,
+        gamma=draw(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=small_ba_configs())
+# every seed weight zero: the first picks fall back to uniform
+@example(cfg=BaConfig(30, 5, 0.0, 3, 1.5, seed=1))
+# one seed edge, four picks: rejection stalls on its two endpoints, the
+# rebuilt running sum is all zero and the last two picks are uniform
+@example(cfg=BaConfig(30, 6, 0.1, 4, 1.0, seed=0))
+def test_ba_graph_matches_the_per_node_reference(cfg):
+    g, ref = ba_graph(cfg), reference_ba_graph(cfg)
+    assert list(g.nodes()) == list(ref.nodes())
+    assert list(g.edges()) == list(ref.edges())
 
 
 def test_attachment_uniform_when_gamma_zero():

@@ -15,6 +15,7 @@ from trisample import (
     EstimatorSpec,
     ExperimentConfig,
     StreamSpec,
+    TriestEstimator,
     confidence_interval,
     ba_graph,
     derive_seed,
@@ -113,10 +114,14 @@ def test_config_validation():
 @pytest.mark.parametrize("capacity", [2.7, 0.5, 0, -3, float("nan"), float("inf")])
 def test_reservoir_capacity_must_be_an_integer_of_at_least_one(capacity):
     # the summary CSV reports the spec's param, so a capacity the reservoir
-    # would run rounded is refused when the spec is built
+    # would run rounded is refused when the spec is built; the reservoir's
+    # own constructor applies the same rule
     with pytest.raises(ValueError, match="reservoir capacity"):
         EstimatorSpec("triest", capacity)
+    with pytest.raises(ValueError, match="reservoir capacity"):
+        TriestEstimator(capacity)
     assert EstimatorSpec("triest", 3.0).build(0).capacity == 3
+    assert TriestEstimator(3.0).capacity == 3
 
 
 @pytest.mark.parametrize("stride", [0, -5])

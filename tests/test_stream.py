@@ -34,6 +34,20 @@ def test_edge_event_validation():
     assert (ev.u, ev.v, ev.beta) == (1, 2, -1)
 
 
+def test_spec_events_are_edge_events_like_any_other():
+    # a spec builds its events without re-running EdgeEvent's checks on
+    # pairs it has already validated; they must still be ordinary events
+    spec = StreamSpec("edge-deletion", edges=[(2, 1), (2, 3), (1, 3), (3, 4)], p_e=1.0, p_d=1.0)
+    events = spec.realize(3)
+    assert any(ev.beta == -1 for ev in events)
+    for ev in events:
+        twin = EdgeEvent(ev.u, ev.v, ev.beta)
+        assert type(ev) is EdgeEvent
+        assert ev == twin and hash(ev) == hash(twin) and repr(ev) == repr(twin)
+        with pytest.raises(AttributeError):
+            ev.beta = 1
+
+
 def test_permutation_stream_is_permutation_of_additions():
     events = StreamSpec("permutation", edges=TRIANGLE).realize(5)
     assert len(events) == 3
