@@ -20,6 +20,7 @@ reservoir keeps only a count of live edges, not the edges themselves.
 from __future__ import annotations
 
 import random
+from math import exp, lgamma
 
 from .graph import Graph
 from .oracle import triangles_of_edge
@@ -88,15 +89,17 @@ class DoulionEstimator:
 
 
 class TriestEstimator:
-    """Fixed-capacity edge reservoir with random pairing for deletions.
+    """Fixed-capacity edge reservoir with random pairing for deletions:
+    TRIÈST-FD (De Stefani et al., KDD 2016, Alg. 3).
 
-    Additions fill the reservoir, then replace a uniform member with
-    probability capacity/t.  Deleting a reservoir edge frees a slot and
+    Additions fill the reservoir, then, with no debts outstanding, replace
+    a uniform member with probability capacity/s, s being the live edge
+    count after the addition.  Deleting a reservoir edge frees a slot and
     leaves a "bad" debt that a future insertion compensates; deletions of
     unsampled edges leave "good" debts that swallow future insertions.  The
-    weighted triangle counter tau follows every reservoir mutation, and the
-    estimate rescales tau by the cubic over-counting factor of sampling
-    triangles from s live edges through min(capacity, s) slots.  s is a
+    triangle counter tau follows every reservoir mutation, and the estimate
+    rescales it by s(s-1)(s-2) / (|S|(|S|-1)(|S|-2)) for the |S| edges held,
+    divided by ``kappa``; it is unbiased on fully dynamic streams.  s is a
     count kept from the stream, so the state is O(capacity).
     """
 
@@ -111,7 +114,6 @@ class TriestEstimator:
         self._slot: dict[tuple[int, int], int] = {}
         self._live = 0  # current true-graph edge count
         self.tau = 0
-        self.t_add = 0
         self.c_bad = 0  # uncompensated deletions of reservoir edges
         self.c_good = 0  # uncompensated deletions of unsampled edges
 
@@ -133,20 +135,21 @@ class TriestEstimator:
         """Position of the first event in ``events[start:stop]`` that changes
         the reservoir (``stop`` if none); the others are counted.  An
         addition stops while the reservoir fills, and after that when its
-        coin is won: capacity/t without debts, c_bad/(c_bad + c_good) with
-        them.  A lost coin with debts pays a good one.  A deletion stops
-        on a reservoir edge and otherwise leaves a good debt."""
+        coin is won: capacity/s without debts, s counting the addition,
+        and c_bad/(c_bad + c_good) with them.  A lost coin with debts pays
+        a good one.  A deletion stops on a reservoir edge and otherwise
+        leaves a good debt."""
         rand = self.rng.random
         cap = self.capacity
         slot = self._slot
         filling = len(self._edges) < cap
-        c_bad, c_good, t_add, live = self.c_bad, self.c_good, self.t_add, self._live
+        c_bad, c_good, live = self.c_bad, self.c_good, self._live
         k = stop
         for i in range(start, stop):
             ev = events[i]
             if ev.beta == 1:
                 if c_good == 0 and c_bad == 0:
-                    if filling or rand() < cap / (t_add + 1):
+                    if filling or rand() < cap / (live + 1):
                         k = i
                         break
                 elif rand() < c_bad / (c_bad + c_good):
@@ -154,7 +157,6 @@ class TriestEstimator:
                     break
                 else:
                     c_good -= 1
-                t_add += 1
                 live += 1
             else:
                 u, v = ev.u, ev.v
@@ -163,7 +165,7 @@ class TriestEstimator:
                     break
                 c_good += 1
                 live -= 1
-        self.c_good, self.t_add, self._live = c_good, t_add, live
+        self.c_good, self._live = c_good, live
         return k
 
     def step(self, events, i: int, stop: int, g) -> int:
@@ -174,7 +176,6 @@ class TriestEstimator:
         ev = events[i]
         e = (ev.u, ev.v) if ev.u < ev.v else (ev.v, ev.u)
         if ev.beta == 1:
-            self.t_add += 1
             self._live += 1
             if self.c_bad + self.c_good:
                 self._insert(e)
@@ -190,12 +191,41 @@ class TriestEstimator:
         return self.skip(events, i + 1, stop)
 
     def estimate(self) -> float:
-        s = self._live
-        m = min(self.capacity, s)
+        """tau * s(s-1)(s-2) / (|S|(|S|-1)(|S|-2)) / kappa, and 0 while the
+        reservoir holds fewer than 3 edges.  Without debts kappa is 1 and
+        |S| is min(capacity, s), so on an addition-only stream this is the
+        classic reservoir's estimate."""
+        m = len(self._edges)
         if m < 3:
-            return float(self.tau)
-        rho = max(1.0, s * (s - 1) * (s - 2) / (m * (m - 1) * (m - 2)))
-        return self.tau * rho
+            return 0.0
+        s = self._live
+        return self.tau * (s * (s - 1) * (s - 2) / (m * (m - 1) * (m - 2))) / self.kappa()
+
+    def kappa(self) -> float:
+        """TRIÈST-FD's kappa = 1 - sum over j = 0..2 of C(s, j) C(d, w - j)
+        / C(s + d, w), with d = c_bad + c_good debts and w = min(capacity,
+        s + d): the chance that w slots drawn from s live edges and d debts
+        hold at least 3 live edges.  It is exactly 1 without debts (once
+        w >= 3) and 0 below 3 live edges.  Otherwise the binomials go
+        through ``lgamma``; a kappa under 1/2 is summed over j >= 3
+        instead, so that it keeps its digits."""
+        s = self._live
+        d = self.c_bad + self.c_good
+        w = min(self.capacity, s + d)
+        fewest, most = max(0, w - d), min(s, w)  # live edges the w slots can hold
+        if most < 3:
+            return 0.0
+        if fewest >= 3:
+            return 1.0
+        total = _log_comb(s + d, w)
+
+        def p(j):
+            return exp(_log_comb(s, j) + _log_comb(d, w - j) - total)
+
+        below = sum(map(p, range(fewest, 3)))
+        if below <= 0.5:
+            return 1.0 - below
+        return sum(map(p, range(3, most + 1)))
 
     # ------------------------------------------------------------------
     # reservoir plumbing; tau counts triangles whose three edges are all in
@@ -225,3 +255,8 @@ class TriestEstimator:
         self._slot[e] = idx
         self.sample.add_edge(*e)
         self.tau += triangles_of_edge(self.sample, *e)
+
+
+def _log_comb(n: int, k: int) -> float:
+    """ln C(n, k) for 0 <= k <= n."""
+    return lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)

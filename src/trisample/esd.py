@@ -23,6 +23,11 @@ won one.  A replay driver calls it once per sampled event, with the same
 random draws, in the same order, as ``process_event`` on every event.
 Like the baselines, it assumes a consistent stream (no duplicate
 addition, no absent deletion); the driver rejects any other.
+
+``step`` reads either a mutable ``Graph`` or an ``ArrivalOrder``, the final
+graph of a deletion-free stream indexed by arrival.  On the index, Γ(a) is
+the slots of a's final row that arrived before the event, so d, the draws
+and the picked node are those of the mutated store.
 """
 
 from __future__ import annotations
@@ -30,6 +35,9 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 
+import numpy as np
+
+from .graph import ArrivalOrder
 from .stream import EdgeEvent
 
 OMEGA_DYNAMIC = 0.5  # a new triangle is observable via 2 tuples of its closing edge
@@ -118,8 +126,11 @@ class EsdEstimator:
         ``rng.getrandbits`` with the same draws, so a replay is
         deterministic from the seed.  The picked node w closes a triangle
         when (w, b) is an edge, found by bisecting the shorter of Γ(w) and
-        Γ(b), as ``Graph.has_edge`` does.
+        Γ(b), as ``Graph.has_edge`` does.  On an ``ArrivalOrder`` the same
+        sets come from the index (see ``_step_arrived``).
         """
+        if type(g) is ArrivalOrder:
+            return self._step_arrived(events, i, stop, g)
         ev = events[i]
         u, v, beta = ev.u, ev.v, ev.beta
         self.edges_sampled += 1
@@ -170,6 +181,32 @@ class EsdEstimator:
             if rand() < alpha:
                 return k
         return stop
+
+    def _step_arrived(self, events, i: int, stop: int, g: ArrivalOrder) -> int:
+        """``step`` on the arrival index; u probes first, then v.
+
+        Γ(a)∖{b} on the store is a's final neighbors that arrived before
+        ``i`` (b's own edge arrives at ``i``), in id order: a mask over a's
+        row, O(d) numpy work.  So d is the store's, the index draw is the
+        store's, and the j-th set slot is the node the store's Γ(a)[j] (past
+        b's slot) picks.  That node w closes a triangle when (w, b) arrived
+        before ``i``, which is when the store holds it.
+        """
+        ev = events[i]
+        self.edges_sampled += 1
+        bits = self.rng.getrandbits
+        for a, b in ((ev.u, ev.v), (ev.v, ev.u)):
+            row, arrival = g.slots(a)
+            before = arrival < i
+            d = int(np.count_nonzero(before))
+            if d > 0:
+                k = d.bit_length()
+                j = bits(k)
+                while j >= d:
+                    j = bits(k)
+                if g.arrived(row[before.nonzero()[0][j]], b, i):
+                    self.t_est += ev.beta * self.omega * d / self._alpha
+        return self.skip(events, i + 1, stop)
 
     def process_static(self, edge, g) -> None:
         """Static variant: ``g`` is the whole graph and the stream delivers

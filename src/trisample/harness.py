@@ -1,27 +1,40 @@
 """Experiment runner: replicated stream replays, accuracy metrics and CSV
 emission for estimator comparisons.
 
-Each replication realizes the stream and hands it to ``replay``, which
-drives one shared graph store and every configured estimator; metrics
+Each replication realizes the stream and feeds fresh estimators; metrics
 aggregate the final estimates against the exact ground truth.  ``replay``
-is public and is the one function that applies a stream to a graph store
-(the CLI's ``exact --stream`` uses it too), so it is also the one place
-that rejects an inconsistent stream, which the estimators rely on.  It
-drives the sampling estimator and both baselines through one protocol:
-each draws its coins ahead (``skip``), up to the next event it must act
-on, and is called there once (``step``) to apply that event and draw
-ahead again; its random draws and results are the same as when it is fed
-every event.  The incremental exact tracker runs only on replication 0,
-the one whose running truth goes into the trace.  Every deletion-free
-realization of one stream spec ends on the same graph (a generated stream
-adds each input edge once, and the ``events`` kind replays one stream for
-every seed), so the first such replication's truth serves every later
-one.  A replication with deletions whose events equal replication 0's
-(an ``events`` stream replays the same list) reuses replication 0's
-truth; any other recounts its own final graph once, which costs far less
-than following each event.  Reports are a pure function of the config:
-per-estimator wall-clock stays 0.0 unless timing is explicitly enabled,
-since measured times would break byte-identical output.
+is public and is the one function that applies a stream to a mutable
+graph store (the CLI's ``exact --stream`` uses it too), so it is also the
+one place that rejects an inconsistent stream, which the estimators rely
+on.  It drives the sampling estimator and both baselines through one
+protocol: each draws its coins ahead (``skip``), up to the next event it
+must act on, and is called there once (``step``) to apply that event and
+draw ahead again; its random draws and results are the same as when it is
+fed every event.
+
+Which replications mutate a store: replication 0 always does, through
+``replay`` with the incremental exact tracker, whose running truth goes
+into the trace.  So does every replication of a stream whose replication 0
+had deletions, and every replication that is not made of replication 0's
+event objects.  When replication 0 ends deletion-free, its store is kept
+and indexed by arrival (``TimeIndexedGraph``), and a later replication made
+of exactly those objects, each once, runs each estimator over the index
+with no store of its own.  Such a replication adds every final edge once,
+so it is consistent and ends on replication 0's graph.  Its draws are the
+store path's: the neighbors of a node before event i are the slots of its
+final row that arrived before i, in id order, which is the list the store
+holds at that point, so ESD's d, its index draws, the node it picks and
+its closure test are the same, and the baselines never read a store.
+
+Every deletion-free realization of one stream spec ends on the same graph
+(a generated stream adds each input edge once, and the ``events`` kind
+replays one stream for every seed), so the first such replication's truth
+serves every later one.  A replication with deletions whose events equal
+replication 0's (an ``events`` stream replays the same list) reuses
+replication 0's truth; any other recounts its own final graph once, which
+costs far less than following each event.  Reports are a pure function of
+the config: per-estimator wall-clock stays 0.0 unless timing is explicitly
+enabled, since measured times would break byte-identical output.
 """
 
 from __future__ import annotations
@@ -36,7 +49,7 @@ import numpy as np
 
 from .baselines import DoulionEstimator, TriestEstimator
 from .esd import EsdEstimator
-from .graph import Graph
+from .graph import Graph, TimeIndexedGraph
 from .oracle import ExactTracker, exact_triangles
 from .seeding import derive_seed
 from .stream import StreamSpec
@@ -182,6 +195,10 @@ def replay(events, g, ests=(), tracker=None, stride=None, wall=None) -> list:
     end; without one, returns ``[]``.  With a ``wall`` list, each estimator's
     time is added to ``wall[j]``.
 
+    ``g`` is a mutable store, and ``replay`` mutates it: ``run_experiment``
+    calls it on replication 0 and on every replication the arrival index
+    does not serve (see the module docstring).
+
     Every estimator is driven by one schedule, ``due``, which files it
     under the position of the next event it must act on.  There its
     ``step`` runs once the graph reflects the event: it applies the event
@@ -235,22 +252,50 @@ def replay(events, g, ests=(), tracker=None, stride=None, wall=None) -> list:
     return rows
 
 
-def _replicate(cfg: ExperimentConfig, r: int, traces: list, fixed: int | None, first):
-    """Replay replication ``r``: realize its stream, drive a fresh graph
-    store and estimators, and on replication 0 also the exact tracker,
-    whose running count goes into the trace rows.
+@dataclass
+class _Reuse:
+    """What later replications of one ``run_experiment`` call take from
+    earlier ones."""
 
-    Returns (truth, final estimates, edges sampled, wall seconds, whether
-    the replication was deletion-free, ``first``).  ``first`` is replication
-    0's events and truth when it had deletions, else None; replication 0
-    sets it.  The truth is the tracker's count on replication 0, ``fixed``
-    (an earlier deletion-free replication's truth, if any) on a later
-    deletion-free one, ``first``'s truth when the events equal ``first``'s,
-    and otherwise a recount of the final graph.  ``replay`` keeps the
-    stream consistent, so the store ends with one edge per event exactly
-    when nothing was deleted.  Every other per-replication object is local,
-    so the stream, graph and estimator state are freed before the next
-    replication is realized.
+    fixed: int | None = None  # the truth of the graph every deletion-free replication ends on
+    first: tuple | None = None  # replication 0's events and truth, when it had deletions
+    index: TimeIndexedGraph | None = None  # replication 0's store, when it was deletion-free
+
+
+def _drive(ests, events, g, wall) -> None:
+    """Run each estimator over all of ``events`` on its own: ``skip`` from
+    the start, then ``step`` at each event it acts on.  ``g`` must show the
+    graph as of each event, as an ``ArrivalOrder`` does."""
+    last = len(events)
+    for j, est in enumerate(ests):
+        step, skip = est.step, est.skip
+        if wall is not None:
+            step, skip = _timed(step, wall, j), _timed(skip, wall, j)
+        k = skip(events, 0, last)
+        while k < last:
+            k = step(events, k, last, g)
+
+
+def _replicate(cfg: ExperimentConfig, r: int, traces: list, reuse: _Reuse):
+    """Replay replication ``r``: realize its stream and feed fresh
+    estimators; returns (truth, final estimates, edges sampled, wall
+    seconds).
+
+    Replication 0 drives a fresh store through ``replay`` with the exact
+    tracker, whose running count goes into the trace rows.  When it ends
+    deletion-free (``replay`` keeps the stream consistent, so the store
+    ends with one edge per event exactly when nothing was deleted) and more
+    replications follow, its store and events are kept as a
+    ``TimeIndexedGraph``, whose arrays the next replication builds, on its
+    own time.  A later replication made of exactly those event objects, each
+    once, ends on the same graph and needs no store:
+    each estimator runs over the ``ArrivalOrder`` on its own, and its truth
+    is replication 0's.  Every other replication replays into a fresh
+    store, and its truth is ``reuse.fixed`` when it is deletion-free and an
+    earlier one was, ``reuse.first``'s truth when its events equal
+    replication 0's, and otherwise a recount of its final graph.  The rest
+    is local, so the stream, store and estimators of a replication are
+    freed before the next one is realized.
     """
     events = cfg.stream.realize(derive_seed(cfg.seed, "stream", r))
     ests = [
@@ -258,9 +303,13 @@ def _replicate(cfg: ExperimentConfig, r: int, traces: list, fixed: int | None, f
         for i, spec in enumerate(cfg.estimators)
     ]
     wall = [0.0] * len(ests)
+    timed = wall if cfg.timing else None
+    order = reuse.index.ordered(events) if reuse.index is not None else None
+    if order is not None:
+        _drive(ests, events, order, timed)
+        return reuse.fixed, [e.estimate() for e in ests], [e.edges_sampled for e in ests], wall
     g = Graph()
     tracker = ExactTracker() if r == 0 else None
-    timed = wall if cfg.timing else None
     for stop, truth, estimates in replay(events, g, ests, tracker, cfg.trace_stride, timed):
         traces.extend((stop, truth, spec.name, est) for spec, est in zip(cfg.estimators, estimates))
     finals = [est.estimate() for est in ests]
@@ -269,17 +318,24 @@ def _replicate(cfg: ExperimentConfig, r: int, traces: list, fixed: int | None, f
     if tracker is not None:
         truth = tracker.count
         if not deletion_free:
-            first = (events, truth)
-    elif deletion_free and fixed is not None:
-        truth = fixed
-    elif first is not None and events == first[0]:
-        truth = first[1]
+            reuse.first = (events, truth)
+        elif cfg.replications > 1:
+            try:
+                reuse.index = TimeIndexedGraph(g, events)
+            except OverflowError:  # a node id beyond int64: every replication keeps a store
+                pass
+    elif deletion_free and reuse.fixed is not None:
+        truth = reuse.fixed
+    elif reuse.first is not None and events == reuse.first[0]:
+        truth = reuse.first[1]
     else:
         # Free the stream and the estimators before the recount allocates;
         # the bound methods and the schedule that held them died with replay.
         events = ests = None
         truth = exact_triangles(g)
-    return truth, finals, sampled, wall, deletion_free, first
+    if deletion_free:
+        reuse.fixed = truth
+    return truth, finals, sampled, wall
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[MetricsReport, list]:
@@ -292,11 +348,14 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[MetricsReport, list]:
     that first replication, which is traced.  Deletion-free realizations of
     one ``StreamSpec`` end on one graph (its input edges, or the final
     graph of an ``events`` stream), so the first deletion-free
-    replication's truth is reused by every later deletion-free one.  A
+    replication's truth is reused by every later deletion-free one, and
+    when replication 0 is deletion-free its final store, indexed by
+    arrival, serves every later replication made of its event objects.  A
     replication with deletions reuses replication 0's truth when its events
     equal replication 0's, and otherwise recounts its final graph; when the
     stream model randomizes deletions the per-replication truths differ and
-    metrics normalize by their mean.
+    metrics normalize by their mean.  Of ``cfg.stream`` only ``realize`` is
+    read.
     """
     n_est = len(cfg.estimators)
     finals = np.zeros((cfg.replications, n_est))
@@ -305,15 +364,9 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[MetricsReport, list]:
     wall = np.zeros((cfg.replications, n_est))
     traces: list[tuple[int, int, str, float]] = []
 
-    fixed = None  # the truth of the graph every deletion-free replication ends on
-    first = None  # replication 0's events and truth, kept only when it had deletions
+    reuse = _Reuse()
     for r in range(cfg.replications):
-        truth, finals[r], sampled[r], wall[r], deletion_free, first = _replicate(
-            cfg, r, traces, fixed, first
-        )
-        truths[r] = truth
-        if deletion_free:
-            fixed = truth
+        truths[r], finals[r], sampled[r], wall[r] = _replicate(cfg, r, traces, reuse)
 
     truth_mean = float(truths.mean())
     rows = []

@@ -55,13 +55,17 @@ def _canonical(u: int, v: int) -> tuple[int, int]:
 
 
 def _check_simple(edges) -> list[tuple[int, int]]:
-    """Canonicalize an edge list, rejecting self-loops and duplicates."""
+    """Canonicalize an edge list, rejecting self-loops and duplicates.  A
+    pair that is already a canonical tuple is kept as given, not copied, so
+    a sorted edge list costs no second set of tuples."""
     out = []
     seen = set()
-    for u, v in edges:
+    for e in edges:
+        u, v = e
         if u == v:
             raise ValueError(f"self-loop ({u}, {v}) in edge list")
-        e = _canonical(u, v)
+        if not (u < v and type(e) is tuple):
+            e = _canonical(u, v)
         if e in seen:
             raise ValueError(f"duplicate edge {e} in edge list")
         seen.add(e)

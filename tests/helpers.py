@@ -60,6 +60,21 @@ def replay(events, g=None):
     return g
 
 
+def state(est):
+    """Everything an estimator carries from one event to the next."""
+    s = {
+        "estimate": est.estimate(),
+        "edges_sampled": est.edges_sampled,
+        "rng": est.rng.getstate(),
+    }
+    for name in ("tau", "c_bad", "c_good", "live_edges", "_edges", "tri_in_sample"):
+        if hasattr(est, name):
+            s[name] = getattr(est, name)
+    if hasattr(est, "sample"):
+        s["sample"] = sorted(est.sample.edges())
+    return s
+
+
 class ScriptedRng:
     """Deterministic stand-in for random.Random fed from fixed sequences."""
 

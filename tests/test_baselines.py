@@ -1,18 +1,22 @@
 import math
 import statistics
+from fractions import Fraction
 
 import pytest
 
 from trisample import (
     DoulionEstimator,
     EdgeEvent,
+    EsdEstimator,
     EstimatorSpec,
+    ExactTracker,
     ExperimentConfig,
     Graph,
     StreamSpec,
     TriestEstimator,
     er_graph,
     exact_triangles,
+    replay,
     run_experiment,
 )
 
@@ -203,3 +207,81 @@ def test_triest_random_pairing_counters_stay_nonnegative():
         est.process(ev)
         assert est.c_bad >= 0 and est.c_good >= 0
         assert est.edges_sampled <= 10
+
+
+def _kappa(s, d, capacity):
+    """TRIÈST-FD's kappa from its definition, in exact arithmetic."""
+    w = min(capacity, s + d)
+    tail = sum(
+        Fraction(math.comb(s, j) * math.comb(d, w - j), math.comb(s + d, w))
+        for j in range(3)
+        if w - j >= 0
+    )
+    return 1 - tail
+
+
+@pytest.mark.parametrize(
+    "capacity,live,c_bad,c_good",
+    [
+        (5, 10, 0, 0),  # no debts: 1
+        (5, 2, 0, 0),  # w = 2 live edges at most: 0
+        (5, 3, 1, 1),
+        (5, 2, 3, 4),  # fewer than 3 live edges: 0
+        (25, 40, 7, 12),
+        (25, 3, 40, 0),  # a rare full draw of the 3 live edges
+        (60, 150, 20, 55),
+        (976, 14_000, 900, 4_100),  # dynfan-ba2k's scale
+        (1995, 190_000, 9_000, 6_000),
+        (3, 3, 10**6, 0),  # kappa = 1 / C(10**6 + 3, 3)
+        (976, 1_000, 10**6, 0),  # kappa < 1/2, summed over j >= 3
+    ],
+)
+def test_triest_kappa_matches_its_definition_on_debt_states(capacity, live, c_bad, c_good):
+    est = TriestEstimator(capacity)
+    est._live, est.c_bad, est.c_good = live, c_bad, c_good
+    exact = _kappa(live, c_bad + c_good, capacity)
+    assert est.kappa() == pytest.approx(float(exact), rel=1e-8, abs=0.0)
+    if c_bad + c_good == 0 and min(capacity, live) >= 3:
+        assert est.kappa() == 1.0
+
+
+def test_triest_estimate_is_zero_below_three_sampled_edges():
+    est = TriestEstimator(10, seed=1)
+    for ev in [EdgeEvent(0, 1, 1), EdgeEvent(1, 2, 1), EdgeEvent(0, 2, 1), EdgeEvent(0, 2, -1)]:
+        est.process(ev)
+    assert est.edges_sampled == 2 and est.estimate() == 0.0
+
+
+# A deletion-heavy stream: 70 additions and 23 deletions of ER(18, 0.5),
+# whose truth rises to 19 and falls to 2 on the way.
+DELETION_HEAVY = dict(
+    kind="edge-deletion", edges=list(er_graph(18, 0.5, seed=3).edges()), p_e=0.04, p_d=0.4
+)
+
+
+def test_mid_stream_means_match_the_tracker_on_a_deletion_heavy_stream():
+    # Thousands of estimators ride one replay, so the store and the tracker
+    # are built once; each estimator kind's mean at every trace point must
+    # sit within 4 standard errors of the tracker's count.  A TRIÈST whose
+    # coin counts every addition ever made and whose estimate has no kappa
+    # fails at event 50, with a mean of 8.73 against 9 (z = -10).
+    events = StreamSpec(**DELETION_HEAVY).realize(4)
+    assert (len(events), sum(ev.beta == -1 for ev in events)) == (93, 23)
+    n = 3000
+    kinds = {
+        "triest": [TriestEstimator(25, seed=s) for s in range(n)],
+        "doulion": [DoulionEstimator(0.5, seed=s) for s in range(n)],
+        "esd": [EsdEstimator(0.3, seed=s) for s in range(n)],
+    }
+    ests = [est for group in kinds.values() for est in group]
+    rows = replay(events, Graph(), ests, ExactTracker(), stride=10)
+    assert max(truth for _, truth, _ in rows) == 19
+    for position, truth, estimates in rows:
+        for k, name in enumerate(kinds):
+            xs = estimates[k * n : (k + 1) * n]
+            mean = statistics.fmean(xs)
+            se = statistics.stdev(xs) / math.sqrt(n)
+            if se == 0.0:  # every estimate is exact (no triangle can be seen yet)
+                assert mean == truth, (name, position)
+            else:
+                assert abs(mean - truth) <= 4 * se, (name, position, mean, truth, se)

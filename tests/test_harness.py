@@ -355,9 +355,11 @@ def test_timing_changes_only_wall_ms():
 
 # sha256 of emit_csv's summary and trace files for the config below.  These
 # pin every seeded draw of the stream and the three estimators: a change
-# that alters RNG use must update them and say so in CHANGES.md.
-GOLDEN_SUMMARY_SHA256 = "ddf36bd3de4b2ea561e492040fcd4ac08a0092abb2d4a7d7367af8d93a924e14"
-GOLDEN_TRACE_SHA256 = "57899a24f45c1fa8d1fcb3755f99d42f2ffc4a589e8f7b07ac1029395cd8cd60"
+# that alters RNG use must update them and say so in CHANGES.md.  Updated
+# when TRIÈST became TRIÈST-FD (coin capacity/s, estimate over |S| and
+# kappa), which changed the triest lines and no other.
+GOLDEN_SUMMARY_SHA256 = "35f0de6a18caa396a71178b4120458e749400e4dc4340d0b2c7da99d0f9be40a"
+GOLDEN_TRACE_SHA256 = "de51601b0079bf52410c71fa429d2c805f0eb1ea7c5374f0b57b58f9b16c1d5d"
 
 
 def test_emit_csv_golden_sha256(tmp_path):
@@ -474,9 +476,10 @@ def test_emit_csv_golden_sha256_permutation(tmp_path):
 
 # The same pins for a node-deletion stream of a BA graph whose hub has
 # degree 379, so ESD probes ranges past 256 that need rejection draws;
-# recorded before the probes and the shuffle drew from getrandbits.
-GOLDEN_NODE_DELETION_SUMMARY_SHA256 = "433d93732016ce8cc9a12bcec1179cb64cb51678ec9573e818ce0d4e6d635987"
-GOLDEN_NODE_DELETION_TRACE_SHA256 = "2a76768b23e573ea2df8defdd87a0aaabd5fb3d61fb41404e81fe613f4d368f2"
+# recorded before the probes and the shuffle drew from getrandbits, and
+# updated, in its triest lines only, when TRIÈST became TRIÈST-FD.
+GOLDEN_NODE_DELETION_SUMMARY_SHA256 = "0aa3d96358ef961c637bbfedc655942493afd46190b84eb09a17a21a6ef7f4fe"
+GOLDEN_NODE_DELETION_TRACE_SHA256 = "c0f80a658a6d40adbc3e01d42efb931add407981fb22c34f777f3e9b4de731d0"
 
 
 def test_emit_csv_golden_sha256_node_deletion(tmp_path):

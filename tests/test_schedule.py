@@ -23,22 +23,7 @@ from trisample import (
 )
 
 import helpers
-from helpers import assert_graph_invariants, brute_force_triangles
-
-
-def state(est):
-    """Everything an estimator carries from one event to the next."""
-    s = {
-        "estimate": est.estimate(),
-        "edges_sampled": est.edges_sampled,
-        "rng": est.rng.getstate(),
-    }
-    for name in ("tau", "c_bad", "c_good", "t_add", "live_edges", "_edges", "tri_in_sample"):
-        if hasattr(est, name):
-            s[name] = getattr(est, name)
-    if hasattr(est, "sample"):
-        s["sample"] = sorted(est.sample.edges())
-    return s
+from helpers import assert_graph_invariants, brute_force_triangles, state
 
 
 def feed_every_event(specs, seeds, events, stride=None):

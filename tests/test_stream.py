@@ -19,6 +19,7 @@ from trisample import (
     write_edge_list,
     write_stream_file,
 )
+from trisample.stream import _check_simple
 
 from helpers import replay
 
@@ -401,3 +402,40 @@ def test_stream_spec_rejects_bad_edges_on_every_realize(kind, edges):
     for seed in range(3):
         with pytest.raises(ValueError):
             spec.realize(seed)
+
+
+# sha256 of repr([(u, v, beta), ...]) of a realization of an edge list given
+# in both orientations, as tuples and as lists; recorded when every pair was
+# copied into a new canonical tuple
+MIXED_ORIENTATION_GOLDEN = [
+    ("permutation", 0.0, 0.0, "6c3d6c141d5bd085477b9b4178cb750ac2f36bb3c0e4af31190551291ed979b8"),
+    ("edge-deletion", 0.2, 0.3, "6721fd08fedadbe82ed1ff55831c133f86d532ff8a3ad5df146f0f2806ab0a04"),
+    ("node-deletion", 0.1, 0.2, "e35573b2ed71291eb6cb4d25bfe232f8eb3e4a729edad5940e99fef3a735a6ff"),
+]
+
+
+def _mixed_orientation_edges():
+    rng = random.Random(11)
+    pairs = set()
+    while len(pairs) < 120:
+        u, v = rng.randrange(30), rng.randrange(30)
+        if u != v and (v, u) not in pairs:
+            pairs.add((u, v))
+    return [list(e) if i % 3 == 0 else e for i, e in enumerate(sorted(pairs))]
+
+
+@pytest.mark.parametrize("kind,p_e,p_d,digest", MIXED_ORIENTATION_GOLDEN)
+def test_realized_events_of_mixed_orientation_edges_are_unchanged(kind, p_e, p_d, digest):
+    events = StreamSpec(kind, edges=_mixed_orientation_edges(), p_e=p_e, p_d=p_d).realize(5)
+    rows = [(ev.u, ev.v, ev.beta) for ev in events]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
+def test_check_simple_keeps_canonical_tuples_as_given():
+    edges = _mixed_orientation_edges()
+    out = _check_simple(edges)
+    assert out == [(min(e), max(e)) for e in edges]
+    for given, kept in zip(edges, out):
+        canonical = type(given) is tuple and given[0] < given[1]
+        assert (kept is given) == canonical
+        assert type(kept) is tuple

@@ -1,0 +1,227 @@
+"""The arrival index: a deletion-free replication that reads
+``TimeIndexedGraph`` instead of mutating a store must leave every estimator
+where ``replay`` on a fresh ``Graph`` does, with the same random draws, and
+``run_experiment`` must fall back to the store wherever the index does not
+apply."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trisample import (
+    BaConfig,
+    EdgeEvent,
+    EstimatorSpec,
+    ExperimentConfig,
+    Graph,
+    StreamSpec,
+    ba_graph,
+    derive_seed,
+    emit_csv,
+    er_graph,
+    replay,
+    run_experiment,
+)
+from trisample.graph import TimeIndexedGraph
+from trisample.harness import _drive, trace_path_for
+
+from helpers import state
+
+
+@st.composite
+def simple_graphs(draw):
+    """Distinct pairs on up to 9 nodes, each in a random orientation."""
+    pairs = draw(
+        st.sets(st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(lambda p: p[0] < p[1]), max_size=36)
+    )
+    flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return [(v, u) if flip else (u, v) for (u, v), flip in zip(sorted(pairs), flips)]
+
+
+estimator_specs = st.lists(
+    st.one_of(
+        st.builds(EstimatorSpec, st.just("esd"), st.sampled_from([1e-9, 0.2, 0.5, 1.0])),
+        st.builds(EstimatorSpec, st.just("doulion"), st.sampled_from([0.0, 0.4, 1.0])),
+        st.builds(EstimatorSpec, st.just("triest"), st.integers(1, 12)),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    edges=simple_graphs(),
+    specs=estimator_specs,
+    seeds=st.lists(st.integers(0, 2**32), min_size=6, max_size=6),
+)
+def test_index_draws_what_a_fresh_store_draws(edges, specs, seeds):
+    spec = StreamSpec("permutation", edges=edges)
+    first = spec.realize(seeds[0])
+    g = Graph()
+    replay(first, g)
+    index = TimeIndexedGraph(g, first)
+    events = spec.realize(seeds[1])
+    order = index.ordered(events)
+    assert order is not None
+
+    est_seeds = seeds[2:]
+    indexed = [s.build(seed) for s, seed in zip(specs, est_seeds)]
+    _drive(indexed, events, order, None)
+    stored = [s.build(seed) for s, seed in zip(specs, est_seeds)]
+    replay(events, Graph(), stored)
+    assert [state(est) for est in indexed] == [state(est) for est in stored]
+
+    # Γ before each position, and each pair's presence, are the store's
+    store = Graph()
+    nodes = sorted({x for e in edges for x in e})
+    for i, ev in enumerate(events + [None]):
+        for a in nodes:
+            row, arrival = order.slots(a)
+            assert [w for w, t in zip(row, arrival) if t < i] == list(store.adjacency(a))
+            for b in nodes:
+                assert bool(order.arrived(a, b, i)) == store.has_edge(a, b)
+        if ev is not None:
+            store.add_edge(ev.u, ev.v)
+
+
+def _run(cfg, monkeypatch, index: bool):
+    """``run_experiment(cfg)`` with the arrival index on or off, and how many
+    replications the index served."""
+    served = []
+    ordered = TimeIndexedGraph.ordered
+
+    def spy(self, events):
+        out = ordered(self, events) if index else None
+        served.append(out is not None)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(TimeIndexedGraph, "ordered", spy)
+        report, traces = run_experiment(cfg)
+    return report, traces, sum(served)
+
+
+def _same_with_and_without_index(cfg, monkeypatch, tmp_path) -> int:
+    """The CSVs are byte-identical with the index on and off; returns the
+    number of replications the index served."""
+    outputs, served = [], []
+    for index in (True, False):
+        report, traces, n = _run(cfg, monkeypatch, index)
+        out = tmp_path / f"index-{index}.csv"
+        emit_csv(report, traces, out)
+        outputs.append((out.read_bytes(), trace_path_for(out).read_bytes()))
+        served.append(n)
+    assert outputs[0] == outputs[1]
+    return served[0]
+
+
+ESTIMATORS = [
+    EstimatorSpec("esd", 1.0),
+    EstimatorSpec("esd", 0.3, label="esd-small"),
+    EstimatorSpec("doulion", 0.5),
+    EstimatorSpec("triest", 12),
+]
+
+
+class OnlyRealize:
+    """A stream that offers ``realize`` and nothing else."""
+
+    def __init__(self, realize):
+        self.realize = realize
+
+
+def test_a_spec_behind_realize_alone_is_indexed(monkeypatch, tmp_path):
+    spec = StreamSpec("permutation", edges=list(er_graph(25, 0.3, seed=40).edges()))
+    cfg = ExperimentConfig(OnlyRealize(spec.realize), ESTIMATORS, replications=5, seed=41)
+    assert _same_with_and_without_index(cfg, monkeypatch, tmp_path) == 4
+
+
+def test_fresh_events_each_realization_fall_back(monkeypatch, tmp_path):
+    spec = StreamSpec("permutation", edges=list(er_graph(25, 0.3, seed=42).edges()))
+
+    def fresh(seed):
+        return [EdgeEvent(ev.u, ev.v, ev.beta) for ev in spec.realize(seed)]
+
+    cfg = ExperimentConfig(OnlyRealize(fresh), ESTIMATORS, replications=4, seed=43)
+    assert _same_with_and_without_index(cfg, monkeypatch, tmp_path) == 0
+
+
+def test_events_spec_is_indexed_only_without_deletions(monkeypatch, tmp_path):
+    edges = list(er_graph(25, 0.3, seed=44).edges())
+    additions = StreamSpec("permutation", edges=edges).realize(45)
+    cfg = ExperimentConfig(StreamSpec("events", events=additions), ESTIMATORS, replications=4, seed=46)
+    assert _same_with_and_without_index(cfg, monkeypatch, tmp_path) == 3
+
+    dynamic = StreamSpec("edge-deletion", edges=edges, p_e=0.1, p_d=0.3).realize(47)
+    assert any(ev.beta == -1 for ev in dynamic)
+    cfg = ExperimentConfig(StreamSpec("events", events=dynamic), ESTIMATORS, replications=4, seed=48)
+    assert _same_with_and_without_index(cfg, monkeypatch, tmp_path) == 0
+
+
+def test_edge_deletion_spec_uses_the_index_on_its_deletion_free_replications(monkeypatch, tmp_path):
+    # seed 2 makes replication 0 deletion-free and some later ones not
+    stream = dict(kind="edge-deletion", edges=list(er_graph(20, 0.3, seed=27).edges()), p_e=0.012, p_d=0.3)
+    reps = 6
+    cfg = ExperimentConfig(StreamSpec(**stream), ESTIMATORS, replications=reps, seed=2)
+    realized = [StreamSpec(**stream).realize(derive_seed(2, "stream", r)) for r in range(reps)]
+    free = [all(ev.beta == 1 for ev in events) for events in realized]
+    assert free[0] and not all(free)
+    assert _same_with_and_without_index(cfg, monkeypatch, tmp_path) == sum(free[1:]) > 0
+
+
+@pytest.mark.parametrize("edges", [[], [(3, 1)]])
+def test_empty_and_one_edge_streams(edges, monkeypatch, tmp_path):
+    cfg = ExperimentConfig(StreamSpec("permutation", edges=edges), ESTIMATORS, replications=3, seed=49)
+    assert _same_with_and_without_index(cfg, monkeypatch, tmp_path) == 2
+
+
+def test_node_ids_beyond_int64_keep_the_store(monkeypatch, tmp_path):
+    big = 2**64
+    edges = [(big + u, big + v) for u, v in er_graph(15, 0.4, seed=50).edges()]
+    cfg = ExperimentConfig(StreamSpec("permutation", edges=edges), ESTIMATORS, replications=3, seed=51)
+    with pytest.raises(OverflowError):
+        g = Graph()
+        events = StreamSpec("permutation", edges=edges).realize(0)
+        replay(events, g)
+        TimeIndexedGraph(g, events)
+    assert _same_with_and_without_index(cfg, monkeypatch, tmp_path) == 0
+
+
+def test_duplicate_addition_raises_as_before():
+    events = [EdgeEvent(1, 2, 1), EdgeEvent(2, 3, 1), EdgeEvent(2, 1, 1)]
+    cfg = ExperimentConfig(StreamSpec("events", events=events), ESTIMATORS, replications=3, seed=52)
+    with pytest.raises(ValueError, match=r"inconsistent stream: duplicate addition \(2, 1\)"):
+        run_experiment(cfg)
+
+
+def test_a_repeated_or_foreign_object_misses_the_index():
+    spec = StreamSpec("permutation", edges=list(er_graph(12, 0.5, seed=53).edges()))
+    first = spec.realize(0)
+    g = Graph()
+    replay(first, g)
+    index = TimeIndexedGraph(g, first)
+    events = spec.realize(1)
+    assert index.ordered(events) is not None
+    assert index.ordered(events[:-1]) is None
+    assert index.ordered(events[:-1] + events[:1]) is None
+    assert index.ordered(events[:-1] + [EdgeEvent(events[-1].u, events[-1].v, 1)]) is None
+
+
+def test_hub_rows_match_the_store_on_a_ba_graph():
+    # a BA graph's hub has a row far longer than 256, so its probes draw
+    # indices with rejection, as the store path does
+    edges = sorted(ba_graph(BaConfig(800, 20, 0.2, 3, 1.5, seed=5)).edges())
+    spec = StreamSpec("permutation", edges=edges)
+    first = spec.realize(0)
+    g = Graph()
+    replay(first, g)
+    assert max(g.degree(u) for u in g.nodes()) > 256
+    index = TimeIndexedGraph(g, first)
+    events = spec.realize(1)
+    specs = [EstimatorSpec("esd", alpha) for alpha in (0.05, 0.5, 1.0)]
+    indexed = [s.build(55 + k) for k, s in enumerate(specs)]
+    _drive(indexed, events, index.ordered(events), None)
+    stored = [s.build(55 + k) for k, s in enumerate(specs)]
+    replay(events, Graph(), stored)
+    assert [state(e) for e in indexed] == [state(e) for e in stored]
