@@ -26,8 +26,8 @@ addition, no absent deletion); the driver rejects any other.
 
 ``step`` reads either a mutable ``Graph`` or an ``ArrivalOrder``, the final
 graph of a deletion-free stream indexed by arrival.  On the index, Γ(a) is
-the slots of a's final row that arrived before the event, so d, the draws
-and the picked node are those of the mutated store.
+the slots of a's final row of neighbor ranks that arrived before the event,
+so d, the draws and the picked node are those of the mutated store.
 """
 
 from __future__ import annotations
@@ -187,24 +187,32 @@ class EsdEstimator:
 
         Γ(a)∖{b} on the store is a's final neighbors that arrived before
         ``i`` (b's own edge arrives at ``i``), in id order: a mask over a's
-        row, O(d) numpy work.  So d is the store's, the index draw is the
-        store's, and the j-th set slot is the node the store's Γ(a)[j] (past
-        b's slot) picks.  That node w closes a triangle when (w, b) arrived
-        before ``i``, which is when the store holds it.
+        row of ranks, O(d) numpy work.  So d is the store's, the index draw
+        is the store's, and the j-th set slot is the node the store's Γ(a)[j]
+        (past b's slot) picks.  That node w closes a triangle when it is in
+        Γ(b) before ``i``, which is when the store holds (w, b): one search
+        of b's row.
         """
         ev = events[i]
         self.edges_sampled += 1
         bits = self.rng.getrandbits
-        for a, b in ((ev.u, ev.v), (ev.v, ev.u)):
-            row, arrival = g.slots(a)
-            before = arrival < i
+        row_u, arrival = g.slots(ev.u)
+        before_u = arrival < i
+        row_v, arrival = g.slots(ev.v)
+        before_v = arrival < i
+        for row, before, other, other_before in (
+            (row_u, before_u, row_v, before_v),
+            (row_v, before_v, row_u, before_u),
+        ):
             d = int(np.count_nonzero(before))
             if d > 0:
                 k = d.bit_length()
                 j = bits(k)
                 while j >= d:
                     j = bits(k)
-                if g.arrived(row[before.nonzero()[0][j]], b, i):
+                w = row[before.nonzero()[0][j]]
+                p = other.searchsorted(w)
+                if p < len(other) and other[p] == w and other_before[p]:
                     self.t_est += ev.beta * self.omega * d / self._alpha
         return self.skip(events, i + 1, stop)
 

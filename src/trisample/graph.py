@@ -10,22 +10,36 @@ costs O(d).
 Single-writer model: mutations must be serialized by the caller.  Reads
 between mutations are safe.
 
-``TimeIndexedGraph`` keeps the final store of a deletion-free stream and
-answers, for any other order of the same event objects, which edges had
-arrived before a given position, so such a replay needs no store of its
-own.
+``TimeIndexedGraph`` indexes the final graph of a deletion-free stream by
+arrival, built from the stream's events alone in numpy, and answers, for
+that order or any other order of the same event objects, which edges had
+arrived before a given position, so such a replay needs no store.  It also
+counts, for each position, the triangles whose last edge arrives there,
+which is the exact tracker's per-event trace.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from operator import attrgetter
+from operator import index as _int
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-_BLOCK = 1 << 12  # events per numpy block while indexing, which bounds the transients
-_U, _V = attrgetter("u"), attrgetter("v")
+_BLOCK = 1 << 12  # events per numpy block in ``ordered``, which bounds its transients
+_WEDGES = 1 << 12  # fewest wedges and out-slots per numpy block in ``closings``
+_U, _V, _BETA = attrgetter("u"), attrgetter("v"), attrgetter("beta")
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of ``a``, sorted: ``np.unique`` without the
+    ``numpy.ma`` import it pulls in."""
+    a = np.sort(a)
+    keep = np.empty(len(a), bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 class Graph:
@@ -170,50 +184,103 @@ class Graph:
 
 
 class TimeIndexedGraph:
-    """The final graph of a deletion-free stream, indexed by arrival.
+    """The final graph of a deletion-free stream, indexed by arrival and
+    built from the stream's events alone.
 
-    It holds the id-sorted rows of the store that replayed the stream, laid
-    end to end in node id order, an int32 array with the edge id of each
-    row slot, and the sorted ``id()``s of the stream's event objects; an
-    edge's id is the rank of its event's ``id()``.  A list of those objects
-    is held too, so the ids stay unique.
+    Nodes are named by rank in id order.  The index holds the sorted
+    ``id()``s of the stream's event objects, an edge's id being the rank of
+    its event's ``id()``, and every node's final row: its neighbors as int32
+    ranks in id order, the rows laid end to end in rank order, with the
+    int32 edge id of each row slot and where each row starts.  A list of the
+    event objects is held too, so the ids stay unique.  That costs 8 bytes
+    per slot, 8 per edge and 16 per node, beyond the list, and each arrival
+    order adds 4 bytes per slot.
 
     A stream made of exactly those objects, each once, adds every final
     edge once, so it is consistent and ends on the same graph; ``ordered``
-    tells such a stream apart and returns its arrival order.  The ids and
-    the slot map are built by the first ``ordered`` call, so they cost
-    nothing until a second stream comes, and a match swaps the held list
-    for the newer one, so one list stays alive, not two.  Beyond the store
-    and the list, the index costs 4 bytes per slot, 8 per edge and 24 per
-    node.  It is built in numpy blocks of ``_BLOCK`` events, and the
-    largest transient is one sorted key per slot, 4 bytes while the square
-    of the node count fits in an int32.
+    tells such a stream apart and returns its arrival order.
     """
 
-    __slots__ = ("_adj", "_events", "_nodes", "_node_ids", "_ids", "_start", "_slot_edge")
+    __slots__ = ("_events", "_ids", "nodes", "_start", "_nbrs", "_slot_edge")
 
-    def __init__(self, g: Graph, events):
-        """Take over ``g``, the store after replaying the deletion-free
-        stream ``events`` from the empty graph.  Node ids must fit in an
-        int64, or this raises ``OverflowError``."""
-        if g.edge_count != len(events):
-            raise ValueError("the store does not hold one edge per event")
-        self._adj = g._adj
-        self._events = events
-        self._nodes = sorted(self._adj)
-        self._node_ids = np.fromiter(self._nodes, np.int64, len(self._nodes))
-        self._ids = self._start = self._slot_edge = None
+    @classmethod
+    def of(cls, events) -> "ArrivalOrder | None":
+        """Index the graph that ``events`` build and return their own arrival
+        order over it, whose ``index`` serves later streams; None when
+        ``events`` hold a deletion, repeat an object or an edge, or name a
+        node that is not an integer within int64, or when the packed slot
+        keys below would not fit in an int64 (n² · m > 2^63 for n nodes and
+        m edges).
+
+        A slot's key is its row's rank, its neighbor's rank and its edge id
+        packed into one int64, (row · n + neighbor) · m + edge, so sorting
+        the keys in place lays the slots out row by row, each row in id
+        order, with each slot's edge id as the key modulo m.  The largest
+        transient is that key array, 16 bytes per edge, and everything but
+        the index is freed on return.
+        """
+        m = len(events)
+        if -1 in map(_BETA, events):
+            return None
+        index = cls()
+        index._ids = np.fromiter(map(id, events), np.intp, m)
+        index._ids.sort()
+        arrival = index._arrival(events)
+        if arrival is None:  # an object twice: a duplicate addition
+            return None
+        keys = np.empty(2 * m, np.int64)
+        try:  # ``_int`` refuses a float, which int64 would truncate onto another node
+            keys[:m] = np.fromiter(map(_int, map(_U, events)), np.int64, m)
+            keys[m:] = np.fromiter(map(_int, map(_V, events)), np.int64, m)
+        except (OverflowError, TypeError):
+            return None
+        nodes = _distinct(np.concatenate((_distinct(keys[:m]), _distinct(keys[m:]))))
+        n = len(nodes)
+        if n * n * m > 2**63:
+            return None
+        # by position: u's rank * n + v's rank, then v's rank * n + u's rank
+        keys[:m] = nodes.searchsorted(keys[:m])
+        keys[m:] = nodes.searchsorted(keys[m:])
+        keys[:m] *= n
+        keys[:m] += keys[m:]
+        keys[m:] *= n
+        keys[m:] += keys[:m] // n
+        keys *= m
+        edge = np.empty(m, np.int32)  # position -> edge id
+        edge[arrival] = np.arange(m, dtype=np.int32)
+        keys[:m] += edge
+        keys[m:] += edge
+        del edge
+        keys.sort()
+        slot_edge = np.empty(2 * m, np.int32)
+        np.remainder(keys, m, out=slot_edge, casting="unsafe")
+        keys //= m
+        if (keys[1:] == keys[:-1]).any():  # an edge twice: a duplicate addition
+            return None
+        index._events = events
+        index.nodes = nodes
+        index._start = keys.searchsorted(np.arange(n + 1) * n)
+        keys %= max(n, 1)
+        index._nbrs = keys.astype(np.int32)
+        index._slot_edge = slot_edge
+        del keys
+        return ArrivalOrder(index, arrival)
 
     def ordered(self, events) -> "ArrivalOrder | None":
         """The graph as ``events`` builds it, or None unless ``events`` is
-        exactly the indexed event objects, each once, in any order.  The
-        arrival of each edge is found in numpy blocks: ``searchsorted`` of
-        the ``id()``s in the sorted ones.  On a match ``events`` is held in
-        place of the list held so far, so it must not change while the
-        index is in use."""
-        if self._ids is None:
-            self._ids = np.fromiter(map(id, self._events), np.intp, len(self._events))
-            self._ids.sort()
+        exactly the indexed event objects, each once, in any order.  On a
+        match ``events`` is held in place of the list held so far, so it
+        must not change while the index is in use."""
+        arrival = self._arrival(events)
+        if arrival is None:
+            return None
+        self._events = events  # the same objects, so the older list can go
+        return ArrivalOrder(self, arrival)
+
+    def _arrival(self, events) -> "np.ndarray | None":
+        """The position in ``events`` of each edge, or None unless they are
+        exactly the indexed event objects, each once.  It is found in numpy
+        blocks: ``searchsorted`` of the ``id()``s in the sorted ones."""
         ids = self._ids
         m = len(ids)
         if len(events) != m:
@@ -228,72 +295,80 @@ class TimeIndexedGraph:
             arrival[edge] = np.arange(start, start + len(block), dtype=np.int32)
         if m and arrival.min() < 0:  # some object came twice, so another never did
             return None
-        self._events = events  # the same objects, so the older list can go
-        if self._slot_edge is None:
-            self._map_slots()
-        return ArrivalOrder(self, arrival)
-
-    def _map_slots(self) -> None:
-        """The edge id of each row slot, and where each row starts."""
-        events, ids = self._events, self._ids
-        m, n = len(events), len(self._nodes)
-        rank = self._node_ids.searchsorted
-        key_type = np.int32 if n * n < 2**31 else np.int64
-
-        def keys_of(block):
-            us = rank(np.fromiter(map(_U, block), np.int64, len(block))).astype(key_type)
-            vs = rank(np.fromiter(map(_V, block), np.int64, len(block))).astype(key_type)
-            return us * n + vs, vs * n + us
-
-        slot_edge = np.empty(2 * m, np.int32)
-        # a slot's key is (its row's rank, its neighbor's rank) as one
-        # number; sorted, the keys are the slots in row order
-        keys = np.empty(2 * m, key_type)
-        for first in range(0, m, _BLOCK):
-            uv, vu = keys_of(events[first : first + _BLOCK])
-            keys[first : first + len(uv)] = uv
-            keys[m + first : m + first + len(vu)] = vu
-        keys.sort()
-        for first in range(0, m, _BLOCK):
-            block = events[first : first + _BLOCK]
-            edge = ids.searchsorted(np.fromiter(map(id, block), np.intp, len(block)))
-            for key in keys_of(block):
-                slot_edge[keys.searchsorted(key)] = edge
-        self._start = np.append(keys.searchsorted(np.arange(n, dtype=key_type) * n), 2 * m)
-        self._slot_edge = slot_edge
+        return arrival
 
 
 class ArrivalOrder:
     """One arrival order of a ``TimeIndexedGraph``'s edges: Γ_i(a), the
     neighbors of a once the events before position i have arrived, are the
-    slots of a's final row whose arrival is below i, in id order."""
+    slots of a's row whose arrival is below i, in id order, named by rank
+    (``index.nodes[rank]`` is the node id)."""
 
-    __slots__ = ("_adj", "_nodes", "_start", "_slot_edge", "_arrival")
+    __slots__ = ("index", "_nodes", "_start", "_nbrs", "_arrival")
 
     def __init__(self, index: TimeIndexedGraph, arrival: np.ndarray):
-        self._adj = index._adj
-        self._nodes = index._nodes
+        """``arrival`` holds each edge's position; the order keeps each
+        slot's, so a row's arrivals are one slice."""
+        self.index = index
+        self._nodes = index.nodes
         self._start = index._start
-        self._slot_edge = index._slot_edge
-        self._arrival = arrival
+        self._nbrs = index._nbrs
+        self._arrival = arrival[index._slot_edge]
 
-    def slots(self, u: int) -> tuple[Sequence[int], np.ndarray]:
-        """u's final neighbors in id order, and the arrival of each."""
-        row = self._adj[u]
-        start = self._start[bisect_left(self._nodes, u)]
-        return row, self._arrival[self._slot_edge[start : start + len(row)]]
+    def slots(self, u: int) -> tuple[np.ndarray, np.ndarray]:
+        """Node ``u``'s final neighbors, as ranks in id order, and the
+        arrival of each."""
+        r = self._nodes.searchsorted(u)
+        s, e = self._start.item(r), self._start.item(r + 1)  # item: no numpy scalars
+        return self._nbrs[s:e], self._arrival[s:e]
 
-    def arrived(self, u: int, v: int, i: int) -> bool:
-        """Whether (u, v) is a final edge whose event comes before position
-        ``i``; the shorter of the two rows is bisected, as ``has_edge`` does."""
-        adj = self._adj
-        a = adj.get(u)
-        b = adj.get(v)
-        if a is None or b is None:
-            return False
-        if len(a) > len(b):
-            u, v, a = v, u, b
-        s = bisect_left(a, v)
-        if s == len(a) or a[s] != v:
-            return False
-        return self._arrival[self._slot_edge[self._start[bisect_left(self._nodes, u)] + s]] < i
+    def closings(self) -> np.ndarray:
+        """For each position, the number of triangles whose last edge
+        arrives there, as int32: the common neighbors of that edge's
+        endpoints just before it, which an ``ExactTracker`` records as h.
+
+        Every triangle is listed once, by degree-ordered wedges (Chiba and
+        Nishizeki, SIAM J. Comput. 1985): each edge points from the endpoint
+        of lower (degree, rank) to the other, and a triangle is a pair of
+        out-neighbors y < z of its lowest corner whose edge (y, z) exists,
+        found by searching y·n + z in the sorted slot keys row·n + neighbor.
+        Out-rows hold O(sqrt m) nodes, so there are O(m^1.5) wedges.  They
+        are taken in blocks of source rows holding about m/32 wedges and
+        out-slots, but at least ``_WEDGES``, so a block's transients stay
+        near 2 bytes per edge.
+        """
+        start, nbrs, arrival = self._start, self._nbrs, self._arrival
+        n = len(start) - 1
+        deg = np.diff(start)
+        level = deg * n + np.arange(n)  # (degree, rank) as one number, then its place
+        level = np.sort(level).searchsorted(level).astype(np.int32)
+        # the out-edge slots, row by row
+        out = np.flatnonzero(np.repeat(level, deg) < level[nbrs]).astype(np.int32)
+        del level
+        key_type = np.int32 if n * n <= 2**31 else np.int64
+        keys = np.repeat(np.arange(n, dtype=key_type) * n, deg)
+        keys += nbrs
+        ostart = out.searchsorted(start.astype(np.int32))  # where each row's out-slots start
+        c = np.diff(ostart)
+        work = np.cumsum(c * (c - 1) // 2 + c)  # wedges and out-slots up to each row
+        block = max(_WEDGES, len(arrival) >> 6)
+        counts = np.zeros(len(arrival) // 2, np.int32)
+        x0 = 0
+        while x0 < n:
+            base = int(work[x0 - 1]) if x0 else 0
+            x1 = max(x0 + 1, int(work.searchsorted(base + block, "right")))
+            t0, t1 = ostart[x0], ostart[x1]
+            # each out-slot t pairs with the later out-slots of its row
+            k = np.repeat(ostart[x0 + 1 : x1 + 1], c[x0:x1]) - np.arange(t0 + 1, t1 + 1)
+            first = np.repeat(np.arange(t0, t1), k)
+            second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(k) - k, k)
+            a, b = out[first], out[second]
+            q = nbrs[a].astype(key_type) * n + nbrs[b]
+            p = keys.searchsorted(q)
+            np.minimum(p, len(keys) - 1, out=p)
+            hit = keys[p] == q
+            last = np.maximum(arrival[a[hit]], arrival[b[hit]])
+            np.maximum(last, arrival[p[hit]], out=last)
+            np.add.at(counts, last, 1)
+            x0 = x1
+        return counts

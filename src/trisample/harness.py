@@ -12,19 +12,25 @@ must act on, and is called there once (``step``) to apply that event and
 draw ahead again; its random draws and results are the same as when it is
 fed every event.
 
-Which replications mutate a store: replication 0 always does, through
-``replay`` with the incremental exact tracker, whose running truth goes
-into the trace.  So does every replication of a stream whose replication 0
-had deletions, and every replication that is not made of replication 0's
-event objects.  When replication 0 ends deletion-free, its store is kept
-and indexed by arrival (``TimeIndexedGraph``), and a later replication made
-of exactly those objects, each once, runs each estimator over the index
-with no store of its own.  Such a replication adds every final edge once,
-so it is consistent and ends on replication 0's graph.  Its draws are the
-store path's: the neighbors of a node before event i are the slots of its
-final row that arrived before i, in id order, which is the list the store
-holds at that point, so ESD's d, its index draws, the node it picks and
-its closure test are the same, and the baselines never read a store.
+Which replications mutate a store: those of a stream with deletions.
+When replication 0's events hold no deletion, they are indexed by arrival
+(``TimeIndexedGraph.of``), from the events alone, and no store or tracker
+runs: each estimator runs over the index on its own, stopping where
+``replay`` writes its trace rows, and the truth at each stop counts the
+triangles whose last edge arrived before it (``ArrivalOrder.closings``).  A
+later replication made of exactly those objects, each once, reads the same
+index.  Such a replication adds every final edge once, so it is consistent
+and ends on replication 0's graph.  Its draws are the store path's: the
+neighbors of a node before event i are the slots of its final row that
+arrived before i, in id order, which is the list the store holds at that
+point, so ESD's d, its index draws, the node it picks and its closure test
+are the same, and the baselines never read a store.  Every other
+replication replays into a fresh store through ``replay``: any of a stream
+whose replication 0 had deletions, a later one with deletions or fresh
+event objects, and replication 0 itself when the index cannot take it (a
+repeated object or edge, which ``replay`` then rejects, or a node id beyond
+int64), with the incremental exact tracker, whose running truth goes into
+the trace.
 
 Every deletion-free realization of one stream spec ends on the same graph
 (a generated stream adds each input edge once, and the ``events`` kind
@@ -108,10 +114,9 @@ class EstimatorSpec:
     def __post_init__(self):
         if self.kind not in ("esd", "doulion", "triest"):
             raise ValueError(f"unknown estimator kind {self.kind!r}")
-        # the CSV reports param as given, so the reservoir's constructor
-        # refuses, before any replication, a capacity it would not run as given
-        if self.kind == "triest":
-            TriestEstimator(self.param)
+        # each constructor owns its parameter's rule, so one build refuses,
+        # before any replication, a param it would not run as given
+        self.build(0)
 
     @property
     def name(self) -> str:
@@ -182,6 +187,13 @@ def _timed(fn, wall: list, j: int):
     return call
 
 
+def _trace_stops(last: int, stride: int | None) -> list[int]:
+    """Where a traced pass over ``last`` events writes its rows: every
+    ``stride`` events, by default ``max(1, last // 500)``, and at the end."""
+    stride = stride or max(1, last // 500)
+    return [*range(stride, last, stride), last] if last else []
+
+
 def replay(events, g, ests=(), tracker=None, stride=None, wall=None) -> list:
     """Apply ``events`` to the graph store ``g`` and feed the estimators
     ``ests`` and the exact ``tracker`` (both optional) after each event.
@@ -196,8 +208,10 @@ def replay(events, g, ests=(), tracker=None, stride=None, wall=None) -> list:
     time is added to ``wall[j]``.
 
     ``g`` is a mutable store, and ``replay`` mutates it: ``run_experiment``
-    calls it on replication 0 and on every replication the arrival index
-    does not serve (see the module docstring).
+    calls it on every replication the arrival index does not serve, which
+    are those of streams with deletions (see the module docstring).  Its
+    trace points are ``_trace_stops``, where the indexed replication 0
+    stops too.
 
     Every estimator is driven by one schedule, ``due``, which files it
     under the position of the next event it must act on.  There its
@@ -213,11 +227,7 @@ def replay(events, g, ests=(), tracker=None, stride=None, wall=None) -> list:
     if stride is not None and stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     last = len(events)
-    if tracker is None:
-        bounds = [last]
-    else:
-        stride = stride or max(1, last // 500)
-        bounds = [*range(stride, last, stride), last] if last else []
+    bounds = [last] if tracker is None else _trace_stops(last, stride)
     calls = [(est.step, est.skip) for est in ests]
     if wall is not None:
         calls = [
@@ -259,21 +269,30 @@ class _Reuse:
 
     fixed: int | None = None  # the truth of the graph every deletion-free replication ends on
     first: tuple | None = None  # replication 0's events and truth, when it had deletions
-    index: TimeIndexedGraph | None = None  # replication 0's store, when it was deletion-free
+    index: TimeIndexedGraph | None = None  # replication 0's graph, when it was deletion-free
 
 
-def _drive(ests, events, g, wall) -> None:
-    """Run each estimator over all of ``events`` on its own: ``skip`` from
-    the start, then ``step`` at each event it acts on.  ``g`` must show the
-    graph as of each event, as an ``ArrivalOrder`` does."""
-    last = len(events)
-    for j, est in enumerate(ests):
-        step, skip = est.step, est.skip
-        if wall is not None:
-            step, skip = _timed(step, wall, j), _timed(skip, wall, j)
-        k = skip(events, 0, last)
-        while k < last:
-            k = step(events, k, last, g)
+def _drive(ests, events, g, bounds, wall) -> list:
+    """Run each estimator over ``events`` on its own, ``g`` showing the graph
+    as of each event, as an ``ArrivalOrder`` does: between two of the
+    ``bounds`` (the last one ``len(events)``), ``skip`` from the first, then
+    ``step`` at each event it acts on.  Returns the estimates at each bound.
+    The stops are ``replay``'s, so each estimator draws what it draws there."""
+    calls = [(est.step, est.skip) for est in ests]
+    if wall is not None:
+        calls = [
+            (_timed(step, wall, j), _timed(skip, wall, j)) for j, (step, skip) in enumerate(calls)
+        ]
+    rows = []
+    start = 0
+    for stop in bounds:
+        for step, skip in calls:
+            k = skip(events, start, stop)
+            while k < stop:
+                k = step(events, k, stop, g)
+        rows.append([est.estimate() for est in ests])
+        start = stop
+    return rows
 
 
 def _replicate(cfg: ExperimentConfig, r: int, traces: list, reuse: _Reuse):
@@ -281,21 +300,25 @@ def _replicate(cfg: ExperimentConfig, r: int, traces: list, reuse: _Reuse):
     estimators; returns (truth, final estimates, edges sampled, wall
     seconds).
 
-    Replication 0 drives a fresh store through ``replay`` with the exact
-    tracker, whose running count goes into the trace rows.  When it ends
-    deletion-free (``replay`` keeps the stream consistent, so the store
-    ends with one edge per event exactly when nothing was deleted) and more
-    replications follow, its store and events are kept as a
-    ``TimeIndexedGraph``, whose arrays the next replication builds, on its
-    own time.  A later replication made of exactly those event objects, each
-    once, ends on the same graph and needs no store:
-    each estimator runs over the ``ArrivalOrder`` on its own, and its truth
-    is replication 0's.  Every other replication replays into a fresh
-    store, and its truth is ``reuse.fixed`` when it is deletion-free and an
-    earlier one was, ``reuse.first``'s truth when its events equal
-    replication 0's, and otherwise a recount of its final graph.  The rest
-    is local, so the stream, store and estimators of a replication are
-    freed before the next one is realized.
+    When replication 0's events hold no deletion, they are indexed by
+    arrival (``TimeIndexedGraph.of``) with no store, and each estimator
+    runs over their ``ArrivalOrder`` on its own, stopping where ``replay``
+    writes its trace rows.  The truth at a trace point is the number of
+    triangles closed before it, from ``ArrivalOrder.closings``, and the
+    final one is ``reuse.fixed``.  The index is kept when more replications
+    follow.  A later replication made of exactly those event objects, each
+    once, ends on the same graph and runs over its own ``ArrivalOrder`` the
+    same way, to its end, with truth ``reuse.fixed``.
+
+    Every other replication replays into a fresh store: replication 0 when
+    it has a deletion, repeats an object or an edge (so ``replay`` raises
+    its ``ValueError``), or names a node the index cannot hold, with the
+    incremental exact tracker, whose running count goes into the trace
+    rows; a later one without it, its truth being ``reuse.fixed`` when it
+    is deletion-free and an earlier one was, ``reuse.first``'s truth when
+    its events equal replication 0's, and otherwise a recount of its final
+    graph.  The rest is local, so the stream, store and estimators of a
+    replication are freed before the next one is realized.
     """
     events = cfg.stream.realize(derive_seed(cfg.seed, "stream", r))
     ests = [
@@ -304,9 +327,25 @@ def _replicate(cfg: ExperimentConfig, r: int, traces: list, reuse: _Reuse):
     ]
     wall = [0.0] * len(ests)
     timed = wall if cfg.timing else None
-    order = reuse.index.ordered(events) if reuse.index is not None else None
+    if r == 0:
+        order = TimeIndexedGraph.of(events)
+    else:
+        order = reuse.index.ordered(events) if reuse.index is not None else None
     if order is not None:
-        _drive(ests, events, order, timed)
+        if r == 0:
+            stops = _trace_stops(len(events), cfg.trace_stride)
+            rows = _drive(ests, events, order, stops, timed)
+            counts = order.closings()
+            truths = np.cumsum(counts, dtype=np.int64)[np.asarray(stops, np.intp) - 1].tolist()
+            for stop, truth, estimates in zip(stops, truths, rows):
+                traces.extend(
+                    (stop, truth, spec.name, est) for spec, est in zip(cfg.estimators, estimates)
+                )
+            reuse.fixed = int(counts.sum(dtype=np.int64))
+            if cfg.replications > 1:
+                reuse.index = order.index
+        else:
+            _drive(ests, events, order, [len(events)], timed)
         return reuse.fixed, [e.estimate() for e in ests], [e.edges_sampled for e in ests], wall
     g = Graph()
     tracker = ExactTracker() if r == 0 else None
@@ -319,11 +358,6 @@ def _replicate(cfg: ExperimentConfig, r: int, traces: list, reuse: _Reuse):
         truth = tracker.count
         if not deletion_free:
             reuse.first = (events, truth)
-        elif cfg.replications > 1:
-            try:
-                reuse.index = TimeIndexedGraph(g, events)
-            except OverflowError:  # a node id beyond int64: every replication keeps a store
-                pass
     elif deletion_free and reuse.fixed is not None:
         truth = reuse.fixed
     elif reuse.first is not None and events == reuse.first[0]:
@@ -344,13 +378,14 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[MetricsReport, list]:
 
     Returns (report, trace_rows).  Trace rows (event_index, truth, name,
     estimate) come from the first replication only, every trace-stride
-    events and at stream end.  Ground truth is the exact tracker's count on
-    that first replication, which is traced.  Deletion-free realizations of
-    one ``StreamSpec`` end on one graph (its input edges, or the final
-    graph of an ``events`` stream), so the first deletion-free
+    events and at stream end.  Ground truth on that first replication is
+    exact at every trace point: the tracker's count, or without deletions
+    the triangles closed so far, from the arrival index.  Deletion-free
+    realizations of one ``StreamSpec`` end on one graph (its input edges,
+    or the final graph of an ``events`` stream), so the first deletion-free
     replication's truth is reused by every later deletion-free one, and
-    when replication 0 is deletion-free its final store, indexed by
-    arrival, serves every later replication made of its event objects.  A
+    when replication 0 is deletion-free its arrival index serves every
+    later replication made of its event objects.  A
     replication with deletions reuses replication 0's truth when its events
     equal replication 0's, and otherwise recounts its final graph; when the
     stream model randomizes deletions the per-replication truths differ and

@@ -124,6 +124,25 @@ def test_reservoir_capacity_must_be_an_integer_of_at_least_one(capacity):
     assert TriestEstimator(3.0).capacity == 3
 
 
+@pytest.mark.parametrize(
+    "kind, param, message",
+    [
+        ("esd", 0.0, "alpha"),
+        ("esd", 1.5, "alpha"),
+        ("esd", -0.1, "alpha"),
+        ("esd", float("nan"), "alpha"),
+        ("doulion", 1.5, "p must"),
+        ("doulion", -0.1, "p must"),
+        ("doulion", float("nan"), "p must"),
+    ],
+)
+def test_every_estimator_kind_rejects_a_bad_param_at_the_spec(kind, param, message):
+    # refused when the spec is built, as a reservoir capacity is, not at
+    # replication 0's first build
+    with pytest.raises(ValueError, match=message):
+        EstimatorSpec(kind, param)
+
+
 @pytest.mark.parametrize("stride", [0, -5])
 def test_trace_stride_must_be_positive(stride):
     # the default stride is trace_stride=None; 0 and negatives are errors

@@ -1,9 +1,10 @@
 """The arrival index: a deletion-free replication that reads
 ``TimeIndexedGraph`` instead of mutating a store must leave every estimator
-where ``replay`` on a fresh ``Graph`` does, with the same random draws, and
-``run_experiment`` must fall back to the store wherever the index does not
-apply."""
+where ``replay`` on a fresh ``Graph`` does, with the same random draws, its
+triangle closings must be the exact tracker's trace, and ``run_experiment``
+must fall back to the store wherever the index does not apply."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from trisample import (
     BaConfig,
     EdgeEvent,
     EstimatorSpec,
+    ExactTracker,
     ExperimentConfig,
     Graph,
     StreamSpec,
@@ -23,7 +25,7 @@ from trisample import (
     run_experiment,
 )
 from trisample.graph import TimeIndexedGraph
-from trisample.harness import _drive, trace_path_for
+from trisample.harness import _drive, _trace_stops, trace_path_for
 
 from helpers import state
 
@@ -58,38 +60,81 @@ estimator_specs = st.lists(
 def test_index_draws_what_a_fresh_store_draws(edges, specs, seeds):
     spec = StreamSpec("permutation", edges=edges)
     first = spec.realize(seeds[0])
-    g = Graph()
-    replay(first, g)
-    index = TimeIndexedGraph(g, first)
+    index = TimeIndexedGraph.of(first).index
     events = spec.realize(seeds[1])
     order = index.ordered(events)
     assert order is not None
 
     est_seeds = seeds[2:]
     indexed = [s.build(seed) for s, seed in zip(specs, est_seeds)]
-    _drive(indexed, events, order, None)
+    _drive(indexed, events, order, [len(events)], None)
     stored = [s.build(seed) for s, seed in zip(specs, est_seeds)]
     replay(events, Graph(), stored)
     assert [state(est) for est in indexed] == [state(est) for est in stored]
 
-    # Γ before each position, and each pair's presence, are the store's
+    # Γ before each position, read from the rank rows, is the store's
     store = Graph()
     nodes = sorted({x for e in edges for x in e})
+    assert index.nodes.tolist() == nodes
     for i, ev in enumerate(events + [None]):
         for a in nodes:
             row, arrival = order.slots(a)
-            assert [w for w, t in zip(row, arrival) if t < i] == list(store.adjacency(a))
-            for b in nodes:
-                assert bool(order.arrived(a, b, i)) == store.has_edge(a, b)
+            assert [nodes[w] for w, t in zip(row, arrival) if t < i] == list(store.adjacency(a))
         if ev is not None:
             store.add_edge(ev.u, ev.v)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    edges=simple_graphs(),
+    specs=estimator_specs,
+    seeds=st.lists(st.integers(0, 2**32), min_size=5, max_size=5),
+)
+def test_closings_are_the_trackers_trace(edges, specs, seeds):
+    events = StreamSpec("permutation", edges=edges).realize(seeds[0])
+    order = TimeIndexedGraph.of(events)
+    counts = order.closings()
+    assert counts.dtype == np.int32
+    tracker = ExactTracker()
+    replay(events, Graph(), (), tracker)
+    assert counts.tolist() == tracker.h_trace
+
+    # replication 0's indexed pass writes replay's trace rows at every stride
+    for stride in (1, 3):
+        stored = [s.build(seed) for s, seed in zip(specs, seeds[1:])]
+        rows = replay(events, Graph(), stored, ExactTracker(), stride)
+        stops = _trace_stops(len(events), stride)
+        assert [row[0] for row in rows] == stops
+        assert [int(counts[:stop].sum()) for stop in stops] == [row[1] for row in rows]
+        indexed = [s.build(seed) for s, seed in zip(specs, seeds[1:])]
+        assert _drive(indexed, events, order, stops, None) == [row[2] for row in rows]
+
+
+def test_closings_with_slot_keys_beyond_int32():
+    # 16,000 disjoint triangles on 48,000 nodes: n² passes 2^31, so the
+    # closing count searches int64 slot keys
+    edges = [e for t in range(0, 48_000, 3) for e in ((t, t + 1), (t + 1, t + 2), (t, t + 2))]
+    events = StreamSpec("permutation", edges=edges).realize(56)
+    order = TimeIndexedGraph.of(events)
+    assert len(order.index.nodes) ** 2 > 2**31
+    tracker = ExactTracker()
+    replay(events, Graph(), (), tracker)
+    assert order.closings().tolist() == tracker.h_trace
+    assert tracker.count == 16_000
+
+
 def _run(cfg, monkeypatch, index: bool):
     """``run_experiment(cfg)`` with the arrival index on or off, and how many
-    replications the index served."""
+    replications the index served.  Off, replication 0's build is off too,
+    so every replication replays into a store, replication 0 with the
+    tracker."""
     served = []
-    ordered = TimeIndexedGraph.ordered
+    of, ordered = TimeIndexedGraph.of, TimeIndexedGraph.ordered
+
+    def spy_of(events):
+        out = of(events) if index else None
+        served.append(out is not None)
+        return out
 
     def spy(self, events):
         out = ordered(self, events) if index else None
@@ -97,6 +142,7 @@ def _run(cfg, monkeypatch, index: bool):
         return out
 
     with monkeypatch.context() as m:
+        m.setattr(TimeIndexedGraph, "of", staticmethod(spy_of))
         m.setattr(TimeIndexedGraph, "ordered", spy)
         report, traces = run_experiment(cfg)
     return report, traces, sum(served)
@@ -134,7 +180,7 @@ class OnlyRealize:
 def test_a_spec_behind_realize_alone_is_indexed(monkeypatch, tmp_path):
     spec = StreamSpec("permutation", edges=list(er_graph(25, 0.3, seed=40).edges()))
     cfg = ExperimentConfig(OnlyRealize(spec.realize), ESTIMATORS, replications=5, seed=41)
-    assert _same_with_and_without_index(cfg, monkeypatch, tmp_path) == 4
+    assert _same_with_and_without_index(cfg, monkeypatch, tmp_path) == 5
 
 
 def test_fresh_events_each_realization_fall_back(monkeypatch, tmp_path):
@@ -144,14 +190,15 @@ def test_fresh_events_each_realization_fall_back(monkeypatch, tmp_path):
         return [EdgeEvent(ev.u, ev.v, ev.beta) for ev in spec.realize(seed)]
 
     cfg = ExperimentConfig(OnlyRealize(fresh), ESTIMATORS, replications=4, seed=43)
-    assert _same_with_and_without_index(cfg, monkeypatch, tmp_path) == 0
+    # replication 0 is indexed from its own events; the others are other objects
+    assert _same_with_and_without_index(cfg, monkeypatch, tmp_path) == 1
 
 
 def test_events_spec_is_indexed_only_without_deletions(monkeypatch, tmp_path):
     edges = list(er_graph(25, 0.3, seed=44).edges())
     additions = StreamSpec("permutation", edges=edges).realize(45)
     cfg = ExperimentConfig(StreamSpec("events", events=additions), ESTIMATORS, replications=4, seed=46)
-    assert _same_with_and_without_index(cfg, monkeypatch, tmp_path) == 3
+    assert _same_with_and_without_index(cfg, monkeypatch, tmp_path) == 4
 
     dynamic = StreamSpec("edge-deletion", edges=edges, p_e=0.1, p_d=0.3).realize(47)
     assert any(ev.beta == -1 for ev in dynamic)
@@ -167,40 +214,50 @@ def test_edge_deletion_spec_uses_the_index_on_its_deletion_free_replications(mon
     realized = [StreamSpec(**stream).realize(derive_seed(2, "stream", r)) for r in range(reps)]
     free = [all(ev.beta == 1 for ev in events) for events in realized]
     assert free[0] and not all(free)
-    assert _same_with_and_without_index(cfg, monkeypatch, tmp_path) == sum(free[1:]) > 0
+    assert _same_with_and_without_index(cfg, monkeypatch, tmp_path) == sum(free) > 1
 
 
 @pytest.mark.parametrize("edges", [[], [(3, 1)]])
 def test_empty_and_one_edge_streams(edges, monkeypatch, tmp_path):
     cfg = ExperimentConfig(StreamSpec("permutation", edges=edges), ESTIMATORS, replications=3, seed=49)
-    assert _same_with_and_without_index(cfg, monkeypatch, tmp_path) == 2
+    assert _same_with_and_without_index(cfg, monkeypatch, tmp_path) == 3
+    events = StreamSpec("permutation", edges=edges).realize(0)
+    assert TimeIndexedGraph.of(events).closings().tolist() == [0] * len(edges)
 
 
 def test_node_ids_beyond_int64_keep_the_store(monkeypatch, tmp_path):
-    big = 2**64
-    edges = [(big + u, big + v) for u, v in er_graph(15, 0.4, seed=50).edges()]
-    cfg = ExperimentConfig(StreamSpec("permutation", edges=edges), ESTIMATORS, replications=3, seed=51)
-    with pytest.raises(OverflowError):
-        g = Graph()
-        events = StreamSpec("permutation", edges=edges).realize(0)
-        replay(events, g)
-        TimeIndexedGraph(g, events)
+    for big in (2**63, 2**64):
+        edges = [(big + u, big + v) for u, v in er_graph(15, 0.4, seed=50).edges()]
+        cfg = ExperimentConfig(StreamSpec("permutation", edges=edges), ESTIMATORS, replications=3, seed=51)
+        assert TimeIndexedGraph.of(StreamSpec("permutation", edges=edges).realize(0)) is None
+        assert _same_with_and_without_index(cfg, monkeypatch, tmp_path) == 0
+
+
+def test_non_integer_node_ids_keep_the_store(monkeypatch, tmp_path):
+    # 1.5 and 1.7 would both read as node 1 in an int64 array, closing a
+    # triangle that the stream does not hold
+    events = [EdgeEvent(1.5, 3, 1), EdgeEvent(1.7, 4, 1), EdgeEvent(3, 4, 1)]
+    assert TimeIndexedGraph.of(events) is None
+    cfg = ExperimentConfig(StreamSpec("events", events=events), ESTIMATORS, replications=3, seed=57)
     assert _same_with_and_without_index(cfg, monkeypatch, tmp_path) == 0
+    assert run_experiment(cfg)[0].truth == 0
 
 
 def test_duplicate_addition_raises_as_before():
-    events = [EdgeEvent(1, 2, 1), EdgeEvent(2, 3, 1), EdgeEvent(2, 1, 1)]
-    cfg = ExperimentConfig(StreamSpec("events", events=events), ESTIMATORS, replications=3, seed=52)
-    with pytest.raises(ValueError, match=r"inconsistent stream: duplicate addition \(2, 1\)"):
-        run_experiment(cfg)
+    once = EdgeEvent(1, 2, 1)
+    for events, pair in [
+        ([EdgeEvent(1, 2, 1), EdgeEvent(2, 3, 1), EdgeEvent(2, 1, 1)], r"\(2, 1\)"),  # one edge twice
+        ([once, EdgeEvent(2, 3, 1), once], r"\(1, 2\)"),  # one object twice
+    ]:
+        assert TimeIndexedGraph.of(events) is None
+        cfg = ExperimentConfig(StreamSpec("events", events=events), ESTIMATORS, replications=3, seed=52)
+        with pytest.raises(ValueError, match=r"inconsistent stream: duplicate addition " + pair):
+            run_experiment(cfg)
 
 
 def test_a_repeated_or_foreign_object_misses_the_index():
     spec = StreamSpec("permutation", edges=list(er_graph(12, 0.5, seed=53).edges()))
-    first = spec.realize(0)
-    g = Graph()
-    replay(first, g)
-    index = TimeIndexedGraph(g, first)
+    index = TimeIndexedGraph.of(spec.realize(0)).index
     events = spec.realize(1)
     assert index.ordered(events) is not None
     assert index.ordered(events[:-1]) is None
@@ -213,15 +270,13 @@ def test_hub_rows_match_the_store_on_a_ba_graph():
     # indices with rejection, as the store path does
     edges = sorted(ba_graph(BaConfig(800, 20, 0.2, 3, 1.5, seed=5)).edges())
     spec = StreamSpec("permutation", edges=edges)
-    first = spec.realize(0)
-    g = Graph()
-    replay(first, g)
+    g = Graph.from_edges(edges)
     assert max(g.degree(u) for u in g.nodes()) > 256
-    index = TimeIndexedGraph(g, first)
+    index = TimeIndexedGraph.of(spec.realize(0)).index
     events = spec.realize(1)
     specs = [EstimatorSpec("esd", alpha) for alpha in (0.05, 0.5, 1.0)]
     indexed = [s.build(55 + k) for k, s in enumerate(specs)]
-    _drive(indexed, events, index.ordered(events), None)
+    _drive(indexed, events, index.ordered(events), [len(events)], None)
     stored = [s.build(55 + k) for k, s in enumerate(specs)]
     replay(events, Graph(), stored)
     assert [state(e) for e in indexed] == [state(e) for e in stored]

@@ -1,17 +1,21 @@
 """Alternating parent/change runs of the benchmark, written to one JSON file.
 
-    python3 tools/bench_pairs.py --parent ../parent-checkout --parent-rev 2792bb0 \
-        --workload perm-ba2k --seeds 1-10 --out BENCH_16.json
+    python3 tools/bench_pairs.py --parent ../parent-checkout --parent-rev 593e7af \
+        --workload perm-ba20k --seeds 1-10 --held-out 21 --out BENCH_18.json
 
 For each workload and seed, ``perfbench/run.py --trace 0`` runs once in the
 parent checkout and once in the change (by default the checkout holding
 this script), one after the other, with the side that goes first
 alternating from seed to seed, so that a drift in machine speed hits both
-sides alike.  Each run is a fresh process.  The file holds every run's
+sides alike; ``--held-out`` seeds run last and stay out of the summary.
+Each run is a fresh process.  The file holds every run's
 end-to-end metrics, replication count, summary CSV sha256 and check
-failure fraction, and per workload and metric each side's median and
-quartiles and the number of pairs the change won.  It is rewritten after
-every pair, so an interrupted session keeps the pairs it finished.
+failure fraction, its ``git_sha``, ``numpy`` and ``nproc`` lines, and the
+scaled time of each replication; per workload and metric, each side's
+median and quartiles and the number of pairs the change won; and per side
+the median time of replication 0, of replication 1 and of the later ones.
+It is rewritten after every pair, so an interrupted run keeps the pairs it
+finished.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 METRICS = ("rep_s", "setup_s", "exact_s", "peak_rss_mb")  # all lower-is-better
+META = ("git_sha", "numpy", "nproc")  # run metadata kept with each run
 
 
 def seed_list(text: str) -> list[int]:
@@ -45,17 +50,27 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     lines = out.strip().splitlines()
     meta = dict(line[2:].split(" ", 1) for line in lines if line.startswith("# ") and " " in line[2:])
     result = json.loads(lines[-1])
+    full = json.loads((checkout / ".perfbench_out" / f"{workload}-trace0.json").read_text())
     return {
         "metrics": {k: result["metrics"][k]["value"] for k in METRICS},
         "replications": int(meta["replications"]),
+        "rep_s_all": full["scaled_s_all"]["rep_s"],
         "summary_csv_sha256": meta["summary_csv_sha256"],
         "failed": result["failed"],
         "attempted": result["attempted"],
+        **{k: meta[k] for k in META},
     }
 
 
+def by_replication(rep_s_all: list[float]) -> dict:
+    """A run's replication times by kind.  ``perfbench`` makes one call of
+    one replication, then one call of the rest, so replication 0 runs twice."""
+    return {"rep0": rep_s_all[:2], "rep1": rep_s_all[2:3], "later": rep_s_all[3:]}
+
+
 def summarize(runs: list[dict]) -> dict:
-    """Median and quartiles of each metric per side, and pairs won."""
+    """Median and quartiles of each metric per side, pairs won, and each
+    side's median replication times by kind (``by_replication``)."""
     out = {}
     for metric in METRICS:
         row = {}
@@ -69,6 +84,15 @@ def summarize(runs: list[dict]) -> dict:
         parent_median = row["parent"]["median"]
         row["median_change_frac"] = row["change"]["median"] / parent_median - 1.0 if parent_median else None
         out[metric] = row
+    out["replication_s"] = {}
+    for side in ("parent", "change"):
+        pooled = {"rep0": [], "rep1": [], "later": []}
+        for r in runs:
+            for kind, times in by_replication(r[side]["rep_s_all"]).items():
+                pooled[kind] += times
+        out["replication_s"][side] = {
+            kind: {"median": statistics.median(t), "n": len(t)} if t else None for kind, t in pooled.items()
+        }
     return out
 
 
@@ -79,6 +103,7 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, default=HERE, help="checkout of the change")
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--seeds", type=seed_list, default=seed_list("1-10"))
+    ap.add_argument("--held-out", type=seed_list, default=[], help="seeds run after, kept out of the summary")
     ap.add_argument("--seconds", type=float, default=10.0)
     ap.add_argument("--out", type=Path, default=HERE / "BENCH.json")
     args = ap.parse_args(argv)
@@ -92,14 +117,14 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     for workload in args.workload:
-        runs = []
-        for k, seed in enumerate(args.seeds):
+        runs, held_out = [], []
+        for k, seed in enumerate(args.seeds + args.held_out):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
                 pair[side] = run_once(sides[side], workload, seed, args.seconds)
-            runs.append(pair)
-            record["workloads"][workload] = {"runs": runs, "summary": summarize(runs)}
+            (runs if k < len(args.seeds) else held_out).append(pair)
+            record["workloads"][workload] = {"runs": runs, "summary": summarize(runs), "held_out": held_out}
             args.out.write_text(json.dumps(record, indent=1) + "\n")
             rep = {side: pair[side]["metrics"]["rep_s"] for side in ("parent", "change")}
             line = f"{workload} seed {seed}: rep_s parent {rep['parent']:.4g} change {rep['change']:.4g}"
