@@ -28,9 +28,9 @@ are the same, and the baselines never read a store.  Every other
 replication replays into a fresh store through ``replay``: any of a stream
 whose replication 0 had deletions, a later one with deletions or fresh
 event objects, and replication 0 itself when the index cannot take it (a
-repeated object or edge, which ``replay`` then rejects, or a node id beyond
-int64), with the incremental exact tracker, whose running truth goes into
-the trace.
+repeated object or edge, which ``replay`` then rejects, or a node id that is
+not an integer within int64), with the incremental exact tracker, whose
+running truth goes into the trace.
 
 Every deletion-free realization of one stream spec ends on the same graph
 (a generated stream adds each input edge once, and the ``events`` kind
