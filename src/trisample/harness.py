@@ -12,33 +12,31 @@ must act on, and is called there once (``step``) to apply that event and
 draw ahead again; its random draws and results are the same as when it is
 fed every event.
 
-Which replications mutate a store: those of a stream with deletions.
+Which replications mutate a store: those the arrival index does not serve.
 When replication 0's events hold no deletion, they are indexed by arrival
 (``TimeIndexedGraph.of``), from the events alone, and no store or tracker
 runs: each estimator runs over the index on its own, stopping where
 ``replay`` writes its trace rows, and the truth at each stop counts the
 triangles whose last edge arrived before it (``ArrivalOrder.closings``).  A
 later replication made of exactly those objects, each once, reads the same
-index.  Such a replication adds every final edge once, so it is consistent
-and ends on replication 0's graph.  Its draws are the store path's: the
-neighbors of a node before event i are the slots of its final row that
-arrived before i, in id order, which is the list the store holds at that
-point, so ESD's d, its index draws, the node it picks and its closure test
-are the same, and the baselines never read a store.  Every other
-replication replays into a fresh store through ``replay``: any of a stream
-whose replication 0 had deletions, a later one with deletions or fresh
-event objects, and replication 0 itself when the index cannot take it (a
-repeated object or edge, which ``replay`` then rejects, or a node id that is
-not an integer within int64), with the incremental exact tracker, whose
-running truth goes into the trace.
+index.  Its draws are the store path's: the neighbors of a node before
+event i are the slots of its final row that arrived before i, in id order,
+which is the list the store holds at that point, so ESD's d, its index
+draws, the node it picks and its closure test are the same, and the
+baselines never read a store.  Every other replication replays into a
+fresh store through ``replay``: one with deletions, a replication 0 the
+index refuses (a repeated object or edge, which ``replay`` then rejects, or
+a node id that is not an integer within int64), and a later one made of
+other event objects.  A replication 0 there runs the incremental exact
+tracker, whose running truth goes into the trace.
 
-Every deletion-free realization of one stream spec ends on the same graph
-(a generated stream adds each input edge once, and the ``events`` kind
-replays one stream for every seed), so the first such replication's truth
-serves every later one.  A replication with deletions whose events equal
-replication 0's (an ``events`` stream replays the same list) reuses
-replication 0's truth; any other recounts its own final graph once, which
-costs far less than following each event.  Reports are a pure function of
+A later replication takes replication 0's truth only when its events prove
+that it ends on the same graph: the index serves it (the same event
+objects, each once, all additions), or replication 0 replayed a store and
+the events are equal to its events (an ``events`` stream replays the same
+list).  Any other replication recounts its own final graph once, which
+costs far less than following each event, so when the replications end on
+different graphs each has its own truth.  Reports are a pure function of
 the config: per-estimator wall-clock stays 0.0 unless timing is explicitly
 enabled, since measured times would break byte-identical output.
 """
@@ -208,8 +206,9 @@ def replay(events, g, ests=(), tracker=None, stride=None, wall=None) -> list:
     time is added to ``wall[j]``.
 
     ``g`` is a mutable store, and ``replay`` mutates it: ``run_experiment``
-    calls it on every replication the arrival index does not serve, which
-    are those of streams with deletions (see the module docstring).  Its
+    calls it on every replication the arrival index does not serve: those
+    with deletions, a replication 0 the index refuses, and a later one not
+    made of the indexed event objects (see the module docstring).  Its
     trace points are ``_trace_stops``, where the indexed replication 0
     stops too.
 
@@ -264,12 +263,13 @@ def replay(events, g, ests=(), tracker=None, stride=None, wall=None) -> list:
 
 @dataclass
 class _Reuse:
-    """What later replications of one ``run_experiment`` call take from
-    earlier ones."""
+    """Replication 0's truth, and its proof that a later replication ends on
+    the same graph, kept only when more replications follow: its arrival
+    index, when it was indexed, or else its events."""
 
-    fixed: int | None = None  # the truth of the graph every deletion-free replication ends on
-    first: tuple | None = None  # replication 0's events and truth, when it had deletions
-    index: TimeIndexedGraph | None = None  # replication 0's graph, when it was deletion-free
+    truth: int = 0
+    index: TimeIndexedGraph | None = None
+    events: list | None = None
 
 
 def _drive(ests, events, g, bounds, wall) -> list:
@@ -277,19 +277,18 @@ def _drive(ests, events, g, bounds, wall) -> list:
     as of each event, as an ``ArrivalOrder`` does: between two of the
     ``bounds`` (the last one ``len(events)``), ``skip`` from the first, then
     ``step`` at each event it acts on.  Returns the estimates at each bound.
-    The stops are ``replay``'s, so each estimator draws what it draws there."""
-    calls = [(est.step, est.skip) for est in ests]
-    if wall is not None:
-        calls = [
-            (_timed(step, wall, j), _timed(skip, wall, j)) for j, (step, skip) in enumerate(calls)
-        ]
+    The stops are ``replay``'s, so each estimator draws what it draws there.
+    With a ``wall`` list, each estimator's time is added to ``wall[j]``."""
     rows = []
     start = 0
     for stop in bounds:
-        for step, skip in calls:
-            k = skip(events, start, stop)
+        for j, est in enumerate(ests):
+            t0 = time.perf_counter()
+            step, k = est.step, est.skip(events, start, stop)
             while k < stop:
                 k = step(events, k, stop, g)
+            if wall is not None:
+                wall[j] += time.perf_counter() - t0
         rows.append([est.estimate() for est in ests])
         start = stop
     return rows
@@ -300,25 +299,10 @@ def _replicate(cfg: ExperimentConfig, r: int, traces: list, reuse: _Reuse):
     estimators; returns (truth, final estimates, edges sampled, wall
     seconds).
 
-    When replication 0's events hold no deletion, they are indexed by
-    arrival (``TimeIndexedGraph.of``) with no store, and each estimator
-    runs over their ``ArrivalOrder`` on its own, stopping where ``replay``
-    writes its trace rows.  The truth at a trace point is the number of
-    triangles closed before it, from ``ArrivalOrder.closings``, and the
-    final one is ``reuse.fixed``.  The index is kept when more replications
-    follow.  A later replication made of exactly those event objects, each
-    once, ends on the same graph and runs over its own ``ArrivalOrder`` the
-    same way, to its end, with truth ``reuse.fixed``.
-
-    Every other replication replays into a fresh store: replication 0 when
-    it has a deletion, repeats an object or an edge (so ``replay`` raises
-    its ``ValueError``), or names a node the index cannot hold, with the
-    incremental exact tracker, whose running count goes into the trace
-    rows; a later one without it, its truth being ``reuse.fixed`` when it
-    is deletion-free and an earlier one was, ``reuse.first``'s truth when
-    its events equal replication 0's, and otherwise a recount of its final
-    graph.  The rest is local, so the stream, store and estimators of a
-    replication are freed before the next one is realized.
+    Replication 0 writes the trace rows and sets ``reuse``; which later
+    replication takes its truth is the module docstring's rule.  The rest
+    is local, so the stream, store and estimators of a replication are
+    freed before the next one is realized.
     """
     events = cfg.stream.realize(derive_seed(cfg.seed, "stream", r))
     ests = [
@@ -327,6 +311,7 @@ def _replicate(cfg: ExperimentConfig, r: int, traces: list, reuse: _Reuse):
     ]
     wall = [0.0] * len(ests)
     timed = wall if cfg.timing else None
+    keep = cfg.replications > 1
     if r == 0:
         order = TimeIndexedGraph.of(events)
     else:
@@ -341,35 +326,28 @@ def _replicate(cfg: ExperimentConfig, r: int, traces: list, reuse: _Reuse):
                 traces.extend(
                     (stop, truth, spec.name, est) for spec, est in zip(cfg.estimators, estimates)
                 )
-            reuse.fixed = int(counts.sum(dtype=np.int64))
-            if cfg.replications > 1:
+            reuse.truth = int(counts.sum(dtype=np.int64))
+            if keep:
                 reuse.index = order.index
         else:
             _drive(ests, events, order, [len(events)], timed)
-        return reuse.fixed, [e.estimate() for e in ests], [e.edges_sampled for e in ests], wall
+        return reuse.truth, [e.estimate() for e in ests], [e.edges_sampled for e in ests], wall
     g = Graph()
     tracker = ExactTracker() if r == 0 else None
     for stop, truth, estimates in replay(events, g, ests, tracker, cfg.trace_stride, timed):
         traces.extend((stop, truth, spec.name, est) for spec, est in zip(cfg.estimators, estimates))
     finals = [est.estimate() for est in ests]
     sampled = [est.edges_sampled for est in ests]
-    deletion_free = g.edge_count == len(events)
     if tracker is not None:
-        truth = tracker.count
-        if not deletion_free:
-            reuse.first = (events, truth)
-    elif deletion_free and reuse.fixed is not None:
-        truth = reuse.fixed
-    elif reuse.first is not None and events == reuse.first[0]:
-        truth = reuse.first[1]
-    else:
+        reuse.truth = tracker.count
+        if keep:
+            reuse.events = events
+    elif reuse.events is None or events != reuse.events:
         # Free the stream and the estimators before the recount allocates;
         # the bound methods and the schedule that held them died with replay.
         events = ests = None
-        truth = exact_triangles(g)
-    if deletion_free:
-        reuse.fixed = truth
-    return truth, finals, sampled, wall
+        return exact_triangles(g), finals, sampled, wall
+    return reuse.truth, finals, sampled, wall
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[MetricsReport, list]:
@@ -380,17 +358,11 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[MetricsReport, list]:
     estimate) come from the first replication only, every trace-stride
     events and at stream end.  Ground truth on that first replication is
     exact at every trace point: the tracker's count, or without deletions
-    the triangles closed so far, from the arrival index.  Deletion-free
-    realizations of one ``StreamSpec`` end on one graph (its input edges,
-    or the final graph of an ``events`` stream), so the first deletion-free
-    replication's truth is reused by every later deletion-free one, and
-    when replication 0 is deletion-free its arrival index serves every
-    later replication made of its event objects.  A
-    replication with deletions reuses replication 0's truth when its events
-    equal replication 0's, and otherwise recounts its final graph; when the
-    stream model randomizes deletions the per-replication truths differ and
-    metrics normalize by their mean.  Of ``cfg.stream`` only ``realize`` is
-    read.
+    the triangles closed so far, from the arrival index.  Each later
+    replication's truth is replication 0's or its own recount, by the
+    module docstring's rule; when the replications end on different graphs
+    the per-replication truths differ and metrics normalize by their mean.
+    Of ``cfg.stream`` only ``realize`` is read.
     """
     n_est = len(cfg.estimators)
     finals = np.zeros((cfg.replications, n_est))

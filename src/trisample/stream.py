@@ -260,11 +260,6 @@ class StreamSpec:
     the others, and ``p_e`` and ``p_d`` shape only the two deletion models;
     an input the kind does not read raises ``ValueError``.
 
-    Deletion-free realizations of one spec end on one graph: a generated
-    stream with no deletion adds each input edge once, and the events kind
-    replays the same stream for every seed.  ``run_experiment`` relies on
-    this to count that graph's triangles once.
-
     The first ``realize`` validates the input and builds its events once;
     later calls reuse them, so the inputs are read at that first call and
     not again.  Each call returns a new list: callers may mutate it.

@@ -12,6 +12,7 @@ import pytest
 import trisample.harness
 from trisample import (
     BaConfig,
+    EdgeEvent,
     EstimatorSpec,
     ExperimentConfig,
     StreamSpec,
@@ -350,10 +351,14 @@ def test_permutation_truth_is_base_graph_count():
     assert traces[-1][1] == truth
 
 
-def test_timing_changes_only_wall_ms():
+@pytest.mark.parametrize(
+    "stream",
+    [dict(kind="edge-deletion", p_e=0.05, p_d=0.2), dict(kind="permutation")],
+)  # the store path, and the indexed one
+def test_timing_changes_only_wall_ms(stream):
     edges = list(er_graph(30, 0.35, seed=25).edges())
     cfg_args = dict(
-        stream=StreamSpec("edge-deletion", edges=edges, p_e=0.05, p_d=0.2),
+        stream=StreamSpec(edges=edges, **stream),
         estimators=[
             EstimatorSpec("esd", 0.5),
             EstimatorSpec("doulion", 0.5),
@@ -462,9 +467,50 @@ def test_per_replication_truths_with_some_deletion_free(monkeypatch, seed):
     assert replicated == truths
     assert report.truth == float(np.asarray(truths, dtype=float).mean())
     assert report.rows[1].nrmse == 0.0  # Doulion at p=1 mirrors each final graph
-    # replication 0 has the tracker; a later one recounts unless it is
-    # deletion-free and an earlier one was too
-    assert len(recounted) == sum(not (free[r] and any(free[:r])) for r in range(1, reps))
+    # replication 0 has the tracker or the index; a later one recounts unless
+    # it is deletion-free and replication 0 was too, so the index proves it
+    assert len(recounted) == sum(not (free[0] and free[r]) for r in range(1, reps))
+
+
+class _Prefixes:
+    """A stream given through ``realize`` alone, as the harness reads it:
+    the first ``len(edges) - 10 * (seed % 3)`` edges, each added once, as
+    fresh event objects or as one shared list's."""
+
+    def __init__(self, edges, fresh):
+        self.edges, self.fresh = edges, fresh
+        self.events = [EdgeEvent(u, v, 1) for u, v in edges]
+
+    def realize(self, seed):
+        n = len(self.edges) - 10 * (seed % 3)
+        if self.fresh:
+            return [EdgeEvent(u, v, 1) for u, v in self.edges[:n]]
+        return self.events[:n]
+
+
+@pytest.mark.parametrize("fresh", [True, False])  # fresh objects, and shared ones with some dropped
+def test_deletion_free_replications_on_other_graphs_recount(monkeypatch, fresh):
+    replicated = []
+    replicate = trisample.harness._replicate
+
+    def recording(*args):
+        out = replicate(*args)
+        replicated.append(out[0])
+        return out
+
+    monkeypatch.setattr(trisample.harness, "_replicate", recording)
+    edges = list(er_graph(25, 0.4, seed=1).edges())
+    stream = _Prefixes(edges, fresh)
+    reps, seed = 4, 3
+    report, _ = run_experiment(
+        ExperimentConfig(stream, [EstimatorSpec("doulion", 1.0)], reps, seed=seed)
+    )
+    realized = [stream.realize(derive_seed(seed, "stream", r)) for r in range(reps)]
+    truths = [_set_recount([(ev.u, ev.v) for ev in events]) for events in realized]
+    assert len(set(truths)) > 1  # the replications end on different graphs
+    assert replicated == truths
+    assert report.truth == float(np.asarray(truths, dtype=float).mean())
+    assert report.rows[0].nrmse == 0.0  # Doulion at p=1 mirrors each final graph
 
 
 # The same pins for a permutation stream, whose later replications reuse

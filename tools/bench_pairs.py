@@ -12,8 +12,13 @@ Each run is a fresh process.  The file holds every run's
 end-to-end metrics, replication count, summary CSV sha256 and check
 failure fraction, its ``git_sha``, ``numpy`` and ``nproc`` lines, and the
 scaled time of each replication; per workload and metric, each side's
-median and quartiles and the number of pairs the change won; and per side
-the median time of replication 0, of replication 1 and of the later ones.
+median and quartiles and the number of pairs the change won; per side
+the median time of replication 0, of replication 1 and of the later ones;
+and under ``csv`` the number of pairs whose sides ran equal replication
+counts (``equal_replications``) and, of those, the number whose summary
+CSV digests match (``same_sha256``).  Only those pairs can show byte
+identity: ``perfbench`` sizes its second call by replication 0's time, so
+a side that runs faster fits more replications and writes another CSV.
 It is rewritten after every pair, so an interrupted run keeps the pairs it
 finished.
 """
@@ -69,8 +74,10 @@ def by_replication(rep_s_all: list[float]) -> dict:
 
 
 def summarize(runs: list[dict]) -> dict:
-    """Median and quartiles of each metric per side, pairs won, and each
-    side's median replication times by kind (``by_replication``)."""
+    """Median and quartiles of each metric per side, pairs won, each side's
+    median replication times by kind (``by_replication``), and the pairs
+    that ran equal replication counts and, of those, wrote the same
+    summary CSV."""
     out = {}
     for metric in METRICS:
         row = {}
@@ -93,6 +100,11 @@ def summarize(runs: list[dict]) -> dict:
         out["replication_s"][side] = {
             kind: {"median": statistics.median(t), "n": len(t)} if t else None for kind, t in pooled.items()
         }
+    equal = [r for r in runs if r["parent"]["replications"] == r["change"]["replications"]]
+    out["csv"] = {
+        "equal_replications": len(equal),
+        "same_sha256": sum(r["parent"]["summary_csv_sha256"] == r["change"]["summary_csv_sha256"] for r in equal),
+    }
     return out
 
 
