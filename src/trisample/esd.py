@@ -7,9 +7,9 @@ the probability of the observed (edge, node) tuple, weighted because the
 same triangle is observable from both endpoints.  Γ(u)∖{v} is the same set
 before and after the store applies the event, so the estimator may run
 either side of the mutation.  Sampled edges are discarded immediately: the
-estimator holds no subgraph, needs O(d) transient space for the
-neighborhood it inspects, and costs O(log d) per sampled edge: one
-presence test for the edge and one probe per endpoint.
+estimator holds no subgraph and reads only the neighbor lists Γ(u) and
+Γ(v) of a sampled edge, at O(log d) on a ``Graph``: one presence test for
+the edge and one probe per endpoint.
 
 Randomness comes from an ``rng`` with ``random()`` for the coins and
 ``getrandbits(k)`` for the probes.  A probe over d candidates draws one
@@ -25,9 +25,7 @@ Like the baselines, it assumes a consistent stream (no duplicate
 addition, no absent deletion); the driver rejects any other.
 
 ``step`` reads either a mutable ``Graph`` or an ``ArrivalOrder``, the final
-graph of a deletion-free stream indexed by arrival.  On the index, Γ(a) is
-the slots of a's final row of neighbor ranks that arrived before the event,
-so d, the draws and the picked node are those of the mutated store.
+graph of a deletion-free stream indexed by arrival, with the same draws.
 """
 
 from __future__ import annotations
@@ -115,105 +113,59 @@ class EsdEstimator:
         graph before or after ``events[i]``.
 
         Each endpoint a of the edge (u, v), with b the other one, probes
-        Γ(a)∖{b} for a node closing a triangle with (a, b) and moves the
-        estimate by ``beta`` times the inverse probability of the observed
-        tuple, alpha/d with d = |Γ(a)∖{b}|; u probes first.  The set does
-        not depend on whether ``g`` holds (u, v), so neither does the probe.
-        One bisect of the shorter of Γ(u) and Γ(v) tells whether the edge
-        is present; if it is, b's slot in Γ(a) is skipped, so index j picks
-        Γ(a)[j], or Γ(a)[j+1] when Γ(a)[j] >= b.  Each probe draws one
-        uniform index, the value ``rng.randrange(d)`` gives, from
-        ``rng.getrandbits`` with the same draws, so a replay is
-        deterministic from the seed.  The picked node w closes a triangle
-        when (w, b) is an edge, found by bisecting the shorter of Γ(w) and
-        Γ(b), as ``Graph.has_edge`` does.  On an ``ArrivalOrder`` the same
-        sets come from the index (see ``_step_arrived``).
+        Γ(a)∖{b}, which does not depend on whether ``g`` holds (u, v); u
+        probes first.  The probe draws one uniform index j < d = |Γ(a)∖{b}|,
+        as ``rng.randrange(d)`` would, and picks the j-th node w in id order.
+        w closes a triangle when it is in Γ(b), that is when (w, b) is an
+        edge, and then the estimate moves by ``beta`` times the inverse
+        probability of the observed tuple, alpha/d.  So the update reads
+        Γ(u) and Γ(v) and no other list.  On a ``Graph`` one bisect of Γ(u)
+        tells whether the edge is present, and if it is, j skips b's slot in
+        Γ(a).  On an ``ArrivalOrder``, Γ(a)∖{b} is a's final neighbors that
+        arrived before ``i`` (b's own edge arrives at ``i``), a mask over a's
+        row of ranks, and w is in Γ(b) when it is in b's row with an arrival
+        before ``i``.
         """
-        if type(g) is ArrivalOrder:
-            return self._step_arrived(events, i, stop, g)
         ev = events[i]
-        u, v, beta = ev.u, ev.v, ev.beta
         self.edges_sampled += 1
-        adjacency = g.adjacency
-        nu = adjacency(u)
-        nv = adjacency(v)
-        if len(nu) <= len(nv):
+        bits = self.rng.getrandbits
+        if type(g) is ArrivalOrder:
+            row_u, arrival = g.slots(ev.u)
+            before_u = arrival < i
+            row_v, arrival = g.slots(ev.v)
+            before_v = arrival < i
+            for row, before, other, other_before in (
+                (row_u, before_u, row_v, before_v),
+                (row_v, before_v, row_u, before_u),
+            ):
+                d = int(np.count_nonzero(before))
+                if d > 0:
+                    k = d.bit_length()
+                    j = bits(k)
+                    while j >= d:
+                        j = bits(k)
+                    w = row[before.nonzero()[0][j]]
+                    p = other.searchsorted(w)
+                    if p < len(other) and other[p] == w and other_before[p]:
+                        self.t_est += ev.beta * self.omega * d / self._alpha
+        else:
+            u, v = ev.u, ev.v
+            nu, nv = g.adjacency(u), g.adjacency(v)
             s = bisect_left(nu, v)
             present = s < len(nu) and nu[s] == v
-        else:
-            s = bisect_left(nv, u)
-            present = s < len(nv) and nv[s] == u
-        bits = self.rng.getrandbits
-        # u's probe, then v's, written out: a loop over the two endpoints
-        # measured about 6% slower on a replay of 64 estimators
-        d = len(nu) - present
-        if d > 0:
-            k = d.bit_length()
-            j = bits(k)
-            while j >= d:
-                j = bits(k)
-            w = nu[j]
-            if present and w >= v:
-                w = nu[j + 1]
-            nw = adjacency(w)
-            lst, target = (nw, v) if len(nw) <= len(nv) else (nv, w)
-            p = bisect_left(lst, target)
-            if p < len(lst) and lst[p] == target:
-                self.t_est += beta * self.omega * d / self._alpha
-        d = len(nv) - present
-        if d > 0:
-            k = d.bit_length()
-            j = bits(k)
-            while j >= d:
-                j = bits(k)
-            w = nv[j]
-            if present and w >= u:
-                w = nv[j + 1]
-            nw = adjacency(w)
-            lst, target = (nw, u) if len(nw) <= len(nu) else (nu, w)
-            p = bisect_left(lst, target)
-            if p < len(lst) and lst[p] == target:
-                self.t_est += beta * self.omega * d / self._alpha
-        # skip's coin loop, inline: a sampled event costs one call
-        rand = self.rng.random
-        alpha = self._alpha
-        for k in range(i + 1, stop):
-            if rand() < alpha:
-                return k
-        return stop
-
-    def _step_arrived(self, events, i: int, stop: int, g: ArrivalOrder) -> int:
-        """``step`` on the arrival index; u probes first, then v.
-
-        Γ(a)∖{b} on the store is a's final neighbors that arrived before
-        ``i`` (b's own edge arrives at ``i``), in id order: a mask over a's
-        row of ranks, O(d) numpy work.  So d is the store's, the index draw
-        is the store's, and the j-th set slot is the node the store's Γ(a)[j]
-        (past b's slot) picks.  That node w closes a triangle when it is in
-        Γ(b) before ``i``, which is when the store holds (w, b): one search
-        of b's row.
-        """
-        ev = events[i]
-        self.edges_sampled += 1
-        bits = self.rng.getrandbits
-        row_u, arrival = g.slots(ev.u)
-        before_u = arrival < i
-        row_v, arrival = g.slots(ev.v)
-        before_v = arrival < i
-        for row, before, other, other_before in (
-            (row_u, before_u, row_v, before_v),
-            (row_v, before_v, row_u, before_u),
-        ):
-            d = int(np.count_nonzero(before))
-            if d > 0:
-                k = d.bit_length()
-                j = bits(k)
-                while j >= d:
+            for na, nb, b in ((nu, nv, v), (nv, nu, u)):
+                d = len(na) - present
+                if d > 0:
+                    k = d.bit_length()
                     j = bits(k)
-                w = row[before.nonzero()[0][j]]
-                p = other.searchsorted(w)
-                if p < len(other) and other[p] == w and other_before[p]:
-                    self.t_est += ev.beta * self.omega * d / self._alpha
+                    while j >= d:
+                        j = bits(k)
+                    w = na[j]
+                    if present and w >= b:
+                        w = na[j + 1]
+                    p = bisect_left(nb, w)
+                    if p < len(nb) and nb[p] == w:
+                        self.t_est += ev.beta * self.omega * d / self._alpha
         return self.skip(events, i + 1, stop)
 
     def process_static(self, edge, g) -> None:

@@ -159,8 +159,8 @@ def neighbors_around(n, offset):
 @pytest.mark.parametrize("n_u, n_v", [(3, 6), (6, 3), (4, 4), (5, 5)])
 @pytest.mark.parametrize("beta, present", [(1, False), (1, True), (-1, True), (-1, False)])
 def test_step_presence_test_matches_randrange_picks(n_u, n_v, beta, present):
-    # step tests once whether (u, v) is in the store, by bisecting the
-    # shorter of Γ(u) and Γ(v), here u's, v's or a tie, and then probes
+    # step tests once whether (u, v) is in the store, by bisecting Γ(u),
+    # here shorter than, longer than or as long as Γ(v), and then probes
     # both endpoints.  Fed before or after the store applies an
     # addition or a deletion, each probe must pick what randrange(d) picks
     # from Γ(a)∖{b}, move the estimate by the same increments and leave the
@@ -190,6 +190,39 @@ def test_step_presence_test_matches_randrange_picks(n_u, n_v, beta, present):
         assert est.edges_sampled == 1
     assert all({-1, 0, 1} <= seen[a] for a in (u, v))
     assert closes == {False, True}
+
+
+class ReadRecordingGraph(Graph):
+    """A store that records every node whose neighbor list is asked for."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = []
+
+    def adjacency(self, u):
+        self.read.append(u)
+        return super().adjacency(u)
+
+
+def test_step_reads_only_the_endpoints_lists():
+    # the closure test "is w in Γ(b)?" needs only the sampled edge's two
+    # lists.  Fed right after the store applies each event of an
+    # edge-deletion stream, so that it sees the edge present (addition)
+    # and absent (deletion), every step must ask for u's and v's lists
+    # alone and end on the estimate a plain store gives
+    edges = list(er_graph(30, 0.3, seed=36).edges())
+    events = StreamSpec("edge-deletion", edges=edges, p_e=0.05, p_d=0.3).realize(37)
+    assert any(ev.beta == -1 for ev in events)
+    recording, plain = ReadRecordingGraph(), Graph()
+    est, ref = EsdEstimator(1.0, seed=38), EsdEstimator(1.0, seed=38)
+    for i, ev in enumerate(events):
+        for g in (recording, plain):
+            (g.add_edge if ev.beta == 1 else g.delete_edge)(ev.u, ev.v)
+        recording.read.clear()
+        assert est.step(events, i, i + 1, recording) == i + 1
+        assert set(recording.read) <= {ev.u, ev.v}
+        ref.step(events, i, i + 1, plain)
+    assert est.t_est == ref.t_est != 0.0
 
 
 def test_add_then_delete_same_closing_edge_nets_zero():

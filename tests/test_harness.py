@@ -1,10 +1,13 @@
 import csv
 import dataclasses
 import hashlib
+import importlib.util
 import math
 import random
 import statistics
+import sys
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -568,3 +571,30 @@ def test_emit_csv_golden_sha256_node_deletion(tmp_path):
     assert summary == GOLDEN_NODE_DELETION_SUMMARY_SHA256
     trace = hashlib.sha256(trace_path_for(out).read_bytes()).hexdigest()
     assert trace == GOLDEN_NODE_DELETION_TRACE_SHA256
+
+
+# sha256 of the summary CSV bytes followed by the trace CSV bytes that
+# the benchmark workloads' setups give at a fixed replication count and
+# seed 7.  The benchmark sizes its runs by wall time, so its own digests
+# compare only runs that fit equal counts; these compare every change.
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+GOLDEN_WORKLOAD_SHA256 = {  # workload: (replications, digest)
+    "perm-ba2k": (6, "d278f71c03be914dc9f4d05018445ee20db188c6f4cc59eee981cfc45befc959"),
+    "dynfan-ba2k": (3, "98f2d2d6135b602ac0ec6e50a3db78c81dc875b7d53472b6d6e170fbb9c1461c"),
+    "perm-ba20k": (2, "5feed9ce58745ca95c39afc716d6d4adf1890853c23e01905398ff5f900cab12"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_WORKLOAD_SHA256)
+def test_benchmark_workload_csvs_golden_sha256(tmp_path, monkeypatch, name):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    replications, digest = GOLDEN_WORKLOAD_SHA256[name]
+    setup = workloads.WORKLOADS[name].setup()
+    cfg = ExperimentConfig(setup.stream, setup.estimators, replications=replications, seed=7)
+    out = tmp_path / "golden.csv"
+    emit_csv(*run_experiment(cfg), out)
+    both = out.read_bytes() + trace_path_for(out).read_bytes()
+    assert hashlib.sha256(both).hexdigest() == digest

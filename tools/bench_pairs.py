@@ -1,14 +1,19 @@
 """Alternating parent/change runs of the benchmark, written to one JSON file.
 
-    python3 tools/bench_pairs.py --parent ../parent-checkout --parent-rev 593e7af \
-        --workload perm-ba20k --seeds 1-10 --held-out 21 --out BENCH_18.json
+    python3 tools/bench_pairs.py --parent ../parent --change ../change \
+        --parent-rev 593e7af --workload perm-ba20k --seeds 1-10 --held-out 21 \
+        --out BENCH_18.json
+
+Both sides are fresh checkouts in sibling directories: the metrics depend
+on where a checkout lies (identical code read ``perm-ba2k`` ``exact_s``
+2.8% slower in the repository's own directory than in a sibling one), so
+neither side may be the working repository.
 
 For each workload and seed, ``perfbench/run.py --trace 0`` runs once in the
-parent checkout and once in the change (by default the checkout holding
-this script), one after the other, with the side that goes first
-alternating from seed to seed, so that a drift in machine speed hits both
-sides alike; ``--held-out`` seeds run last and stay out of the summary.
-Each run is a fresh process.  The file holds every run's
+parent checkout and once in the change, one after the other, with the side
+that goes first alternating from seed to seed, so that a drift in machine
+speed hits both sides alike; ``--held-out`` seeds run last and stay out of
+the summary.  Each run is a fresh process.  The file holds every run's
 end-to-end metrics, replication count, summary CSV sha256 and check
 failure fraction, its ``git_sha``, ``numpy`` and ``nproc`` lines, and the
 scaled time of each replication; per workload and metric, each side's
@@ -112,7 +117,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     ap.add_argument("--parent-rev", default="unknown", help="the parent commit, for the record")
-    ap.add_argument("--change", type=Path, default=HERE, help="checkout of the change")
+    ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--seeds", type=seed_list, default=seed_list("1-10"))
     ap.add_argument("--held-out", type=seed_list, default=[], help="seeds run after, kept out of the summary")
