@@ -2,8 +2,10 @@
 edge reservoir with random pairing for deletions.
 
 Both maintain their own sampled subgraph and never query the main graph
-store; they see only the event stream.  They speak the replay protocol of
-the sampling estimator: ``skip(events, start, stop)`` draws the coins of
+store; they see only the event stream, and of ``step``'s graph only its
+type: an ``ArrivalOrder``'s stream holds no deletion, so there they draw
+coins ahead without reading events.  They speak the replay protocol of the
+sampling estimator: ``skip(events, start, stop)`` draws the coins of
 upcoming events and does the bookkeeping of those that leave the sample
 unchanged, and returns the position of the first event that changes it;
 ``step(events, i, stop, g)`` applies ``events[i]`` without redrawing its
@@ -22,7 +24,8 @@ from __future__ import annotations
 import random
 from math import exp, lgamma
 
-from .graph import Graph
+from .esd import first_won
+from .graph import ArrivalOrder, Graph
 from .oracle import triangles_of_edge
 
 
@@ -68,8 +71,10 @@ class DoulionEstimator:
 
     def step(self, events, i: int, stop: int, g) -> int:
         """Add ``events[i]``, a won addition, to the sample or drop the
-        sampled edge it deletes, then skip from ``i + 1``; ``g`` is unused,
-        since the sparsifier sees only the stream."""
+        sampled edge it deletes, then skip from ``i + 1``.  The sparsifier
+        sees only the stream: on an ``ArrivalOrder`` ``g``, whose stream holds
+        no deletion, the skip draws ``skip``'s coins without reading the
+        events, and any other ``g`` is unused."""
         ev = events[i]
         if ev.beta == 1:
             if self.sample.add_edge(ev.u, ev.v):
@@ -80,6 +85,8 @@ class DoulionEstimator:
         else:
             self.tri_in_sample -= triangles_of_edge(self.sample, ev.u, ev.v)
             self.sample.delete_edge(ev.u, ev.v)
+        if type(g) is ArrivalOrder:
+            return first_won(self.rng.random, self.p, i + 1, stop)
         return self.skip(events, i + 1, stop)
 
     def estimate(self) -> float:
@@ -172,7 +179,9 @@ class TriestEstimator:
         """Apply ``events[i]``, where ``skip`` stopped: insert or replace for
         an addition, drop the reservoir edge for a deletion; then skip from
         ``i + 1``.  Its coin is already drawn; a replacement draws its slot.
-        ``g`` is unused."""
+        On an ``ArrivalOrder`` ``g``, whose stream holds no deletion and so
+        leaves no debts, a full reservoir's skip draws only the coins against
+        capacity/s, without reading the events; any other ``g`` is unused."""
         ev = events[i]
         e = (ev.u, ev.v) if ev.u < ev.v else (ev.v, ev.u)
         if ev.beta == 1:
@@ -188,6 +197,14 @@ class TriestEstimator:
             self._live -= 1
             self._remove(e)
             self.c_bad += 1
+        if type(g) is ArrivalOrder and len(self._edges) == self.capacity:
+            rand, cap, base = self.rng.random, self.capacity, self._live - i
+            for k in range(i + 1, stop):  # base + k: the live edges with event k
+                if rand() < cap / (base + k):
+                    self._live = base + k - 1
+                    return k
+            self._live = base + stop - 1
+            return stop
         return self.skip(events, i + 1, stop)
 
     def estimate(self) -> float:

@@ -42,6 +42,16 @@ OMEGA_DYNAMIC = 0.5  # a new triangle is observable via 2 tuples of its closing 
 OMEGA_STATIC = 1.0 / 6.0  # full-edge streams expose all 3 edges, 2 tuples each
 
 
+def first_won(rand, p: float, start: int, stop: int) -> int:
+    """The first position in ``range(start, stop)`` whose coin ``rand() <
+    p`` is won, drawing one coin per position up to it, or ``stop``: ESD's
+    skip, and Doulion's where no event is a deletion.  No event is read."""
+    for k in range(start, stop):
+        if rand() < p:
+            return k
+    return stop
+
+
 class EsdEstimator:
     """Running triangle estimate over a fully dynamic edge stream.
 
@@ -99,12 +109,7 @@ class EsdEstimator:
         one won, and return its position (``stop`` when none was won).  A
         lost coin needs no bookkeeping, so the events are not read.  The
         won event's coin has been drawn, so ``step`` draws none for it."""
-        rand = self.rng.random
-        alpha = self._alpha
-        for k in range(start, stop):
-            if rand() < alpha:
-                return k
-        return stop
+        return first_won(self.rng.random, self._alpha, start, stop)
 
     def step(self, events, i: int, stop: int, g) -> int:
         """The update for ``events[i]``, whose coin was won, then the coins
@@ -166,7 +171,7 @@ class EsdEstimator:
                     p = bisect_left(nb, w)
                     if p < len(nb) and nb[p] == w:
                         self.t_est += ev.beta * self.omega * d / self._alpha
-        return self.skip(events, i + 1, stop)
+        return first_won(self.rng.random, self._alpha, i + 1, stop)  # ``skip``, one call fewer
 
     def process_static(self, edge, g) -> None:
         """Static variant: ``g`` is the whole graph and the stream delivers

@@ -20,7 +20,10 @@ from trisample import (
     run_experiment,
 )
 
-from helpers import complete_graph_edges
+from trisample.graph import TimeIndexedGraph
+from trisample.harness import _drive
+
+from helpers import complete_graph_edges, state
 
 
 def drive(est, events):
@@ -285,3 +288,44 @@ def test_mid_stream_means_match_the_tracker_on_a_deletion_heavy_stream():
                 assert mean == truth, (name, position)
             else:
                 assert abs(mean - truth) <= 4 * se, (name, position, mean, truth, se)
+
+
+class Unread:
+    """A stand-in event that fails when any of its fields is read."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        raise AssertionError(f"read .{name} of an event the estimator does not act on")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: DoulionEstimator(0.3, seed=61),
+        lambda: TriestEstimator(10, seed=61),
+        lambda: TriestEstimator(1, seed=61),
+    ],
+    ids=["doulion", "triest-10", "triest-1"],
+)
+def test_indexed_skip_reads_only_the_events_acted_on(make):
+    # an ArrivalOrder's stream holds no deletion, so once a pass's first
+    # skip has returned, the coins ahead need no event: every position the
+    # estimator does not act on, past that skip, is a stand-in that fails
+    # when read, and the pass must end where the one over the real events
+    # does, which ends where a store replay does
+    events = StreamSpec("permutation", edges=list(er_graph(30, 0.3, seed=60).edges())).realize(62)
+    order = TimeIndexedGraph.of(events)
+    m = len(events)
+    ref = make()
+    acts = [ref.skip(events, 0, m)]
+    while acts[-1] < m:
+        acts.append(ref.step(events, acts[-1], m, order))
+    stored = make()
+    replay(events, Graph(), [stored])
+    assert state(ref) == state(stored)
+    read = set(range(acts[0])) | set(acts)
+    assert len(read) < m / 2
+    est = make()
+    _drive([est], [ev if k in read else Unread() for k, ev in enumerate(events)], order, [m], None)
+    assert state(est) == state(ref)

@@ -13,13 +13,15 @@ def _bench_pairs():
     return module
 
 
-def _run(rep_s, replications, sha):
+def _run(rep_s, replications, sha, failed=0, attempted=10):
     metrics = {"rep_s": rep_s, "setup_s": 1.0, "exact_s": 1.0, "peak_rss_mb": 50.0}
     return {
         "metrics": metrics,
         "replications": replications,
         "rep_s_all": [rep_s] * (replications + 1),
         "summary_csv_sha256": sha,
+        "failed": failed,
+        "attempted": attempted,
     }
 
 
@@ -37,3 +39,15 @@ def test_summarize_compares_digests_only_at_equal_replication_counts():
     assert out["setup_s"]["change_won"] == 0
     assert out["replication_s"]["change"]["rep0"] == {"median": 0.21, "n": 6}
     assert out["replication_s"]["parent"]["later"]["n"] == 7
+
+
+def test_summarize_sums_each_sides_failed_and_attempted_checks():
+    runs = [
+        {"parent": _run(0.30, 4, "a", 0, 12), "change": _run(0.20, 4, "a", 1, 12)},
+        {"parent": _run(0.32, 4, "b", 0, 9), "change": _run(0.21, 4, "b", 2, 11)},
+    ]
+    out = _bench_pairs().summarize(runs)
+    assert out["checks"] == {
+        "parent": {"failed": 0, "attempted": 21},
+        "change": {"failed": 3, "attempted": 23},
+    }

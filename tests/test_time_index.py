@@ -110,6 +110,38 @@ def test_closings_are_the_trackers_trace(edges, specs, seeds):
         assert _drive(indexed, events, order, stops, None) == [row[2] for row in rows]
 
 
+class StateAtStops:
+    """An estimator that records its full ``state`` whenever its estimate is
+    read, which ``replay`` and ``_drive`` do at each stop alone."""
+
+    def __init__(self, est):
+        self.est, self.states = est, []
+        self.skip, self.step = est.skip, est.step
+
+    def estimate(self):
+        self.states.append(state(self.est))
+        return self.est.estimate()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    edges=simple_graphs(),
+    specs=estimator_specs,
+    seeds=st.lists(st.integers(0, 2**32), min_size=5, max_size=5),
+)
+def test_states_at_every_stop_are_replays(edges, specs, seeds):
+    # the indexed skips of ESD, Doulion and a full TRIÈST draw no coin past
+    # a stop and leave every count where the store's skips do
+    events = StreamSpec("permutation", edges=edges).realize(seeds[0])
+    order = TimeIndexedGraph.of(events)
+    for stride in (1, 3):
+        stored = [StateAtStops(s.build(seed)) for s, seed in zip(specs, seeds[1:])]
+        replay(events, Graph(), stored, ExactTracker(), stride)
+        indexed = [StateAtStops(s.build(seed)) for s, seed in zip(specs, seeds[1:])]
+        _drive(indexed, events, order, _trace_stops(len(events), stride), None)
+        assert [est.states for est in indexed] == [est.states for est in stored]
+
+
 def test_closings_with_slot_keys_beyond_int32():
     # 16,000 disjoint triangles on 48,000 nodes: n² passes 2^31, so the
     # closing count searches int64 slot keys
@@ -263,6 +295,31 @@ def test_a_repeated_or_foreign_object_misses_the_index():
     assert index.ordered(events[:-1]) is None
     assert index.ordered(events[:-1] + events[:1]) is None
     assert index.ordered(events[:-1] + [EdgeEvent(events[-1].u, events[-1].v, 1)]) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(edges=simple_graphs().filter(lambda edges: len(edges) >= 2), data=st.data())
+def test_sorted_ids_prove_an_order_wherever_the_defect_lies(edges, data):
+    spec = StreamSpec("permutation", edges=edges)
+    index = TimeIndexedGraph.of(spec.realize(0)).index
+    events = spec.realize(data.draw(st.integers(1, 2**32)))
+    order = index.ordered(events)
+    # each slot's arrival is the position of its edge's event
+    for a in index.nodes.tolist():
+        row, arrival = order.slots(a)
+        assert arrival.dtype == np.int32
+        for w, t in zip(index.nodes[row].tolist(), arrival.tolist()):
+            assert {events[t].u, events[t].v} == {a, w}
+
+    positions = st.integers(0, len(events) - 1)
+    gone, twice = data.draw(st.lists(positions, min_size=2, max_size=2, unique=True))
+    repeated = list(events)
+    repeated[gone] = events[twice]
+    assert index.ordered(repeated) is None
+    assert TimeIndexedGraph.of(repeated) is None
+    foreign = list(events)
+    foreign[gone] = EdgeEvent(events[gone].u, events[gone].v, 1)
+    assert index.ordered(foreign) is None
 
 
 def test_hub_rows_match_the_store_on_a_ba_graph():

@@ -18,7 +18,8 @@ end-to-end metrics, replication count, summary CSV sha256 and check
 failure fraction, its ``git_sha``, ``numpy`` and ``nproc`` lines, and the
 scaled time of each replication; per workload and metric, each side's
 median and quartiles and the number of pairs the change won; per side
-the median time of replication 0, of replication 1 and of the later ones;
+the median time of replication 0, of replication 1 and of the later ones,
+and under ``checks`` the output checks failed and attempted in all its runs;
 and under ``csv`` the number of pairs whose sides ran equal replication
 counts (``equal_replications``) and, of those, the number whose summary
 CSV digests match (``same_sha256``).  Only those pairs can show byte
@@ -80,8 +81,9 @@ def by_replication(rep_s_all: list[float]) -> dict:
 
 def summarize(runs: list[dict]) -> dict:
     """Median and quartiles of each metric per side, pairs won, each side's
-    median replication times by kind (``by_replication``), and the pairs
-    that ran equal replication counts and, of those, wrote the same
+    median replication times by kind (``by_replication``) and its output
+    checks ``failed`` of those ``attempted``, summed over its runs, and the
+    pairs that ran equal replication counts and, of those, wrote the same
     summary CSV."""
     out = {}
     for metric in METRICS:
@@ -105,6 +107,10 @@ def summarize(runs: list[dict]) -> dict:
         out["replication_s"][side] = {
             kind: {"median": statistics.median(t), "n": len(t)} if t else None for kind, t in pooled.items()
         }
+    out["checks"] = {
+        side: {k: sum(r[side][k] for r in runs) for k in ("failed", "attempted")}
+        for side in ("parent", "change")
+    }
     equal = [r for r in runs if r["parent"]["replications"] == r["change"]["replications"]]
     out["csv"] = {
         "equal_replications": len(equal),
