@@ -170,14 +170,6 @@ class Graph:
                 raise ValueError(f"duplicate edge {(min(u, v), max(u, v))} in edge list")
         return g
 
-    def __eq__(self, other):
-        # add_node's degree-0 entries behave like unknown nodes, so ignore them
-        if not isinstance(other, Graph):
-            return NotImplemented
-        mine = {u: nbrs for u, nbrs in self._adj.items() if nbrs}
-        theirs = {u: nbrs for u, nbrs in other._adj.items() if nbrs}
-        return mine == theirs
-
     def __repr__(self):
         return f"Graph(nodes={self.node_count}, edges={self._edge_count})"
 

@@ -12,33 +12,38 @@ must act on, and is called there once (``step``) to apply that event and
 draw ahead again; its random draws and results are the same as when it is
 fed every event.
 
-Which replications mutate a store: those the arrival index does not serve.
-When replication 0's events hold no deletion, they are indexed by arrival
-(``TimeIndexedGraph.of``), from the events alone, and no store or tracker
-runs: each estimator runs over the index on its own, stopping where
-``replay`` writes its trace rows, and the truth at each stop counts the
-triangles whose last edge arrived before it (``ArrivalOrder.closings``).  A
-later replication made of exactly those objects, each once, reads the same
-index.  Its draws are the store path's: the neighbors of a node before
-event i are the slots of its final row that arrived before i, in id order,
-which is the list the store holds at that point, so ESD's d, its index
-draws, the node it picks and its closure test are the same, and the
-baselines never read a store.  Every other replication replays into a
-fresh store through ``replay``: one with deletions, a replication 0 the
-index refuses (a repeated object or edge, which ``replay`` then rejects, or
-a node id that is not an integer within int64), and a later one made of
-other event objects.  A replication 0 there runs the incremental exact
-tracker, whose running truth goes into the trace.
+The view, truth and reuse of each replication, stated here once:
 
-A later replication takes replication 0's truth only when its events prove
-that it ends on the same graph: the index serves it (the same event
-objects, each once, all additions), or replication 0 replayed a store and
-the events are equal to its events (an ``events`` stream replays the same
-list).  Any other replication recounts its own final graph once, which
-costs far less than following each event, so when the replications end on
-different graphs each has its own truth.  Reports are a pure function of
-the config: per-estimator wall-clock stays 0.0 unless timing is explicitly
-enabled, since measured times would break byte-identical output.
+- View.  A replication 0 whose events hold no deletion is indexed by
+  arrival from the events alone (``TimeIndexedGraph.of``), and a later
+  replication made of exactly those objects, each once, reads the same
+  index (``ordered``).  Over the index no store or tracker runs: each
+  estimator runs on its own (``_drive``), stopping where ``replay`` writes
+  its trace rows.  Its draws are the store path's: the neighbors of a node
+  before event i are the slots of its final row that arrived before i, in
+  id order, which is the list the store holds at that point, so ESD's d,
+  its index draws, the node it picks and its closure test are the same,
+  and the baselines never read a store.  Every other replication replays
+  into a fresh store through ``replay``: one with deletions, a replication
+  0 the index refuses (a repeated object or edge, which ``replay`` then
+  rejects, or a node id that is not an integer within int64), and a later
+  one made of other event objects.
+- Truth.  Replication 0's truth at each trace stop is, over the index, the
+  running sum of ``ArrivalOrder.closings`` (the triangles whose last edge
+  arrived before the stop) and, in a store, the count of the incremental
+  exact tracker, which runs on replication 0 only.
+- Reuse.  Replication 0 keeps its proof: its index, or else its events.  A
+  later replication takes replication 0's final truth only when its events
+  prove that it ends on the same graph: the index serves it, or
+  replication 0 replayed a store and the events are equal to its events
+  (an ``events`` stream replays the same list).  Any other replication
+  recounts its own final graph once, which costs far less than following
+  each event, so when the replications end on different graphs each has
+  its own truth.
+
+Reports are a pure function of the config: per-estimator wall-clock stays
+0.0 unless timing is explicitly enabled, since measured times would break
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -100,17 +105,21 @@ def confidence_interval(estimates) -> tuple[float, float]:
     return (mean - half, mean + half)
 
 
+# estimator kind -> class, whose first argument is the spec's ``param``:
+# ESD's alpha, Doulion's p or TRIÈST's reservoir capacity
+_KINDS = {"esd": EsdEstimator, "doulion": DoulionEstimator, "triest": TriestEstimator}
+
+
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """One estimator to run: kind "esd" (param = alpha), "doulion"
-    (param = p) or "triest" (param = reservoir capacity)."""
+    """One estimator to run: a ``kind`` of ``_KINDS`` and its ``param``."""
 
     kind: str
     param: float
     label: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("esd", "doulion", "triest"):
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
         # each constructor owns its parameter's rule, so one build refuses,
         # before any replication, a param it would not run as given
@@ -121,11 +130,7 @@ class EstimatorSpec:
         return self.label or self.kind
 
     def build(self, seed: int):
-        if self.kind == "esd":
-            return EsdEstimator(self.param, seed=seed)
-        if self.kind == "doulion":
-            return DoulionEstimator(self.param, seed=seed)
-        return TriestEstimator(self.param, seed=seed)
+        return _KINDS[self.kind](self.param, seed=seed)
 
 
 @dataclass
@@ -205,12 +210,9 @@ def replay(events, g, ests=(), tracker=None, stride=None, wall=None) -> list:
     end; without one, returns ``[]``.  With a ``wall`` list, each estimator's
     time is added to ``wall[j]``.
 
-    ``g`` is a mutable store, and ``replay`` mutates it: ``run_experiment``
-    calls it on every replication the arrival index does not serve: those
-    with deletions, a replication 0 the index refuses, and a later one not
-    made of the indexed event objects (see the module docstring).  Its
-    trace points are ``_trace_stops``, where the indexed replication 0
-    stops too.
+    ``g`` is a mutable store, and ``replay`` mutates it; which replications
+    ``run_experiment`` replays is the module docstring's rule.  Its trace
+    points are ``_trace_stops``, where the indexed replication 0 stops too.
 
     Every estimator is driven by one schedule, ``due``, which files it
     under the position of the next event it must act on.  There its
@@ -264,8 +266,8 @@ def replay(events, g, ests=(), tracker=None, stride=None, wall=None) -> list:
 @dataclass
 class _Reuse:
     """Replication 0's truth, and its proof that a later replication ends on
-    the same graph, kept only when more replications follow: its arrival
-    index, when it was indexed, or else its events."""
+    the same graph: its arrival index, when it was indexed, or else its
+    events."""
 
     truth: int = 0
     index: TimeIndexedGraph | None = None
@@ -299,10 +301,10 @@ def _replicate(cfg: ExperimentConfig, r: int, traces: list, reuse: _Reuse):
     estimators; returns (truth, final estimates, edges sampled, wall
     seconds).
 
-    Replication 0 writes the trace rows and sets ``reuse``; which later
-    replication takes its truth is the module docstring's rule.  The rest
-    is local, so the stream, store and estimators of a replication are
-    freed before the next one is realized.
+    Replication 0 writes the trace rows and sets ``reuse``; the view each
+    replication runs on and its truth follow the module docstring's rule.
+    The rest is local, so the stream, store and estimators of a replication
+    are freed before the next one is realized.
     """
     events = cfg.stream.realize(derive_seed(cfg.seed, "stream", r))
     ests = [
@@ -311,38 +313,30 @@ def _replicate(cfg: ExperimentConfig, r: int, traces: list, reuse: _Reuse):
     ]
     wall = [0.0] * len(ests)
     timed = wall if cfg.timing else None
-    keep = cfg.replications > 1
     if r == 0:
         order = TimeIndexedGraph.of(events)
     else:
         order = reuse.index.ordered(events) if reuse.index is not None else None
     if order is not None:
-        if r == 0:
-            stops = _trace_stops(len(events), cfg.trace_stride)
-            rows = _drive(ests, events, order, stops, timed)
-            counts = order.closings()
-            truths = np.cumsum(counts, dtype=np.int64)[np.asarray(stops, np.intp) - 1].tolist()
-            for stop, truth, estimates in zip(stops, truths, rows):
-                traces.extend(
-                    (stop, truth, spec.name, est) for spec, est in zip(cfg.estimators, estimates)
-                )
-            reuse.truth = int(counts.sum(dtype=np.int64))
-            if keep:
-                reuse.index = order.index
+        stops = _trace_stops(len(events), cfg.trace_stride) if r == 0 else [len(events)]
+        rows = _drive(ests, events, order, stops, timed)
+    else:
+        g = Graph()
+        tracker = ExactTracker() if r == 0 else None
+        rows = replay(events, g, ests, tracker, cfg.trace_stride, timed)
+    if r == 0:
+        if order is not None:
+            closed = np.zeros(len(events) + 1, np.int64)  # triangles closed before each position
+            np.cumsum(order.closings(), dtype=np.int64, out=closed[1:])
+            rows = zip(stops, closed[stops].tolist(), rows)
+            reuse.truth, reuse.index = int(closed[-1]), order.index
         else:
-            _drive(ests, events, order, [len(events)], timed)
-        return reuse.truth, [e.estimate() for e in ests], [e.edges_sampled for e in ests], wall
-    g = Graph()
-    tracker = ExactTracker() if r == 0 else None
-    for stop, truth, estimates in replay(events, g, ests, tracker, cfg.trace_stride, timed):
-        traces.extend((stop, truth, spec.name, est) for spec, est in zip(cfg.estimators, estimates))
+            reuse.truth, reuse.events = tracker.count, events
+        for stop, truth, estimates in rows:
+            traces.extend((stop, truth, spec.name, est) for spec, est in zip(cfg.estimators, estimates))
     finals = [est.estimate() for est in ests]
     sampled = [est.edges_sampled for est in ests]
-    if tracker is not None:
-        reuse.truth = tracker.count
-        if keep:
-            reuse.events = events
-    elif reuse.events is None or events != reuse.events:
+    if order is None and r > 0 and (reuse.events is None or events != reuse.events):
         # Free the stream and the estimators before the recount allocates;
         # the bound methods and the schedule that held them died with replay.
         events = ests = None
@@ -352,17 +346,15 @@ def _replicate(cfg: ExperimentConfig, r: int, traces: list, reuse: _Reuse):
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[MetricsReport, list]:
     """Replay ``cfg.replications`` stream realizations, feed every estimator
-    and aggregate accuracy metrics against the exact tracker.
+    and aggregate accuracy metrics against the exact truth.
 
     Returns (report, trace_rows).  Trace rows (event_index, truth, name,
     estimate) come from the first replication only, every trace-stride
-    events and at stream end.  Ground truth on that first replication is
-    exact at every trace point: the tracker's count, or without deletions
-    the triangles closed so far, from the arrival index.  Each later
-    replication's truth is replication 0's or its own recount, by the
-    module docstring's rule; when the replications end on different graphs
-    the per-replication truths differ and metrics normalize by their mean.
-    Of ``cfg.stream`` only ``realize`` is read.
+    events and at stream end, each with the exact truth there.  Each
+    replication's view and truth follow the module docstring's rule; when
+    the replications end on different graphs the per-replication truths
+    differ and metrics normalize by their mean.  Of ``cfg.stream`` only
+    ``realize`` is read.
     """
     n_est = len(cfg.estimators)
     finals = np.zeros((cfg.replications, n_est))

@@ -33,6 +33,12 @@ def complete_graph_edges(n: int) -> list:
     return list(combinations(range(n), 2))
 
 
+def sorted_edges(g: Graph) -> list:
+    """The edges of ``g``, sorted: equal for two graphs exactly when they
+    hold the same edges, since ``edges()`` never lists a node of degree 0."""
+    return sorted(g.edges())
+
+
 def assert_graph_invariants(g: Graph) -> None:
     """Full-scan check: sortedness, no self-loops/duplicates, symmetry, and
     edge_count = half the degree sum."""

@@ -51,3 +51,18 @@ def test_summarize_sums_each_sides_failed_and_attempted_checks():
         "parent": {"failed": 0, "attempted": 21},
         "change": {"failed": 3, "attempted": 23},
     }
+
+
+def test_summarize_flags_each_metric_within_its_declared_bound():
+    runs = [
+        {"parent": _run(0.30, 4, "a"), "change": _run(0.35, 4, "a")},
+        {"parent": _run(0.30, 4, "b"), "change": _run(0.36, 4, "b")},
+    ]
+    for run in runs:
+        run["change"]["metrics"]["peak_rss_mb"] = 56.0  # 12% above the parent's 50.0
+    out = _bench_pairs().summarize(runs)
+    assert out["rep_s"]["bound"] == 0.24  # BENCHMARK.json's
+    assert out["rep_s"]["within_bound"]  # 0.355 <= 0.30 * 1.24
+    assert out["setup_s"]["within_bound"]  # unchanged
+    assert out["peak_rss_mb"]["bound"] == 0.1
+    assert not out["peak_rss_mb"]["within_bound"]  # 56.0 > 50.0 * 1.1

@@ -23,7 +23,7 @@ from trisample import (
 )
 
 import helpers
-from helpers import assert_graph_invariants, brute_force_triangles, state
+from helpers import assert_graph_invariants, brute_force_triangles, sorted_edges, state
 
 
 def feed_every_event(specs, seeds, events, stride=None):
@@ -78,7 +78,7 @@ def test_schedule_matches_feeding_every_event(kind, param):
     fed, g, _ = feed_every_event(specs, seeds, events)
     ests, g2, _ = scheduled(specs, seeds, events)
 
-    assert g2 == g
+    assert sorted_edges(g2) == sorted_edges(g)
     for a, b in zip(fed, ests):
         assert state(b) == state(a)
     if kind != "triest" and param == 1.0:  # every event's coin is won
@@ -125,7 +125,7 @@ seeds = st.lists(st.integers(0, 2**32), min_size=4, max_size=4)
 def test_schedule_state_matches_on_random_streams(events, specs, seeds):
     fed, g, _ = feed_every_event(specs, seeds, events)
     ests, g2, _ = scheduled(specs, seeds, events)
-    assert g2 == g
+    assert sorted_edges(g2) == sorted_edges(g)
     assert [state(est) for est in ests] == [state(est) for est in fed]
 
 
@@ -162,7 +162,7 @@ def test_replay_truth_matches_recount_after_every_event(events):
     assert_graph_invariants(g)
     untraced = Graph()
     assert replay(events, untraced) == []
-    assert untraced == g == helpers.replay(events)
+    assert sorted_edges(untraced) == sorted_edges(g) == sorted_edges(helpers.replay(events))
 
 
 @settings(max_examples=150, deadline=None)

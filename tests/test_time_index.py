@@ -4,6 +4,11 @@ where ``replay`` on a fresh ``Graph`` does, with the same random draws, its
 triangle closings must be the exact tracker's trace, and ``run_experiment``
 must fall back to the store wherever the index does not apply."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -211,8 +216,9 @@ class OnlyRealize:
 
 def test_a_spec_behind_realize_alone_is_indexed(monkeypatch, tmp_path):
     spec = StreamSpec("permutation", edges=list(er_graph(25, 0.3, seed=40).edges()))
-    cfg = ExperimentConfig(OnlyRealize(spec.realize), ESTIMATORS, replications=5, seed=41)
-    assert _same_with_and_without_index(cfg, monkeypatch, tmp_path) == 5
+    for reps in (1, 5):  # one replication keeps replication 0's index too
+        cfg = ExperimentConfig(OnlyRealize(spec.realize), ESTIMATORS, replications=reps, seed=41)
+        assert _same_with_and_without_index(cfg, monkeypatch, tmp_path) == reps
 
 
 def test_fresh_events_each_realization_fall_back(monkeypatch, tmp_path):
@@ -229,13 +235,13 @@ def test_fresh_events_each_realization_fall_back(monkeypatch, tmp_path):
 def test_events_spec_is_indexed_only_without_deletions(monkeypatch, tmp_path):
     edges = list(er_graph(25, 0.3, seed=44).edges())
     additions = StreamSpec("permutation", edges=edges).realize(45)
-    cfg = ExperimentConfig(StreamSpec("events", events=additions), ESTIMATORS, replications=4, seed=46)
-    assert _same_with_and_without_index(cfg, monkeypatch, tmp_path) == 4
-
     dynamic = StreamSpec("edge-deletion", edges=edges, p_e=0.1, p_d=0.3).realize(47)
     assert any(ev.beta == -1 for ev in dynamic)
-    cfg = ExperimentConfig(StreamSpec("events", events=dynamic), ESTIMATORS, replications=4, seed=48)
-    assert _same_with_and_without_index(cfg, monkeypatch, tmp_path) == 0
+    for reps in (1, 4):  # one replication keeps replication 0's index or events too
+        cfg = ExperimentConfig(StreamSpec("events", events=additions), ESTIMATORS, replications=reps, seed=46)
+        assert _same_with_and_without_index(cfg, monkeypatch, tmp_path) == reps
+        cfg = ExperimentConfig(StreamSpec("events", events=dynamic), ESTIMATORS, replications=reps, seed=48)
+        assert _same_with_and_without_index(cfg, monkeypatch, tmp_path) == 0
 
 
 def test_edge_deletion_spec_uses_the_index_on_its_deletion_free_replications(monkeypatch, tmp_path):
@@ -255,6 +261,28 @@ def test_empty_and_one_edge_streams(edges, monkeypatch, tmp_path):
     assert _same_with_and_without_index(cfg, monkeypatch, tmp_path) == 3
     events = StreamSpec("permutation", edges=edges).realize(0)
     assert TimeIndexedGraph.of(events).closings().tolist() == [0] * len(edges)
+
+
+def test_runs_do_not_import_numpy_ma():
+    # ``graph._distinct`` stands in for ``np.unique``, whose import of
+    # ``numpy.ma`` adds about 0.5 MB to a run's resident memory
+    code = """
+import sys
+from trisample import EstimatorSpec, ExperimentConfig, StreamSpec, er_graph, run_experiment
+edges = list(er_graph(25, 0.3, seed=1).edges())
+ests = [EstimatorSpec("esd", 0.5), EstimatorSpec("doulion", 0.5), EstimatorSpec("triest", 20)]
+for stream in (
+    StreamSpec("permutation", edges=edges),
+    StreamSpec("edge-deletion", edges=edges, p_e=0.1, p_d=0.3),
+):
+    run_experiment(ExperimentConfig(stream, ests, replications=3, seed=2))
+print("numpy.ma" in sys.modules)
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_node_ids_beyond_int64_keep_the_store(monkeypatch, tmp_path):

@@ -17,7 +17,9 @@ the summary.  Each run is a fresh process.  The file holds every run's
 end-to-end metrics, replication count, summary CSV sha256 and check
 failure fraction, its ``git_sha``, ``numpy`` and ``nproc`` lines, and the
 scaled time of each replication; per workload and metric, each side's
-median and quartiles and the number of pairs the change won; per side
+median and quartiles, the number of pairs the change won, the metric's
+``bound`` from the repository's ``BENCHMARK.json`` (only read) and
+whether the change's median is ``within_bound``; per side
 the median time of replication 0, of replication 1 and of the later ones,
 and under ``checks`` the output checks failed and attempted in all its runs;
 and under ``csv`` the number of pairs whose sides ran equal replication
@@ -73,6 +75,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
+def bounds() -> dict:
+    """Each end-to-end metric's bound, as ``BENCHMARK.json`` declares it."""
+    declared = json.loads((HERE / "BENCHMARK.json").read_text())
+    return {m["name"]: m["bound"] for m in declared["end_to_end"]}
+
+
 def by_replication(rep_s_all: list[float]) -> dict:
     """A run's replication times by kind.  ``perfbench`` makes one call of
     one replication, then one call of the rest, so replication 0 runs twice."""
@@ -80,12 +88,15 @@ def by_replication(rep_s_all: list[float]) -> dict:
 
 
 def summarize(runs: list[dict]) -> dict:
-    """Median and quartiles of each metric per side, pairs won, each side's
-    median replication times by kind (``by_replication``) and its output
+    """Median and quartiles of each metric per side, pairs won, the metric's
+    bound and whether the change's median is within it (at most the
+    parent's median times 1 + bound, since every metric is lower-is-better),
+    each side's median replication times by kind (``by_replication``) and its output
     checks ``failed`` of those ``attempted``, summed over its runs, and the
     pairs that ran equal replication counts and, of those, wrote the same
     summary CSV."""
     out = {}
+    bound = bounds()
     for metric in METRICS:
         row = {}
         for side in ("parent", "change"):
@@ -97,6 +108,8 @@ def summarize(runs: list[dict]) -> dict:
         row["pairs"] = len(pairs)
         parent_median = row["parent"]["median"]
         row["median_change_frac"] = row["change"]["median"] / parent_median - 1.0 if parent_median else None
+        row["bound"] = bound[metric]
+        row["within_bound"] = row["change"]["median"] <= parent_median * (1.0 + bound[metric])
         out[metric] = row
     out["replication_s"] = {}
     for side in ("parent", "change"):
