@@ -75,12 +75,6 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def bounds() -> dict:
-    """Each end-to-end metric's bound, as ``BENCHMARK.json`` declares it."""
-    declared = json.loads((HERE / "BENCHMARK.json").read_text())
-    return {m["name"]: m["bound"] for m in declared["end_to_end"]}
-
-
 def by_replication(rep_s_all: list[float]) -> dict:
     """A run's replication times by kind.  ``perfbench`` makes one call of
     one replication, then one call of the rest, so replication 0 runs twice."""
@@ -89,14 +83,15 @@ def by_replication(rep_s_all: list[float]) -> dict:
 
 def summarize(runs: list[dict]) -> dict:
     """Median and quartiles of each metric per side, pairs won, the metric's
-    bound and whether the change's median is within it (at most the
-    parent's median times 1 + bound, since every metric is lower-is-better),
-    each side's median replication times by kind (``by_replication``) and its output
-    checks ``failed`` of those ``attempted``, summed over its runs, and the
-    pairs that ran equal replication counts and, of those, wrote the same
-    summary CSV."""
+    bound in ``BENCHMARK.json`` and whether the change's median is within it
+    (at most the parent's median times 1 + bound, since every metric is
+    lower-is-better), each side's median replication times by kind
+    (``by_replication``) and its output checks ``failed`` of those
+    ``attempted``, summed over its runs, and the pairs that ran equal
+    replication counts and, of those, wrote the same summary CSV."""
+    declared = json.loads((HERE / "BENCHMARK.json").read_text())["end_to_end"]
+    bound = {m["name"]: m["bound"] for m in declared}
     out = {}
-    bound = bounds()
     for metric in METRICS:
         row = {}
         for side in ("parent", "change"):
