@@ -17,6 +17,11 @@ event.
 Both assume a consistent stream: no addition of a present edge and no
 deletion of an absent one.  The replay driver rejects any other, so the
 reservoir keeps only a count of live edges, not the edges themselves.
+
+The reservoir's triangle counter and sample graph are settled on read:
+a reservoir mutation only records the edge's net change since the last
+read, and reading ``estimate()``, ``tau`` or ``sample`` first applies those
+changes to the sample graph and to tau.
 """
 
 from __future__ import annotations
@@ -104,10 +109,13 @@ class TriestEstimator:
     count after the addition.  Deleting a reservoir edge frees a slot and
     leaves a "bad" debt that a future insertion compensates; deletions of
     unsampled edges leave "good" debts that swallow future insertions.  The
-    triangle counter tau follows every reservoir mutation, and the estimate
-    rescales it by s(s-1)(s-2) / (|S|(|S|-1)(|S|-2)) for the |S| edges held,
-    divided by ``kappa``; it is unbiased on fully dynamic streams.  s is a
-    count kept from the stream, so the state is O(capacity).
+    triangle counter tau counts the triangles among the edges held, and the
+    estimate rescales it by s(s-1)(s-2) / (|S|(|S|-1)(|S|-2)) for the |S|
+    edges held, divided by ``kappa``; it is unbiased on fully dynamic
+    streams.  tau and the sample graph are settled on read (module
+    docstring), so a mutation costs a few list and dict operations.  s is a
+    count kept from the stream, and the pending changes hold at most the
+    edges held and the edges settled, so the state is O(capacity).
     """
 
     def __init__(self, capacity: int, seed: int = 0):
@@ -116,17 +124,30 @@ class TriestEstimator:
             raise ValueError(f"reservoir capacity must be an integer >= 1, got {capacity}")
         self.capacity = int(capacity)
         self.rng = random.Random(seed)
-        self.sample = Graph()
+        self._sample = Graph()  # the reservoir as of the last settle
+        self._tau = 0  # triangles in ``_sample``
+        self._pending: dict[tuple[int, int], int] = {}  # edge -> net change since then, +1 or -1
         self._edges: list[tuple[int, int]] = []  # reservoir slots
         self._slot: dict[tuple[int, int], int] = {}
         self._live = 0  # current true-graph edge count
-        self.tau = 0
         self.c_bad = 0  # uncompensated deletions of reservoir edges
         self.c_good = 0  # uncompensated deletions of unsampled edges
 
     @property
     def edges_sampled(self) -> int:
         return len(self._edges)
+
+    @property
+    def sample(self) -> Graph:
+        """The graph of the reservoir's edges."""
+        self._settle()
+        return self._sample
+
+    @property
+    def tau(self) -> int:
+        """The number of triangles among the reservoir's edges."""
+        self._settle()
+        return self._tau
 
     @property
     def live_edges(self) -> int:
@@ -191,16 +212,23 @@ class TriestEstimator:
                 self.c_bad -= 1
             elif len(self._edges) < self.capacity:
                 self._insert(e)
-            else:
-                self._replace(self.rng.randrange(self.capacity), e)
+            else:  # the slot ``rng.randrange(capacity)`` gives, from the same draws
+                cap, bits = self.capacity, self.rng.getrandbits
+                k = cap.bit_length()
+                j = bits(k)
+                while j >= cap:
+                    j = bits(k)
+                self._replace(j, e)
         else:
             self._live -= 1
             self._remove(e)
             self.c_bad += 1
         if type(g) is ArrivalOrder and len(self._edges) == self.capacity:
             rand, cap, base = self.rng.random, self.capacity, self._live - i
+            top = cap / (base + i + 1)  # division rounds monotonically: r >= top loses every coin ahead
             for k in range(i + 1, stop):  # base + k: the live edges with event k
-                if rand() < cap / (base + k):
+                r = rand()
+                if r < top and r < cap / (base + k):
                     self._live = base + k - 1
                     return k
             self._live = base + stop - 1
@@ -245,18 +273,22 @@ class TriestEstimator:
         return sum(map(p, range(3, most + 1)))
 
     # ------------------------------------------------------------------
-    # reservoir plumbing; tau counts triangles whose three edges are all in
-    # the sample, adjusted by the new/old edge's common-neighbor count
+    # reservoir plumbing; the sample graph and tau are settled on read
+
+    def _mark(self, e: tuple[int, int], change: int) -> None:
+        # an edge pending one way can only change back, which nets to 0; so
+        # the map holds at most the edges held plus the edges settled
+        net = self._pending.pop(e, 0) + change
+        if net:
+            self._pending[e] = net
 
     def _insert(self, e: tuple[int, int]) -> None:
         self._slot[e] = len(self._edges)
         self._edges.append(e)
-        self.sample.add_edge(*e)
-        self.tau += triangles_of_edge(self.sample, *e)
+        self._mark(e, 1)
 
     def _remove(self, e: tuple[int, int]) -> None:
-        self.tau -= triangles_of_edge(self.sample, *e)
-        self.sample.delete_edge(*e)
+        self._mark(e, -1)
         idx = self._slot.pop(e)
         last = self._edges.pop()
         if last != e:
@@ -265,13 +297,31 @@ class TriestEstimator:
 
     def _replace(self, idx: int, e: tuple[int, int]) -> None:
         old = self._edges[idx]
-        self.tau -= triangles_of_edge(self.sample, *old)
-        self.sample.delete_edge(*old)
+        self._mark(old, -1)
         del self._slot[old]
         self._edges[idx] = e
         self._slot[e] = idx
-        self.sample.add_edge(*e)
-        self.tau += triangles_of_edge(self.sample, *e)
+        self._mark(e, 1)
+
+    def _settle(self) -> None:
+        """Apply the pending changes: first the removals, each counted out
+        of tau before its delete, then the insertions, each counted in
+        after its insert.  tau then counts the triangles among the edges
+        held, whatever the order of the mutations behind it."""
+        pending = self._pending
+        if not pending:
+            return
+        sample, tau = self._sample, self._tau
+        for e, change in pending.items():
+            if change < 0:
+                tau -= triangles_of_edge(sample, *e)
+                sample.delete_edge(*e)
+        for e, change in pending.items():
+            if change > 0:
+                sample.add_edge(*e)
+                tau += triangles_of_edge(sample, *e)
+        self._tau = tau
+        pending.clear()
 
 
 def _log_comb(n: int, k: int) -> float:

@@ -3,6 +3,8 @@ import statistics
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trisample import (
     DoulionEstimator,
@@ -20,10 +22,12 @@ from trisample import (
     run_experiment,
 )
 
+from trisample import baselines
 from trisample.graph import TimeIndexedGraph
 from trisample.harness import _drive
 
 from helpers import complete_graph_edges, sorted_edges, state
+from test_schedule import consistent_streams
 
 
 def drive(est, events):
@@ -168,6 +172,54 @@ def test_triest_tau_matches_sample_recount_on_dynamic_stream():
         if i % 1000 == 0 or i == len(events):
             assert est.tau == exact_triangles(est.sample)
             assert est.edges_sampled <= 60
+
+
+@settings(max_examples=200, deadline=None)
+@given(events=consistent_streams(), capacity=st.sampled_from([1, 3, 10, 10_000]), seed=st.integers(0, 2**32))
+def test_triest_read_after_every_event_ends_where_an_unread_one_does(events, capacity, seed):
+    # tau and the sample graph are settled on read, so reading them must
+    # change nothing: the unread estimator settles every change of the
+    # stream at once, re-added edges included, and must end where the one
+    # read after every event does
+    read, unread = TriestEstimator(capacity, seed=seed), TriestEstimator(capacity, seed=seed)
+    for ev in events:
+        read.process(ev)
+        unread.process(ev)
+        read.estimate()
+        sample = read.sample
+        assert read.tau == exact_triangles(sample)
+        assert sorted(sample.edges()) == sorted(read._edges)
+    assert state(unread) == state(read)
+
+
+def test_indexed_triest_pass_builds_only_the_final_sample(monkeypatch):
+    # a reservoir mutation only moves slots, so over one untraced indexed
+    # pass the sample graph sees the final reservoir's inserts, at the one
+    # read, and no delete; the pending changes stay within twice the capacity
+    calls = {"add_edge": 0, "delete_edge": 0}
+
+    class CountingGraph(Graph):
+        def add_edge(self, u, v):
+            calls["add_edge"] += 1
+            return super().add_edge(u, v)
+
+        def delete_edge(self, u, v):
+            calls["delete_edge"] += 1
+            return super().delete_edge(u, v)
+
+    monkeypatch.setattr(baselines, "Graph", CountingGraph)
+    events = StreamSpec("permutation", edges=list(er_graph(60, 0.3, seed=63).edges())).realize(64)
+    order = TimeIndexedGraph.of(events)
+    m, cap = len(events), 10
+    est = TriestEstimator(cap, seed=65)
+    k = est.skip(events, 0, m)
+    while k < m:
+        k = est.step(events, k, m, order)
+        assert calls == {"add_edge": 0, "delete_edge": 0}
+        assert len(est._pending) <= 2 * cap
+    est.estimate()
+    assert calls == {"add_edge": cap, "delete_edge": 0}  # the reservoir is full
+    assert est.tau == exact_triangles(est.sample)
 
 
 def test_triest_sample_holds_only_the_nodes_of_its_edges():
