@@ -208,7 +208,7 @@ def replay(events, g, ests=(), tracker=None, stride=None, wall=None) -> list:
     ``(position, tracker.count, [estimates])`` every ``stride`` (>= 1)
     events, by default ``max(1, len(events) // 500)``, and at the stream's
     end; without one, returns ``[]``.  With a ``wall`` list, each estimator's
-    time is added to ``wall[j]``.
+    time, reads of its estimate included, is added to ``wall[j]``.
 
     ``g`` is a mutable store, and ``replay`` mutates it; which replications
     ``run_experiment`` replays is the module docstring's rule.  Its trace
@@ -229,19 +229,17 @@ def replay(events, g, ests=(), tracker=None, stride=None, wall=None) -> list:
         raise ValueError(f"stride must be >= 1, got {stride}")
     last = len(events)
     bounds = [last] if tracker is None else _trace_stops(last, stride)
-    calls = [(est.step, est.skip) for est in ests]
+    calls = [(est.step, est.skip, est.estimate) for est in ests]
     if wall is not None:
-        calls = [
-            (_timed(step, wall, j), _timed(skip, wall, j)) for j, (step, skip) in enumerate(calls)
-        ]
+        calls = [tuple(_timed(fn, wall, j) for fn in fns) for j, fns in enumerate(calls)]
     # a plain dict, not a defaultdict: the pop below runs on every event,
     # and it is slower on a dict subclass
     due: dict[int, list] = {0: calls}
     rows = []
     start = 0
     for stop in bounds:
-        for pair in due.pop(start, ()):
-            due.setdefault(pair[1](events, start, stop), []).append(pair)
+        for fns in due.pop(start, ()):
+            due.setdefault(fns[1](events, start, stop), []).append(fns)
         for i in range(start, stop):
             ev = events[i]
             if ev.beta == 1:
@@ -251,14 +249,14 @@ def replay(events, g, ests=(), tracker=None, stride=None, wall=None) -> list:
                 raise ValueError(f"inconsistent stream: absent deletion ({ev.u}, {ev.v})")
             if tracker is not None:
                 tracker.apply(ev, g)
-            for pair in due.pop(i, ()):
-                k = pair[0](events, i, stop, g)
+            for fns in due.pop(i, ()):
+                k = fns[0](events, i, stop, g)
                 if k in due:
-                    due[k].append(pair)
+                    due[k].append(fns)
                 else:
-                    due[k] = [pair]
+                    due[k] = [fns]
         if tracker is not None:
-            rows.append((stop, tracker.count, [est.estimate() for est in ests]))
+            rows.append((stop, tracker.count, [fns[2]() for fns in calls]))
         start = stop
     return rows
 
@@ -280,18 +278,21 @@ def _drive(ests, events, g, bounds, wall) -> list:
     ``bounds`` (the last one ``len(events)``), ``skip`` from the first, then
     ``step`` at each event it acts on.  Returns the estimates at each bound.
     The stops are ``replay``'s, so each estimator draws what it draws there.
-    With a ``wall`` list, each estimator's time is added to ``wall[j]``."""
+    With a ``wall`` list, each estimator's time, reads of its estimate
+    included, is added to ``wall[j]``."""
     rows = []
     start = 0
     for stop in bounds:
+        row = []
         for j, est in enumerate(ests):
             t0 = time.perf_counter()
             step, k = est.step, est.skip(events, start, stop)
             while k < stop:
                 k = step(events, k, stop, g)
+            row.append(est.estimate())
             if wall is not None:
                 wall[j] += time.perf_counter() - t0
-        rows.append([est.estimate() for est in ests])
+        rows.append(row)
         start = stop
     return rows
 
@@ -334,7 +335,9 @@ def _replicate(cfg: ExperimentConfig, r: int, traces: list, reuse: _Reuse):
             reuse.truth, reuse.events = tracker.count, events
         for stop, truth, estimates in rows:
             traces.extend((stop, truth, spec.name, est) for spec, est in zip(cfg.estimators, estimates))
-    finals = [est.estimate() for est in ests]
+    # a read can do an estimator's work (TRIÈST settles its reservoir), so it is timed
+    read = [est.estimate if timed is None else _timed(est.estimate, wall, j) for j, est in enumerate(ests)]
+    finals = [estimate() for estimate in read]
     sampled = [est.edges_sampled for est in ests]
     if order is None and r > 0 and (reuse.events is None or events != reuse.events):
         # Free the stream and the estimators before the recount allocates;

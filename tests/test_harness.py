@@ -6,6 +6,7 @@ import math
 import random
 import statistics
 import sys
+import time
 from collections import defaultdict
 from pathlib import Path
 
@@ -384,6 +385,33 @@ def test_timing_changes_only_wall_ms():
 def test_timing_changes_only_wall_ms_indexed():
     # the time-indexed path of a deletion-free stream
     _assert_timing_changes_only_wall_ms(dict(kind="permutation"))
+
+
+@pytest.mark.parametrize(
+    "stream", [dict(kind="permutation"), dict(kind="edge-deletion", p_e=0.05, p_d=0.2)], ids=["indexed", "store"]
+)
+def test_timing_counts_estimate_reads(monkeypatch, stream):
+    # TRIÈST settles its reservoir when its estimate is read, so the reads are
+    # its work: each replication reads it at least once, at its end, and a
+    # read made 2 ms slower must show in every replication's wall time
+    estimate = TriestEstimator.estimate
+
+    def slow(self):
+        time.sleep(0.002)
+        return estimate(self)
+
+    monkeypatch.setattr(TriestEstimator, "estimate", slow)
+    cfg = ExperimentConfig(
+        stream=StreamSpec(edges=list(er_graph(30, 0.35, seed=25).edges()), **stream),
+        estimators=[EstimatorSpec("triest", 40)],
+        replications=2,
+        seed=26,
+        trace_stride=10_000,
+        timing=True,
+    )
+    report, _ = run_experiment(cfg)
+    (row,) = report.rows
+    assert row.wall_ms_mean >= 2.0
 
 
 # sha256 of emit_csv's summary and trace files for the config below.  These
