@@ -276,8 +276,7 @@ class TriestEstimator:
     # reservoir plumbing; the sample graph and tau are settled on read
 
     def _mark(self, e: tuple[int, int], change: int) -> None:
-        # an edge pending one way can only change back, which nets to 0; so
-        # the map holds at most the edges held plus the edges settled
+        # an edge pending one way can only change back, which nets to 0
         net = self._pending.pop(e, 0) + change
         if net:
             self._pending[e] = net
