@@ -10,9 +10,11 @@ upcoming events and does the bookkeeping of those that leave the sample
 unchanged, and returns the position of the first event that changes it;
 ``step(events, i, stop, g)`` applies ``events[i]`` without redrawing its
 coin and then skips from ``i + 1``.  ``process`` is ``skip`` then ``step``
-for one event.  A replay driver thus calls a baseline once per event that
+for one event.  A store replay thus calls a baseline once per event that
 touches its sample, with the same random draws as ``process`` on every
-event.
+event.  Over an ``ArrivalOrder`` one ``step`` call applies every event up
+to ``stop`` that touches the sample and returns ``stop``, with the same
+draws.
 
 Both assume a consistent stream: no addition of a present edge and no
 deletion of an absent one.  The replay driver rejects any other, so the
@@ -78,9 +80,19 @@ class DoulionEstimator:
         """Add ``events[i]``, a won addition, to the sample or drop the
         sampled edge it deletes, then skip from ``i + 1``.  The sparsifier
         sees only the stream: on an ``ArrivalOrder`` ``g``, whose stream holds
-        no deletion, the skip draws ``skip``'s coins without reading the
-        events, and any other ``g`` is unused."""
-        ev = events[i]
+        no deletion, it adds every won addition up to ``stop``, drawing
+        ``skip``'s coins without reading the other events, and returns
+        ``stop``; any other ``g`` is unused."""
+        if type(g) is ArrivalOrder:
+            rand, p = self.rng.random, self.p
+            while i < stop:
+                self._apply(events[i])
+                i = first_won(rand, p, i + 1, stop)
+            return stop
+        self._apply(events[i])
+        return self.skip(events, i + 1, stop)
+
+    def _apply(self, ev) -> None:
         if ev.beta == 1:
             if self.sample.add_edge(ev.u, ev.v):
                 # the new edge cannot be its own common neighbor, so
@@ -90,9 +102,6 @@ class DoulionEstimator:
         else:
             self.tri_in_sample -= triangles_of_edge(self.sample, ev.u, ev.v)
             self.sample.delete_edge(ev.u, ev.v)
-        if type(g) is ArrivalOrder:
-            return first_won(self.rng.random, self.p, i + 1, stop)
-        return self.skip(events, i + 1, stop)
 
     def estimate(self) -> float:
         if self.p == 0.0:
@@ -200,9 +209,18 @@ class TriestEstimator:
         """Apply ``events[i]``, where ``skip`` stopped: insert or replace for
         an addition, drop the reservoir edge for a deletion; then skip from
         ``i + 1``.  Its coin is already drawn; a replacement draws its slot.
+
         On an ``ArrivalOrder`` ``g``, whose stream holds no deletion and so
-        leaves no debts, a full reservoir's skip draws only the coins against
-        capacity/s, without reading the events; any other ``g`` is unused."""
+        leaves no debts, it acts on every event it must act on up to
+        ``stop`` and returns ``stop``: the reservoir fills from ``events[i]``
+        on, and once it is full, the coins against capacity/s are drawn
+        without reading the events.  A won coin draws its slot and notes the
+        event as the slot's last occupant; at ``stop`` each noted slot is
+        replaced once, by its last occupant, which nets the pending changes
+        out as a replacement at each won coin would.  Any other ``g`` is
+        unused."""
+        if type(g) is ArrivalOrder:
+            return self._run_to_stop(events, i, stop)
         ev = events[i]
         e = (ev.u, ev.v) if ev.u < ev.v else (ev.v, ev.u)
         if ev.beta == 1:
@@ -212,28 +230,38 @@ class TriestEstimator:
                 self.c_bad -= 1
             elif len(self._edges) < self.capacity:
                 self._insert(e)
-            else:  # the slot ``rng.randrange(capacity)`` gives, from the same draws
-                cap, bits = self.capacity, self.rng.getrandbits
-                k = cap.bit_length()
-                j = bits(k)
-                while j >= cap:
-                    j = bits(k)
-                self._replace(j, e)
+            else:
+                self._replace(self._draw_slot(), e)
         else:
             self._live -= 1
             self._remove(e)
             self.c_bad += 1
-        if type(g) is ArrivalOrder and len(self._edges) == self.capacity:
-            rand, cap, base = self.rng.random, self.capacity, self._live - i
-            top = cap / (base + i + 1)  # division rounds monotonically: r >= top loses every coin ahead
-            for k in range(i + 1, stop):  # base + k: the live edges with event k
-                r = rand()
-                if r < top and r < cap / (base + k):
-                    self._live = base + k - 1
-                    return k
-            self._live = base + stop - 1
-            return stop
         return self.skip(events, i + 1, stop)
+
+    def _run_to_stop(self, events, i: int, stop: int) -> int:
+        """``step`` over an ``ArrivalOrder``: ``events[i:stop]`` are all
+        additions and ``events[i]`` is acted on."""
+        cap, rand = self.capacity, self.rng.random
+        base = self._live - i + 1  # base + k: the live edges with event k
+        fill = min(stop, i + cap - len(self._edges))  # events[i:fill] fill the reservoir
+        for k in range(i, fill):
+            ev = events[k]
+            self._insert((ev.u, ev.v) if ev.u < ev.v else (ev.v, ev.u))
+        last = {}  # slot -> position of its last occupant in this stretch
+        if fill == i:  # the reservoir was full, so events[i]'s coin was won
+            last[self._draw_slot()] = i
+            fill += 1
+        top = cap / (base + fill)  # division rounds monotonically: r >= top loses every coin ahead
+        for k in range(fill, stop):
+            r = rand()
+            if r < top and r < cap / (base + k):
+                last[self._draw_slot()] = k
+                top = cap / (base + k + 1)
+        for j, k in last.items():
+            ev = events[k]
+            self._replace(j, (ev.u, ev.v) if ev.u < ev.v else (ev.v, ev.u))
+        self._live = base + stop - 1
+        return stop
 
     def estimate(self) -> float:
         """tau * s(s-1)(s-2) / (|S|(|S|-1)(|S|-2)) / kappa, and 0 while the
@@ -293,6 +321,15 @@ class TriestEstimator:
         if last != e:
             self._edges[idx] = last
             self._slot[last] = idx
+
+    def _draw_slot(self) -> int:
+        # the slot ``rng.randrange(capacity)`` gives, from the same draws
+        cap, bits = self.capacity, self.rng.getrandbits
+        k = cap.bit_length()
+        j = bits(k)
+        while j >= cap:
+            j = bits(k)
+        return j
 
     def _replace(self, idx: int, e: tuple[int, int]) -> None:
         old = self._edges[idx]

@@ -19,8 +19,11 @@ k = d.bit_length() bits, redrawn while the value is >= d.
 The estimator speaks the replay protocol that the baselines share:
 ``skip`` draws the coins of upcoming events until one is won, and ``step``
 is the sampled update for that event followed by the coins up to the next
-won one.  A replay driver calls it once per sampled event, with the same
-random draws, in the same order, as ``process_event`` on every event.
+won one.  A store replay calls it once per sampled event, with the same
+random draws, in the same order, as ``process_event`` on every event.  Over
+an ``ArrivalOrder`` no store changes between events, so one ``step`` call
+makes every sampled update up to the driver's next stop, with the same
+draws.
 Like the baselines, it assumes a consistent stream (no duplicate
 addition, no absent deletion); the driver rejects any other.
 
@@ -115,7 +118,9 @@ class EsdEstimator:
         """The update for ``events[i]``, whose coin was won, then the coins
         of ``events[i+1:stop]`` as ``skip`` draws them; returns the position
         of the next won coin (``stop`` when none was).  ``g`` may hold the
-        graph before or after ``events[i]``.
+        graph before or after ``events[i]``.  On an ``ArrivalOrder``, which
+        holds the graph as of every event, it makes the update of each won
+        coin up to ``stop`` as it comes, and returns ``stop``.
 
         Each endpoint a of the edge (u, v), with b the other one, probes
         Γ(a)∖{b}, which does not depend on whether ``g`` holds (u, v); u
@@ -131,46 +136,51 @@ class EsdEstimator:
         row of ranks, and w is in Γ(b) when it is in b's row with an arrival
         before ``i``.
         """
-        ev = events[i]
-        self.edges_sampled += 1
         bits = self.rng.getrandbits
         if type(g) is ArrivalOrder:
-            row_u, arrival = g.slots(ev.u)
-            before_u = arrival < i
-            row_v, arrival = g.slots(ev.v)
-            before_v = arrival < i
-            for row, before, other, other_before in (
-                (row_u, before_u, row_v, before_v),
-                (row_v, before_v, row_u, before_u),
-            ):
-                d = int(np.count_nonzero(before))
-                if d > 0:
-                    k = d.bit_length()
-                    j = bits(k)
-                    while j >= d:
+            rand, alpha = self.rng.random, self._alpha
+            while i < stop:
+                ev = events[i]
+                self.edges_sampled += 1
+                row_u, arrival = g.slots(ev.u)
+                before_u = arrival < i
+                row_v, arrival = g.slots(ev.v)
+                before_v = arrival < i
+                for row, before, other, other_before in (
+                    (row_u, before_u, row_v, before_v),
+                    (row_v, before_v, row_u, before_u),
+                ):
+                    d = int(np.count_nonzero(before))
+                    if d > 0:
+                        k = d.bit_length()
                         j = bits(k)
-                    w = row[before.nonzero()[0][j]]
-                    p = other.searchsorted(w)
-                    if p < len(other) and other[p] == w and other_before[p]:
-                        self.t_est += ev.beta * self.omega * d / self._alpha
-        else:
-            u, v = ev.u, ev.v
-            nu, nv = g.adjacency(u), g.adjacency(v)
-            s = bisect_left(nu, v)
-            present = s < len(nu) and nu[s] == v
-            for na, nb, b in ((nu, nv, v), (nv, nu, u)):
-                d = len(na) - present
-                if d > 0:
-                    k = d.bit_length()
+                        while j >= d:
+                            j = bits(k)
+                        w = row[before.nonzero()[0][j]]
+                        p = other.searchsorted(w)
+                        if p < len(other) and other[p] == w and other_before[p]:
+                            self.t_est += ev.beta * self.omega * d / alpha
+                i = first_won(rand, alpha, i + 1, stop)
+            return stop
+        ev = events[i]
+        self.edges_sampled += 1
+        u, v = ev.u, ev.v
+        nu, nv = g.adjacency(u), g.adjacency(v)
+        s = bisect_left(nu, v)
+        present = s < len(nu) and nu[s] == v
+        for na, nb, b in ((nu, nv, v), (nv, nu, u)):
+            d = len(na) - present
+            if d > 0:
+                k = d.bit_length()
+                j = bits(k)
+                while j >= d:
                     j = bits(k)
-                    while j >= d:
-                        j = bits(k)
-                    w = na[j]
-                    if present and w >= b:
-                        w = na[j + 1]
-                    p = bisect_left(nb, w)
-                    if p < len(nb) and nb[p] == w:
-                        self.t_est += ev.beta * self.omega * d / self._alpha
+                w = na[j]
+                if present and w >= b:
+                    w = na[j + 1]
+                p = bisect_left(nb, w)
+                if p < len(nb) and nb[p] == w:
+                    self.t_est += ev.beta * self.omega * d / self._alpha
         return first_won(self.rng.random, self._alpha, i + 1, stop)  # ``skip``, one call fewer
 
     def process_static(self, edge, g) -> None:

@@ -10,7 +10,9 @@ on.  It drives the sampling estimator and both baselines through one
 protocol: each draws its coins ahead (``skip``), up to the next event it
 must act on, and is called there once (``step``) to apply that event and
 draw ahead again; its random draws and results are the same as when it is
-fed every event.
+fed every event.  That holds for store replays; over an arrival index,
+where no store changes between events, one ``step`` call per stretch
+between stops acts on every event the estimator must act on there.
 
 The view, truth and reuse of each replication, stated here once:
 
@@ -273,10 +275,11 @@ class _Reuse:
 
 
 def _drive(ests, events, g, bounds, wall) -> list:
-    """Run each estimator over ``events`` on its own, ``g`` showing the graph
-    as of each event, as an ``ArrivalOrder`` does: between two of the
-    ``bounds`` (the last one ``len(events)``), ``skip`` from the first, then
-    ``step`` at each event it acts on.  Returns the estimates at each bound.
+    """Run each estimator over ``events`` on its own, over an
+    ``ArrivalOrder`` ``g``: between two of the ``bounds`` (the last one
+    ``len(events)``), ``skip`` from the first, then, if it stops short of
+    the second, one ``step`` there, which acts on every event up to the
+    second that the estimator acts on.  Returns the estimates at each bound.
     The stops are ``replay``'s, so each estimator draws what it draws there.
     With a ``wall`` list, each estimator's time, reads of its estimate
     included, is added to ``wall[j]``."""
@@ -286,9 +289,9 @@ def _drive(ests, events, g, bounds, wall) -> list:
         row = []
         for j, est in enumerate(ests):
             t0 = time.perf_counter()
-            step, k = est.step, est.skip(events, start, stop)
-            while k < stop:
-                k = step(events, k, stop, g)
+            k = est.skip(events, start, stop)
+            if k < stop:
+                est.step(events, k, stop, g)
             row.append(est.estimate())
             if wall is not None:
                 wall[j] += time.perf_counter() - t0

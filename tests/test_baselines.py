@@ -1,5 +1,6 @@
 import math
 import statistics
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -24,10 +25,11 @@ from trisample import (
 
 from trisample import baselines
 from trisample.graph import TimeIndexedGraph
-from trisample.harness import _drive
+from trisample.harness import _drive, _trace_stops
 
 from helpers import complete_graph_edges, sorted_edges, state
 from test_schedule import consistent_streams
+from test_time_index import StateAtStops, simple_graphs
 
 
 def drive(est, events):
@@ -222,6 +224,31 @@ def test_indexed_triest_pass_builds_only_the_final_sample(monkeypatch):
     assert est.tau == exact_triangles(est.sample)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    edges=simple_graphs(),
+    capacity=st.integers(1, 3),
+    seeds=st.lists(st.integers(0, 2**32), min_size=2, max_size=2),
+)
+def test_indexed_triest_reconciles_each_slot_once_per_stretch(edges, capacity, seeds):
+    # over the index a won coin only notes its slot's last occupant, and the
+    # slot is replaced once, at the stop; at every stop the state, RNG
+    # included, is that of an estimator fed every event
+    events = StreamSpec("permutation", edges=edges).realize(seeds[0])
+    order = TimeIndexedGraph.of(events)
+    for stride in (1, 3):
+        stops = _trace_stops(len(events), stride)
+        fed, states, start = TriestEstimator(capacity, seed=seeds[1]), [], 0
+        for stop in stops:
+            for ev in events[start:stop]:
+                fed.process(ev)
+            states.append(state(fed))
+            start = stop
+        indexed = StateAtStops(TriestEstimator(capacity, seed=seeds[1]))
+        _drive([indexed], events, order, stops, None)
+        assert indexed.states == states
+
+
 def test_triest_sample_holds_only_the_nodes_of_its_edges():
     # evicted edges take their emptied endpoints with them, so the reservoir
     # graph stays O(capacity) however many nodes the stream visits
@@ -351,6 +378,18 @@ class Unread:
         raise AssertionError(f"read .{name} of an event the estimator does not act on")
 
 
+def recording_steps(est) -> list:
+    """The positions at which a driver calls ``est.step``, in call order."""
+    calls, step = [], est.step
+
+    def recording(events, i, stop, g):
+        calls.append(i)
+        return step(events, i, stop, g)
+
+    est.step = recording
+    return calls
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -365,19 +404,46 @@ def test_indexed_skip_reads_only_the_events_acted_on(make):
     # skip has returned, the coins ahead need no event: every position the
     # estimator does not act on, past that skip, is a stand-in that fails
     # when read, and the pass must end where the one over the real events
-    # does, which ends where a store replay does
+    # does, which ends where a store replay does.  The positions acted on
+    # are those where a store replay calls ``step``
     events = StreamSpec("permutation", edges=list(er_graph(30, 0.3, seed=60).edges())).realize(62)
     order = TimeIndexedGraph.of(events)
     m = len(events)
-    ref = make()
-    acts = [ref.skip(events, 0, m)]
-    while acts[-1] < m:
-        acts.append(ref.step(events, acts[-1], m, order))
     stored = make()
+    acts = recording_steps(stored)
     replay(events, Graph(), [stored])
+    ref = make()
+    _drive([ref], events, order, [m], None)
     assert state(ref) == state(stored)
     read = set(range(acts[0])) | set(acts)
     assert len(read) < m / 2
     est = make()
     _drive([est], [ev if k in read else Unread() for k, ev in enumerate(events)], order, [m], None)
     assert state(est) == state(ref)
+
+
+def test_indexed_drive_steps_each_estimator_at_most_once_per_stretch():
+    # a store replay acts on several events of most stretches; over the
+    # index each estimator's one ``step`` call runs to the stretch's end,
+    # and every state at every stop is the replay's
+    events = StreamSpec("permutation", edges=list(er_graph(30, 0.3, seed=66).edges())).realize(67)
+    order = TimeIndexedGraph.of(events)
+    stops = _trace_stops(len(events), 7)
+    makes = [
+        lambda: EsdEstimator(0.5, seed=68),
+        lambda: DoulionEstimator(0.5, seed=68),
+        lambda: TriestEstimator(3, seed=68),
+    ]
+    stored = [make() for make in makes]
+    stored_acts = [recording_steps(est) for est in stored]
+    rows = replay(events, Graph(), stored, ExactTracker(), 7)
+    indexed = [make() for make in makes]
+    indexed_acts = [recording_steps(est) for est in indexed]
+    assert _drive(indexed, events, order, stops, None) == [row[2] for row in rows]
+    assert [state(est) for est in indexed] == [state(est) for est in stored]
+    for stored_calls, calls in zip(stored_acts, indexed_acts):
+        firsts = {}  # stretch -> the first position the store replay acts on there
+        for i in stored_calls:
+            firsts.setdefault(bisect_right(stops, i), i)
+        assert calls == list(firsts.values())
+        assert len(calls) < len(stored_calls)

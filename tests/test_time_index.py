@@ -285,6 +285,28 @@ print("numpy.ma" in sys.modules)
     assert proc.stdout.strip() == "False"
 
 
+def test_runs_do_not_import_numpy_random():
+    # the estimators draw from ``random.Random``; creating numpy's MT19937
+    # and a Generator adds about 6 MB to a fresh interpreter's resident memory
+    code = """
+import sys
+from trisample import EstimatorSpec, ExperimentConfig, StreamSpec, er_graph, run_experiment
+edges = list(er_graph(25, 0.3, seed=1).edges())
+ests = [EstimatorSpec("esd", 0.5), EstimatorSpec("doulion", 0.5), EstimatorSpec("triest", 20)]
+for stream in (
+    StreamSpec("permutation", edges=edges),
+    StreamSpec("edge-deletion", edges=edges, p_e=0.1, p_d=0.3),
+):
+    run_experiment(ExperimentConfig(stream, ests, replications=3, seed=2))
+print("numpy.random" in sys.modules)
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_node_ids_beyond_int64_keep_the_store(monkeypatch, tmp_path):
     for big in (2**63, 2**64):
         edges = [(big + u, big + v) for u, v in er_graph(15, 0.4, seed=50).edges()]
