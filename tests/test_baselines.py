@@ -423,7 +423,7 @@ def test_indexed_skip_reads_only_the_events_acted_on(make):
 
 
 def test_indexed_drive_steps_each_estimator_at_most_once_per_stretch():
-    # a store replay acts on several events of most stretches; over the
+    # a store replay acts on several events of some stretches; over the
     # index each estimator's one ``step`` call runs to the stretch's end,
     # and every state at every stop is the replay's
     events = StreamSpec("permutation", edges=list(er_graph(30, 0.3, seed=66).edges())).realize(67)
