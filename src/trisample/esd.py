@@ -36,8 +36,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 
-import numpy as np
-
 from .graph import ArrivalOrder
 from .stream import EdgeEvent
 
@@ -132,33 +130,36 @@ class EsdEstimator:
         Γ(u) and Γ(v) and no other list.  On a ``Graph`` one bisect of Γ(u)
         tells whether the edge is present, and if it is, j skips b's slot in
         Γ(a).  On an ``ArrivalOrder``, Γ(a)∖{b} is a's final neighbors that
-        arrived before ``i`` (b's own edge arrives at ``i``), a mask over a's
-        row of ranks, and w is in Γ(b) when it is in b's row with an arrival
-        before ``i``.
+        arrived before ``i`` (b's own edge arrives at ``i``): one mask over
+        the arrivals of a's row gives their slots, d is how many there are
+        and w is the rank in the j-th.  w is in Γ(b) when one bisect of b's
+        row finds it with an arrival before ``i``.  The rows are found, and
+        w and the closure read, through the order's ``views``, as Python
+        ints.
         """
         bits = self.rng.getrandbits
         if type(g) is ArrivalOrder:
             rand, alpha = self.rng.random, self._alpha
+            arrival = g.arrival
+            nodes, start, nbrs, arrived = g.views
             while i < stop:
                 ev = events[i]
                 self.edges_sampled += 1
-                row_u, arrival = g.slots(ev.u)
-                before_u = arrival < i
-                row_v, arrival = g.slots(ev.v)
-                before_v = arrival < i
-                for row, before, other, other_before in (
-                    (row_u, before_u, row_v, before_v),
-                    (row_v, before_v, row_u, before_u),
-                ):
-                    d = int(np.count_nonzero(before))
+                r = bisect_left(nodes, ev.u)
+                u0, u1 = start[r], start[r + 1]
+                r = bisect_left(nodes, ev.v)
+                v0, v1 = start[r], start[r + 1]
+                for s, e, sb, eb in ((u0, u1, v0, v1), (v0, v1, u0, u1)):
+                    earlier = (arrival[s:e] < i).nonzero()[0]
+                    d = len(earlier)
                     if d > 0:
                         k = d.bit_length()
                         j = bits(k)
                         while j >= d:
                             j = bits(k)
-                        w = row[before.nonzero()[0][j]]
-                        p = other.searchsorted(w)
-                        if p < len(other) and other[p] == w and other_before[p]:
+                        w = nbrs[s + earlier.item(j)]
+                        p = bisect_left(nbrs, w, sb, eb)
+                        if p < eb and nbrs[p] == w and arrived[p] < i:
                             self.t_est += ev.beta * self.omega * d / alpha
                 i = first_won(rand, alpha, i + 1, stop)
             return stop

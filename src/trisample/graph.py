@@ -283,25 +283,22 @@ class ArrivalOrder:
     """One arrival order of a ``TimeIndexedGraph``'s edges: Γ_i(a), the
     neighbors of a once the events before position i have arrived, are the
     slots of a's row whose arrival is below i, in id order, named by rank
-    (``index.nodes[rank]`` is the node id)."""
+    (``index.nodes[rank]`` is the node id).
 
-    __slots__ = ("index", "_nodes", "_start", "_nbrs", "_arrival")
+    ``arrival`` holds each slot's arrival, and ``views`` holds zero-copy
+    ``memoryview``s of the index's ``nodes``, row starts and neighbor ranks
+    and of ``arrival``, whose items read as Python ints: a node's row is
+    ``start[r]:start[r + 1]`` for r = ``bisect_left(nodes, u)``, and a
+    neighbor's slot in it is one more ``bisect_left`` of ``nbrs``."""
+
+    __slots__ = ("index", "arrival", "views")
 
     def __init__(self, index: TimeIndexedGraph, arrival: np.ndarray):
         """``arrival`` holds each edge's position; the order keeps each
         slot's, so a row's arrivals are one slice."""
         self.index = index
-        self._nodes = index.nodes
-        self._start = index._start
-        self._nbrs = index._nbrs
-        self._arrival = arrival[index._slot_edge]
-
-    def slots(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        """Node ``u``'s final neighbors, as ranks in id order, and the
-        arrival of each."""
-        r = self._nodes.searchsorted(u)
-        s, e = self._start.item(r), self._start.item(r + 1)  # item: no numpy scalars
-        return self._nbrs[s:e], self._arrival[s:e]
+        self.arrival = arrival[index._slot_edge]
+        self.views = tuple(map(memoryview, (index.nodes, index._start, index._nbrs, self.arrival)))
 
     def closings(self) -> np.ndarray:
         """For each position, the number of triangles whose last edge
@@ -318,7 +315,7 @@ class ArrivalOrder:
         out-slots, but at least ``_WEDGES``, so a block's transients stay
         near 2 bytes per edge.
         """
-        start, nbrs, arrival = self._start, self._nbrs, self._arrival
+        start, nbrs, arrival = self.index._start, self.index._nbrs, self.arrival
         n = len(start) - 1
         deg = np.diff(start)
         level = deg * n + np.arange(n)  # (degree, rank) as one number, then its place

@@ -105,22 +105,26 @@ def _generate(additions, p_e: float, victims, p_d: float, seed: int) -> list[Edg
     that ``victims(present, p_d, rng)`` picks from the sorted present edges.
 
     The shuffle is Fisher–Yates from the last slot down.  Slot i swaps with
-    an index below i + 1 drawn from ``getrandbits`` by the rejection rule
-    of ``random.Random._randbelow`` (k = n.bit_length() bits, redrawn while
-    the value is >= n), so it is the permutation ``rng.shuffle`` makes, with
-    the same draws, for every seed and length, without depending on how the
-    standard library implements ``shuffle``.  It depends only on the seed
-    and the length, not on what the list holds."""
+    an index below n = i + 1 drawn from ``getrandbits`` by the rejection
+    rule of ``random.Random._randbelow`` (k = n.bit_length() bits, redrawn
+    while the value is >= n), so it is the permutation ``rng.shuffle``
+    makes, with the same draws, for every seed and length, without depending
+    on how the standard library implements ``shuffle``.  The slots run one
+    bit-length band at a time: every slot i with 2^(k-1) <= i + 1 < 2^k
+    draws k bits, so k is fixed for the band and a draw is kept once it is
+    <= i.  It depends only on the seed and the length, not on what the list
+    holds."""
     rng = random.Random(seed)
     order = list(additions)
     bits = rng.getrandbits
-    for i in range(len(order) - 1, 0, -1):
-        n = i + 1
-        k = n.bit_length()
-        j = bits(k)
-        while j >= n:
+    top = len(order) - 1
+    for k in range(len(order).bit_length(), 1, -1):
+        for i in range(top, (1 << (k - 1)) - 2, -1):
             j = bits(k)
-        order[i], order[j] = order[j], order[i]
+            while j > i:
+                j = bits(k)
+            order[i], order[j] = order[j], order[i]
+        top = (1 << (k - 1)) - 2
     if not p_e:
         return order
     events = []

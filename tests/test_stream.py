@@ -75,6 +75,19 @@ def test_permutation_is_the_stdlib_shuffle_of_the_additions():
             assert [ev.v for ev in spec.realize(seed)] == expected
 
 
+def test_permutation_is_the_stdlib_shuffle_at_every_band_edge():
+    # the shuffle runs one bit-length band of slots at a time, so each
+    # length just below, at and above a power of two ends a band at its
+    # top, bottom or one past it; 19,520 is perm-ba2k's edge count
+    lengths = sorted({n for k in range(16) for n in (2**k - 1, 2**k, 2**k + 1)} | {19_520})
+    for n in lengths:
+        spec = StreamSpec("permutation", edges=[(0, i) for i in range(1, n + 1)])
+        for seed in (0, 1, 7):
+            expected = list(range(1, n + 1))
+            random.Random(seed).shuffle(expected)
+            assert [ev.v for ev in spec.realize(seed)] == expected
+
+
 def test_permutation_stream_rejects_duplicates_and_loops():
     with pytest.raises(ValueError):
         StreamSpec("permutation", edges=[(1, 2), (2, 1)]).realize(0)

@@ -7,6 +7,7 @@ must fall back to the store wherever the index does not apply."""
 import os
 import subprocess
 import sys
+from bisect import bisect_left
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,15 @@ estimator_specs = st.lists(
 )
 
 
+def slots(order, a):
+    """Node ``a``'s final neighbors, as ranks in id order, and the arrival
+    of each, read through the order's views."""
+    nodes, start, nbrs, _ = order.views
+    r = bisect_left(nodes, a)
+    s, e = start[r], start[r + 1]
+    return np.asarray(nbrs)[s:e], order.arrival[s:e]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     edges=simple_graphs(),
@@ -83,7 +93,7 @@ def test_index_draws_what_a_fresh_store_draws(edges, specs, seeds):
     assert index.nodes.tolist() == nodes
     for i, ev in enumerate(events + [None]):
         for a in nodes:
-            row, arrival = order.slots(a)
+            row, arrival = slots(order, a)
             assert [nodes[w] for w, t in zip(row, arrival) if t < i] == list(store.adjacency(a))
         if ev is not None:
             store.add_edge(ev.u, ev.v)
@@ -145,6 +155,22 @@ def test_states_at_every_stop_are_replays(edges, specs, seeds):
         indexed = [StateAtStops(s.build(seed)) for s, seed in zip(specs, seeds[1:])]
         _drive(indexed, events, order, _trace_stops(len(events), stride), None)
         assert [est.states for est in indexed] == [est.states for est in stored]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_esd_over_sparse_negative_int64_ids_is_a_replay_at_every_stop(alpha):
+    # node x is (x - 10) * 2**40 - 3: sparse, negative for x <= 10 and far
+    # beyond int32, so a row is only found by its full int64 id
+    edges = [((u - 10) * 2**40 - 3, (v - 10) * 2**40 - 3) for u, v in er_graph(30, 0.3, seed=57).edges()]
+    events = StreamSpec("permutation", edges=edges).realize(58)
+    order = TimeIndexedGraph.of(events)
+    assert order is not None
+    stored = [StateAtStops(EstimatorSpec("esd", alpha).build(59))]
+    replay(events, Graph(), stored, ExactTracker(), 1)
+    indexed = [StateAtStops(EstimatorSpec("esd", alpha).build(59))]
+    _drive(indexed, events, order, _trace_stops(len(events), 1), None)
+    assert len(stored[0].states) == len(events)
+    assert indexed[0].states == stored[0].states
 
 
 def test_closings_with_slot_keys_beyond_int32():
@@ -263,48 +289,44 @@ def test_empty_and_one_edge_streams(edges, monkeypatch, tmp_path):
     assert TimeIndexedGraph.of(events).closings().tolist() == [0] * len(edges)
 
 
-def test_runs_do_not_import_numpy_ma():
+@pytest.fixture(scope="module")
+def numpy_modules_imported():
+    """One fresh interpreter runs a permutation and an edge-deletion
+    experiment; returns the process and, for ``numpy.ma`` and
+    ``numpy.random``, whether the run imported it ("True" or "False")."""
+    code = """
+import sys
+from trisample import EstimatorSpec, ExperimentConfig, StreamSpec, er_graph, run_experiment
+edges = list(er_graph(25, 0.3, seed=1).edges())
+ests = [EstimatorSpec("esd", 0.5), EstimatorSpec("doulion", 0.5), EstimatorSpec("triest", 20)]
+for stream in (
+    StreamSpec("permutation", edges=edges),
+    StreamSpec("edge-deletion", edges=edges, p_e=0.1, p_d=0.3),
+):
+    run_experiment(ExperimentConfig(stream, ests, replications=3, seed=2))
+for name in ("numpy.ma", "numpy.random"):
+    print(name, name in sys.modules)
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    return proc, dict(line.split() for line in proc.stdout.splitlines())
+
+
+def test_runs_do_not_import_numpy_ma(numpy_modules_imported):
     # ``graph._distinct`` stands in for ``np.unique``, whose import of
     # ``numpy.ma`` adds about 0.5 MB to a run's resident memory
-    code = """
-import sys
-from trisample import EstimatorSpec, ExperimentConfig, StreamSpec, er_graph, run_experiment
-edges = list(er_graph(25, 0.3, seed=1).edges())
-ests = [EstimatorSpec("esd", 0.5), EstimatorSpec("doulion", 0.5), EstimatorSpec("triest", 20)]
-for stream in (
-    StreamSpec("permutation", edges=edges),
-    StreamSpec("edge-deletion", edges=edges, p_e=0.1, p_d=0.3),
-):
-    run_experiment(ExperimentConfig(stream, ests, replications=3, seed=2))
-print("numpy.ma" in sys.modules)
-"""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    proc, imported = numpy_modules_imported
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert imported["numpy.ma"] == "False"
 
 
-def test_runs_do_not_import_numpy_random():
+def test_runs_do_not_import_numpy_random(numpy_modules_imported):
     # the estimators draw from ``random.Random``; creating numpy's MT19937
     # and a Generator adds about 6 MB to a fresh interpreter's resident memory
-    code = """
-import sys
-from trisample import EstimatorSpec, ExperimentConfig, StreamSpec, er_graph, run_experiment
-edges = list(er_graph(25, 0.3, seed=1).edges())
-ests = [EstimatorSpec("esd", 0.5), EstimatorSpec("doulion", 0.5), EstimatorSpec("triest", 20)]
-for stream in (
-    StreamSpec("permutation", edges=edges),
-    StreamSpec("edge-deletion", edges=edges, p_e=0.1, p_d=0.3),
-):
-    run_experiment(ExperimentConfig(stream, ests, replications=3, seed=2))
-print("numpy.random" in sys.modules)
-"""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    proc, imported = numpy_modules_imported
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert imported["numpy.random"] == "False"
 
 
 def test_node_ids_beyond_int64_keep_the_store(monkeypatch, tmp_path):
@@ -356,7 +378,7 @@ def test_sorted_ids_prove_an_order_wherever_the_defect_lies(edges, data):
     order = index.ordered(events)
     # each slot's arrival is the position of its edge's event
     for a in index.nodes.tolist():
-        row, arrival = order.slots(a)
+        row, arrival = slots(order, a)
         assert arrival.dtype == np.int32
         for w, t in zip(index.nodes[row].tolist(), arrival.tolist()):
             assert {events[t].u, events[t].v} == {a, w}
