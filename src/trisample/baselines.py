@@ -1,20 +1,20 @@
 """Comparison estimators: probabilistic sparsification and a fixed-size
 edge reservoir with random pairing for deletions.
 
-Both maintain their own sampled subgraph and never query the main graph
-store; they see only the event stream, and of ``step``'s graph only its
-type: an ``ArrivalOrder``'s stream holds no deletion, so there they draw
-coins ahead without reading events.  They speak the replay protocol of the
-sampling estimator: ``skip(events, start, stop)`` draws the coins of
-upcoming events and does the bookkeeping of those that leave the sample
-unchanged, and returns the position of the first event that changes it;
-``step(events, i, stop, g)`` applies ``events[i]`` without redrawing its
-coin and then skips from ``i + 1``.  ``process`` is ``skip`` then ``step``
-for one event.  A store replay thus calls a baseline once per event that
-touches its sample, with the same random draws as ``process`` on every
-event.  Over an ``ArrivalOrder`` one ``step`` call applies every event up
-to ``stop`` that touches the sample and returns ``stop``, with the same
-draws.
+Both keep their own sampled subgraph and see only the event stream.  They
+speak the replay protocol of the sampling estimator.  On a store,
+``skip(events, start, stop)`` draws the coins of upcoming events and does
+the bookkeeping of those that leave the sample unchanged, and returns the
+position of the first event that changes it; ``step(events, i, stop, g)``
+applies ``events[i]`` without redrawing its coin and then skips from
+``i + 1``.  ``process`` is ``skip`` then ``step`` for one event.  A store
+replay thus calls a baseline once per event that touches its sample, with
+the same random draws as ``process`` on every event.  Over an
+``ArrivalOrder``, whose stream holds no deletion, one
+``run(events, i, stop, order)`` call per stretch draws the coins of
+``events[i:stop]`` without reading the events and applies every event
+there that touches the sample, with the same draws; ``run`` takes
+``order`` only because the harness passes it to every estimator.
 
 Both assume a consistent stream: no addition of a present edge and no
 deletion of an absent one.  The replay driver rejects any other, so the
@@ -32,7 +32,7 @@ import random
 from math import exp, lgamma
 
 from .esd import first_won
-from .graph import ArrivalOrder, Graph
+from .graph import Graph
 from .oracle import triangles_of_edge
 
 
@@ -78,19 +78,21 @@ class DoulionEstimator:
 
     def step(self, events, i: int, stop: int, g) -> int:
         """Add ``events[i]``, a won addition, to the sample or drop the
-        sampled edge it deletes, then skip from ``i + 1``.  The sparsifier
-        sees only the stream: on an ``ArrivalOrder`` ``g``, whose stream holds
-        no deletion, it adds every won addition up to ``stop``, drawing
-        ``skip``'s coins without reading the other events, and returns
-        ``stop``; any other ``g`` is unused."""
-        if type(g) is ArrivalOrder:
-            rand, p = self.rng.random, self.p
-            while i < stop:
-                self._apply(events[i])
-                i = first_won(rand, p, i + 1, stop)
-            return stop
+        sampled edge it deletes, then skip from ``i + 1``.  ``g`` is
+        unused: the sparsifier sees only the stream."""
         self._apply(events[i])
         return self.skip(events, i + 1, stop)
+
+    def run(self, events, i: int, stop: int, order) -> int:
+        """Add every won addition of ``events[i:stop]``, a stretch of a
+        stream with no deletion, drawing ``skip``'s coins without reading
+        the other events; returns ``stop``."""
+        rand, p = self.rng.random, self.p
+        i = first_won(rand, p, i, stop)
+        while i < stop:
+            self._apply(events[i])
+            i = first_won(rand, p, i + 1, stop)
+        return stop
 
     def _apply(self, ev) -> None:
         if ev.beta == 1:
@@ -209,18 +211,7 @@ class TriestEstimator:
         """Apply ``events[i]``, where ``skip`` stopped: insert or replace for
         an addition, drop the reservoir edge for a deletion; then skip from
         ``i + 1``.  Its coin is already drawn; a replacement draws its slot.
-
-        On an ``ArrivalOrder`` ``g``, whose stream holds no deletion and so
-        leaves no debts, it acts on every event it must act on up to
-        ``stop`` and returns ``stop``: the reservoir fills from ``events[i]``
-        on, and once it is full, the coins against capacity/s are drawn
-        without reading the events.  A won coin draws its slot and notes the
-        event as the slot's last occupant; at ``stop`` each noted slot is
-        replaced once, by its last occupant, which nets the pending changes
-        out as a replacement at each won coin would.  Any other ``g`` is
-        unused."""
-        if type(g) is ArrivalOrder:
-            return self._run_to_stop(events, i, stop)
+        ``g`` is unused: the reservoir sees only the stream."""
         ev = events[i]
         e = (ev.u, ev.v) if ev.u < ev.v else (ev.v, ev.u)
         if ev.beta == 1:
@@ -238,9 +229,15 @@ class TriestEstimator:
             self.c_bad += 1
         return self.skip(events, i + 1, stop)
 
-    def _run_to_stop(self, events, i: int, stop: int) -> int:
-        """``step`` over an ``ArrivalOrder``: ``events[i:stop]`` are all
-        additions and ``events[i]`` is acted on."""
+    def run(self, events, i: int, stop: int, order) -> int:
+        """Act on every event of ``events[i:stop]``, a stretch of a stream
+        with no deletion and so with no debts, that changes the reservoir;
+        returns ``stop``.  The reservoir fills from ``events[i]`` on, and
+        once it is full, the coins against capacity/s are drawn without
+        reading the events.  A won coin draws its slot and notes the event
+        as the slot's last occupant; at ``stop`` each noted slot is replaced
+        once, by its last occupant, which nets the pending changes out as a
+        replacement at each won coin would."""
         cap, rand = self.capacity, self.rng.random
         base = self._live - i + 1  # base + k: the live edges with event k
         fill = min(stop, i + cap - len(self._edges))  # events[i:fill] fill the reservoir
@@ -248,9 +245,6 @@ class TriestEstimator:
             ev = events[k]
             self._insert((ev.u, ev.v) if ev.u < ev.v else (ev.v, ev.u))
         last = {}  # slot -> position of its last occupant in this stretch
-        if fill == i:  # the reservoir was full, so events[i]'s coin was won
-            last[self._draw_slot()] = i
-            fill += 1
         top = cap / (base + fill)  # division rounds monotonically: r >= top loses every coin ahead
         for k in range(fill, stop):
             r = rand()

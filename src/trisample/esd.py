@@ -16,19 +16,17 @@ Randomness comes from an ``rng`` with ``random()`` for the coins and
 uniform index, the value ``rng.randrange(d)`` gives, with the same draws:
 k = d.bit_length() bits, redrawn while the value is >= d.
 
-The estimator speaks the replay protocol that the baselines share:
-``skip`` draws the coins of upcoming events until one is won, and ``step``
-is the sampled update for that event followed by the coins up to the next
-won one.  A store replay calls it once per sampled event, with the same
-random draws, in the same order, as ``process_event`` on every event.  Over
-an ``ArrivalOrder`` no store changes between events, so one ``step`` call
-makes every sampled update up to the driver's next stop, with the same
-draws.
+The estimator speaks the replay protocol that the baselines share.  On a
+store, ``skip`` draws the coins of upcoming events until one is won, and
+``step`` is the sampled update for that event followed by the coins up to
+the next won one: a store replay calls it once per sampled event, with the
+same random draws, in the same order, as ``process_event`` on every event.
+Over an ``ArrivalOrder``, the final graph of a deletion-free stream
+indexed by arrival, no store changes between events, so one ``run`` call
+per stretch between the harness's stops draws its coins and makes every
+sampled update there, with the same draws.
 Like the baselines, it assumes a consistent stream (no duplicate
 addition, no absent deletion); the driver rejects any other.
-
-``step`` reads either a mutable ``Graph`` or an ``ArrivalOrder``, the final
-graph of a deletion-free stream indexed by arrival, with the same draws.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 
-from .graph import ArrivalOrder
 from .stream import EdgeEvent
 
 OMEGA_DYNAMIC = 0.5  # a new triangle is observable via 2 tuples of its closing edge
@@ -60,9 +57,9 @@ class EsdEstimator:
     factors assume it never changes).  ``mode`` is "dynamic" for add/delete
     streams or "static" for a one-pass random-order stream over a fixed
     graph's edges.  Each event consumes one ``rng.random()`` coin, drawn by
-    ``skip`` or by the ``step`` of the sampled event before it, and each
-    neighbor probe of a sampled event draws one uniform index, the value
-    ``rng.randrange`` gives, from ``rng.getrandbits``, so runs replay
+    ``skip``, ``run`` or the ``step`` of the sampled event before it, and
+    each neighbor probe of a sampled event draws one uniform index, the
+    value ``rng.randrange`` gives, from ``rng.getrandbits``, so runs replay
     deterministically from the seed either way.  ``rng`` defaults to
     ``random.Random(seed)``; one passed in needs ``random`` and
     ``getrandbits``, or the constructor raises ``TypeError``.
@@ -115,10 +112,8 @@ class EsdEstimator:
     def step(self, events, i: int, stop: int, g) -> int:
         """The update for ``events[i]``, whose coin was won, then the coins
         of ``events[i+1:stop]`` as ``skip`` draws them; returns the position
-        of the next won coin (``stop`` when none was).  ``g`` may hold the
-        graph before or after ``events[i]``.  On an ``ArrivalOrder``, which
-        holds the graph as of every event, it makes the update of each won
-        coin up to ``stop`` as it comes, and returns ``stop``.
+        of the next won coin (``stop`` when none was).  ``g`` is a ``Graph``
+        holding the graph before or after ``events[i]``.
 
         Each endpoint a of the edge (u, v), with b the other one, probes
         Γ(a)∖{b}, which does not depend on whether ``g`` holds (u, v); u
@@ -127,42 +122,10 @@ class EsdEstimator:
         w closes a triangle when it is in Γ(b), that is when (w, b) is an
         edge, and then the estimate moves by ``beta`` times the inverse
         probability of the observed tuple, alpha/d.  So the update reads
-        Γ(u) and Γ(v) and no other list.  On a ``Graph`` one bisect of Γ(u)
-        tells whether the edge is present, and if it is, j skips b's slot in
-        Γ(a).  On an ``ArrivalOrder``, Γ(a)∖{b} is a's final neighbors that
-        arrived before ``i`` (b's own edge arrives at ``i``): one mask over
-        the arrivals of a's row gives their slots, d is how many there are
-        and w is the rank in the j-th.  w is in Γ(b) when one bisect of b's
-        row finds it with an arrival before ``i``.  The rows are found, and
-        w and the closure read, through the order's ``views``, as Python
-        ints.
+        Γ(u) and Γ(v) and no other list.  One bisect of Γ(u) tells whether
+        the edge is present, and if it is, j skips b's slot in Γ(a).
         """
         bits = self.rng.getrandbits
-        if type(g) is ArrivalOrder:
-            rand, alpha = self.rng.random, self._alpha
-            arrival = g.arrival
-            nodes, start, nbrs, arrived = g.views
-            while i < stop:
-                ev = events[i]
-                self.edges_sampled += 1
-                r = bisect_left(nodes, ev.u)
-                u0, u1 = start[r], start[r + 1]
-                r = bisect_left(nodes, ev.v)
-                v0, v1 = start[r], start[r + 1]
-                for s, e, sb, eb in ((u0, u1, v0, v1), (v0, v1, u0, u1)):
-                    earlier = (arrival[s:e] < i).nonzero()[0]
-                    d = len(earlier)
-                    if d > 0:
-                        k = d.bit_length()
-                        j = bits(k)
-                        while j >= d:
-                            j = bits(k)
-                        w = nbrs[s + earlier.item(j)]
-                        p = bisect_left(nbrs, w, sb, eb)
-                        if p < eb and nbrs[p] == w and arrived[p] < i:
-                            self.t_est += ev.beta * self.omega * d / alpha
-                i = first_won(rand, alpha, i + 1, stop)
-            return stop
         ev = events[i]
         self.edges_sampled += 1
         u, v = ev.u, ev.v
@@ -183,6 +146,41 @@ class EsdEstimator:
                 if p < len(nb) and nb[p] == w:
                     self.t_est += ev.beta * self.omega * d / self._alpha
         return first_won(self.rng.random, self._alpha, i + 1, stop)  # ``skip``, one call fewer
+
+    def run(self, events, i: int, stop: int, order) -> int:
+        """``skip`` and ``step`` over ``events[i:stop]`` on ``order``, an
+        ``ArrivalOrder`` holding the graph as of every event: the same draws
+        and updates; returns ``stop``.  Γ(a)∖{b} is a's final neighbors that
+        arrived before the won event (b's own edge arrives with it).  One
+        mask over the arrivals of a's row gives their slots, d is how many
+        there are and w is the rank in the j-th.  w is in Γ(b) when one
+        bisect of b's row finds it with an earlier arrival.  The rows are
+        found, and w and the closure read, through ``views``, as Python ints."""
+        rand, alpha, bits = self.rng.random, self._alpha, self.rng.getrandbits
+        arrival = order.arrival
+        nodes, start, nbrs, arrived = order.views
+        i = first_won(rand, alpha, i, stop)
+        while i < stop:
+            ev = events[i]
+            self.edges_sampled += 1
+            r = bisect_left(nodes, ev.u)
+            u0, u1 = start[r], start[r + 1]
+            r = bisect_left(nodes, ev.v)
+            v0, v1 = start[r], start[r + 1]
+            for s, e, sb, eb in ((u0, u1, v0, v1), (v0, v1, u0, u1)):
+                earlier = (arrival[s:e] < i).nonzero()[0]
+                d = len(earlier)
+                if d > 0:
+                    k = d.bit_length()
+                    j = bits(k)
+                    while j >= d:
+                        j = bits(k)
+                    w = nbrs[s + earlier.item(j)]
+                    p = bisect_left(nbrs, w, sb, eb)
+                    if p < eb and nbrs[p] == w and arrived[p] < i:
+                        self.t_est += ev.beta * self.omega * d / alpha
+            i = first_won(rand, alpha, i + 1, stop)
+        return stop
 
     def process_static(self, edge, g) -> None:
         """Static variant: ``g`` is the whole graph and the stream delivers

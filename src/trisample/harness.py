@@ -7,12 +7,12 @@ is public and is the one function that applies a stream to a mutable
 graph store (the CLI's ``exact --stream`` uses it too), so it is also the
 one place that rejects an inconsistent stream, which the estimators rely
 on.  It drives the sampling estimator and both baselines through one
-protocol: each draws its coins ahead (``skip``), up to the next event it
-must act on, and is called there once (``step``) to apply that event and
-draw ahead again; its random draws and results are the same as when it is
-fed every event.  That holds for store replays; over an arrival index,
-where no store changes between events, one ``step`` call per stretch
-between stops acts on every event the estimator must act on there.
+protocol, with the same random draws and results as feeding each every
+event.  On the store, each draws its coins ahead (``skip``), up to the next
+event it must act on, and is called there once (``step``) to apply that
+event and draw ahead again.  Over an arrival index, where no store changes
+between events, one ``run`` call per stretch between stops draws the
+stretch's coins and acts on every event the estimator must act on there.
 
 The view, truth and reuse of each replication, stated here once:
 
@@ -155,7 +155,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class EstimatorMetrics:
-    # The field order is the summary CSV's column order (SUMMARY_HEADER).
+    """A summary CSV row, fields in column order (SUMMARY_HEADER).  On a
+    deletion stream ``edges_sampled_mean`` averages different counts: ESD's
+    sampled events, deletions included; Doulion's sample insertions, none
+    subtracted; TRIÈST's final reservoir size."""
+
     name: str
     param: float
     replications: int
@@ -274,24 +278,21 @@ class _Reuse:
     events: list | None = None
 
 
-def _drive(ests, events, g, bounds, wall) -> list:
+def _drive(ests, events, order, bounds, wall) -> list:
     """Run each estimator over ``events`` on its own, over an
-    ``ArrivalOrder`` ``g``: between two of the ``bounds`` (the last one
-    ``len(events)``), ``skip`` from the first, then, if it stops short of
-    the second, one ``step`` there, which acts on every event up to the
-    second that the estimator acts on.  Returns the estimates at each bound.
-    The stops are ``replay``'s, so each estimator draws what it draws there.
-    With a ``wall`` list, each estimator's time, reads of its estimate
-    included, is added to ``wall[j]``."""
+    ``ArrivalOrder`` ``order``: one ``run`` call from each of the ``bounds``
+    to the next (the last one ``len(events)``, the first from 0) acts on
+    every event there that the estimator acts on.  Returns the estimates
+    at each bound.  The stops are ``replay``'s, so each estimator draws what
+    it draws there.  With a ``wall`` list, each estimator's time, reads of
+    its estimate included, is added to ``wall[j]``."""
     rows = []
     start = 0
     for stop in bounds:
         row = []
         for j, est in enumerate(ests):
             t0 = time.perf_counter()
-            k = est.skip(events, start, stop)
-            if k < stop:
-                est.step(events, k, stop, g)
+            est.run(events, start, stop, order)
             row.append(est.estimate())
             if wall is not None:
                 wall[j] += time.perf_counter() - t0

@@ -69,3 +69,14 @@ def test_stream_module_imports_nothing_from_the_package():
     # streams are events and edge pairs; the graph store is not their layer
     path = Path(trisample.__file__).parent / "stream.py"
     assert [ast.unparse(node) for node in _package_imports(path)] == []
+
+
+def test_only_the_harness_tells_the_two_views_apart():
+    # the estimators read an ArrivalOrder through ``run`` alone, so neither
+    # module names it; the baselines build their samples in a ``Graph``
+    src = Path(trisample.__file__).parent
+    graph_imports = {
+        name: [alias.name for node in _package_imports(src / name) if node.module == "graph" for alias in node.names]
+        for name in ("esd.py", "baselines.py")
+    }
+    assert graph_imports == {"esd.py": [], "baselines.py": ["Graph"]}

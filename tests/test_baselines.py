@@ -214,11 +214,9 @@ def test_indexed_triest_pass_builds_only_the_final_sample(monkeypatch):
     order = TimeIndexedGraph.of(events)
     m, cap = len(events), 10
     est = TriestEstimator(cap, seed=65)
-    k = est.skip(events, 0, m)
-    while k < m:
-        k = est.step(events, k, m, order)
-        assert calls == {"add_edge": 0, "delete_edge": 0}
-        assert len(est._pending) <= 2 * cap
+    assert est.run(events, 0, m, order) == m
+    assert calls == {"add_edge": 0, "delete_edge": 0}
+    assert len(est._pending) <= 2 * cap
     est.estimate()
     assert calls == {"add_edge": cap, "delete_edge": 0}  # the reservoir is full
     assert est.tau == exact_triangles(est.sample)
@@ -378,15 +376,16 @@ class Unread:
         raise AssertionError(f"read .{name} of an event the estimator does not act on")
 
 
-def recording_steps(est) -> list:
-    """The positions at which a driver calls ``est.step``, in call order."""
-    calls, step = [], est.step
+def recording_calls(est, name: str) -> list:
+    """The ``(start, stop)`` of each call made to ``est``'s ``name``
+    method, in call order."""
+    calls, method = [], getattr(est, name)
 
-    def recording(events, i, stop, g):
-        calls.append(i)
-        return step(events, i, stop, g)
+    def recording(events, start, stop, *g):
+        calls.append((start, stop))
+        return method(events, start, stop, *g)
 
-    est.step = recording
+    setattr(est, name, recording)
     return calls
 
 
@@ -396,13 +395,13 @@ def recording_steps(est) -> list:
         lambda: DoulionEstimator(0.3, seed=61),
         lambda: TriestEstimator(10, seed=61),
         lambda: TriestEstimator(1, seed=61),
+        lambda: EsdEstimator(0.3, seed=61),
     ],
-    ids=["doulion", "triest-10", "triest-1"],
+    ids=["doulion", "triest-10", "triest-1", "esd"],
 )
 def test_indexed_skip_reads_only_the_events_acted_on(make):
-    # an ArrivalOrder's stream holds no deletion, so once a pass's first
-    # skip has returned, the coins ahead need no event: every position the
-    # estimator does not act on, past that skip, is a stand-in that fails
+    # an ArrivalOrder's stream holds no deletion, so a coin needs no event:
+    # every position the estimator does not act on is a stand-in that fails
     # when read, and the pass must end where the one over the real events
     # does, which ends where a store replay does.  The positions acted on
     # are those where a store replay calls ``step``
@@ -410,22 +409,22 @@ def test_indexed_skip_reads_only_the_events_acted_on(make):
     order = TimeIndexedGraph.of(events)
     m = len(events)
     stored = make()
-    acts = recording_steps(stored)
+    acts = recording_calls(stored, "step")
     replay(events, Graph(), [stored])
     ref = make()
     _drive([ref], events, order, [m], None)
     assert state(ref) == state(stored)
-    read = set(range(acts[0])) | set(acts)
+    read = {i for i, _ in acts}
     assert len(read) < m / 2
     est = make()
     _drive([est], [ev if k in read else Unread() for k, ev in enumerate(events)], order, [m], None)
     assert state(est) == state(ref)
 
 
-def test_indexed_drive_steps_each_estimator_at_most_once_per_stretch():
+def test_indexed_drive_runs_each_estimator_once_per_stretch():
     # a store replay acts on several events of some stretches; over the
-    # index each estimator's one ``step`` call runs to the stretch's end,
-    # and every state at every stop is the replay's
+    # index each estimator gets one ``run`` call per stretch and never a
+    # ``skip`` or ``step``, and every row and state is the replay's
     events = StreamSpec("permutation", edges=list(er_graph(30, 0.3, seed=66).edges())).realize(67)
     order = TimeIndexedGraph.of(events)
     stops = _trace_stops(len(events), 7)
@@ -435,15 +434,13 @@ def test_indexed_drive_steps_each_estimator_at_most_once_per_stretch():
         lambda: TriestEstimator(3, seed=68),
     ]
     stored = [make() for make in makes]
-    stored_acts = [recording_steps(est) for est in stored]
+    stored_steps = [recording_calls(est, "step") for est in stored]
     rows = replay(events, Graph(), stored, ExactTracker(), 7)
     indexed = [make() for make in makes]
-    indexed_acts = [recording_steps(est) for est in indexed]
+    indexed_calls = [{name: recording_calls(est, name) for name in ("skip", "step", "run")} for est in indexed]
     assert _drive(indexed, events, order, stops, None) == [row[2] for row in rows]
     assert [state(est) for est in indexed] == [state(est) for est in stored]
-    for stored_calls, calls in zip(stored_acts, indexed_acts):
-        firsts = {}  # stretch -> the first position the store replay acts on there
-        for i in stored_calls:
-            firsts.setdefault(bisect_right(stops, i), i)
-        assert calls == list(firsts.values())
-        assert len(calls) < len(stored_calls)
+    stretches = list(zip([0, *stops], stops))
+    for steps, calls in zip(stored_steps, indexed_calls):
+        assert calls == {"skip": [], "step": [], "run": stretches}
+        assert len(steps) > len({bisect_right(stops, i) for i, _ in steps})  # a stretch holds several

@@ -131,7 +131,7 @@ class StateAtStops:
 
     def __init__(self, est):
         self.est, self.states = est, []
-        self.skip, self.step = est.skip, est.step
+        self.skip, self.step, self.run = est.skip, est.step, est.run
 
     def estimate(self):
         self.states.append(state(self.est))
@@ -145,8 +145,8 @@ class StateAtStops:
     seeds=st.lists(st.integers(0, 2**32), min_size=5, max_size=5),
 )
 def test_states_at_every_stop_are_replays(edges, specs, seeds):
-    # the indexed skips of ESD, Doulion and a full TRIÈST draw no coin past
-    # a stop and leave every count where the store's skips do
+    # the indexed runs of ESD, Doulion and TRIÈST draw no coin past a stop
+    # and leave every count where the store's skips do
     events = StreamSpec("permutation", edges=edges).realize(seeds[0])
     order = TimeIndexedGraph.of(events)
     for stride in (1, 3):
