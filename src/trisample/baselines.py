@@ -1,20 +1,18 @@
 """Comparison estimators: probabilistic sparsification and a fixed-size
 edge reservoir with random pairing for deletions.
 
-Both keep their own sampled subgraph and see only the event stream.  They
-speak the replay protocol of the sampling estimator.  On a store,
-``skip(events, start, stop)`` draws the coins of upcoming events and does
-the bookkeeping of those that leave the sample unchanged, and returns the
-position of the first event that changes it; ``step(events, i, stop, g)``
-applies ``events[i]`` without redrawing its coin and then skips from
-``i + 1``.  ``process`` is ``skip`` then ``step`` for one event.  A store
-replay thus calls a baseline once per event that touches its sample, with
-the same random draws as ``process`` on every event.  Over an
-``ArrivalOrder``, whose stream holds no deletion, one
-``run(events, i, stop, order)`` call per stretch draws the coins of
-``events[i:stop]`` without reading the events and applies every event
-there that touches the sample, with the same draws; ``run`` takes
-``order`` only because the harness passes it to every estimator.
+Both keep their own sampled subgraph and see only the event stream, so
+neither reads a graph store.  They speak the replay protocol of the
+sampling estimator, which reads one.  On a store, ``skip(events, start,
+stop)`` draws the coins of ``events[start:stop]`` and applies every event
+there that changes the sample, in one loop, and returns ``stop``: only the
+sampling estimator has a ``step``, for the events whose update reads the
+store.  ``process`` is ``skip`` over one event.  Over an ``ArrivalOrder``,
+whose stream holds no deletion, one ``run(events, i, stop, order)`` call
+per stretch draws the coins of ``events[i:stop]`` without reading the
+events and applies every event there that touches the sample, with the
+same draws; ``run`` takes ``order`` only because the harness passes it to
+every estimator.
 
 Both assume a consistent stream: no addition of a present edge and no
 deletion of an absent one.  The replay driver rejects any other, so the
@@ -56,14 +54,12 @@ class DoulionEstimator:
         self.edges_sampled = 0
 
     def process(self, ev) -> None:
-        events = (ev,)
-        if self.skip(events, 0, 1) == 0:
-            self.step(events, 0, 1, None)
+        self.skip((ev,), 0, 1)
 
     def skip(self, events, start: int, stop: int) -> int:
-        """Position of the first event in ``events[start:stop]`` that changes
-        the sample (``stop`` if none): an addition whose coin is won, or a
-        deletion of a sampled edge.  Other deletions need no draw."""
+        """Apply every event of ``events[start:stop]`` that changes the
+        sample: an addition whose coin is won, or a deletion of a sampled
+        edge.  Other deletions need no draw.  Returns ``stop``."""
         rand = self.rng.random
         p = self.p
         has_edge = self.sample.has_edge
@@ -71,17 +67,10 @@ class DoulionEstimator:
             ev = events[k]
             if ev.beta == 1:
                 if rand() < p:
-                    return k
+                    self._apply(ev)
             elif has_edge(ev.u, ev.v):
-                return k
+                self._apply(ev)
         return stop
-
-    def step(self, events, i: int, stop: int, g) -> int:
-        """Add ``events[i]``, a won addition, to the sample or drop the
-        sampled edge it deletes, then skip from ``i + 1``.  ``g`` is
-        unused: the sparsifier sees only the stream."""
-        self._apply(events[i])
-        return self.skip(events, i + 1, stop)
 
     def run(self, events, i: int, stop: int, order) -> int:
         """Add every won addition of ``events[i:stop]``, a stretch of a
@@ -166,68 +155,44 @@ class TriestEstimator:
         return self._live
 
     def process(self, ev) -> None:
-        events = (ev,)
-        if self.skip(events, 0, 1) == 0:
-            self.step(events, 0, 1, None)
+        self.skip((ev,), 0, 1)
 
     def skip(self, events, start: int, stop: int) -> int:
-        """Position of the first event in ``events[start:stop]`` that changes
-        the reservoir (``stop`` if none); the others are counted.  An
-        addition stops while the reservoir fills, and after that when its
-        coin is won: capacity/s without debts, s counting the addition,
-        and c_bad/(c_bad + c_good) with them.  A lost coin with debts pays
-        a good one.  A deletion stops on a reservoir edge and otherwise
-        leaves a good debt."""
+        """Apply every event of ``events[start:stop]``; returns ``stop``.  An
+        addition is counted, and it is inserted while the reservoir fills.
+        After that, without debts, its coin against capacity/s, s counting
+        the addition, is drawn before a replacement draws its slot; with
+        debts, a coin against c_bad/(c_bad + c_good) either inserts it and
+        pays a bad debt or pays a good one.  A deletion drops a reservoir
+        edge and leaves a bad debt, or else leaves a good one."""
         rand = self.rng.random
         cap = self.capacity
-        slot = self._slot
-        filling = len(self._edges) < cap
+        edges, slot = self._edges, self._slot
         c_bad, c_good, live = self.c_bad, self.c_good, self._live
-        k = stop
         for i in range(start, stop):
             ev = events[i]
             if ev.beta == 1:
-                if c_good == 0 and c_bad == 0:
-                    if filling or rand() < cap / (live + 1):
-                        k = i
-                        break
-                elif rand() < c_bad / (c_bad + c_good):
-                    k = i
-                    break
-                else:
-                    c_good -= 1
                 live += 1
+                if c_bad or c_good:
+                    if rand() < c_bad / (c_bad + c_good):
+                        self._insert(_edge(ev))
+                        c_bad -= 1
+                    else:
+                        c_good -= 1
+                elif len(edges) < cap:
+                    self._insert(_edge(ev))
+                elif rand() < cap / live:
+                    self._replace(self._draw_slot(), _edge(ev))
             else:
-                u, v = ev.u, ev.v
-                if ((u, v) if u < v else (v, u)) in slot:
-                    k = i
-                    break
-                c_good += 1
                 live -= 1
-        self.c_good, self._live = c_good, live
-        return k
-
-    def step(self, events, i: int, stop: int, g) -> int:
-        """Apply ``events[i]``, where ``skip`` stopped: insert or replace for
-        an addition, drop the reservoir edge for a deletion; then skip from
-        ``i + 1``.  Its coin is already drawn; a replacement draws its slot.
-        ``g`` is unused: the reservoir sees only the stream."""
-        ev = events[i]
-        e = (ev.u, ev.v) if ev.u < ev.v else (ev.v, ev.u)
-        if ev.beta == 1:
-            self._live += 1
-            if self.c_bad + self.c_good:
-                self._insert(e)
-                self.c_bad -= 1
-            elif len(self._edges) < self.capacity:
-                self._insert(e)
-            else:
-                self._replace(self._draw_slot(), e)
-        else:
-            self._live -= 1
-            self._remove(e)
-            self.c_bad += 1
-        return self.skip(events, i + 1, stop)
+                e = _edge(ev)
+                if e in slot:
+                    self._remove(e)
+                    c_bad += 1
+                else:
+                    c_good += 1
+        self.c_bad, self.c_good, self._live = c_bad, c_good, live
+        return stop
 
     def run(self, events, i: int, stop: int, order) -> int:
         """Act on every event of ``events[i:stop]``, a stretch of a stream
@@ -242,8 +207,7 @@ class TriestEstimator:
         base = self._live - i + 1  # base + k: the live edges with event k
         fill = min(stop, i + cap - len(self._edges))  # events[i:fill] fill the reservoir
         for k in range(i, fill):
-            ev = events[k]
-            self._insert((ev.u, ev.v) if ev.u < ev.v else (ev.v, ev.u))
+            self._insert(_edge(events[k]))
         last = {}  # slot -> position of its last occupant in this stretch
         top = cap / (base + fill)  # division rounds monotonically: r >= top loses every coin ahead
         for k in range(fill, stop):
@@ -252,8 +216,7 @@ class TriestEstimator:
                 last[self._draw_slot()] = k
                 top = cap / (base + k + 1)
         for j, k in last.items():
-            ev = events[k]
-            self._replace(j, (ev.u, ev.v) if ev.u < ev.v else (ev.v, ev.u))
+            self._replace(j, _edge(events[k]))
         self._live = base + stop - 1
         return stop
 
@@ -352,6 +315,12 @@ class TriestEstimator:
                 tau += triangles_of_edge(sample, *e)
         self._tau = tau
         pending.clear()
+
+
+def _edge(ev) -> tuple[int, int]:
+    """The reservoir's key of an event's edge: its endpoints in order."""
+    u, v = ev.u, ev.v
+    return (u, v) if u < v else (v, u)
 
 
 def _log_comb(n: int, k: int) -> float:

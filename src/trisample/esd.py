@@ -17,10 +17,12 @@ uniform index, the value ``rng.randrange(d)`` gives, with the same draws:
 k = d.bit_length() bits, redrawn while the value is >= d.
 
 The estimator speaks the replay protocol that the baselines share.  On a
-store, ``skip`` draws the coins of upcoming events until one is won, and
-``step`` is the sampled update for that event followed by the coins up to
-the next won one: a store replay calls it once per sampled event, with the
-same random draws, in the same order, as ``process_event`` on every event.
+store, ``skip`` does all that needs no store: it draws the coins of
+upcoming events until one is won.  The sampled update reads the store, so
+ESD alone has a ``step``: the update for that event followed by the coins
+up to the next won one.  A store replay calls it once per sampled event,
+with the same random draws, in the same order, as ``process_event`` on
+every event.
 Over an ``ArrivalOrder``, the final graph of a deletion-free stream
 indexed by arrival, no store changes between events, so one ``run`` call
 per stretch between the harness's stops draws its coins and makes every

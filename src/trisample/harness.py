@@ -8,11 +8,14 @@ graph store (the CLI's ``exact --stream`` uses it too), so it is also the
 one place that rejects an inconsistent stream, which the estimators rely
 on.  It drives the sampling estimator and both baselines through one
 protocol, with the same random draws and results as feeding each every
-event.  On the store, each draws its coins ahead (``skip``), up to the next
-event it must act on, and is called there once (``step``) to apply that
-event and draw ahead again.  Over an arrival index, where no store changes
-between events, one ``run`` call per stretch between stops draws the
-stretch's coins and acts on every event the estimator must act on there.
+event.  On the store, ``skip`` does all that needs no store: it draws the
+coins ahead and applies every update that reads no store, up to the next
+event whose update does.  Only the sampling estimator has such events,
+and its ``step`` applies one once the store holds it and draws ahead
+again; a baseline's ``skip`` runs to the stop.  Over an arrival index,
+where no store changes between events, one ``run`` call per stretch
+between stops draws the stretch's coins and acts on every event the
+estimator must act on there.
 
 The view, truth and reuse of each replication, stated here once:
 
@@ -221,23 +224,25 @@ def replay(events, g, ests=(), tracker=None, stride=None, wall=None) -> list:
     points are ``_trace_stops``, where the indexed replication 0 stops too.
 
     Every estimator is driven by one schedule, ``due``, which files it
-    under the position of the next event it must act on.  There its
-    ``step`` runs once the graph reflects the event: it applies the event
-    and draws coins ahead, and returns the next such position.  Drawing
-    ahead never passes ``stop``: the stream's end, or with a tracker the
-    next trace point, because a baseline's skip moves the counts its
-    estimate reads.  An estimator filed under ``stop`` itself has not acted
-    there; its ``skip`` resumes from ``stop`` once that point's trace row
-    is written.  Each estimator draws from its own RNG, so the order they
+    under the position its ``skip`` or ``step`` returns: the next event
+    whose update reads the store.  There its ``step`` runs once the graph
+    reflects the event: it applies the event and draws coins ahead, and
+    returns the next such position.  Neither passes ``stop``: the stream's
+    end, or with a tracker the next trace point, where the estimates are
+    read.  An estimator filed under ``stop`` itself has not acted there;
+    its ``skip`` resumes from ``stop`` once that point's trace row is
+    written.  A baseline reads no store and has no ``step``: its ``skip``
+    applies the whole stretch and returns ``stop``, so it is never due
+    inside one.  Each estimator draws from its own RNG, so the order they
     are fed in changes nothing.
     """
     if stride is not None and stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     last = len(events)
     bounds = [last] if tracker is None else _trace_stops(last, stride)
-    calls = [(est.step, est.skip, est.estimate) for est in ests]
+    calls = [(getattr(est, "step", None), est.skip, est.estimate) for est in ests]
     if wall is not None:
-        calls = [tuple(_timed(fn, wall, j) for fn in fns) for j, fns in enumerate(calls)]
+        calls = [tuple(fn and _timed(fn, wall, j) for fn in fns) for j, fns in enumerate(calls)]
     # a plain dict, not a defaultdict: the pop below runs on every event,
     # and it is slower on a dict subclass
     due: dict[int, list] = {0: calls}

@@ -80,3 +80,11 @@ def test_only_the_harness_tells_the_two_views_apart():
         for name in ("esd.py", "baselines.py")
     }
     assert graph_imports == {"esd.py": [], "baselines.py": ["Graph"]}
+
+
+def test_only_esd_has_a_step():
+    # a step applies an event whose update reads the store, and only ESD's
+    # does; each baseline applies its stretch inside ``skip``
+    assert callable(trisample.EsdEstimator.step)
+    assert not hasattr(trisample.DoulionEstimator, "step")
+    assert not hasattr(trisample.TriestEstimator, "step")

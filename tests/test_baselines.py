@@ -378,43 +378,74 @@ class Unread:
 
 def recording_calls(est, name: str) -> list:
     """The ``(start, stop)`` of each call made to ``est``'s ``name``
-    method, in call order."""
-    calls, method = [], getattr(est, name)
+    method, in call order.  A method ``est`` lacks is never called, and no
+    stand-in is added for it."""
+    calls, method = [], getattr(est, name, None)
 
     def recording(events, start, stop, *g):
         calls.append((start, stop))
         return method(events, start, stop, *g)
 
-    setattr(est, name, recording)
+    if method is not None:
+        setattr(est, name, recording)
     return calls
 
 
+def recording_edges(est, picks: dict) -> list:
+    """The edge applied by each call made to ``est``'s methods named in
+    ``picks``, in call order, as an unordered pair; ``picks`` maps each
+    name to the function that reads the edge from the call's arguments."""
+    edges = []
+
+    def wrap(method, pick):
+        def recording(*args):
+            edges.append(frozenset(pick(*args)))
+            return method(*args)
+
+        return recording
+
+    for name, pick in picks.items():
+        setattr(est, name, wrap(getattr(est, name), pick))
+    return edges
+
+
+# where each estimator applies an edge on the store, and how to read it
+# from the call's arguments
+DOULION_APPLIES = {"_apply": lambda ev: (ev.u, ev.v)}
+TRIEST_APPLIES = {"_insert": lambda e: e, "_replace": lambda j, e: e, "_remove": lambda e: e}
+ESD_APPLIES = {"step": lambda events, i, stop, g: (events[i].u, events[i].v)}
+
+
 @pytest.mark.parametrize(
-    "make",
+    "make,picks",
     [
-        lambda: DoulionEstimator(0.3, seed=61),
-        lambda: TriestEstimator(10, seed=61),
-        lambda: TriestEstimator(1, seed=61),
-        lambda: EsdEstimator(0.3, seed=61),
+        (lambda: DoulionEstimator(0.3, seed=61), DOULION_APPLIES),
+        (lambda: TriestEstimator(10, seed=61), TRIEST_APPLIES),
+        (lambda: TriestEstimator(1, seed=61), TRIEST_APPLIES),
+        (lambda: EsdEstimator(0.3, seed=61), ESD_APPLIES),
     ],
     ids=["doulion", "triest-10", "triest-1", "esd"],
 )
-def test_indexed_skip_reads_only_the_events_acted_on(make):
+def test_indexed_skip_reads_only_the_events_acted_on(make, picks):
     # an ArrivalOrder's stream holds no deletion, so a coin needs no event:
     # every position the estimator does not act on is a stand-in that fails
     # when read, and the pass must end where the one over the real events
     # does, which ends where a store replay does.  The positions acted on
-    # are those where a store replay calls ``step``
+    # are those of the edges a store replay applies: ESD's ``step``, and
+    # the sample updates of the baselines, whose ``skip`` applies them;
+    # each edge arrives once in a permutation, at one position
     events = StreamSpec("permutation", edges=list(er_graph(30, 0.3, seed=60).edges())).realize(62)
     order = TimeIndexedGraph.of(events)
     m = len(events)
     stored = make()
-    acts = recording_calls(stored, "step")
+    applied = recording_edges(stored, picks)
     replay(events, Graph(), [stored])
+    position = {frozenset((ev.u, ev.v)): k for k, ev in enumerate(events)}
+    acts = [position[e] for e in applied]
     ref = make()
     _drive([ref], events, order, [m], None)
     assert state(ref) == state(stored)
-    read = {i for i, _ in acts}
+    read = set(acts)
     assert len(read) < m / 2
     est = make()
     _drive([est], [ev if k in read else Unread() for k, ev in enumerate(events)], order, [m], None)
@@ -422,9 +453,11 @@ def test_indexed_skip_reads_only_the_events_acted_on(make):
 
 
 def test_indexed_drive_runs_each_estimator_once_per_stretch():
-    # a store replay acts on several events of some stretches; over the
-    # index each estimator gets one ``run`` call per stretch and never a
-    # ``skip`` or ``step``, and every row and state is the replay's
+    # on the store every estimator gets one ``skip`` per stretch; only ESD
+    # has a ``step``, and it acts on several events of some stretch, while
+    # a baseline's ``skip`` applies its whole stretch.  Over the index each
+    # estimator gets one ``run`` call per stretch and never a ``skip`` or
+    # ``step``, and every row and state is the replay's
     events = StreamSpec("permutation", edges=list(er_graph(30, 0.3, seed=66).edges())).realize(67)
     order = TimeIndexedGraph.of(events)
     stops = _trace_stops(len(events), 7)
@@ -434,13 +467,16 @@ def test_indexed_drive_runs_each_estimator_once_per_stretch():
         lambda: TriestEstimator(3, seed=68),
     ]
     stored = [make() for make in makes]
-    stored_steps = [recording_calls(est, "step") for est in stored]
+    stored_calls = [{name: recording_calls(est, name) for name in ("skip", "step")} for est in stored]
     rows = replay(events, Graph(), stored, ExactTracker(), 7)
     indexed = [make() for make in makes]
     indexed_calls = [{name: recording_calls(est, name) for name in ("skip", "step", "run")} for est in indexed]
     assert _drive(indexed, events, order, stops, None) == [row[2] for row in rows]
     assert [state(est) for est in indexed] == [state(est) for est in stored]
     stretches = list(zip([0, *stops], stops))
-    for steps, calls in zip(stored_steps, indexed_calls):
+    for calls in indexed_calls:
         assert calls == {"skip": [], "step": [], "run": stretches}
-        assert len(steps) > len({bisect_right(stops, i) for i, _ in steps})  # a stretch holds several
+    assert [calls["skip"] for calls in stored_calls] == [stretches] * 3
+    steps, *baseline_steps = [calls["step"] for calls in stored_calls]
+    assert baseline_steps == [[], []]
+    assert len(steps) > len({bisect_right(stops, i) for i, _ in steps})  # a stretch holds several

@@ -1,8 +1,8 @@
-"""The replay schedule: ``replay`` drives every estimator through ``skip``
-and ``step`` and must leave it exactly where feeding it every event through
-``process`` (baselines) or ``process_event`` (ESD) does, with the same
-random draws and the same trace rows; its running truth must match a
-recount after every event.  ESD itself must end in the same state whether
+"""The replay schedule: ``replay`` drives every estimator through ``skip``,
+and ESD also through ``step``, and must leave it exactly where feeding it
+every event through ``process`` (baselines) or ``process_event`` (ESD)
+does, with the same random draws and the same trace rows; its running
+truth must match a recount after every event.  ESD itself must end in the same state whether
 it is fed before or after the store applies each event."""
 
 import pytest

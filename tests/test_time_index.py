@@ -127,11 +127,14 @@ def test_closings_are_the_trackers_trace(edges, specs, seeds):
 
 class StateAtStops:
     """An estimator that records its full ``state`` whenever its estimate is
-    read, which ``replay`` and ``_drive`` do at each stop alone."""
+    read, which ``replay`` and ``_drive`` do at each stop alone.  It has a
+    ``step`` only where the estimator has one, as ESD alone does."""
 
     def __init__(self, est):
         self.est, self.states = est, []
-        self.skip, self.step, self.run = est.skip, est.step, est.run
+        self.skip, self.run = est.skip, est.run
+        if hasattr(est, "step"):
+            self.step = est.step
 
     def estimate(self):
         self.states.append(state(self.est))
