@@ -3,16 +3,15 @@ edge reservoir with random pairing for deletions.
 
 Both keep their own sampled subgraph and see only the event stream, so
 neither reads a graph store.  They speak the replay protocol of the
-sampling estimator, which reads one.  On a store, ``skip(events, start,
-stop)`` draws the coins of ``events[start:stop]`` and applies every event
-there that changes the sample, in one loop, and returns ``stop``: only the
-sampling estimator has a ``step``, for the events whose update reads the
-store.  ``process`` is ``skip`` over one event.  Over an ``ArrivalOrder``,
-whose stream holds no deletion, one ``run(events, i, stop, order)`` call
-per stretch draws the coins of ``events[i:stop]`` without reading the
-events and applies every event there that touches the sample, with the
-same draws; ``run`` takes ``order`` only because the harness passes it to
-every estimator.
+sampling estimator; the ``harness`` module states its schedule.  No
+update of theirs reads the store, so they have no ``step``: ``skip(events,
+start, stop)`` draws the coins of ``events[start:stop]``, applies every
+event there that changes the sample and returns ``stop``, and ``process``
+is ``skip`` over one event.  ``run(events, i, stop,
+order)``, over an ``ArrivalOrder`` whose stream holds no deletion, draws
+the same coins without reading the events and applies every event there
+that touches the sample; it takes ``order`` only because the harness
+passes it to every estimator.
 
 Both assume a consistent stream: no addition of a present edge and no
 deletion of an absent one.  The replay driver rejects any other, so the

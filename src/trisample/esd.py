@@ -16,19 +16,15 @@ Randomness comes from an ``rng`` with ``random()`` for the coins and
 uniform index, the value ``rng.randrange(d)`` gives, with the same draws:
 k = d.bit_length() bits, redrawn while the value is >= d.
 
-The estimator speaks the replay protocol that the baselines share.  On a
-store, ``skip`` does all that needs no store: it draws the coins of
-upcoming events until one is won.  The sampled update reads the store, so
-ESD alone has a ``step``: the update for that event followed by the coins
-up to the next won one.  A store replay calls it once per sampled event,
-with the same random draws, in the same order, as ``process_event`` on
-every event.
-Over an ``ArrivalOrder``, the final graph of a deletion-free stream
-indexed by arrival, no store changes between events, so one ``run`` call
-per stretch between the harness's stops draws its coins and makes every
-sampled update there, with the same draws.
-Like the baselines, it assumes a consistent stream (no duplicate
-addition, no absent deletion); the driver rejects any other.
+The estimator speaks the replay protocol that the baselines share; the
+``harness`` module states its schedule.  ``skip`` draws the coins of
+upcoming events until one is won, ``step`` makes the won event's update,
+the one that reads the store, and draws on to the next won coin, and
+``run`` does both over an ``ArrivalOrder``, which holds the graph as of
+every event.  Either way the draws are those of ``process_event`` on every
+event, in the same order.  Like the baselines, it assumes a consistent
+stream (no duplicate addition, no absent deletion); the driver rejects
+any other.
 """
 
 from __future__ import annotations

@@ -6,16 +6,23 @@ aggregate the final estimates against the exact ground truth.  ``replay``
 is public and is the one function that applies a stream to a mutable
 graph store (the CLI's ``exact --stream`` uses it too), so it is also the
 one place that rejects an inconsistent stream, which the estimators rely
-on.  It drives the sampling estimator and both baselines through one
-protocol, with the same random draws and results as feeding each every
-event.  On the store, ``skip`` does all that needs no store: it draws the
-coins ahead and applies every update that reads no store, up to the next
-event whose update does.  Only the sampling estimator has such events,
-and its ``step`` applies one once the store holds it and draws ahead
-again; a baseline's ``skip`` runs to the stop.  Over an arrival index,
-where no store changes between events, one ``run`` call per stretch
-between stops draws the stretch's coins and acts on every event the
-estimator must act on there.
+on.
+
+Both drivers, ``replay`` on a store and ``_drive`` on an arrival index,
+feed the sampling estimator and both baselines through one schedule, with
+the same random draws and results as feeding each every event.  A stretch
+is the events between two trace stops (the last is the stream's end); no
+call draws past its stop, so at each stop every estimator's state, RNG
+included, is a per-event replay's, and the stop's row is read after all
+of the stretch's calls.  On the store each stretch begins with one
+``skip(events, start, stop)`` per estimator: it draws the coins ahead,
+applies every update that reads no store and returns the next event
+whose update does, or ``stop``.  Only the sampling estimator has such
+events; its ``step(events, i, stop, g)`` applies one once the store has,
+draws ahead again and returns the next, or ``stop``.  Over an arrival
+index, where no store changes between events, one ``run(events, start,
+stop, order)`` call per estimator and stretch draws the stretch's coins
+and acts on every event the estimator acts on there.
 
 The view, truth and reuse of each replication, stated here once:
 
@@ -48,7 +55,8 @@ The view, truth and reuse of each replication, stated here once:
 
 Reports are a pure function of the config: per-estimator wall-clock stays
 0.0 unless timing is explicitly enabled, since measured times would break
-byte-identical output.
+byte-identical output.  With timing, each estimator is wrapped once in
+``_Timed``, which times every call either driver makes.
 """
 
 from __future__ import annotations
@@ -187,16 +195,27 @@ class MetricsReport:
     truth: float
 
 
-def _timed(fn, wall: list, j: int):
-    """``fn`` with its wall time added to ``wall[j]`` on every call."""
+class _Timed:
+    """An estimator whose every method call, reads of its estimate included
+    (TRIÈST settles its reservoir there), adds its wall time to ``seconds``.
+    It holds the estimator, not the other way round, so both die together."""
 
-    def call(*args):
-        t0 = time.perf_counter()
-        out = fn(*args)
-        wall[j] += time.perf_counter() - t0
-        return out
+    def __init__(self, est):
+        self._est = est
+        self.seconds = 0.0
 
-    return call
+    def __getattr__(self, name):
+        attr = getattr(self._est, name)
+        if not callable(attr):
+            return attr
+
+        def call(*args):
+            t0 = time.perf_counter()
+            out = attr(*args)
+            self.seconds += time.perf_counter() - t0
+            return out
+
+        return call
 
 
 def _trace_stops(last: int, stride: int | None) -> list[int]:
@@ -206,9 +225,9 @@ def _trace_stops(last: int, stride: int | None) -> list[int]:
     return [*range(stride, last, stride), last] if last else []
 
 
-def replay(events, g, ests=(), tracker=None, stride=None, wall=None) -> list:
+def replay(events, g, ests=(), tracker=None, stride=None) -> list:
     """Apply ``events`` to the graph store ``g`` and feed the estimators
-    ``ests`` and the exact ``tracker`` (both optional) after each event.
+    ``ests`` and the exact ``tracker`` (both optional) with each event.
 
     This is the one place a stream is checked: an addition of a present
     edge or a deletion of an absent one raises ``ValueError("inconsistent
@@ -216,41 +235,32 @@ def replay(events, g, ests=(), tracker=None, stride=None, wall=None) -> list:
     consistent stream.  With a tracker, returns one trace row
     ``(position, tracker.count, [estimates])`` every ``stride`` (>= 1)
     events, by default ``max(1, len(events) // 500)``, and at the stream's
-    end; without one, returns ``[]``.  With a ``wall`` list, each estimator's
-    time, reads of its estimate included, is added to ``wall[j]``.
+    end; without one, returns ``[]``.
 
     ``g`` is a mutable store, and ``replay`` mutates it; which replications
     ``run_experiment`` replays is the module docstring's rule.  Its trace
     points are ``_trace_stops``, where the indexed replication 0 stops too.
 
-    Every estimator is driven by one schedule, ``due``, which files it
-    under the position its ``skip`` or ``step`` returns: the next event
-    whose update reads the store.  There its ``step`` runs once the graph
-    reflects the event: it applies the event and draws coins ahead, and
-    returns the next such position.  Neither passes ``stop``: the stream's
-    end, or with a tracker the next trace point, where the estimates are
-    read.  An estimator filed under ``stop`` itself has not acted there;
-    its ``skip`` resumes from ``stop`` once that point's trace row is
-    written.  A baseline reads no store and has no ``step``: its ``skip``
-    applies the whole stretch and returns ``stop``, so it is never due
-    inside one.  Each estimator draws from its own RNG, so the order they
-    are fed in changes nothing.
+    Each stretch restarts one dict, ``due``: each estimator's ``skip``
+    files its ``step`` under the position it returns, where the ``step``
+    runs once the store has applied that event and files itself again.
+    Neither returns past ``stop``, where every estimator waits for the next
+    stretch's ``skip``.  Each estimator draws from its own RNG, so the
+    order they are fed in changes nothing.
     """
     if stride is not None and stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     last = len(events)
     bounds = [last] if tracker is None else _trace_stops(last, stride)
-    calls = [(getattr(est, "step", None), est.skip, est.estimate) for est in ests]
-    if wall is not None:
-        calls = [tuple(fn and _timed(fn, wall, j) for fn in fns) for j, fns in enumerate(calls)]
-    # a plain dict, not a defaultdict: the pop below runs on every event,
-    # and it is slower on a dict subclass
-    due: dict[int, list] = {0: calls}
+    calls = [(getattr(est, "step", None), est.skip) for est in ests]
     rows = []
     start = 0
     for stop in bounds:
-        for fns in due.pop(start, ()):
-            due.setdefault(fns[1](events, start, stop), []).append(fns)
+        # a plain dict, not a defaultdict: the pop below runs on every event,
+        # and it is slower on a dict subclass
+        due: dict[int, list] = {}
+        for step, skip in calls:
+            due.setdefault(skip(events, start, stop), []).append(step)
         for i in range(start, stop):
             ev = events[i]
             if ev.beta == 1:
@@ -260,14 +270,14 @@ def replay(events, g, ests=(), tracker=None, stride=None, wall=None) -> list:
                 raise ValueError(f"inconsistent stream: absent deletion ({ev.u}, {ev.v})")
             if tracker is not None:
                 tracker.apply(ev, g)
-            for fns in due.pop(i, ()):
-                k = fns[0](events, i, stop, g)
+            for step in due.pop(i, ()):
+                k = step(events, i, stop, g)
                 if k in due:
-                    due[k].append(fns)
+                    due[k].append(step)
                 else:
-                    due[k] = [fns]
+                    due[k] = [step]
         if tracker is not None:
-            rows.append((stop, tracker.count, [fns[2]() for fns in calls]))
+            rows.append((stop, tracker.count, [est.estimate() for est in ests]))
         start = stop
     return rows
 
@@ -283,25 +293,19 @@ class _Reuse:
     events: list | None = None
 
 
-def _drive(ests, events, order, bounds, wall) -> list:
-    """Run each estimator over ``events`` on its own, over an
-    ``ArrivalOrder`` ``order``: one ``run`` call from each of the ``bounds``
-    to the next (the last one ``len(events)``, the first from 0) acts on
-    every event there that the estimator acts on.  Returns the estimates
-    at each bound.  The stops are ``replay``'s, so each estimator draws what
-    it draws there.  With a ``wall`` list, each estimator's time, reads of
-    its estimate included, is added to ``wall[j]``."""
+def _drive(ests, events, order, bounds) -> list:
+    """Run the estimators over ``events`` on an ``ArrivalOrder`` ``order``,
+    the module docstring's indexed schedule: one ``run`` call per estimator
+    from each of the ``bounds`` to the next (the last one ``len(events)``,
+    the first from 0).  Returns the estimates at each bound, read after
+    that stretch's calls.  The stops are ``replay``'s, so each estimator
+    draws what it draws there."""
     rows = []
     start = 0
     for stop in bounds:
-        row = []
-        for j, est in enumerate(ests):
-            t0 = time.perf_counter()
+        for est in ests:
             est.run(events, start, stop, order)
-            row.append(est.estimate())
-            if wall is not None:
-                wall[j] += time.perf_counter() - t0
-        rows.append(row)
+        rows.append([est.estimate() for est in ests])
         start = stop
     return rows
 
@@ -321,19 +325,19 @@ def _replicate(cfg: ExperimentConfig, r: int, traces: list, reuse: _Reuse):
         spec.build(derive_seed(cfg.seed, spec.kind, i, r))
         for i, spec in enumerate(cfg.estimators)
     ]
-    wall = [0.0] * len(ests)
-    timed = wall if cfg.timing else None
+    if cfg.timing:
+        ests = [_Timed(est) for est in ests]
     if r == 0:
         order = TimeIndexedGraph.of(events)
     else:
         order = reuse.index.ordered(events) if reuse.index is not None else None
     if order is not None:
         stops = _trace_stops(len(events), cfg.trace_stride) if r == 0 else [len(events)]
-        rows = _drive(ests, events, order, stops, timed)
+        rows = _drive(ests, events, order, stops)
     else:
         g = Graph()
         tracker = ExactTracker() if r == 0 else None
-        rows = replay(events, g, ests, tracker, cfg.trace_stride, timed)
+        rows = replay(events, g, ests, tracker, cfg.trace_stride)
     if r == 0:
         if order is not None:
             closed = np.zeros(len(events) + 1, np.int64)  # triangles closed before each position
@@ -344,10 +348,9 @@ def _replicate(cfg: ExperimentConfig, r: int, traces: list, reuse: _Reuse):
             reuse.truth, reuse.events = tracker.count, events
         for stop, truth, estimates in rows:
             traces.extend((stop, truth, spec.name, est) for spec, est in zip(cfg.estimators, estimates))
-    # a read can do an estimator's work (TRIÈST settles its reservoir), so it is timed
-    read = [est.estimate if timed is None else _timed(est.estimate, wall, j) for j, est in enumerate(ests)]
-    finals = [estimate() for estimate in read]
+    finals = [est.estimate() for est in ests]
     sampled = [est.edges_sampled for est in ests]
+    wall = [est.seconds for est in ests] if cfg.timing else [0.0] * len(ests)
     if order is None and r > 0 and (reuse.events is None or events != reuse.events):
         # Free the stream and the estimators before the recount allocates;
         # the bound methods and the schedule that held them died with replay.

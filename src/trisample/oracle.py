@@ -72,13 +72,13 @@ def exact_triangles(g) -> int:
 class ExactTracker:
     """Incremental exact triangle count over an event stream.
 
-    Call contract: apply each event once.  The count does not depend on
-    whether the graph has applied it yet, since Γ(u) ∩ Γ(v) never contains
-    u or v, so the edge's own presence cannot change it.  ``max_degree``
-    sees every degree peak when the tracker runs after additions, because
-    each peak is reached by one.  A count that would go negative means the
-    tracker and the graph are out of step: the graph holds triangles whose
-    building events the tracker never saw.
+    Call contract: apply each event once, before or after the graph
+    applies it.  The count does not depend on which, since Γ(u) ∩ Γ(v)
+    never contains u or v, so the edge's own presence cannot change it,
+    and the peak degree is read in the graph that holds the edge either
+    way.  A count that would go negative means the tracker and the graph
+    are out of step: the graph holds triangles whose building events the
+    tracker never saw.
 
     Also records the per-event triangle-overlap trace and the peak degree
     seen, the ingredients of :func:`variance_bound`.
@@ -90,7 +90,8 @@ class ExactTracker:
         self.max_degree = 0
 
     def apply(self, ev, g) -> int:
-        h = triangles_of_edge(g, ev.u, ev.v)
+        nu, nv = g.adjacency(ev.u), g.adjacency(ev.v)
+        h = common_neighbor_count(nu, nv)
         self.count += h if ev.beta == 1 else -h
         if self.count < 0:
             raise ValueError(
@@ -98,12 +99,10 @@ class ExactTracker:
                 "(it was not applied to every event that built the graph)"
             )
         self.h_trace.append(h)
-        du = g.degree(ev.u)
-        dv = g.degree(ev.v)
-        if du > self.max_degree:
-            self.max_degree = du
-        if dv > self.max_degree:
-            self.max_degree = dv
+        d = max(len(nu), len(nv))
+        if d >= self.max_degree:  # only then can the peak grow; it counts the edge held
+            s = bisect_left(nu, ev.v)
+            self.max_degree = d + (s == len(nu) or nu[s] != ev.v)
         return self.count
 
 

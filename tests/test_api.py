@@ -1,7 +1,9 @@
 import ast
+import inspect
 from pathlib import Path
 
 import trisample
+from trisample.harness import _drive
 
 # The public names, pinned so that a name only tests would use is not
 # exported again without a decision to.
@@ -88,3 +90,9 @@ def test_only_esd_has_a_step():
     assert callable(trisample.EsdEstimator.step)
     assert not hasattr(trisample.DoulionEstimator, "step")
     assert not hasattr(trisample.TriestEstimator, "step")
+
+
+def test_drivers_take_no_timing():
+    # timing wraps each estimator once, so neither driver is told about it
+    assert list(inspect.signature(trisample.replay).parameters) == ["events", "g", "ests", "tracker", "stride"]
+    assert list(inspect.signature(_drive).parameters) == ["ests", "events", "order", "bounds"]

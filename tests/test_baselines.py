@@ -243,7 +243,7 @@ def test_indexed_triest_reconciles_each_slot_once_per_stretch(edges, capacity, s
             states.append(state(fed))
             start = stop
         indexed = StateAtStops(TriestEstimator(capacity, seed=seeds[1]))
-        _drive([indexed], events, order, stops, None)
+        _drive([indexed], events, order, stops)
         assert indexed.states == states
 
 
@@ -443,12 +443,12 @@ def test_indexed_skip_reads_only_the_events_acted_on(make, picks):
     position = {frozenset((ev.u, ev.v)): k for k, ev in enumerate(events)}
     acts = [position[e] for e in applied]
     ref = make()
-    _drive([ref], events, order, [m], None)
+    _drive([ref], events, order, [m])
     assert state(ref) == state(stored)
     read = set(acts)
     assert len(read) < m / 2
     est = make()
-    _drive([est], [ev if k in read else Unread() for k, ev in enumerate(events)], order, [m], None)
+    _drive([est], [ev if k in read else Unread() for k, ev in enumerate(events)], order, [m])
     assert state(est) == state(ref)
 
 
@@ -471,7 +471,7 @@ def test_indexed_drive_runs_each_estimator_once_per_stretch():
     rows = replay(events, Graph(), stored, ExactTracker(), 7)
     indexed = [make() for make in makes]
     indexed_calls = [{name: recording_calls(est, name) for name in ("skip", "step", "run")} for est in indexed]
-    assert _drive(indexed, events, order, stops, None) == [row[2] for row in rows]
+    assert _drive(indexed, events, order, stops) == [row[2] for row in rows]
     assert [state(est) for est in indexed] == [state(est) for est in stored]
     stretches = list(zip([0, *stops], stops))
     for calls in indexed_calls:

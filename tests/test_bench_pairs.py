@@ -1,7 +1,10 @@
 """``tools/bench_pairs.py``'s summary of hand-made runs, with no subprocess."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 
@@ -66,3 +69,22 @@ def test_summarize_flags_each_metric_within_its_declared_bound():
     assert out["setup_s"]["within_bound"]  # unchanged
     assert out["peak_rss_mb"]["bound"] == 0.1
     assert not out["peak_rss_mb"]["within_bound"]  # 56.0 > 50.0 * 1.1
+
+
+def test_summarize_takes_its_metrics_from_the_benchmark_file(tmp_path):
+    declared = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())
+    declared["end_to_end"].append({"name": "extra_s", "unit": "s", "better": "lower", "bound": 0.5})
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(declared))
+    bench_pairs = _bench_pairs()
+    bench_pairs.HERE = tmp_path
+    runs = [{"parent": _run(0.30, 4, "a"), "change": _run(0.30, 4, "a")}]
+    runs[0]["parent"]["metrics"]["extra_s"] = 2.0
+    runs[0]["change"]["metrics"]["extra_s"] = 2.9
+    out = bench_pairs.summarize(runs)
+    assert out["extra_s"]["bound"] == 0.5
+    assert out["extra_s"]["within_bound"]  # 2.9 <= 2.0 * 1.5
+    # change_won and within_bound read lower as better, so another is refused
+    declared["end_to_end"][-1]["better"] = "higher"
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(declared))
+    with pytest.raises(ValueError, match="extra_s"):
+        bench_pairs.summarize(runs)

@@ -387,23 +387,37 @@ def test_timing_changes_only_wall_ms_indexed():
     _assert_timing_changes_only_wall_ms(dict(kind="permutation"))
 
 
+_INDEXED = dict(kind="permutation")
+_STORE = dict(kind="edge-deletion", p_e=0.05, p_d=0.2)
+
+
 @pytest.mark.parametrize(
-    "stream", [dict(kind="permutation"), dict(kind="edge-deletion", p_e=0.05, p_d=0.2)], ids=["indexed", "store"]
+    "spec, method, stream",
+    [
+        (EstimatorSpec("triest", 40), "estimate", _INDEXED),
+        (EstimatorSpec("triest", 40), "estimate", _STORE),
+        (EstimatorSpec("esd", 0.5), "skip", _STORE),
+        (EstimatorSpec("esd", 0.5), "step", _STORE),
+        (EstimatorSpec("triest", 40), "run", _INDEXED),
+    ],
+    ids=["indexed", "store", "store-skip", "store-step", "indexed-run"],
 )
-def test_timing_counts_estimate_reads(monkeypatch, stream):
-    # TRIÈST settles its reservoir when its estimate is read, so the reads are
-    # its work: each replication reads it at least once, at its end, and a
-    # read made 2 ms slower must show in every replication's wall time
-    estimate = TriestEstimator.estimate
+def test_timing_counts_estimate_reads(monkeypatch, spec, method, stream):
+    # every call a driver makes is the estimator's work, reads of its
+    # estimate included (TRIÈST settles its reservoir there): each
+    # replication makes the call at least once, so a call made 2 ms slower
+    # must show in every replication's wall time
+    cls = type(spec.build(0))
+    fn = getattr(cls, method)
 
-    def slow(self):
+    def slow(self, *args):
         time.sleep(0.002)
-        return estimate(self)
+        return fn(self, *args)
 
-    monkeypatch.setattr(TriestEstimator, "estimate", slow)
+    monkeypatch.setattr(cls, method, slow)
     cfg = ExperimentConfig(
         stream=StreamSpec(edges=list(er_graph(30, 0.35, seed=25).edges()), **stream),
-        estimators=[EstimatorSpec("triest", 40)],
+        estimators=[spec],
         replications=2,
         seed=26,
         trace_stride=10_000,

@@ -165,25 +165,29 @@ def test_tracker_agrees_with_recount_on_dynamic_stream():
     assert tracker.count == exact_triangles(g)
 
 
-def test_tracker_deletion_order_does_not_matter():
-    # Γ(u) ∩ Γ(v) never holds u or v, so applying a deletion before or after
-    # the edge leaves the graph gives the same count, trace and peak degree
+def test_tracker_order_does_not_matter():
+    # Γ(u) ∩ Γ(v) never holds u or v, and the peak degree is read in the
+    # graph that holds the edge, so applying each event before or after the
+    # graph does gives the same count, trace and peak degree
     edges = list(er_graph(50, 0.3, seed=21).edges())
-    events = StreamSpec("node-deletion", edges=edges, p_e=0.05, p_d=0.1).realize(22)
-    assert any(ev.beta == -1 for ev in events)
-    before, after = ExactTracker(), ExactTracker()
-    g = Graph()
-    for ev in events:
-        if ev.beta == 1:
-            g.add_edge(ev.u, ev.v)
+    streams = [StreamSpec("node-deletion", edges=edges, p_e=0.05, p_d=0.1).realize(22)]
+    for seed in range(30):
+        edges = list(er_graph(25, 0.3, seed=seed).edges())
+        streams.append(StreamSpec("edge-deletion", edges=edges, p_e=0.1, p_d=0.3).realize(seed))
+    for events in streams:
+        assert any(ev.beta == -1 for ev in events)
+        before, after = ExactTracker(), ExactTracker()
+        g = Graph()
+        for ev in events:
             before.apply(ev, g)
-        else:
-            before.apply(ev, g)
-            g.delete_edge(ev.u, ev.v)
-        after.apply(ev, g)
-    assert after.count == before.count == exact_triangles(g)
-    assert after.h_trace == before.h_trace
-    assert after.max_degree == before.max_degree
+            if ev.beta == 1:
+                g.add_edge(ev.u, ev.v)
+            else:
+                g.delete_edge(ev.u, ev.v)
+            after.apply(ev, g)
+        assert after.count == before.count == exact_triangles(g)
+        assert after.h_trace == before.h_trace
+        assert after.max_degree == before.max_degree
 
 
 def test_variance_bound_alpha_half_zeroes_second_term():

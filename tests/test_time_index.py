@@ -82,7 +82,7 @@ def test_index_draws_what_a_fresh_store_draws(edges, specs, seeds):
 
     est_seeds = seeds[2:]
     indexed = [s.build(seed) for s, seed in zip(specs, est_seeds)]
-    _drive(indexed, events, order, [len(events)], None)
+    _drive(indexed, events, order, [len(events)])
     stored = [s.build(seed) for s, seed in zip(specs, est_seeds)]
     replay(events, Graph(), stored)
     assert [state(est) for est in indexed] == [state(est) for est in stored]
@@ -122,7 +122,7 @@ def test_closings_are_the_trackers_trace(edges, specs, seeds):
         assert [row[0] for row in rows] == stops
         assert [int(counts[:stop].sum()) for stop in stops] == [row[1] for row in rows]
         indexed = [s.build(seed) for s, seed in zip(specs, seeds[1:])]
-        assert _drive(indexed, events, order, stops, None) == [row[2] for row in rows]
+        assert _drive(indexed, events, order, stops) == [row[2] for row in rows]
 
 
 class StateAtStops:
@@ -156,7 +156,7 @@ def test_states_at_every_stop_are_replays(edges, specs, seeds):
         stored = [StateAtStops(s.build(seed)) for s, seed in zip(specs, seeds[1:])]
         replay(events, Graph(), stored, ExactTracker(), stride)
         indexed = [StateAtStops(s.build(seed)) for s, seed in zip(specs, seeds[1:])]
-        _drive(indexed, events, order, _trace_stops(len(events), stride), None)
+        _drive(indexed, events, order, _trace_stops(len(events), stride))
         assert [est.states for est in indexed] == [est.states for est in stored]
 
 
@@ -171,7 +171,7 @@ def test_esd_over_sparse_negative_int64_ids_is_a_replay_at_every_stop(alpha):
     stored = [StateAtStops(EstimatorSpec("esd", alpha).build(59))]
     replay(events, Graph(), stored, ExactTracker(), 1)
     indexed = [StateAtStops(EstimatorSpec("esd", alpha).build(59))]
-    _drive(indexed, events, order, _trace_stops(len(events), 1), None)
+    _drive(indexed, events, order, _trace_stops(len(events), 1))
     assert len(stored[0].states) == len(events)
     assert indexed[0].states == stored[0].states
 
@@ -408,7 +408,7 @@ def test_hub_rows_match_the_store_on_a_ba_graph():
     events = spec.realize(1)
     specs = [EstimatorSpec("esd", alpha) for alpha in (0.05, 0.5, 1.0)]
     indexed = [s.build(55 + k) for k, s in enumerate(specs)]
-    _drive(indexed, events, index.ordered(events), [len(events)], None)
+    _drive(indexed, events, index.ordered(events), [len(events)])
     stored = [s.build(55 + k) for k, s in enumerate(specs)]
     replay(events, Graph(), stored)
     assert [state(e) for e in indexed] == [state(e) for e in stored]

@@ -42,7 +42,6 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
-METRICS = ("rep_s", "setup_s", "exact_s", "peak_rss_mb")  # all lower-is-better
 META = ("git_sha", "numpy", "nproc")  # run metadata kept with each run
 
 
@@ -55,6 +54,17 @@ def seed_list(text: str) -> list[int]:
     return seeds
 
 
+def end_to_end() -> dict:
+    """The end-to-end metrics the repository's ``BENCHMARK.json`` declares,
+    each name mapped to its ``bound``.  ``change_won`` and ``within_bound``
+    read lower as better, so a metric declared otherwise is refused."""
+    declared = json.loads((HERE / "BENCHMARK.json").read_text())["end_to_end"]
+    for m in declared:
+        if m["better"] != "lower":
+            raise ValueError(f"end-to-end metric {m['name']!r} is {m['better']}-is-better, not lower")
+    return {m["name"]: m["bound"] for m in declared}
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``--trace 0`` run; its metrics and ``#`` metadata lines."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
@@ -65,7 +75,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(lines[-1])
     full = json.loads((checkout / ".perfbench_out" / f"{workload}-trace0.json").read_text())
     return {
-        "metrics": {k: result["metrics"][k]["value"] for k in METRICS},
+        "metrics": {k: result["metrics"][k]["value"] for k in end_to_end()},
         "replications": int(meta["replications"]),
         "rep_s_all": full["scaled_s_all"]["rep_s"],
         "summary_csv_sha256": meta["summary_csv_sha256"],
@@ -82,17 +92,16 @@ def by_replication(rep_s_all: list[float]) -> dict:
 
 
 def summarize(runs: list[dict]) -> dict:
-    """Median and quartiles of each metric per side, pairs won, the metric's
-    bound in ``BENCHMARK.json`` and whether the change's median is within it
-    (at most the parent's median times 1 + bound, since every metric is
-    lower-is-better), each side's median replication times by kind
-    (``by_replication``) and its output checks ``failed`` of those
-    ``attempted``, summed over its runs, and the pairs that ran equal
-    replication counts and, of those, wrote the same summary CSV."""
-    declared = json.loads((HERE / "BENCHMARK.json").read_text())["end_to_end"]
-    bound = {m["name"]: m["bound"] for m in declared}
+    """Median and quartiles of each ``end_to_end`` metric per side, pairs
+    won, the metric's bound and whether the change's median is within it
+    (at most the parent's median times 1 + bound), each side's median
+    replication times by kind (``by_replication``) and its output checks
+    ``failed`` of those ``attempted``, summed over its runs, and the pairs
+    that ran equal replication counts and, of those, wrote the same summary
+    CSV."""
+    bound = end_to_end()
     out = {}
-    for metric in METRICS:
+    for metric in bound:
         row = {}
         for side in ("parent", "change"):
             values = [r[side]["metrics"][metric] for r in runs]
@@ -138,6 +147,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=10.0)
     ap.add_argument("--out", type=Path, default=HERE / "BENCH.json")
     args = ap.parse_args(argv)
+    end_to_end()  # refuse a metric the summary cannot compare before any run
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     record = {
