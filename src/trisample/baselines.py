@@ -17,10 +17,10 @@ Both assume a consistent stream: no addition of a present edge and no
 deletion of an absent one.  The replay driver rejects any other, so the
 reservoir keeps only a count of live edges, not the edges themselves.
 
-The reservoir's triangle counter and sample graph are settled on read:
-a reservoir mutation only records the edge's net change since the last
-read, and reading ``estimate()``, ``tau`` or ``sample`` first applies those
-changes to the sample graph and to tau.
+The reservoir's triangle counter and sample graph are settled per call:
+a reservoir mutation only records the edge's net change, and ``skip`` and
+``run`` apply the net changes to the sample graph and to tau before they
+return, so reading ``estimate()``, ``tau`` or ``sample`` does no work.
 """
 
 from __future__ import annotations
@@ -111,10 +111,9 @@ class TriestEstimator:
     triangle counter tau counts the triangles among the edges held, and the
     estimate rescales it by s(s-1)(s-2) / (|S|(|S|-1)(|S|-2)) for the |S|
     edges held, divided by ``kappa``; it is unbiased on fully dynamic
-    streams.  tau and the sample graph are settled on read (module
-    docstring), so a mutation costs a few list and dict operations.  s is a
-    count kept from the stream, and the pending changes hold at most the
-    edges held and the edges settled, so the state is O(capacity).
+    streams.  tau and the sample graph are settled at the end of each call
+    (module docstring), so a mutation costs a few list and dict operations.
+    s is a count kept from the stream, so the state is O(capacity).
     """
 
     def __init__(self, capacity: int, seed: int = 0):
@@ -123,9 +122,9 @@ class TriestEstimator:
             raise ValueError(f"reservoir capacity must be an integer >= 1, got {capacity}")
         self.capacity = int(capacity)
         self.rng = random.Random(seed)
-        self._sample = Graph()  # the reservoir as of the last settle
-        self._tau = 0  # triangles in ``_sample``
-        self._pending: dict[tuple[int, int], int] = {}  # edge -> net change since then, +1 or -1
+        self.sample = Graph()  # the graph of the reservoir's edges
+        self.tau = 0  # triangles in ``sample``
+        self._pending: dict[tuple[int, int], int] = {}  # edge -> net change within a call, +1 or -1
         self._edges: list[tuple[int, int]] = []  # reservoir slots
         self._slot: dict[tuple[int, int], int] = {}
         self._live = 0  # current true-graph edge count
@@ -135,18 +134,6 @@ class TriestEstimator:
     @property
     def edges_sampled(self) -> int:
         return len(self._edges)
-
-    @property
-    def sample(self) -> Graph:
-        """The graph of the reservoir's edges."""
-        self._settle()
-        return self._sample
-
-    @property
-    def tau(self) -> int:
-        """The number of triangles among the reservoir's edges."""
-        self._settle()
-        return self._tau
 
     @property
     def live_edges(self) -> int:
@@ -191,6 +178,7 @@ class TriestEstimator:
                 else:
                     c_good += 1
         self.c_bad, self.c_good, self._live = c_bad, c_good, live
+        self._settle()
         return stop
 
     def run(self, events, i: int, stop: int, order) -> int:
@@ -217,6 +205,7 @@ class TriestEstimator:
         for j, k in last.items():
             self._replace(j, _edge(events[k]))
         self._live = base + stop - 1
+        self._settle()
         return stop
 
     def estimate(self) -> float:
@@ -257,7 +246,7 @@ class TriestEstimator:
         return sum(map(p, range(3, most + 1)))
 
     # ------------------------------------------------------------------
-    # reservoir plumbing; the sample graph and tau are settled on read
+    # reservoir plumbing; the sample graph and tau are settled per call
 
     def _mark(self, e: tuple[int, int], change: int) -> None:
         # an edge pending one way can only change back, which nets to 0
@@ -303,7 +292,7 @@ class TriestEstimator:
         pending = self._pending
         if not pending:
             return
-        sample, tau = self._sample, self._tau
+        sample, tau = self.sample, self.tau
         for e, change in pending.items():
             if change < 0:
                 tau -= triangles_of_edge(sample, *e)
@@ -312,7 +301,7 @@ class TriestEstimator:
             if change > 0:
                 sample.add_edge(*e)
                 tau += triangles_of_edge(sample, *e)
-        self._tau = tau
+        self.tau = tau
         pending.clear()
 
 

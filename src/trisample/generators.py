@@ -88,14 +88,6 @@ def er_graph(n: int, edge_prob: float, seed: int) -> Graph:
     return g
 
 
-def _last_positive(cum: np.ndarray) -> int:
-    """Index of the last positive-weight entry of running sum ``cum``."""
-    idx = len(cum) - 1
-    while idx > 0 and cum[idx] == cum[idx - 1]:
-        idx -= 1
-    return idx
-
-
 def _pick_distinct(w: np.ndarray, cum: np.ndarray, k: int, rng) -> list[int]:
     """Pick ``k`` distinct indices with probability proportional to the
     weights ``w``, whose running sum is ``cum``, by cumulative-weight
@@ -136,8 +128,6 @@ def _pick_distinct(w: np.ndarray, cum: np.ndarray, k: int, rng) -> list[int]:
         attempts_left -= draws
         coins = [rand() * total for _ in range(draws)]
         for idx in cum.searchsorted(coins, side="right").tolist():
-            if idx == m:  # float rounding pushed the coin onto the total
-                idx = _last_positive(cum)
             if idx not in chosen:
                 picked.append(idx)
                 chosen.add(idx)

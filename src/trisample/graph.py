@@ -216,8 +216,6 @@ class TimeIndexedGraph:
             return None
         index = cls()
         index._ids, arrival = _by_id(events)
-        if (index._ids[1:] == index._ids[:-1]).any():  # an object twice: a duplicate addition
-            return None
         keys = np.empty(2 * m, np.int64)
         try:  # ``_int`` refuses a float, which int64 would truncate onto another node
             keys[:m] = np.fromiter(map(_int, map(_U, events)), np.int64, m)
@@ -245,7 +243,7 @@ class TimeIndexedGraph:
         slot_edge = np.empty(2 * m, np.int32)
         np.remainder(keys, m, out=slot_edge, casting="unsafe")
         keys //= m
-        if (keys[1:] == keys[:-1]).any():  # an edge twice: a duplicate addition
+        if (keys[1:] == keys[:-1]).any():  # an edge, or an object, twice: a duplicate addition
             return None
         index._events = events
         index.nodes = nodes

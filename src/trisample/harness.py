@@ -196,9 +196,9 @@ class MetricsReport:
 
 
 class _Timed:
-    """An estimator whose every method call, reads of its estimate included
-    (TRIÈST settles its reservoir there), adds its wall time to ``seconds``.
-    It holds the estimator, not the other way round, so both die together."""
+    """An estimator whose every method call, each read of its estimate
+    included, adds its wall time to ``seconds``.  It holds the estimator,
+    not the other way round, so both die together."""
 
     def __init__(self, est):
         self._est = est

@@ -179,26 +179,25 @@ def test_triest_tau_matches_sample_recount_on_dynamic_stream():
 @settings(max_examples=200, deadline=None)
 @given(events=consistent_streams(), capacity=st.sampled_from([1, 3, 10, 10_000]), seed=st.integers(0, 2**32))
 def test_triest_read_after_every_event_ends_where_an_unread_one_does(events, capacity, seed):
-    # tau and the sample graph are settled on read, so reading them must
-    # change nothing: the unread estimator settles every change of the
-    # stream at once, re-added edges included, and must end where the one
-    # read after every event does
+    # tau and the sample graph are settled once per call, so the unread
+    # estimator, fed the whole stream in one ``skip``, settles every net
+    # change at once, re-added edges included, and must end where the one
+    # fed and read event by event does
     read, unread = TriestEstimator(capacity, seed=seed), TriestEstimator(capacity, seed=seed)
     for ev in events:
         read.process(ev)
-        unread.process(ev)
         read.estimate()
         sample = read.sample
         assert read.tau == exact_triangles(sample)
         assert sorted(sample.edges()) == sorted(read._edges)
+    assert unread.skip(events, 0, len(events)) == len(events)
     assert state(unread) == state(read)
 
 
-def test_indexed_triest_pass_builds_only_the_final_sample(monkeypatch):
-    # a reservoir mutation only moves slots, so over one untraced indexed
-    # pass the sample graph sees the final reservoir's inserts, at the one
-    # read, and no delete; the pending changes stay within twice the capacity
-    calls = {"add_edge": 0, "delete_edge": 0}
+def count_sample_graph_calls(monkeypatch) -> dict:
+    """Patch into ``baselines`` a graph that counts its inserts, deletes and
+    neighbor-list reads; returns the counts."""
+    calls = {"add_edge": 0, "delete_edge": 0, "adjacency": 0}
 
     class CountingGraph(Graph):
         def add_edge(self, u, v):
@@ -209,17 +208,60 @@ def test_indexed_triest_pass_builds_only_the_final_sample(monkeypatch):
             calls["delete_edge"] += 1
             return super().delete_edge(u, v)
 
+        def adjacency(self, u):
+            calls["adjacency"] += 1
+            return super().adjacency(u)
+
     monkeypatch.setattr(baselines, "Graph", CountingGraph)
+    return calls
+
+
+def test_indexed_triest_pass_builds_only_the_final_sample(monkeypatch):
+    # a reservoir mutation only moves slots, so one untraced indexed pass
+    # settles the final reservoir's inserts, and no delete, before it
+    # returns, and the read after it touches the sample graph no more
+    calls = count_sample_graph_calls(monkeypatch)
     events = StreamSpec("permutation", edges=list(er_graph(60, 0.3, seed=63).edges())).realize(64)
     order = TimeIndexedGraph.of(events)
     m, cap = len(events), 10
     est = TriestEstimator(cap, seed=65)
     assert est.run(events, 0, m, order) == m
-    assert calls == {"add_edge": 0, "delete_edge": 0}
-    assert len(est._pending) <= 2 * cap
+    assert (calls["add_edge"], calls["delete_edge"]) == (cap, 0)  # the reservoir is full
+    assert not est._pending
+    settled = dict(calls)
     est.estimate()
-    assert calls == {"add_edge": cap, "delete_edge": 0}  # the reservoir is full
-    assert est.tau == exact_triangles(est.sample)
+    tau, sample = est.tau, est.sample
+    assert calls == settled
+    assert tau == exact_triangles(sample)
+
+
+@pytest.mark.parametrize("feed", ["store", "indexed", "per-event"])
+def test_triest_reads_do_no_work(monkeypatch, feed):
+    # every call that feeds events settles the reservoir before it returns,
+    # so reading estimate(), tau and sample afterwards makes no graph call
+    calls = count_sample_graph_calls(monkeypatch)
+    edges = list(er_graph(40, 0.3, seed=66).edges())
+    if feed == "indexed":
+        events = StreamSpec("permutation", edges=edges).realize(67)
+        order = TimeIndexedGraph.of(events)
+    else:
+        events = StreamSpec("edge-deletion", edges=edges, p_e=0.05, p_d=0.25).realize(67)
+    est, start = TriestEstimator(20, seed=68), 0
+    for stop in _trace_stops(len(events), 1 if feed == "per-event" else 7):
+        if feed == "store":
+            est.skip(events, start, stop)
+        elif feed == "indexed":
+            est.run(events, start, stop, order)
+        else:
+            est.process(events[start])
+        start = stop
+        assert not est._pending
+        settled = dict(calls)
+        est.estimate()
+        tau, sample = est.tau, est.sample
+        assert calls == settled
+        assert tau == exact_triangles(sample)
+    assert calls["add_edge"] > 0
 
 
 @settings(max_examples=200, deadline=None)

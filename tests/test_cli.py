@@ -169,6 +169,10 @@ def test_stream_requires_an_input(tmp_path, capsys):
     assert "either --edges or --stream is required" in capsys.readouterr().err
     assert main(["exact"]) == 1
     assert "either --edges or --stream is required" in capsys.readouterr().err
+    empty = tmp_path / "snaps"
+    empty.mkdir()
+    assert main(["stream", "--snapshots", str(empty), "--out", str(tmp_path / "s.txt")]) == 1
+    assert "no snapshot files" in capsys.readouterr().err
 
 
 def test_a_second_source_or_unused_deletion_option_is_rejected(tmp_path, capsys):
@@ -239,11 +243,15 @@ def test_compare_rejects_bad_fraction(tmp_path, capsys):
     # every fraction is checked before the first experiment runs
     er = write_k4(tmp_path)
     out = tmp_path / "c.csv"
-    for sizes in ("1.5", "0.5,1.5"):
+    for sizes, message in [
+        ("1.5", "sample fraction must be in (0, 1], got 1.5"),
+        ("0.5,1.5", "sample fraction must be in (0, 1], got 1.5"),
+        (",", "--sizes must list at least one fraction"),
+    ]:
         rc = main(["compare", "--edges", str(er), "--sizes", sizes, "--reps", "2", "--out", str(out)])
         assert rc == 1
         captured = capsys.readouterr()
-        assert "sample fraction must be in (0, 1], got 1.5" in captured.err
+        assert message in captured.err
         assert "-- sample fraction" not in captured.out
         assert not out.exists() and not (tmp_path / "c_trace.csv").exists()
 

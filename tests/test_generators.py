@@ -20,7 +20,7 @@ from trisample import (
 )
 from trisample.generators import _pick_distinct
 
-from helpers import assert_graph_invariants, complete_graph_edges, reference_ba_graph, sorted_edges
+from helpers import ScriptedRng, assert_graph_invariants, complete_graph_edges, reference_ba_graph, sorted_edges
 
 
 def test_er_graph_extremes():
@@ -28,6 +28,9 @@ def test_er_graph_extremes():
     k5 = er_graph(5, 1.0, seed=2)
     assert k5.edge_count == 10
     assert k5.node_count == 5
+    for edge_prob in (1.5, -0.1):
+        with pytest.raises(ValueError, match="edge_prob must be in"):
+            er_graph(5, edge_prob, seed=3)
 
 
 def test_er_graph_isolated_nodes_counted():
@@ -213,6 +216,14 @@ def test_pick_distinct_leaves_its_arrays_unchanged():
     assert sorted(picked) == [0, 1, 3, 4]
     assert np.array_equal(w, w_before)
     assert np.array_equal(cum, cum_before)
+
+
+def test_pick_distinct_top_coin_lands_on_the_last_positive_weight():
+    # the largest coin random() can give stays below the total, so the
+    # search lands on the last positive weight, never past the array
+    w = np.array([1.0, 2.0, 0.0, 0.0])
+    rng = ScriptedRng(randoms=[math.nextafter(1.0, 0.0)])
+    assert _pick_distinct(w, np.cumsum(w), 1, rng) == [1]
 
 
 def test_attachment_zero_weights_falls_back_to_uniform():

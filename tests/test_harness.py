@@ -403,10 +403,9 @@ _STORE = dict(kind="edge-deletion", p_e=0.05, p_d=0.2)
     ids=["indexed", "store", "store-skip", "store-step", "indexed-run"],
 )
 def test_timing_counts_estimate_reads(monkeypatch, spec, method, stream):
-    # every call a driver makes is the estimator's work, reads of its
-    # estimate included (TRIÈST settles its reservoir there): each
-    # replication makes the call at least once, so a call made 2 ms slower
-    # must show in every replication's wall time
+    # every call a driver makes is timed as the estimator's work, reads of
+    # its estimate included: each replication makes the call at least once,
+    # so a call made 2 ms slower must show in every replication's wall time
     cls = type(spec.build(0))
     fn = getattr(cls, method)
 
