@@ -253,6 +253,7 @@ def replay(events, g, ests=(), tracker=None, stride=None) -> list:
     last = len(events)
     bounds = [last] if tracker is None else _trace_stops(last, stride)
     calls = [(getattr(est, "step", None), est.skip) for est in ests]
+    add, delete, adjacency = g.add_edge, g.delete_edge, g.adjacency
     rows = []
     start = 0
     for stop in bounds:
@@ -261,21 +262,26 @@ def replay(events, g, ests=(), tracker=None, stride=None) -> list:
         due: dict[int, list] = {}
         for step, skip in calls:
             due.setdefault(skip(events, start, stop), []).append(step)
+        pop = due.pop
         for i in range(start, stop):
             ev = events[i]
+            u, v = ev.u, ev.v
             if ev.beta == 1:
-                if not g.add_edge(ev.u, ev.v):
-                    raise ValueError(f"inconsistent stream: duplicate addition ({ev.u}, {ev.v})")
-            elif not g.delete_edge(ev.u, ev.v):
-                raise ValueError(f"inconsistent stream: absent deletion ({ev.u}, {ev.v})")
+                if not add(u, v):
+                    raise ValueError(f"inconsistent stream: duplicate addition ({u}, {v})")
+            elif not delete(u, v):
+                raise ValueError(f"inconsistent stream: absent deletion ({u}, {v})")
             if tracker is not None:
                 tracker.apply(ev, g)
-            for step in due.pop(i, ()):
-                k = step(events, i, stop, g)
-                if k in due:
-                    due[k].append(step)
-                else:
-                    due[k] = [step]
+            steps = pop(i, None)
+            if steps is not None:
+                nu, nv = adjacency(u), adjacency(v)
+                for step in steps:
+                    k = step(events, i, stop, nu, nv)
+                    if k in due:
+                        due[k].append(step)
+                    else:
+                        due[k] = [step]
         if tracker is not None:
             rows.append((stop, tracker.count, [est.estimate() for est in ests]))
         start = stop

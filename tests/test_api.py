@@ -96,3 +96,9 @@ def test_drivers_take_no_timing():
     # timing wraps each estimator once, so neither driver is told about it
     assert list(inspect.signature(trisample.replay).parameters) == ["events", "g", "ests", "tracker", "stride"]
     assert list(inspect.signature(_drive).parameters) == ["ests", "events", "order", "bounds"]
+
+
+def test_step_takes_the_endpoints_lists():
+    # the store hands ESD's update the two lists it reads and no store
+    params = inspect.signature(trisample.EsdEstimator.step).parameters
+    assert list(params) == ["self", "events", "i", "stop", "nu", "nv"]

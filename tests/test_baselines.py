@@ -455,7 +455,7 @@ def recording_edges(est, picks: dict) -> list:
 # from the call's arguments
 DOULION_APPLIES = {"_apply": lambda ev: (ev.u, ev.v)}
 TRIEST_APPLIES = {"_insert": lambda e: e, "_replace": lambda j, e: e, "_remove": lambda e: e}
-ESD_APPLIES = {"step": lambda events, i, stop, g: (events[i].u, events[i].v)}
+ESD_APPLIES = {"step": lambda events, i, stop, nu, nv: (events[i].u, events[i].v)}
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from trisample import (
     triangles_of_edge,
 )
 
-from helpers import ScriptedRng, complete_graph_edges, replay
+from helpers import ScriptedRng, complete_graph_edges, replay, state
 
 
 def test_constructor_validation():
@@ -84,7 +84,7 @@ def test_worked_addition_example():
 def step_one(est, ev, g) -> None:
     """Apply one sampled event through ``step``, which then has no coin to
     draw ahead."""
-    assert est.step((ev,), 0, 1, g) == 1
+    assert est.step((ev,), 0, 1, g.adjacency(ev.u), g.adjacency(ev.v)) == 1
 
 
 def test_step_addition_increment_scale():
@@ -204,25 +204,55 @@ class ReadRecordingGraph(Graph):
         return super().adjacency(u)
 
 
-def test_step_reads_only_the_endpoints_lists():
-    # the closure test "is w in Γ(b)?" needs only the sampled edge's two
-    # lists.  Fed right after the store applies each event of an
-    # edge-deletion stream, so that it sees the edge present (addition)
-    # and absent (deletion), every step must ask for u's and v's lists
-    # alone and end on the estimate a plain store gives
+def test_step_on_lists_before_or_after_the_event():
+    # Γ(a)∖{b} is the same set whether or not the store holds (u, v), so
+    # over an edge-deletion stream an ESD handed the endpoints' lists before
+    # the store applies each event (the edge absent for an addition,
+    # present for a deletion) ends where its twin handed them after does,
+    # its draws included
     edges = list(er_graph(30, 0.3, seed=36).edges())
     events = StreamSpec("edge-deletion", edges=edges, p_e=0.05, p_d=0.3).realize(37)
     assert any(ev.beta == -1 for ev in events)
-    recording, plain = ReadRecordingGraph(), Graph()
-    est, ref = EsdEstimator(1.0, seed=38), EsdEstimator(1.0, seed=38)
+    g = Graph()
+    before, after = EsdEstimator(1.0, seed=38), EsdEstimator(1.0, seed=38)
     for i, ev in enumerate(events):
-        for g in (recording, plain):
-            (g.add_edge if ev.beta == 1 else g.delete_edge)(ev.u, ev.v)
-        recording.read.clear()
-        assert est.step(events, i, i + 1, recording) == i + 1
-        assert set(recording.read) <= {ev.u, ev.v}
-        ref.step(events, i, i + 1, plain)
-    assert est.t_est == ref.t_est != 0.0
+        assert before.step(events, i, i + 1, g.adjacency(ev.u), g.adjacency(ev.v)) == i + 1
+        replay([ev], g)
+        assert after.step(events, i, i + 1, g.adjacency(ev.u), g.adjacency(ev.v)) == i + 1
+    assert before.t_est == after.t_est != 0.0
+    assert before.rng.getstate() == after.rng.getstate()
+
+
+def test_replay_fetches_each_events_lists_once():
+    # every ESD due at an event is handed the one pair of lists the replay
+    # reads there, Γ(u) then Γ(v): two reads per event where any step runs,
+    # however many are due, and each ESD ends where feeding it every event
+    # ends
+    edges = list(er_graph(30, 0.3, seed=36).edges())
+    events = StreamSpec("edge-deletion", edges=edges, p_e=0.05, p_d=0.3).realize(37)
+    assert any(ev.beta == -1 for ev in events)
+    seeds = range(40, 48)
+    ests = [EsdEstimator(0.5, seed=seed) for seed in seeds]
+    stepped = []
+    for est in ests:
+
+        def recording(events, i, stop, nu, nv, step=est.step):
+            stepped.append(i)
+            return step(events, i, stop, nu, nv)
+
+        est.step = recording
+    g = ReadRecordingGraph()
+    trisample.replay(events, g, ests)
+    acted = sorted(set(stepped))
+    assert len(stepped) > len(acted)  # some event had several steps due
+    assert g.read == [w for i in acted for w in (events[i].u, events[i].v)]
+    refs = [EsdEstimator(0.5, seed=seed) for seed in seeds]
+    plain = Graph()
+    for ev in events:
+        replay([ev], plain)
+        for ref in refs:
+            ref.process_event(ev, plain)
+    assert [state(est) for est in ests] == [state(ref) for ref in refs]
 
 
 def test_add_then_delete_same_closing_edge_nets_zero():
