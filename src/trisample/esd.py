@@ -8,8 +8,8 @@ same triangle is observable from both endpoints.  Γ(u)∖{v} is the same set
 before and after the store applies the event, so the estimator may run
 either side of the mutation.  Sampled edges are discarded immediately: the
 estimator holds no subgraph and reads only the neighbor lists Γ(u) and
-Γ(v) of a sampled edge, at O(log d) on a ``Graph``: one presence test for
-the edge and one probe per endpoint.
+Γ(v) of a sampled edge, which the store's update is handed, at O(log d):
+one presence test for the edge and one probe per endpoint.
 
 Randomness comes from an ``rng`` with ``random()`` for the coins and
 ``getrandbits(k)`` for the probes.  A probe over d candidates draws one
@@ -18,13 +18,13 @@ k = d.bit_length() bits, redrawn while the value is >= d.
 
 The estimator speaks the replay protocol that the baselines share; the
 ``harness`` module states its schedule.  ``skip`` draws the coins of
-upcoming events until one is won, ``step`` makes the won event's update,
-the one that reads the store, and draws on to the next won coin, and
-``run`` does both over an ``ArrivalOrder``, which holds the graph as of
-every event.  Either way the draws are those of ``process_event`` on every
-event, in the same order.  Like the baselines, it assumes a consistent
-stream (no duplicate addition, no absent deletion); the driver rejects
-any other.
+upcoming events until one is won, ``step`` makes the won event's update
+from the two endpoints' lists that the store's driver hands it, and draws
+on to the next won coin, and ``run`` does both over an ``ArrivalOrder``,
+which holds the graph as of every event.  Either way the draws are those
+of ``process_event`` on every event, in the same order.  Like the
+baselines, it assumes a consistent stream (no duplicate addition, no
+absent deletion); the driver rejects any other.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ OMEGA_STATIC = 1.0 / 6.0  # full-edge streams expose all 3 edges, 2 tuples each
 def first_won(rand, p: float, start: int, stop: int) -> int:
     """The first position in ``range(start, stop)`` whose coin ``rand() <
     p`` is won, drawing one coin per position up to it, or ``stop``: ESD's
-    skip, and Doulion's where no event is a deletion.  No event is read."""
+    ``skip`` and ``run``, and Doulion's ``run``, where no event is a
+    deletion.  No event is read."""
     for k in range(start, stop):
         if rand() < p:
             return k
@@ -92,8 +93,8 @@ class EsdEstimator:
         return self.t_est
 
     def process_event(self, ev, g) -> None:
-        """Consume one stream event; ``g`` may hold the graph before or
-        after it."""
+        """Consume one stream event; the store ``g`` may hold the graph
+        before or after it, and ``step`` gets its endpoints' lists."""
         if self.mode != "dynamic":
             raise ValueError("process_event requires dynamic mode")
         events = (ev,)

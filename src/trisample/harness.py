@@ -13,16 +13,18 @@ feed the sampling estimator and both baselines through one schedule, with
 the same random draws and results as feeding each every event.  A stretch
 is the events between two trace stops (the last is the stream's end); no
 call draws past its stop, so at each stop every estimator's state, RNG
-included, is a per-event replay's, and the stop's row is read after all
-of the stretch's calls.  On the store each stretch begins with one
+included, is a per-event replay's, and the stop's row is read after all of
+the stretch's calls.  On the store each stretch begins with one
 ``skip(events, start, stop)`` per estimator: it draws the coins ahead,
-applies every update that reads no store and returns the next event
-whose update does, or ``stop``.  Only the sampling estimator has such
-events; its ``step(events, i, stop, g)`` applies one once the store has,
-draws ahead again and returns the next, or ``stop``.  Over an arrival
-index, where no store changes between events, one ``run(events, start,
-stop, order)`` call per estimator and stretch draws the stretch's coins
-and acts on every event the estimator acts on there.
+applies every update that reads no store and returns the next event whose
+update does, or ``stop``.  Only the sampling estimator has such events;
+its ``step(events, i, stop, nu, nv)`` applies one once the store has, from
+the endpoints' neighbor lists, which the driver reads once per event and
+hands to every step due there, draws ahead again and returns the next, or
+``stop``.  Over an arrival index, where no store changes between events,
+one ``run(events, start, stop, order)`` call per estimator and stretch
+draws the stretch's coins and acts on every event the estimator acts on
+there.
 
 The view, truth and reuse of each replication, stated here once:
 
@@ -244,6 +246,8 @@ def replay(events, g, ests=(), tracker=None, stride=None) -> list:
     Each stretch restarts one dict, ``due``: each estimator's ``skip``
     files its ``step`` under the position it returns, where the ``step``
     runs once the store has applied that event and files itself again.
+    At an event where steps are due, the endpoints' lists Γ(u) and Γ(v) are
+    read once, after the store applies it, and handed to every one.
     Neither returns past ``stop``, where every estimator waits for the next
     stretch's ``skip``.  Each estimator draws from its own RNG, so the
     order they are fed in changes nothing.
