@@ -40,9 +40,9 @@ OMEGA_STATIC = 1.0 / 6.0  # full-edge streams expose all 3 edges, 2 tuples each
 
 def first_won(rand, p: float, start: int, stop: int) -> int:
     """The first position in ``range(start, stop)`` whose coin ``rand() <
-    p`` is won, drawing one coin per position up to it, or ``stop``: ESD's
-    ``skip`` and ``run``, and Doulion's ``run``, where no event is a
-    deletion.  No event is read."""
+    p`` is won, drawing one coin per position up to it, or ``stop``: every
+    coin of ESD's ``skip``, ``step`` and ``run``, and Doulion's ``run``,
+    where no event is a deletion.  No event is read."""
     for k in range(start, stop):
         if rand() < p:
             return k
@@ -159,10 +159,7 @@ class EsdEstimator:
             p = bisect_left(nu, w)
             if p < len(nu) and nu[p] == w:
                 self.t_est += ev.beta * self.omega * d / alpha
-        for k in range(i + 1, stop):  # ``skip``'s coins, drawn inline
-            if rand() < alpha:
-                return k
-        return stop
+        return first_won(rand, alpha, i + 1, stop)
 
     def run(self, events, i: int, stop: int, order) -> int:
         """``skip`` and ``step`` over ``events[i:stop]`` on ``order``, an

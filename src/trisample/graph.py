@@ -15,7 +15,7 @@ arrival, built from the stream's events alone in numpy, and answers, for
 that order or any other order of the same event objects, which edges had
 arrived before a given position, so such a replay needs no store.  It also
 counts, for each position, the triangles whose last edge arrives there,
-which is the exact tracker's per-event trace.
+the exact tracker's per-event trace, by ``triangle_slots``, the one lister.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-_WEDGES = 1 << 12  # fewest wedges and out-slots per numpy block in ``closings``
+_WEDGES = 1 << 12  # fewest wedges and out-slots per numpy block in ``triangle_slots``
 _U, _V, _BETA = attrgetter("u"), attrgetter("v"), attrgetter("beta")
 
 
@@ -39,6 +39,54 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     keep[:1] = True
     np.not_equal(a[1:], a[:-1], out=keep[1:])
     return a[keep]
+
+
+def triangle_slots(start: np.ndarray, nbrs: np.ndarray):
+    """Each triangle of a graph once, as the slots of its three edges.
+
+    Row r of the nodes ranked 0..n-1 is ``nbrs[start[r]:start[r + 1]]``, in
+    rank order.  Each edge points from the endpoint of lower (degree, rank)
+    to the other; a triangle is a pair of out-neighbors y < z of its lowest
+    corner x whose edge (y, z) a search of y·n + z in the slot keys row·n +
+    neighbor finds (Chiba and Nishizeki, SIAM J. Comput. 1985), and there
+    are O(m^1.5) such wedges.  The set-up runs on the call, and the iterator
+    returned yields the slots of (x, y), (x, z) and (y, z) found, as three
+    arrays, per block of rows with about m/32 wedges and out-slots but at
+    least ``_WEDGES``, so a block's transients stay near 2 bytes per edge.
+    """
+    n = len(start) - 1
+    deg = np.diff(start)
+    level = deg * n + np.arange(n)  # (degree, rank) as one number, then its place
+    level = np.sort(level).searchsorted(level).astype(np.int32)
+    # the out-edge slots, row by row
+    out = np.flatnonzero(np.repeat(level, deg) < level[nbrs]).astype(np.int32)
+    del level
+    key_type = np.int32 if n * n <= 2**31 else np.int64
+    keys = np.repeat(np.arange(n, dtype=key_type) * n, deg)
+    keys += nbrs
+    ostart = out.searchsorted(start.astype(np.int32))  # where each row's out-slots start
+    c = np.diff(ostart)
+    work = np.cumsum(c * (c - 1) // 2 + c)  # wedges and out-slots up to each row
+    block = max(_WEDGES, len(nbrs) >> 6)
+
+    def blocks():
+        x0 = 0
+        while x0 < n:
+            base = int(work[x0 - 1]) if x0 else 0
+            x1 = max(x0 + 1, int(work.searchsorted(base + block, "right")))
+            t0, t1 = ostart[x0], ostart[x1]
+            # each out-slot t pairs with the later out-slots of its row
+            k = np.repeat(ostart[x0 + 1 : x1 + 1], c[x0:x1]) - np.arange(t0 + 1, t1 + 1)
+            first = np.repeat(np.arange(t0, t1), k)
+            second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(k) - k, k)
+            a, b = out[first], out[second]
+            q = nbrs[a].astype(key_type) * n + nbrs[b]
+            p = keys.searchsorted(q)
+            np.minimum(p, len(keys) - 1, out=p)
+            hit = keys[p] == q
+            yield a[hit], b[hit], p[hit]
+            x0 = x1
+    return blocks()
 
 
 class Graph:
@@ -300,51 +348,11 @@ class ArrivalOrder:
 
     def closings(self) -> np.ndarray:
         """For each position, the number of triangles whose last edge
-        arrives there, as int32: the common neighbors of that edge's
-        endpoints just before it, which an ``ExactTracker`` records as h.
-
-        Every triangle is listed once, by degree-ordered wedges (Chiba and
-        Nishizeki, SIAM J. Comput. 1985): each edge points from the endpoint
-        of lower (degree, rank) to the other, and a triangle is a pair of
-        out-neighbors y < z of its lowest corner whose edge (y, z) exists,
-        found by searching y·n + z in the sorted slot keys row·n + neighbor.
-        Out-rows hold O(sqrt m) nodes, so there are O(m^1.5) wedges.  They
-        are taken in blocks of source rows holding about m/32 wedges and
-        out-slots, but at least ``_WEDGES``, so a block's transients stay
-        near 2 bytes per edge.
-        """
-        start, nbrs, arrival = self.index._start, self.index._nbrs, self.arrival
-        n = len(start) - 1
-        deg = np.diff(start)
-        level = deg * n + np.arange(n)  # (degree, rank) as one number, then its place
-        level = np.sort(level).searchsorted(level).astype(np.int32)
-        # the out-edge slots, row by row
-        out = np.flatnonzero(np.repeat(level, deg) < level[nbrs]).astype(np.int32)
-        del level
-        key_type = np.int32 if n * n <= 2**31 else np.int64
-        keys = np.repeat(np.arange(n, dtype=key_type) * n, deg)
-        keys += nbrs
-        ostart = out.searchsorted(start.astype(np.int32))  # where each row's out-slots start
-        c = np.diff(ostart)
-        work = np.cumsum(c * (c - 1) // 2 + c)  # wedges and out-slots up to each row
-        block = max(_WEDGES, len(arrival) >> 6)
-        counts = np.zeros(len(arrival) // 2, np.int32)
-        x0 = 0
-        while x0 < n:
-            base = int(work[x0 - 1]) if x0 else 0
-            x1 = max(x0 + 1, int(work.searchsorted(base + block, "right")))
-            t0, t1 = ostart[x0], ostart[x1]
-            # each out-slot t pairs with the later out-slots of its row
-            k = np.repeat(ostart[x0 + 1 : x1 + 1], c[x0:x1]) - np.arange(t0 + 1, t1 + 1)
-            first = np.repeat(np.arange(t0, t1), k)
-            second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(k) - k, k)
-            a, b = out[first], out[second]
-            q = nbrs[a].astype(key_type) * n + nbrs[b]
-            p = keys.searchsorted(q)
-            np.minimum(p, len(keys) - 1, out=p)
-            hit = keys[p] == q
-            last = np.maximum(arrival[a[hit]], arrival[b[hit]])
-            np.maximum(last, arrival[p[hit]], out=last)
-            np.add.at(counts, last, 1)
-            x0 = x1
+        arrives there, as int32, which an ``ExactTracker`` records as h: each
+        triangle ``triangle_slots`` lists, at its slots' last arrival."""
+        arrival = self.arrival
+        blocks = triangle_slots(self.index._start, self.index._nbrs)
+        counts = np.zeros(len(arrival) // 2, np.int32)  # not under the set-up's transients
+        for a, b, c in blocks:
+            np.add.at(counts, np.maximum(np.maximum(arrival[a], arrival[b]), arrival[c]), 1)
         return counts

@@ -120,6 +120,15 @@ def confidence_interval(estimates) -> tuple[float, float]:
     return (mean - half, mean + half)
 
 
+def _count(name: str, value) -> int:
+    """``value`` as the int it equals, which must be at least 1: 3.0 runs as
+    3, and 2.5, nan and inf raise ``ValueError`` naming the field, as a
+    reservoir capacity does."""
+    if not (value >= 1 and float(value).is_integer()):
+        raise ValueError(f"{name} must be >= 1 and an integer, got {value}")
+    return int(value)
+
+
 # estimator kind -> class, whose first argument is the spec's ``param``:
 # ESD's alpha, Doulion's p or TRIÈST's reservoir capacity
 _KINDS = {"esd": EsdEstimator, "doulion": DoulionEstimator, "triest": TriestEstimator}
@@ -158,10 +167,9 @@ class ExperimentConfig:
     timing: bool = False
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.trace_stride is not None and self.trace_stride < 1:
-            raise ValueError(f"trace_stride must be >= 1, got {self.trace_stride}")
+        self.replications = _count("replications", self.replications)
+        if self.trace_stride is not None:
+            self.trace_stride = _count("trace_stride", self.trace_stride)
         if not self.estimators:
             raise ValueError("at least one estimator is required")
 
@@ -235,9 +243,9 @@ def replay(events, g, ests=(), tracker=None, stride=None) -> list:
     edge or a deletion of an absent one raises ``ValueError("inconsistent
     stream: ...")``, since the estimators and the tracker assume a
     consistent stream.  With a tracker, returns one trace row
-    ``(position, tracker.count, [estimates])`` every ``stride`` (>= 1)
-    events, by default ``max(1, len(events) // 500)``, and at the stream's
-    end; without one, returns ``[]``.
+    ``(position, tracker.count, [estimates])`` every ``stride`` events
+    (``_count``'s rule), by default ``max(1, len(events) // 500)``, and at
+    the stream's end; without one, returns ``[]``.
 
     ``g`` is a mutable store, and ``replay`` mutates it; which replications
     ``run_experiment`` replays is the module docstring's rule.  Its trace
@@ -252,8 +260,8 @@ def replay(events, g, ests=(), tracker=None, stride=None) -> list:
     stretch's ``skip``.  Each estimator draws from its own RNG, so the
     order they are fed in changes nothing.
     """
-    if stride is not None and stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+    if stride is not None:
+        stride = _count("stride", stride)
     last = len(events)
     bounds = [last] if tracker is None else _trace_stops(last, stride)
     calls = [(getattr(est, "step", None), est.skip) for est in ests]

@@ -1,15 +1,20 @@
 """Exact triangle counting and the analytic variance bound.
 
-Ground truth for every experiment comes from here: a full recount that
-orients edges by degree, an incremental tracker that follows an event
-stream by probing sorted neighbor lists where a per-event truth is needed,
-and the closed-form upper bound on the sampling estimator's variance for a
-given stream.
+Ground truth for every experiment comes from here: a full recount by
+``graph.triangle_slots``, the one triangle lister, which the arrival index's
+closing times run too, an incremental tracker that follows an event stream
+by probing sorted neighbor lists where a per-event truth is needed, and the
+closed-form upper bound on the sampling estimator's variance for a stream.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import chain
+
+import numpy as np
+
+from .graph import triangle_slots
 
 
 def common_neighbor_count(a, b) -> int:
@@ -44,29 +49,16 @@ def triangles_of_edge(g, u: int, v: int) -> int:
 
 
 def exact_triangles(g) -> int:
-    """Exact global triangle count by the degree-ordered forward method.
-
-    Each edge points to the endpoint with the larger (degree, id), so every
-    triangle is counted once, at its edge between the two lower-ranked
-    corners, as the one common out-neighbor of those corners.  Out-lists
-    hold at most O(sqrt |E|) nodes each, which keeps hub edges cheap.  They
-    stay lists, and only the current node's out-list becomes a set, which
-    keeps the transient memory near one short list per node.  Most edges
-    close no triangle, so an allocation-free disjointness test runs before
-    each intersection.
-    """
-    order = sorted(g.nodes(), key=lambda u: (g.degree(u), u))
-    rank = {u: i for i, u in enumerate(order)}
-    out = {u: [v for v in g.adjacency(u) if rank[v] > i] for i, u in enumerate(order)}
-    total = 0
-    for ou in out.values():
-        if len(ou) > 1:
-            seen = set(ou)
-            for v in ou:
-                ov = out[v]
-                if not seen.isdisjoint(ov):
-                    total += len(seen.intersection(ov))
-    return total
+    """Exact global triangle count of the store ``g``, read through
+    ``nodes()`` and ``adjacency()`` alone, by ``graph.triangle_slots``: the
+    nodes are ranked in id order through a dict, so floats and ints beyond
+    int64 serve, and the sorted neighbor lists become rows of ranks."""
+    nodes = sorted(g.nodes())
+    rank = dict(zip(nodes, range(len(nodes))))
+    rows = list(map(g.adjacency, nodes))
+    start = np.cumsum([0, *map(len, rows)])
+    nbrs = np.fromiter(map(rank.__getitem__, chain.from_iterable(rows)), np.int32, start[-1])
+    return sum(len(a) for a, _, _ in triangle_slots(start, nbrs))
 
 
 class ExactTracker:

@@ -114,6 +114,15 @@ def test_config_validation():
         ExperimentConfig(stream=spec, estimators=[EstimatorSpec("esd", 0.5)], replications=0)
     with pytest.raises(ValueError):
         EstimatorSpec("unknown", 0.5)
+    # a count that cannot run is refused when the config is built, by the
+    # reservoir capacity's rule: an integral value of at least 1 runs as that int
+    for reps in (1.5, 2.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="replications"):
+            ExperimentConfig(stream=spec, estimators=[EstimatorSpec("esd", 0.5)], replications=reps)
+    cfg = ExperimentConfig(stream=spec, estimators=[EstimatorSpec("esd", 0.5)], replications=3.0, trace_stride=2.0)
+    assert (cfg.replications, cfg.trace_stride) == (3, 2)
+    assert type(cfg.replications) is type(cfg.trace_stride) is int
+    assert run_experiment(cfg)[0].rows[0].replications == 3
 
 
 @pytest.mark.parametrize("capacity", [2.7, 0.5, 0, -3, float("nan"), float("inf")])
@@ -148,9 +157,9 @@ def test_every_estimator_kind_rejects_a_bad_param_at_the_spec(kind, param, messa
         EstimatorSpec(kind, param)
 
 
-@pytest.mark.parametrize("stride", [0, -5])
+@pytest.mark.parametrize("stride", [0, -5, 2.5, float("nan"), float("inf")])
 def test_trace_stride_must_be_positive(stride):
-    # the default stride is trace_stride=None; 0 and negatives are errors
+    # the default stride is trace_stride=None; 0, negatives and non-integers are errors
     spec = StreamSpec("permutation", edges=TRIANGLE)
     with pytest.raises(ValueError, match="trace_stride"):
         ExperimentConfig(stream=spec, estimators=[EstimatorSpec("esd", 0.5)], trace_stride=stride)

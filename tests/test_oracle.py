@@ -1,7 +1,10 @@
 import random
 import statistics
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trisample import (
     BaConfig,
@@ -35,6 +38,34 @@ def test_exact_triangles_matches_brute_force_on_er_corpus():
     for i, p in enumerate([0.1, 0.3, 0.5] * 4):
         g = er_graph(16 + 4 * i, p, seed=100 + i)
         assert exact_triangles(g) == brute_force_triangles(g)
+
+
+# ids an int64 array cannot hold: negative ints, ints from 2**63 up, and
+# floats, none of them equal to another kind's
+ODD_IDS = st.one_of(
+    st.integers(-(2**70), -1),
+    st.integers(2**63, 2**66),
+    st.floats(-1e9, 1e9).filter(lambda x: not x.is_integer()),
+)
+
+
+@st.composite
+def graphs_with_odd_ids(draw):
+    """A random simple graph on up to 12 ``ODD_IDS``, plus a few nodes that
+    ``add_node`` adds and no edge touches."""
+    ids = draw(st.lists(ODD_IDS, min_size=2, max_size=12, unique=True))
+    pairs = list(combinations(ids, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph.from_edges(pair for pair, k in zip(pairs, keep) if k)
+    for u in draw(st.lists(ODD_IDS, max_size=3)):
+        g.add_node(u)
+    return g
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=graphs_with_odd_ids())
+def test_exact_triangles_matches_brute_force_on_any_ids(g):
+    assert exact_triangles(g) == brute_force_triangles(g)
 
 
 HUB = list(range(0, 12_000, 3))

@@ -180,7 +180,7 @@ def test_full_sample_baselines_are_exact_on_random_streams(events, seed, spare):
     assert [est.estimate() for est in ests] == [truth, truth]
 
 
-@pytest.mark.parametrize("stride", [0, -5])
+@pytest.mark.parametrize("stride", [0, -5, 2.5, float("nan"), float("inf")])
 def test_replay_rejects_non_positive_stride(stride):
     with pytest.raises(ValueError, match="stride must be >= 1"):
         replay([EdgeEvent(1, 2, 1)], Graph(), tracker=ExactTracker(), stride=stride)

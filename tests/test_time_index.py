@@ -27,6 +27,7 @@ from trisample import (
     derive_seed,
     emit_csv,
     er_graph,
+    exact_triangles,
     replay,
     run_experiment,
 )
@@ -113,6 +114,8 @@ def test_closings_are_the_trackers_trace(edges, specs, seeds):
     tracker = ExactTracker()
     replay(events, Graph(), (), tracker)
     assert counts.tolist() == tracker.h_trace
+    # the recount runs the same lister over the final graph
+    assert int(counts.sum()) == exact_triangles(Graph.from_edges(edges))
 
     # replication 0's indexed pass writes replay's trace rows at every stride
     for stride in (1, 3):
