@@ -28,6 +28,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 _WEDGES = 1 << 12  # fewest wedges and out-slots per numpy block in ``triangle_slots``
+_GOLD = np.uint32(0x9E3779B1)  # odd multiplier of the key hash in ``triangle_slots``' filter
 _U, _V, _BETA = attrgetter("u"), attrgetter("v"), attrgetter("beta")
 
 
@@ -49,7 +50,9 @@ def triangle_slots(start: np.ndarray, nbrs: np.ndarray):
     to the other; a triangle is a pair of out-neighbors y < z of its lowest
     corner x whose edge (y, z) a search of y·n + z in the slot keys row·n +
     neighbor finds (Chiba and Nishizeki, SIAM J. Comput. 1985), and there
-    are O(m^1.5) such wedges.  The set-up runs on the call, and the iterator
+    are O(m^1.5) such wedges; a one-hash Bloom filter of the keys turns most
+    of those that close nothing away before the search, whose unpredictable
+    branches cost most.  The set-up runs on the call, and the iterator
     returned yields the slots of (x, y), (x, z) and (y, z) found, as three
     arrays, per block of rows with about m/32 wedges and out-slots but at
     least ``_WEDGES``, so a block's transients stay near 2 bytes per edge.
@@ -68,6 +71,12 @@ def triangle_slots(start: np.ndarray, nbrs: np.ndarray):
     c = np.diff(ostart)
     work = np.cumsum(c * (c - 1) // 2 + c)  # wedges and out-slots up to each row
     block = max(_WEDGES, len(nbrs) >> 6)
+    # a one-hash Bloom filter of the keys, 8 to 16 bits each, built a block at a time
+    size = min(32, max(5, (len(keys) << 3).bit_length()))
+    shift, bits = np.uint32(32 - size), np.zeros(1 << (size - 5), np.uint32)
+    for i in range(0, len(keys), block):
+        h = keys[i : i + block].astype(np.uint32) * _GOLD >> shift
+        np.bitwise_or.at(bits, h >> 5, np.uint32(1) << (h & 31))
 
     def blocks():
         x0 = 0
@@ -81,6 +90,9 @@ def triangle_slots(start: np.ndarray, nbrs: np.ndarray):
             second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(k) - k, k)
             a, b = out[first], out[second]
             q = nbrs[a].astype(key_type) * n + nbrs[b]
+            h = q.astype(np.uint32) * _GOLD >> shift
+            sel = np.flatnonzero(bits[h >> 5] >> (h & 31) & 1)  # the wedges the filter passes
+            a, b, q = a[sel], b[sel], q[sel]
             p = keys.searchsorted(q)
             np.minimum(p, len(keys) - 1, out=p)
             hit = keys[p] == q
