@@ -33,6 +33,16 @@ from .graph import Graph
 from .oracle import triangles_of_edge
 
 
+def positive_int(name: str, value) -> int:
+    """``value`` as the int it equals, which must be at least 1: 3.0 runs as
+    3, and 2.5, 0, nan and inf raise ``ValueError`` naming the field.  The
+    one rule for every count a caller sets: a reservoir capacity here, and
+    the harness's replications and trace strides."""
+    if not (value >= 1 and float(value).is_integer()):
+        raise ValueError(f"{name} must be >= 1 and an integer, got {value}")
+    return int(value)
+
+
 class DoulionEstimator:
     """Sparsifier: keeps each arriving edge with probability ``p`` and
     counts triangles inside the sample.
@@ -117,10 +127,7 @@ class TriestEstimator:
     """
 
     def __init__(self, capacity: int, seed: int = 0):
-        # 3.0 runs as 3 slots; 2.7, 0, nan and inf are refused
-        if not (capacity >= 1 and float(capacity).is_integer()):
-            raise ValueError(f"reservoir capacity must be an integer >= 1, got {capacity}")
-        self.capacity = int(capacity)
+        self.capacity = positive_int("reservoir capacity", capacity)
         self.rng = random.Random(seed)
         self.sample = Graph()  # the graph of the reservoir's edges
         self.tau = 0  # triangles in ``sample``

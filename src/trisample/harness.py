@@ -43,9 +43,10 @@ The view, truth and reuse of each replication, stated here once:
   rejects, or a node id that is not an integer within int64), and a later
   one made of other event objects.
 - Truth.  Replication 0's truth at each trace stop is, over the index, the
-  running sum of ``ArrivalOrder.closings`` (the triangles whose last edge
-  arrived before the stop) and, in a store, the count of the incremental
-  exact tracker, which runs on replication 0 only.
+  running total of the stretch sums of ``ArrivalOrder.closings`` (the
+  triangles whose last edge arrived in each stretch, summed up to the stop)
+  and, in a store, the count of the incremental exact tracker, which runs
+  on replication 0 only.
 - Reuse.  Replication 0 keeps its proof: its index, or else its events.  A
   later replication takes replication 0's final truth only when its events
   prove that it ends on the same graph: the index serves it, or
@@ -64,14 +65,17 @@ byte-identical output.  With timing, each estimator is wrapped once in
 from __future__ import annotations
 
 import math
+import operator
 import time
+from collections.abc import Sequence
 from dataclasses import astuple, dataclass
+from itertools import accumulate
 from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
 
-from .baselines import DoulionEstimator, TriestEstimator
+from .baselines import DoulionEstimator, TriestEstimator, positive_int
 from .esd import EsdEstimator
 from .graph import Graph, TimeIndexedGraph
 from .oracle import ExactTracker, exact_triangles
@@ -120,15 +124,6 @@ def confidence_interval(estimates) -> tuple[float, float]:
     return (mean - half, mean + half)
 
 
-def _count(name: str, value) -> int:
-    """``value`` as the int it equals, which must be at least 1: 3.0 runs as
-    3, and 2.5, nan and inf raise ``ValueError`` naming the field, as a
-    reservoir capacity does."""
-    if not (value >= 1 and float(value).is_integer()):
-        raise ValueError(f"{name} must be >= 1 and an integer, got {value}")
-    return int(value)
-
-
 # estimator kind -> class, whose first argument is the spec's ``param``:
 # ESD's alpha, Doulion's p or TRIÈST's reservoir capacity
 _KINDS = {"esd": EsdEstimator, "doulion": DoulionEstimator, "triest": TriestEstimator}
@@ -167,9 +162,9 @@ class ExperimentConfig:
     timing: bool = False
 
     def __post_init__(self):
-        self.replications = _count("replications", self.replications)
+        self.replications = positive_int("replications", self.replications)
         if self.trace_stride is not None:
-            self.trace_stride = _count("trace_stride", self.trace_stride)
+            self.trace_stride = positive_int("trace_stride", self.trace_stride)
         if not self.estimators:
             raise ValueError("at least one estimator is required")
 
@@ -244,8 +239,8 @@ def replay(events, g, ests=(), tracker=None, stride=None) -> list:
     stream: ...")``, since the estimators and the tracker assume a
     consistent stream.  With a tracker, returns one trace row
     ``(position, tracker.count, [estimates])`` every ``stride`` events
-    (``_count``'s rule), by default ``max(1, len(events) // 500)``, and at
-    the stream's end; without one, returns ``[]``.
+    (``positive_int``'s rule), by default ``max(1, len(events) // 500)``,
+    and at the stream's end; without one, returns ``[]``.
 
     ``g`` is a mutable store, and ``replay`` mutates it; which replications
     ``run_experiment`` replays is the module docstring's rule.  Its trace
@@ -261,7 +256,7 @@ def replay(events, g, ests=(), tracker=None, stride=None) -> list:
     order they are fed in changes nothing.
     """
     if stride is not None:
-        stride = _count("stride", stride)
+        stride = positive_int("stride", stride)
     last = len(events)
     bounds = [last] if tracker is None else _trace_stops(last, stride)
     calls = [(getattr(est, "step", None), est.skip) for est in ests]
@@ -300,12 +295,47 @@ def replay(events, g, ests=(), tracker=None, stride=None) -> list:
     return rows
 
 
+class Trace(Sequence):
+    """Replication 0's trace rows ``(event_index, truth, name, estimate)``,
+    read-only and held as columns: the stops and the truths as int lists,
+    the estimator names once and the estimates as one float64 matrix of
+    stops × estimators, 8 bytes per estimator per stop.  Row k is stop
+    ``k // len(names)`` and estimator ``k % len(names)``, so it iterates,
+    indexes and slices as the list of those tuples, and compares equal to
+    it either way round."""
+
+    def __init__(self, stops: list, truths: list, names: tuple, estimates):
+        self._stops, self._truths, self._names = stops, truths, names
+        self._estimates = np.array(estimates, dtype=np.float64).reshape(len(stops), len(names))
+
+    def __len__(self) -> int:
+        return self._estimates.size
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[j] for j in range(*k.indices(len(self)))]
+        s, j = divmod(range(len(self))[k], len(self._names))
+        return (self._stops[s], self._truths[s], self._names[j], float(self._estimates[s, j]))
+
+    def __iter__(self):
+        names = self._names
+        for stop, truth, row in zip(self._stops, self._truths, self._estimates):
+            for name, est in zip(names, row.tolist()):
+                yield stop, truth, name, est
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
 @dataclass
 class _Reuse:
-    """Replication 0's truth, and its proof that a later replication ends on
-    the same graph: its arrival index, when it was indexed, or else its
-    events."""
+    """Replication 0's trace and truth, and its proof that a later
+    replication ends on the same graph: its arrival index, when it was
+    indexed, or else its events."""
 
+    trace: Trace | None = None
     truth: int = 0
     index: TimeIndexedGraph | None = None
     events: list | None = None
@@ -328,12 +358,12 @@ def _drive(ests, events, order, bounds) -> list:
     return rows
 
 
-def _replicate(cfg: ExperimentConfig, r: int, traces: list, reuse: _Reuse):
+def _replicate(cfg: ExperimentConfig, r: int, reuse: _Reuse):
     """Replay replication ``r``: realize its stream and feed fresh
     estimators; returns (truth, final estimates, edges sampled, wall
     seconds).
 
-    Replication 0 writes the trace rows and sets ``reuse``; the view each
+    Replication 0 sets ``reuse``, its trace included; the view each
     replication runs on and its truth follow the module docstring's rule.
     The rest is local, so the stream, store and estimators of a replication
     are freed before the next one is realized.
@@ -358,14 +388,16 @@ def _replicate(cfg: ExperimentConfig, r: int, traces: list, reuse: _Reuse):
         rows = replay(events, g, ests, tracker, cfg.trace_stride)
     if r == 0:
         if order is not None:
-            closed = np.zeros(len(events) + 1, np.int64)  # triangles closed before each position
-            np.cumsum(order.closings(), dtype=np.int64, out=closed[1:])
-            rows = zip(stops, closed[stops].tolist(), rows)
-            reuse.truth, reuse.index = int(closed[-1]), order.index
+            # the triangles closed in each stretch, totalled up to its stop
+            starts = [0, *stops[:-1]]
+            sums = np.add.reduceat(order.closings(), starts, dtype=np.int64).tolist() if stops else []
+            truths = list(accumulate(sums))
+            reuse.truth, reuse.index = truths[-1] if truths else 0, order.index
         else:
+            stops, truths = [row[0] for row in rows], [row[1] for row in rows]
+            rows = [row[2] for row in rows]
             reuse.truth, reuse.events = tracker.count, events
-        for stop, truth, estimates in rows:
-            traces.extend((stop, truth, spec.name, est) for spec, est in zip(cfg.estimators, estimates))
+        reuse.trace = Trace(stops, truths, tuple(spec.name for spec in cfg.estimators), rows)
     finals = [est.estimate() for est in ests]
     sampled = [est.edges_sampled for est in ests]
     wall = [est.seconds for est in ests] if cfg.timing else [0.0] * len(ests)
@@ -377,28 +409,29 @@ def _replicate(cfg: ExperimentConfig, r: int, traces: list, reuse: _Reuse):
     return reuse.truth, finals, sampled, wall
 
 
-def run_experiment(cfg: ExperimentConfig) -> tuple[MetricsReport, list]:
+def run_experiment(cfg: ExperimentConfig) -> tuple[MetricsReport, Trace]:
     """Replay ``cfg.replications`` stream realizations, feed every estimator
     and aggregate accuracy metrics against the exact truth.
 
     Returns (report, trace_rows).  Trace rows (event_index, truth, name,
     estimate) come from the first replication only, every trace-stride
-    events and at stream end, each with the exact truth there.  Each
-    replication's view and truth follow the module docstring's rule; when
-    the replications end on different graphs the per-replication truths
-    differ and metrics normalize by their mean.  Of ``cfg.stream`` only
-    ``realize`` is read.
+    events and at stream end, each with the exact truth there.  They are a
+    read-only ``Trace``, held as columns at 8 bytes per estimator per stop,
+    that iterates, indexes and compares equal as the list of those tuples.
+    Each replication's view and truth follow the module docstring's rule;
+    when the replications end on different graphs the per-replication
+    truths differ and metrics normalize by their mean.  Of ``cfg.stream``
+    only ``realize`` is read.
     """
     n_est = len(cfg.estimators)
     finals = np.zeros((cfg.replications, n_est))
     truths = np.zeros(cfg.replications)
     sampled = np.zeros((cfg.replications, n_est))
     wall = np.zeros((cfg.replications, n_est))
-    traces: list[tuple[int, int, str, float]] = []
 
     reuse = _Reuse()
     for r in range(cfg.replications):
-        truths[r], finals[r], sampled[r], wall[r] = _replicate(cfg, r, traces, reuse)
+        truths[r], finals[r], sampled[r], wall[r] = _replicate(cfg, r, reuse)
 
     truth_mean = float(truths.mean())
     rows = []
@@ -422,7 +455,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[MetricsReport, list]:
                 wall_ms_mean=float(wall[:, j].mean() * 1000.0),
             )
         )
-    return MetricsReport(rows=rows, truth=truth_mean), traces
+    return MetricsReport(rows=rows, truth=truth_mean), reuse.trace
 
 
 def _fmt(x) -> str:

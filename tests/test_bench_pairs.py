@@ -71,6 +71,27 @@ def test_summarize_flags_each_metric_within_its_declared_bound():
     assert not out["peak_rss_mb"]["within_bound"]  # 56.0 > 50.0 * 1.1
 
 
+def test_summarize_resolves_a_gain_by_pairs_won_and_the_parents_spread():
+    def runs(parent, change):
+        return [{"parent": _run(p, 4, "a"), "change": _run(c, 4, "a")} for p, c in zip(parent, change)]
+
+    parent = [0.30, 0.31, 0.32, 0.33, 0.34, 0.35, 0.36, 0.37, 0.38, 0.39]
+    # 9 of 10 won and the medians 0.1 apart, against a spread of 0.045
+    out = _bench_pairs().summarize(runs(parent, [p - 0.1 for p in parent[:9]] + [0.40]))
+    assert out["rep_s"]["change_won"] == 9
+    assert out["rep_s"]["parent_spread"] == pytest.approx(0.045)
+    assert out["rep_s"]["gain_resolved"]
+    # a tie counts for neither side, so 8 won of 10 is not enough
+    out = _bench_pairs().summarize(runs(parent, [p - 0.1 for p in parent[:8]] + parent[8:]))
+    assert out["rep_s"]["change_won"] == 8
+    assert not out["rep_s"]["gain_resolved"]
+    # every pair won, but the medians only 0.02 apart
+    out = _bench_pairs().summarize(runs(parent, [p - 0.02 for p in parent]))
+    assert out["rep_s"]["change_won"] == 10
+    assert not out["rep_s"]["gain_resolved"]
+    assert not out["setup_s"]["gain_resolved"]  # all ties
+
+
 def test_summarize_takes_its_metrics_from_the_benchmark_file(tmp_path):
     declared = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())
     declared["end_to_end"].append({"name": "extra_s", "unit": "s", "better": "lower", "bound": 0.5})

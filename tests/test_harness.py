@@ -7,6 +7,7 @@ import random
 import statistics
 import sys
 import time
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
@@ -18,7 +19,9 @@ from trisample import (
     BaConfig,
     EdgeEvent,
     EstimatorSpec,
+    ExactTracker,
     ExperimentConfig,
+    Graph,
     StreamSpec,
     TriestEstimator,
     confidence_interval,
@@ -29,9 +32,10 @@ from trisample import (
     exact_triangles,
     nrmse,
     relative_error,
+    replay,
     run_experiment,
 )
-from trisample.harness import SUMMARY_HEADER, TRACE_HEADER, trace_path_for
+from trisample.harness import SUMMARY_HEADER, TRACE_HEADER, Trace, trace_path_for
 
 from helpers import complete_graph_edges
 
@@ -289,6 +293,75 @@ def test_emit_csv_empty_traces_header_only(tmp_path):
     out = tmp_path / "s.csv"
     emit_csv(report, [], out)
     assert trace_path_for(out).read_text() == TRACE_HEADER + "\n"
+
+
+def _tuple_trace(cfg) -> list:
+    """Replication 0's trace rows of ``cfg`` as a list of tuples, the form
+    ``run_experiment`` returned before ``Trace``: from ``replay``'s rows on
+    a store, whose draws and truths the arrival index repeats."""
+    events = cfg.stream.realize(derive_seed(cfg.seed, "stream", 0))
+    ests = [spec.build(derive_seed(cfg.seed, spec.kind, i, 0)) for i, spec in enumerate(cfg.estimators)]
+    rows = replay(events, Graph(), ests, ExactTracker(), cfg.trace_stride)
+    return [
+        (stop, truth, spec.name, est)
+        for stop, truth, estimates in rows
+        for spec, est in zip(cfg.estimators, estimates)
+    ]
+
+
+@pytest.mark.parametrize(
+    "stream",
+    [dict(kind="edge-deletion", p_e=0.05, p_d=0.2), dict(kind="permutation")],
+    ids=["store", "indexed"],
+)
+def test_trace_is_the_tuple_list(stream):
+    cfg = ExperimentConfig(
+        stream=StreamSpec(edges=list(er_graph(20, 0.4, seed=4).edges()), **stream),
+        estimators=[EstimatorSpec("esd", 0.5), EstimatorSpec("doulion", 0.5), EstimatorSpec("triest", 20)],
+        replications=2,
+        seed=5,
+        trace_stride=7,
+    )
+    _, trace = run_experiment(cfg)
+    rows = _tuple_trace(cfg)
+    assert isinstance(trace, Trace)
+    assert len(trace) == len(rows) > 30
+    for k in (0, 4, len(rows) - 1, -1, -5, -len(rows)):
+        assert trace[k] == rows[k]
+    assert [type(x) for x in trace[-1]] == [int, int, str, float]
+    with pytest.raises(IndexError):
+        trace[len(rows)]
+    with pytest.raises(IndexError):
+        trace[-len(rows) - 1]
+    assert trace[2:20:3] == rows[2:20:3]
+    assert trace[::-1] == rows[::-1]
+    assert list(trace) == rows
+    assert trace == rows and rows == trace
+    assert trace != rows[:-1] and rows[:-1] != trace
+    assert trace != rows[:-1] + [rows[0]] and rows[:-1] + [rows[0]] != trace
+
+
+def test_dropping_the_trace_frees_a_float_per_cell():
+    # a tuple and a float object per row would be about 128 bytes a cell;
+    # the columns hold 8 per cell, plus a stop and a truth per 16 cells
+    cfg = ExperimentConfig(
+        stream=StreamSpec("permutation", edges=list(er_graph(60, 0.5, seed=30).edges())),
+        estimators=[EstimatorSpec("doulion", 0.5, label=f"doulion-{k}") for k in range(16)],
+        replications=1,
+        seed=31,
+        trace_stride=1,
+    )
+    tracemalloc.start()
+    try:
+        _, trace = run_experiment(cfg)
+        cells = len(trace)
+        held = tracemalloc.get_traced_memory()[0]
+        del trace
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert cells > 10_000
+    assert freed <= 24 * cells + 4096
 
 
 def test_run_experiment_rejects_inconsistent_stream():

@@ -248,9 +248,13 @@ class OnlyRealize:
 
 def test_a_spec_behind_realize_alone_is_indexed(monkeypatch, tmp_path):
     spec = StreamSpec("permutation", edges=list(er_graph(25, 0.3, seed=40).edges()))
-    for reps in (1, 5):  # one replication keeps replication 0's index too
-        cfg = ExperimentConfig(OnlyRealize(spec.realize), ESTIMATORS, replications=reps, seed=41)
-        assert _same_with_and_without_index(cfg, monkeypatch, tmp_path) == reps
+    assert len(spec.realize(0)) == 103
+    # the default stride, one that does not divide the 103 events and one
+    # past their end, so replication 0's truths total stretches of each shape
+    for stride in (None, 10, 104):
+        for reps in (1, 5):  # one replication keeps replication 0's index too
+            cfg = ExperimentConfig(OnlyRealize(spec.realize), ESTIMATORS, reps, seed=41, trace_stride=stride)
+            assert _same_with_and_without_index(cfg, monkeypatch, tmp_path) == reps
 
 
 def test_fresh_events_each_realization_fall_back(monkeypatch, tmp_path):

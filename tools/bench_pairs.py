@@ -17,9 +17,11 @@ the summary.  Each run is a fresh process.  The file holds every run's
 end-to-end metrics, replication count, summary CSV sha256 and check
 failure fraction, its ``git_sha``, ``numpy`` and ``nproc`` lines, and the
 scaled time of each replication; per workload and metric, each side's
-median and quartiles, the number of pairs the change won, the metric's
-``bound`` from the repository's ``BENCHMARK.json`` (only read) and
-whether the change's median is ``within_bound``; per side
+median and quartiles, the number of pairs the change won, the parent's
+``parent_spread`` between quartiles and whether a gain is
+``gain_resolved`` (``summarize``), the metric's ``bound`` from the
+repository's ``BENCHMARK.json`` (only read) and whether the change's
+median is ``within_bound``; per side
 the median time of replication 0, of replication 1 and of the later ones,
 and under ``checks`` the output checks failed and attempted in all its runs;
 and under ``csv`` the number of pairs whose sides ran equal replication
@@ -93,8 +95,12 @@ def by_replication(rep_s_all: list[float]) -> dict:
 
 def summarize(runs: list[dict]) -> dict:
     """Median and quartiles of each ``end_to_end`` metric per side, pairs
-    won, the metric's bound and whether the change's median is within it
-    (at most the parent's median times 1 + bound), each side's median
+    won, the parent's spread between its quartiles, whether a gain is
+    resolved (the change won at least nine tenths of the pairs, a tie
+    counting for neither side, and its median is below the parent's by
+    more than that spread), the metric's bound and whether the change's
+    median is within it (at most the parent's median times 1 + bound),
+    each side's median
     replication times by kind (``by_replication``) and its output checks
     ``failed`` of those ``attempted``, summed over its runs, and the pairs
     that ran equal replication counts and, of those, wrote the same summary
@@ -111,6 +117,11 @@ def summarize(runs: list[dict]) -> dict:
         row["change_won"] = sum(c < p for p, c in pairs)
         row["pairs"] = len(pairs)
         parent_median = row["parent"]["median"]
+        row["parent_spread"] = row["parent"]["q3"] - row["parent"]["q1"]
+        row["gain_resolved"] = (
+            10 * row["change_won"] >= 9 * len(pairs)
+            and parent_median - row["change"]["median"] > row["parent_spread"]
+        )
         row["median_change_frac"] = row["change"]["median"] / parent_median - 1.0 if parent_median else None
         row["bound"] = bound[metric]
         row["within_bound"] = row["change"]["median"] <= parent_median * (1.0 + bound[metric])
