@@ -65,7 +65,6 @@ byte-identical output.  With timing, each estimator is wrapped once in
 from __future__ import annotations
 
 import math
-import operator
 import time
 from collections.abc import Sequence
 from dataclasses import astuple, dataclass
@@ -326,7 +325,7 @@ class Trace(Sequence):
     def __eq__(self, other):
         if not isinstance(other, Sequence):
             return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 @dataclass
