@@ -31,16 +31,7 @@ from math import exp, lgamma
 from .esd import first_won
 from .graph import Graph
 from .oracle import triangles_of_edge
-
-
-def positive_int(name: str, value) -> int:
-    """``value`` as the int it equals, which must be at least 1: 3.0 runs as
-    3, and 2.5, 0, nan and inf raise ``ValueError`` naming the field.  The
-    one rule for every count a caller sets: a reservoir capacity here, and
-    the harness's replications and trace strides."""
-    if not (value >= 1 and float(value).is_integer()):
-        raise ValueError(f"{name} must be >= 1 and an integer, got {value}")
-    return int(value)
+from .stream import canonical, positive_int, probability
 
 
 class DoulionEstimator:
@@ -54,9 +45,7 @@ class DoulionEstimator:
     """
 
     def __init__(self, p: float, seed: int = 0):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {p}")
-        self.p = p
+        self.p = probability("p", p)
         self.rng = random.Random(seed)
         self.sample = Graph()
         self.tri_in_sample = 0
@@ -168,17 +157,17 @@ class TriestEstimator:
                 live += 1
                 if c_bad or c_good:
                     if rand() < c_bad / (c_bad + c_good):
-                        self._insert(_edge(ev))
+                        self._insert(canonical(ev.u, ev.v))
                         c_bad -= 1
                     else:
                         c_good -= 1
                 elif len(edges) < cap:
-                    self._insert(_edge(ev))
+                    self._insert(canonical(ev.u, ev.v))
                 elif rand() < cap / live:
-                    self._replace(self._draw_slot(), _edge(ev))
+                    self._replace(self._draw_slot(), canonical(ev.u, ev.v))
             else:
                 live -= 1
-                e = _edge(ev)
+                e = canonical(ev.u, ev.v)
                 if e in slot:
                     self._remove(e)
                     c_bad += 1
@@ -201,7 +190,8 @@ class TriestEstimator:
         base = self._live - i + 1  # base + k: the live edges with event k
         fill = min(stop, i + cap - len(self._edges))  # events[i:fill] fill the reservoir
         for k in range(i, fill):
-            self._insert(_edge(events[k]))
+            ev = events[k]
+            self._insert(canonical(ev.u, ev.v))
         last = {}  # slot -> position of its last occupant in this stretch
         top = cap / (base + fill)  # division rounds monotonically: r >= top loses every coin ahead
         for k in range(fill, stop):
@@ -210,7 +200,8 @@ class TriestEstimator:
                 last[self._draw_slot()] = k
                 top = cap / (base + k + 1)
         for j, k in last.items():
-            self._replace(j, _edge(events[k]))
+            ev = events[k]
+            self._replace(j, canonical(ev.u, ev.v))
         self._live = base + stop - 1
         self._settle()
         return stop
@@ -310,12 +301,6 @@ class TriestEstimator:
                 tau += triangles_of_edge(sample, *e)
         self.tau = tau
         pending.clear()
-
-
-def _edge(ev) -> tuple[int, int]:
-    """The reservoir's key of an event's edge: its endpoints in order."""
-    u, v = ev.u, ev.v
-    return (u, v) if u < v else (v, u)
 
 
 def _log_comb(n: int, k: int) -> float:

@@ -19,7 +19,7 @@ from .harness import (
 )
 from .seeding import derive_seed
 from .stream import (
-    StreamSpec, read_edge_list, read_snapshot_dir, read_stream_file, snapshot_diffs,
+    StreamSpec, rate, read_edge_list, read_snapshot_dir, read_stream_file, snapshot_diffs,
     write_edge_list, write_stream_file,
 )
 
@@ -127,12 +127,9 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     edges = read_edge_list(args.edges)
-    fractions = [float(tok) for tok in args.sizes.split(",") if tok]
+    fractions = [rate("sample fraction", float(tok)) for tok in args.sizes.split(",") if tok]
     if not fractions:
         raise ValueError("--sizes must list at least one fraction")
-    for frac in fractions:
-        if not 0.0 < frac <= 1.0:
-            raise ValueError(f"sample fraction must be in (0, 1], got {frac}")
     all_rows = []
     truth = 0.0
     for i, frac in enumerate(fractions):

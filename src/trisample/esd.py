@@ -32,7 +32,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 
-from .stream import EdgeEvent
+from .stream import EdgeEvent, rate
 
 OMEGA_DYNAMIC = 0.5  # a new triangle is observable via 2 tuples of its closing edge
 OMEGA_STATIC = 1.0 / 6.0  # full-edge streams expose all 3 edges, 2 tuples each
@@ -65,11 +65,9 @@ class EsdEstimator:
     """
 
     def __init__(self, alpha: float, mode: str = "dynamic", seed: int = 0, rng=None):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+        self._alpha = rate("alpha", alpha)
         if mode not in ("dynamic", "static"):
             raise ValueError(f"mode must be 'dynamic' or 'static', got {mode!r}")
-        self._alpha = alpha
         self.mode = mode
         self.omega = OMEGA_DYNAMIC if mode == "dynamic" else OMEGA_STATIC
         self.t_est = 0.0

@@ -20,6 +20,7 @@ import numpy as np
 from .graph import Graph
 from .oracle import exact_triangles
 from .seeding import derive_seed
+from .stream import positive_int, probability
 
 
 @dataclass(frozen=True)
@@ -36,14 +37,13 @@ class BaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.edges_per_new_node < 1:
-            raise ValueError("edges_per_new_node must be >= 1")
+        for name in ("n_total", "seed_nodes", "edges_per_new_node"):
+            object.__setattr__(self, name, positive_int(name, getattr(self, name)))
         if self.seed_nodes < self.edges_per_new_node:
             raise ValueError("seed graph smaller than the per-node attachment count")
         if self.n_total < self.seed_nodes:
             raise ValueError("n_total must be >= seed_nodes")
-        if not 0.0 <= self.seed_edge_prob <= 1.0:
-            raise ValueError(f"seed_edge_prob must be in [0, 1], got {self.seed_edge_prob}")
+        probability("seed_edge_prob", self.seed_edge_prob)
         if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
             raise ValueError(f"gamma must be finite and non-negative, got {self.gamma}")
         # Every weight is at most (n_total - 1)**gamma, so the prefix sum of
@@ -75,8 +75,8 @@ def er_graph(n: int, edge_prob: float, seed: int) -> Graph:
     """G(n, p): nodes 0..n-1, every unordered pair present independently
     with probability ``edge_prob``.  O(n^2) draws, intended for seeds and
     test corpora rather than huge graphs."""
-    if not 0.0 <= edge_prob <= 1.0:
-        raise ValueError(f"edge_prob must be in [0, 1], got {edge_prob}")
+    n = positive_int("n", n)
+    probability("edge_prob", edge_prob)
     rng = random.Random(seed)
     g = Graph()
     for u in range(n):

@@ -74,12 +74,12 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .baselines import DoulionEstimator, TriestEstimator, positive_int
+from .baselines import DoulionEstimator, TriestEstimator
 from .esd import EsdEstimator
 from .graph import Graph, TimeIndexedGraph
 from .oracle import ExactTracker, exact_triangles
 from .seeding import derive_seed
-from .stream import StreamSpec
+from .stream import StreamSpec, positive_int
 
 SUMMARY_HEADER = (
     "estimator,alpha_or_p_or_M,replications,truth,mean,rel_err,nrmse,"

@@ -15,6 +15,7 @@ from itertools import chain
 import numpy as np
 
 from .graph import triangle_slots
+from .stream import rate
 
 
 def common_neighbor_count(a, b) -> int:
@@ -107,7 +108,6 @@ def variance_bound(h_trace, n_t: float, d_max: int, alpha: float) -> float:
     d_max the peak degree over the stream (which dominates every per-step
     maximum, keeping the bound valid).
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    rate("alpha", alpha)
     second = sum(h * h for h in h_trace)
     return n_t * (d_max - 1) / (2.0 * alpha) + (1.0 / (2.0 * alpha) - 1.0) * second

@@ -7,6 +7,11 @@ so the same arguments produce byte-identical streams, and generated streams
 are consistent by construction (they never add a present edge nor delete an
 absent one).  The readers turn files into edge lists and events for a spec
 to replay, through one record parser; no code here touches a graph store.
+
+The input rules of every layer live here too, each returning what it
+checked or raising ``ValueError`` naming the field: ``positive_int`` (a
+count), ``probability`` ([0, 1]), ``rate`` (a sampling fraction, (0, 1])
+and ``canonical`` (an edge's key, its endpoints in order).
 """
 
 from __future__ import annotations
@@ -50,7 +55,26 @@ def _events(pairs, beta: int) -> list[EdgeEvent]:
     return out
 
 
-def _canonical(u: int, v: int) -> tuple[int, int]:
+def positive_int(name: str, value) -> int:
+    """``value`` as the int it equals, at least 1: 3.0 runs as 3."""
+    if not (value >= 1 and float(value).is_integer()):
+        raise ValueError(f"{name} must be >= 1 and an integer, got {value}")
+    return int(value)
+
+
+def probability(name: str, p: float) -> float:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {p}")
+    return p
+
+
+def rate(name: str, x: float) -> float:
+    if not 0.0 < x <= 1.0:
+        raise ValueError(f"{name} must be in (0, 1], got {x}")
+    return x
+
+
+def canonical(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
@@ -65,17 +89,12 @@ def _check_simple(edges) -> list[tuple[int, int]]:
         if u == v:
             raise ValueError(f"self-loop ({u}, {v}) in edge list")
         if not (u < v and type(e) is tuple):
-            e = _canonical(u, v)
+            e = canonical(u, v)
         if e in seen:
             raise ValueError(f"duplicate edge {e} in edge list")
         seen.add(e)
         out.append(e)
     return out
-
-
-def _check_prob(name: str, p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {p}")
 
 
 def _edge_victims(present, p_d: float, rng) -> list[tuple[int, int]]:
@@ -284,8 +303,8 @@ class StreamSpec:
             raise ValueError(f"stream kind {self.kind!r} takes no {other}")
         if getattr(self, needs) is None:
             raise ValueError(f"stream kind {self.kind!r} requires {needs}")
-        _check_prob("p_e", self.p_e)
-        _check_prob("p_d", self.p_d)
+        probability("p_e", self.p_e)
+        probability("p_d", self.p_d)
         if not _VICTIMS.get(self.kind) and (self.p_e or self.p_d):
             raise ValueError(f"stream kind {self.kind!r} takes no p_e or p_d")
 

@@ -1,11 +1,13 @@
-"""Shared test utilities: independent oracles and a scripted RNG."""
+"""Shared test utilities: independent oracles, a scripted RNG and a walker
+over every draw path."""
 
+import math
 import random
 from itertools import combinations
 
 import numpy as np
 
-from trisample import Graph, derive_seed, er_graph
+from trisample import EdgeEvent, Graph, derive_seed, er_graph
 
 
 def brute_force_triangles(g: Graph) -> int:
@@ -53,6 +55,17 @@ def assert_graph_invariants(g: Graph) -> None:
     assert total == 2 * g.edge_count
 
 
+def toggled(pairs) -> list:
+    """The events that toggle each pair in turn: a pair's first event adds
+    it, the next deletes it and the one after re-adds it."""
+    present, events = set(), []
+    for u, v in pairs:
+        e = (min(u, v), max(u, v))
+        events.append(EdgeEvent(u, v, -1 if e in present else 1))
+        present ^= {e}
+    return events
+
+
 def replay(events, g=None):
     """Apply a stream to a graph, asserting consistency (no duplicate adds,
     no absent deletes).  Returns the graph."""
@@ -97,6 +110,82 @@ class ScriptedRng:
         v = self._randranges.pop(0)
         assert 0 <= v < 2**k, f"scripted value {v} does not fit in {k} bits"
         return v
+
+
+class _Coin(float):
+    """A ``random()`` draw known only to lie in [lo, hi).  ``coin < x`` with
+    x inside the interval forks the walk: the branch below x has weight
+    (x - lo) / (hi - lo) and narrows the interval to [lo, x), the other has
+    the rest and narrows it to [x, hi).  So one coin compared twice forks
+    only where the second comparison is still open."""
+
+    def __new__(cls, walker):
+        coin = super().__new__(cls, 0.5)
+        coin.walker, coin.lo, coin.hi = walker, 0.0, 1.0
+        return coin
+
+    def __lt__(self, x):
+        lo, hi = self.lo, self.hi
+        if not lo < x < hi:
+            return x >= hi
+        if self.walker.fork([(x - lo) / (hi - lo), (hi - x) / (hi - lo)]) == 0:
+            self.hi = x
+            return True
+        self.lo = x
+        return False
+
+    def _unsupported(self, x):
+        raise AssertionError("a walked coin is only ever compared as coin < x")
+
+    __le__ = __gt__ = __ge__ = _unsupported
+
+
+class DrawWalker:
+    """An ``rng`` that walks every draw path of a run depth first.
+
+    ``walk(run)`` calls ``run(self)`` once per path and returns the
+    ``(weight, result)`` of each; the weights must sum to 1, and ``walk``
+    checks that they do.  ``random()`` returns a ``_Coin``, and
+    ``getrandbits`` serves a uniform pick over ``range(capacity)``, as
+    TRIÈST's slot draw accepts it.  ``run`` must draw the same way whenever
+    the same branches are taken."""
+
+    def __init__(self, capacity=None):
+        self.capacity = capacity
+
+    def fork(self, weights) -> int:
+        depth = self._depth
+        if depth == len(self._path):  # a fork past the replayed prefix takes its first branch
+            self._path.append(0)
+            self._ways.append(len(weights))
+        assert self._ways[depth] == len(weights), "the run forked differently on a replayed path"
+        self._depth += 1
+        self._weight *= weights[self._path[depth]]
+        return self._path[depth]
+
+    def random(self):
+        return _Coin(self)
+
+    def getrandbits(self, k: int) -> int:
+        cap = self.capacity
+        assert cap is not None and cap <= 1 << k, f"a uniform pick over {cap} cannot come from {k} bits"
+        return self.fork([1.0 / cap] * cap)
+
+    def walk(self, run) -> list:
+        self._path, self._ways, out = [], [], []
+        while True:
+            self._depth, self._weight = 0, 1.0
+            result = run(self)
+            assert self._depth == len(self._path), "the run forked differently on a replayed path"
+            out.append((self._weight, result))
+            while self._path and self._path[-1] == self._ways[-1] - 1:
+                self._path.pop()
+                self._ways.pop()
+            if not self._path:
+                break
+            self._path[-1] += 1
+        assert math.isclose(math.fsum(w for w, _ in out), 1.0, abs_tol=1e-12)
+        return out
 
 
 def _reference_pick_distinct(w, cum, k, rng) -> list[int]:

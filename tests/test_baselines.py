@@ -27,7 +27,7 @@ from trisample import baselines
 from trisample.graph import TimeIndexedGraph
 from trisample.harness import _drive, _trace_stops
 
-from helpers import complete_graph_edges, sorted_edges, state
+from helpers import DrawWalker, brute_force_triangles, complete_graph_edges, sorted_edges, state, toggled
 from test_schedule import consistent_streams
 from test_time_index import StateAtStops, simple_graphs
 
@@ -43,6 +43,8 @@ def test_doulion_validation():
         DoulionEstimator(-0.1)
     with pytest.raises(ValueError):
         DoulionEstimator(1.1)
+    with pytest.raises(ValueError, match=r"p must be in \[0, 1\], got nan"):
+        DoulionEstimator(float("nan"))
 
 
 def test_doulion_p_one_mirrors_graph_exactly():
@@ -407,6 +409,89 @@ def test_mid_stream_means_match_the_tracker_on_a_deletion_heavy_stream():
                 assert mean == truth, (name, position)
             else:
                 assert abs(mean - truth) <= 4 * se, (name, position, mean, truth, se)
+
+
+# Small consistent streams, as pairs to toggle: deletions and re-adds
+WALKED = {
+    "readd-in-triangles": [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (0, 1), (2, 3), (0, 1), (1, 2), (1, 2)],
+    "delete-under-a-full-reservoir": [(0, 1), (1, 2), (0, 2), (2, 3), (0, 3), (1, 3), (0, 2), (2, 4), (0, 4), (0, 2)],
+}
+# K6's edges, each node's edges to the nodes before it in turn: K4 is whole
+# after six
+COLEX = [(u, v) for v in range(6) for u in range(v)]
+
+
+def debt_pairs(capacity: int) -> list:
+    """capacity + 3 additions, the last three drawing coins against
+    capacity/s; four deletions, which leave kappa below 1; two re-adds, each
+    paying a debt on a coin; and one new addition."""
+    adds = COLEX[: capacity + 3]
+    return adds + adds[1:5] + adds[1:3] + [COLEX[capacity + 3]]
+
+
+def expected_at_every_prefix(make, events, capacity=None, order=None) -> list:
+    """E[estimate] after each event, fed one at a time through ``skip``, or
+    through ``run`` over the arrival order ``order`` when one is given,
+    exactly: the weighted mean over every draw path of the estimator
+    ``make()`` builds, with ``DrawWalker`` as its rng."""
+
+    def run(rng):
+        est = make()
+        est.rng = rng
+        estimates = []
+        for k in range(len(events)):
+            if order is None:
+                est.skip(events, k, k + 1)
+            else:
+                est.run(events, k, k + 1, order)
+            estimates.append(est.estimate())
+        return estimates
+
+    paths = DrawWalker(capacity).walk(run)
+    return [math.fsum(w * estimates[k] for w, estimates in paths) for k in range(len(events))]
+
+
+def truths_at_every_prefix(events) -> list:
+    g = Graph()
+    truths = []
+    for ev in events:
+        (g.add_edge if ev.beta == 1 else g.delete_edge)(ev.u, ev.v)
+        truths.append(brute_force_triangles(g))
+    return truths
+
+
+@pytest.mark.parametrize("pairs", WALKED.values(), ids=WALKED)
+@pytest.mark.parametrize("p", [0.3, 0.7])
+def test_doulion_expectation_is_the_truth_at_every_prefix(p, pairs):
+    events = toggled(pairs)
+    assert any(ev.beta == -1 for ev in events)
+    expected = expected_at_every_prefix(lambda: DoulionEstimator(p), events)
+    assert expected == pytest.approx(truths_at_every_prefix(events), abs=1e-9)
+
+
+@pytest.mark.parametrize("stream", ["debts", *WALKED])
+@pytest.mark.parametrize("capacity", [3, 4, 5, 6])
+def test_triest_expectation_is_the_truth_at_every_prefix(capacity, stream):
+    # random pairing is exactly unbiased only with kappa, which the debts
+    # left by deletions move below 1
+    events = toggled(debt_pairs(capacity) if stream == "debts" else WALKED[stream])
+    expected = expected_at_every_prefix(lambda: TriestEstimator(capacity), events, capacity)
+    assert expected == pytest.approx(truths_at_every_prefix(events), abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "make, capacity",
+    [(lambda: DoulionEstimator(0.3), None), (lambda: TriestEstimator(3), 3), (lambda: TriestEstimator(4), 4)],
+    ids=["doulion-0.3", "triest-3", "triest-4"],
+)
+def test_run_over_the_arrival_order_has_the_same_expectation(make, capacity):
+    # TRIÈST's run compares one coin against two bounds, which the walked
+    # coin's interval resolves as one draw
+    events = toggled(COLEX[:8])
+    order = TimeIndexedGraph.of(events)
+    assert order is not None
+    expected = expected_at_every_prefix(make, events, capacity, order)
+    assert expected == pytest.approx(truths_at_every_prefix(events), abs=1e-9)
 
 
 class Unread:

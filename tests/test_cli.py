@@ -36,6 +36,21 @@ def test_generate_and_exact_agree_on_the_written_graph(tmp_path, capsys, kind):
         assert generated == ["nodes=70", "edges=60"]
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["er", "--nodes", "-3"], "n must be >= 1 and an integer, got -3"),
+        (["ba", "--nodes", "200", "--edges-per-node", "0"], "edges_per_new_node must be >= 1 and an integer, got 0"),
+    ],
+    ids=["er-nodes", "ba-edges-per-node"],
+)
+def test_generate_rejects_a_bad_count(tmp_path, capsys, args, message):
+    out = tmp_path / "g.txt"
+    assert main(["generate", *args, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_ba(tmp_path):
     out = tmp_path / "ba.txt"
     rc = main([
@@ -246,6 +261,9 @@ def test_compare_rejects_bad_fraction(tmp_path, capsys):
     for sizes, message in [
         ("1.5", "sample fraction must be in (0, 1], got 1.5"),
         ("0.5,1.5", "sample fraction must be in (0, 1], got 1.5"),
+        ("0", "sample fraction must be in (0, 1], got 0.0"),
+        ("1.1", "sample fraction must be in (0, 1], got 1.1"),
+        ("nan", "sample fraction must be in (0, 1], got nan"),
         (",", "--sizes must list at least one fraction"),
     ]:
         rc = main(["compare", "--edges", str(er), "--sizes", sizes, "--reps", "2", "--out", str(out)])

@@ -29,6 +29,8 @@ def test_constructor_validation():
         EsdEstimator(0.0)
     with pytest.raises(ValueError):
         EsdEstimator(1.1)
+    with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\], got nan"):
+        EsdEstimator(float("nan"))
     with pytest.raises(ValueError):
         EsdEstimator(0.5, mode="batch")
     assert EsdEstimator(1.0).estimate() == 0.0

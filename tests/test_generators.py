@@ -28,9 +28,14 @@ def test_er_graph_extremes():
     k5 = er_graph(5, 1.0, seed=2)
     assert k5.edge_count == 10
     assert k5.node_count == 5
-    for edge_prob in (1.5, -0.1):
+    for edge_prob in (1.5, 1.1, -0.1, float("nan")):
         with pytest.raises(ValueError, match="edge_prob must be in"):
             er_graph(5, edge_prob, seed=3)
+    # n is a count: an integral value of at least 1 runs as that int
+    for n in (-3, 0, 2.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"n must be >= 1 and an integer, got {n}"):
+            er_graph(n, 0.5, seed=3)
+    assert sorted_edges(er_graph(6.0, 0.5, seed=4)) == sorted_edges(er_graph(6, 0.5, seed=4))
 
 
 def test_er_graph_isolated_nodes_counted():
@@ -68,6 +73,19 @@ def test_ba_config_validation():
     for gamma in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             BaConfig(10, 5, 0.1, 2, gamma)
+    # each count by the one count rule, each named; an integral value runs
+    # as that int
+    base = dict(n_total=200, seed_nodes=20, seed_edge_prob=0.1, edges_per_new_node=2, gamma=1.0)
+    for name in ("n_total", "seed_nodes", "edges_per_new_node"):
+        for bad in (2.5, 0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"{name} must be >= 1 and an integer, got {bad}"):
+                BaConfig(**{**base, name: bad})
+    for bad in (-0.1, 1.1, float("nan")):
+        with pytest.raises(ValueError, match="seed_edge_prob must be in"):
+            BaConfig(**{**base, "seed_edge_prob": bad})
+    cfg = BaConfig(200.0, 20.0, 0.1, 2.0, 1.0)
+    assert type(cfg.n_total) is type(cfg.seed_nodes) is type(cfg.edges_per_new_node) is int
+    assert sorted_edges(ba_graph(cfg)) == sorted_edges(ba_graph(BaConfig(200, 20, 0.1, 2, 1.0)))
 
 
 def test_ba_config_rejects_gamma_whose_weights_overflow():

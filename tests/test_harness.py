@@ -120,7 +120,7 @@ def test_config_validation():
         EstimatorSpec("unknown", 0.5)
     # a count that cannot run is refused when the config is built, by the
     # reservoir capacity's rule: an integral value of at least 1 runs as that int
-    for reps in (1.5, 2.5, float("nan"), float("inf")):
+    for reps in (0, 1.5, 2.5, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="replications"):
             ExperimentConfig(stream=spec, estimators=[EstimatorSpec("esd", 0.5)], replications=reps)
     cfg = ExperimentConfig(stream=spec, estimators=[EstimatorSpec("esd", 0.5)], replications=3.0, trace_stride=2.0)
@@ -129,7 +129,7 @@ def test_config_validation():
     assert run_experiment(cfg)[0].rows[0].replications == 3
 
 
-@pytest.mark.parametrize("capacity", [2.7, 0.5, 0, -3, float("nan"), float("inf")])
+@pytest.mark.parametrize("capacity", [2.7, 2.5, 0.5, 0, -3, float("nan"), float("inf")])
 def test_reservoir_capacity_must_be_an_integer_of_at_least_one(capacity):
     # the summary CSV reports the spec's param, so a capacity the reservoir
     # would run rounded is refused when the spec is built; the reservoir's
@@ -149,7 +149,9 @@ def test_reservoir_capacity_must_be_an_integer_of_at_least_one(capacity):
         ("esd", 1.5, "alpha"),
         ("esd", -0.1, "alpha"),
         ("esd", float("nan"), "alpha"),
+        ("esd", 1.1, "alpha"),
         ("doulion", 1.5, "p must"),
+        ("doulion", 1.1, "p must"),
         ("doulion", -0.1, "p must"),
         ("doulion", float("nan"), "p must"),
     ],

@@ -234,9 +234,9 @@ def test_variance_bound_formula():
     assert variance_bound(trace, n_t=3, d_max=4, alpha=alpha) == pytest.approx(expected)
 
 
-@pytest.mark.parametrize("alpha", [0.0, -0.1, 1.5])
+@pytest.mark.parametrize("alpha", [0.0, -0.1, 1.5, 1.1, float("nan")])
 def test_variance_bound_rejects_bad_alpha(alpha):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="alpha must be in"):
         variance_bound([1], n_t=1, d_max=2, alpha=alpha)
 
 

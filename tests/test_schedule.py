@@ -23,7 +23,7 @@ from trisample import (
 )
 
 import helpers
-from helpers import assert_graph_invariants, brute_force_triangles, sorted_edges, state
+from helpers import assert_graph_invariants, brute_force_triangles, sorted_edges, state, toggled
 
 
 def feed_every_event(specs, seeds, events, stride=None):
@@ -92,20 +92,14 @@ def test_schedule_matches_feeding_every_event(kind, param):
 
 @st.composite
 def consistent_streams(draw):
-    """Toggle random pairs on a few nodes: a pair's first event adds it, the
-    next deletes it, the one after re-adds it."""
+    """Toggle random pairs on a few nodes (``toggled``)."""
     pairs = draw(
         st.lists(
             st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda p: p[0] != p[1]),
             max_size=80,
         )
     )
-    present, events = set(), []
-    for u, v in pairs:
-        e = (min(u, v), max(u, v))
-        events.append(EdgeEvent(u, v, -1 if e in present else 1))
-        present ^= {e}
-    return events
+    return toggled(pairs)
 
 
 estimator_specs = st.lists(
@@ -184,3 +178,8 @@ def test_full_sample_baselines_are_exact_on_random_streams(events, seed, spare):
 def test_replay_rejects_non_positive_stride(stride):
     with pytest.raises(ValueError, match="stride must be >= 1"):
         replay([EdgeEvent(1, 2, 1)], Graph(), tracker=ExactTracker(), stride=stride)
+    # an integral stride runs as that int
+    events = [EdgeEvent(u, u + 1, 1) for u in range(7)]
+    rows = replay(events, Graph(), tracker=ExactTracker(), stride=3.0)
+    assert rows == replay(events, Graph(), tracker=ExactTracker(), stride=3)
+    assert [row[0] for row in rows] == [3, 6, 7]

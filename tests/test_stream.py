@@ -334,6 +334,10 @@ def test_stream_spec_dispatch():
         StreamSpec("events")
     with pytest.raises(ValueError):
         StreamSpec("edge-deletion", edges=edges, p_e=1.5)
+    for name in ("p_e", "p_d"):
+        for bad in (-0.1, 1.1, float("nan")):
+            with pytest.raises(ValueError, match=f"{name} must be in"):
+                StreamSpec("edge-deletion", edges=edges, **{name: bad})
 
 
 # each kind with the one input it reads
