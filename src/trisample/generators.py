@@ -1,11 +1,11 @@
 """Synthetic graphs: Erdős–Rényi seeds and preferential-attachment growth.
 
-Preferential attachment keeps one weight array for the whole growth and the
-degrees in a Python list.  Each new node costs a fixed handful of numpy
-calls, whatever the graph's size: one sequential prefix sum over the
-existing nodes' weights (native code, linear in their number), one search
-per round of picks, and one power over the k + 1 nodes it touches (its k
-targets and itself); plus k store inserts.
+Both grow each neighbor row by appending, in an order that keeps it sorted,
+and hand the rows to the store once.  Preferential attachment reads every
+weight from one table of degree powers.  Each new node costs a fixed
+handful of numpy calls, whatever the graph's size: one sequential prefix
+sum over the existing nodes' weights (native code, linear in their number)
+and one search per round of picks; plus k appends and k + 1 table reads.
 """
 
 from __future__ import annotations
@@ -74,18 +74,19 @@ BA_PRESETS = {
 def er_graph(n: int, edge_prob: float, seed: int) -> Graph:
     """G(n, p): nodes 0..n-1, every unordered pair present independently
     with probability ``edge_prob``.  O(n^2) draws, intended for seeds and
-    test corpora rather than huge graphs."""
+    test corpora rather than huge graphs.  Pairs (u, v), u < v, are drawn in
+    increasing order, so both rows grow at their ends."""
     n = positive_int("n", n)
     probability("edge_prob", edge_prob)
-    rng = random.Random(seed)
-    g = Graph()
-    for u in range(n):
-        g.add_node(u)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < edge_prob:
-                g.add_edge(u, v)
-    return g
+    rand = random.Random(seed).random
+    nodes = list(range(n))  # each row holds its neighbors' own key objects
+    adj = {u: [] for u in nodes}
+    for u, row in adj.items():
+        for v in nodes[u + 1 :]:
+            if rand() < edge_prob:
+                row.append(v)
+                adj[v].append(u)
+    return Graph._of_rows(adj)
 
 
 def _pick_distinct(w: np.ndarray, cum: np.ndarray, k: int, rng) -> list[int]:
@@ -143,34 +144,32 @@ def ba_graph(cfg: BaConfig) -> Graph:
     (n_total - seed_nodes) * edges_per_new_node grown edges.
 
     Per new node the cost is one ``np.add.accumulate`` running sum over the
-    existing nodes' weights, one ``searchsorted`` per round of picks, k
-    ``Graph.add_edge`` calls and one ``np.power`` over the k + 1 touched
-    degrees (its targets, then itself) written back into the weight array.
-    Each weight is recomputed by the same ``np.power`` call on the same
-    values, so every weight and sum is bitwise what recomputing them all
-    would give.
+    existing nodes' weights, one ``searchsorted`` per round of picks, k row
+    appends and k + 1 weight writes.  The new node's id exceeds every id so
+    far, so appending it keeps each target's row sorted.  A node's weight
+    is ``power[len(row)]``, from one ``np.power`` table over every degree,
+    so every weight and sum is bitwise what recomputing them all would give.
     """
     g = er_graph(cfg.seed_nodes, cfg.seed_edge_prob, derive_seed(cfg.seed, "er-seed"))
+    adj = {u: list(g.adjacency(u)) for u in g.nodes()}
     rng = random.Random(derive_seed(cfg.seed, "attach"))
     k = cfg.edges_per_new_node
-    gamma = cfg.gamma
-    degrees = [0.0] * cfg.n_total
-    for u in range(cfg.seed_nodes):
-        degrees[u] = float(g.degree(u))
-    w = np.power(degrees, gamma)  # 0**0 == 1, so gamma=0 is uniform
+    # 0**0 == 1, so gamma=0 is uniform
+    power = np.power(np.arange(cfg.n_total, dtype=float), cfg.gamma).tolist()
+    w = np.empty(cfg.n_total)
+    w[: cfg.seed_nodes] = [power[len(row)] for row in adj.values()]
     cum = np.empty_like(w)
     accumulate = np.add.accumulate
-    add_edge = g.add_edge
     for new in range(cfg.seed_nodes, cfg.n_total):
         head = w[:new]
         targets = _pick_distinct(head, accumulate(head, out=cum[:new]), k, rng)
-        for t in targets:  # the first add_edge inserts ``new`` itself
-            add_edge(new, t)
-            degrees[t] += 1.0
-        degrees[new] = float(k)
-        touched = targets + [new]
-        w[touched] = np.power([degrees[t] for t in touched], gamma)
-    return g
+        for t in targets:
+            row = adj[t]
+            row.append(new)
+            w[t] = power[len(row)]
+        adj[new] = sorted(targets)  # keyed by the very ``new`` the rows hold
+        w[new] = power[k]
+    return Graph._of_rows(adj)
 
 
 @dataclass(frozen=True)

@@ -230,6 +230,18 @@ class Graph:
                 raise ValueError(f"duplicate edge {(min(u, v), max(u, v))} in edge list")
         return g
 
+    @classmethod
+    def _of_rows(cls, adj: dict[int, list[int]]) -> "Graph":
+        """A graph holding ``adj`` itself, node → sorted neighbor list, with
+        its edges counted.  Nothing is checked: the rows must be symmetric,
+        strictly sorted and free of self-loops.  Where a row holds a neighbor
+        as the int object that keys the neighbor's row, a dict keyed by the
+        nodes, as ``exact_triangles``' ranks are, finds it by identity."""
+        g = cls()
+        g._adj = adj
+        g._edge_count = sum(map(len, adj.values())) // 2
+        return g
+
     def __repr__(self):
         return f"Graph(nodes={self.node_count}, edges={self._edge_count})"
 

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import numpy as np
 
-from trisample import EdgeEvent, Graph, derive_seed, er_graph
+from trisample import EdgeEvent, Graph, derive_seed
 
 
 def brute_force_triangles(g: Graph) -> int:
@@ -226,12 +226,27 @@ def _reference_pick_distinct(w, cum, k, rng) -> list[int]:
     return picked
 
 
+def reference_er_graph(n: int, edge_prob: float, seed: int) -> Graph:
+    """Per-pair ``er_graph`` reference: nodes 0..n-1 added first, then one
+    ``Graph.add_edge`` per pair (u, v), u < v, that its coin keeps, pairs
+    in increasing order."""
+    rng = random.Random(seed)
+    g = Graph()
+    for u in range(n):
+        g.add_node(u)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < edge_prob:
+                g.add_edge(u, v)
+    return g
+
+
 def reference_ba_graph(cfg) -> Graph:
     """Per-node ``ba_graph`` reference: degrees and weights in numpy arrays,
     one ``np.cumsum`` per new node, numpy fancy indexing for the degree and
     weight updates.  ``ba_graph`` must grow the same graph, node order and
     neighbor order included, for every config."""
-    g = er_graph(cfg.seed_nodes, cfg.seed_edge_prob, derive_seed(cfg.seed, "er-seed"))
+    g = reference_er_graph(cfg.seed_nodes, cfg.seed_edge_prob, derive_seed(cfg.seed, "er-seed"))
     rng = random.Random(derive_seed(cfg.seed, "attach"))
     k = cfg.edges_per_new_node
     degrees = np.zeros(cfg.n_total, dtype=np.float64)

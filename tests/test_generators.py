@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,14 @@ from trisample import (
 )
 from trisample.generators import _pick_distinct
 
-from helpers import ScriptedRng, assert_graph_invariants, complete_graph_edges, reference_ba_graph, sorted_edges
+from helpers import (
+    ScriptedRng,
+    assert_graph_invariants,
+    complete_graph_edges,
+    reference_ba_graph,
+    reference_er_graph,
+    sorted_edges,
+)
 
 
 def test_er_graph_extremes():
@@ -51,6 +59,19 @@ def test_er_graph_edge_count_expectation():
     n_seeds = 30
     mean = sum(er_graph(n, p, seed=s).edge_count for s in range(n_seeds)) / n_seeds
     assert abs(mean - pairs * p) <= 3 * sigma_one / math.sqrt(n_seeds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 40), edge_prob=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(n=1, edge_prob=1.0, seed=0)
+@example(n=30, edge_prob=0.05, seed=3)  # isolated nodes among the rows
+def test_er_graph_matches_the_per_pair_reference(n, edge_prob, seed):
+    g, ref = er_graph(n, edge_prob, seed), reference_er_graph(n, edge_prob, seed)
+    assert list(g.nodes()) == list(ref.nodes()) == list(range(n))
+    for u in range(n):
+        assert list(g.adjacency(u)) == list(ref.adjacency(u))
+    assert g.edge_count == ref.edge_count
+    assert_graph_invariants(g)
 
 
 def test_er_graph_deterministic():
@@ -192,6 +213,21 @@ def test_ba_graph_matches_the_per_node_reference(cfg):
     g, ref = ba_graph(cfg), reference_ba_graph(cfg)
     assert list(g.nodes()) == list(ref.nodes())
     assert list(g.edges()) == list(ref.edges())
+    assert g.edge_count == ref.edge_count
+    assert_graph_invariants(g)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0, 1.5, 2.0])
+def test_weight_table_equals_the_per_node_power_calls(gamma):
+    # ba_graph reads each weight from one np.power over all degrees, where
+    # the golden digests were recorded with one np.power per new node over
+    # its k + 1 touched degrees: on a numpy build where the two disagree,
+    # this fails by name rather than only as a digest mismatch
+    table = np.power(np.arange(20000, dtype=float), gamma)
+    degrees = [float(d) for d in range(20000)]
+    for k in (3, 4, 5, 10):  # the golden configs' edges_per_new_node
+        short = [np.power(degrees[i : i + k + 1], gamma) for i in range(len(degrees) - k)]
+        assert np.array_equal(short, sliding_window_view(table, k + 1)), f"k={k}"
 
 
 def test_attachment_uniform_when_gamma_zero():

@@ -130,6 +130,26 @@ def test_invariants_after_random_mutation_sequence():
     assert_graph_invariants(g)
 
 
+def test_graph_of_rows_is_a_store_like_from_edges():
+    # node 7 is isolated, and the rows are keyed out of id order
+    rows = {3: [1, 5], 7: [], 1: [3, 5], 5: [1, 3, 9], 9: [5]}
+    g = Graph._of_rows(rows)
+    ref = Graph.from_edges([(3, 1), (3, 5), (1, 5), (5, 9)])
+    assert g.edge_count == ref.edge_count == 4
+    assert list(g.nodes()) == [3, 7, 1, 5, 9]
+    assert_graph_invariants(g)
+    # later mutations behave alike, the last edge of a node dropping it
+    for op, u, v in [("add", 7, 1), ("add", 1, 3), ("delete", 9, 5), ("delete", 9, 5), ("add", 3, 3), ("delete", 1, 5)]:
+        mutate = Graph.add_edge if op == "add" else Graph.delete_edge
+        assert mutate(g, u, v) == mutate(ref, u, v)
+        assert g.edge_count == ref.edge_count
+        assert sorted_edges(g) == sorted_edges(ref)
+        assert_graph_invariants(g)
+    assert 9 not in g.nodes() and 7 in g.nodes()
+    assert list(g.nodes()) == [3, 7, 1, 5]
+    assert tuple(g.adjacency(1)) == (3, 7)
+
+
 def test_edge_list_round_trip(tmp_path):
     rng = random.Random(3)
     edges = []
