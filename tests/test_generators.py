@@ -71,7 +71,6 @@ def test_er_graph_matches_the_per_pair_reference(n, edge_prob, seed):
     for u in range(n):
         assert list(g.adjacency(u)) == list(ref.adjacency(u))
     assert g.edge_count == ref.edge_count
-    assert_graph_invariants(g)
 
 
 def test_er_graph_deterministic():
@@ -219,10 +218,10 @@ def test_ba_graph_matches_the_per_node_reference(cfg):
 
 @pytest.mark.parametrize("gamma", [0.0, 1.0, 1.5, 2.0])
 def test_weight_table_equals_the_per_node_power_calls(gamma):
-    # ba_graph reads each weight from one np.power over all degrees, where
-    # the golden digests were recorded with one np.power per new node over
-    # its k + 1 touched degrees: on a numpy build where the two disagree,
-    # this fails by name rather than only as a digest mismatch
+    # ba_graph reads each weight from one np.power over every degree, while
+    # reference_ba_graph makes one np.power per new node over its k + 1
+    # touched degrees: on a numpy build where the two disagree, this fails
+    # by name rather than only as a reference or golden digest mismatch
     table = np.power(np.arange(20000, dtype=float), gamma)
     degrees = [float(d) for d in range(20000)]
     for k in (3, 4, 5, 10):  # the golden configs' edges_per_new_node

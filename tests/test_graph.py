@@ -139,13 +139,13 @@ def test_graph_of_rows_is_a_store_like_from_edges():
     assert list(g.nodes()) == [3, 7, 1, 5, 9]
     assert_graph_invariants(g)
     # later mutations behave alike, the last edge of a node dropping it
-    for op, u, v in [("add", 7, 1), ("add", 1, 3), ("delete", 9, 5), ("delete", 9, 5), ("add", 3, 3), ("delete", 1, 5)]:
+    steps = [("add", 7, 1), ("add", 1, 3), ("delete", 9, 5), ("delete", 9, 5), ("add", 3, 3), ("delete", 1, 5)]
+    for op, u, v in steps:
         mutate = Graph.add_edge if op == "add" else Graph.delete_edge
         assert mutate(g, u, v) == mutate(ref, u, v)
         assert g.edge_count == ref.edge_count
         assert sorted_edges(g) == sorted_edges(ref)
         assert_graph_invariants(g)
-    assert 9 not in g.nodes() and 7 in g.nodes()
     assert list(g.nodes()) == [3, 7, 1, 5]
     assert tuple(g.adjacency(1)) == (3, 7)
 
