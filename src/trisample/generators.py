@@ -167,7 +167,7 @@ def ba_graph(cfg: BaConfig) -> Graph:
             row = adj[t]
             row.append(new)
             w[t] = power[len(row)]
-        adj[new] = sorted(targets)  # keyed by the very ``new`` the rows hold
+        adj[new] = sorted(targets)
         w[new] = power[k]
     return Graph._of_rows(adj)
 

@@ -234,9 +234,7 @@ class Graph:
     def _of_rows(cls, adj: dict[int, list[int]]) -> "Graph":
         """A graph holding ``adj`` itself, node → sorted neighbor list, with
         its edges counted.  Nothing is checked: the rows must be symmetric,
-        strictly sorted and free of self-loops.  Where a row holds a neighbor
-        as the int object that keys the neighbor's row, a dict keyed by the
-        nodes, as ``exact_triangles``' ranks are, finds it by identity."""
+        strictly sorted and free of self-loops."""
         g = cls()
         g._adj = adj
         g._edge_count = sum(map(len, adj.values())) // 2

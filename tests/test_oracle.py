@@ -19,7 +19,7 @@ from trisample import (
     triangles_of_edge,
     variance_bound,
 )
-from trisample.oracle import common_neighbor_count
+from trisample.oracle import _rank_table, common_neighbor_count
 
 from helpers import (
     brute_force_common_neighbors,
@@ -40,8 +40,10 @@ def test_exact_triangles_matches_brute_force_on_er_corpus():
         assert exact_triangles(g) == brute_force_triangles(g)
 
 
-# ids an int64 array cannot hold: negative ints, ints from 2**63 up, and
-# floats, none of them equal to another kind's
+# ids the rank table does not serve, so a graph of them is ranked through
+# the dict: floats (no int), ints from 2**63 up (beyond int64) and negative
+# ints down to -2**70, nearly all of them sparse or beyond int64; no id
+# equals one of another kind
 ODD_IDS = st.one_of(
     st.integers(-(2**70), -1),
     st.integers(2**63, 2**66),
@@ -66,6 +68,40 @@ def graphs_with_odd_ids(draw):
 @given(g=graphs_with_odd_ids())
 def test_exact_triangles_matches_brute_force_on_any_ids(g):
     assert exact_triangles(g) == brute_force_triangles(g)
+
+
+@st.composite
+def graphs_with_dense_ids(draw):
+    """A random simple graph on n int ids, and their span: the ids lie in
+    ``span`` consecutive ints from an offset anywhere in int64, n <= span <=
+    2·n, both ends taken and the gaps left unused, and each is added by
+    ``add_node``, so one that no edge touches is an isolated node."""
+    n = draw(st.integers(2, 12))
+    span = draw(st.one_of(st.sampled_from([2 * n - 1, 2 * n]), st.integers(n, 2 * n)))
+    ends = [-(2**63), -(2**62), 0, 2**62, 2**63 - span]
+    lo = draw(st.one_of(st.sampled_from(ends), st.integers(-(2**63), 2**63 - span)))
+    inner = draw(st.permutations(range(1, span - 1)))[: n - 2]
+    ids = [lo + i for i in [0, *inner, span - 1]]
+    pairs = list(combinations(ids, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph.from_edges(pair for pair, k in zip(pairs, keep) if k)
+    for u in ids:
+        g.add_node(u)
+    return g, span
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=graphs_with_dense_ids())
+def test_exact_triangles_rank_table_and_dict_agree(drawn):
+    g, span = drawn
+    n = g.node_count
+    assert (_rank_table(sorted(g.nodes())) is not None) == (span < 2 * n)
+    # x -> x * 2**40 - 3 spreads the ids far apart (and most beyond int64)
+    sparse = Graph.from_edges((u * 2**40 - 3, v * 2**40 - 3) for u, v in g.edges())
+    for u in g.nodes():
+        sparse.add_node(u * 2**40 - 3)
+    assert _rank_table(sorted(sparse.nodes())) is None
+    assert exact_triangles(g) == exact_triangles(sparse) == brute_force_triangles(g)
 
 
 HUB = list(range(0, 12_000, 3))
