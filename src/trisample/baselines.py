@@ -6,12 +6,12 @@ neither reads a graph store.  They speak the replay protocol of the
 sampling estimator; the ``harness`` module states its schedule.  No
 update of theirs reads the store, so they have no ``step``: ``skip(events,
 start, stop)`` draws the coins of ``events[start:stop]``, applies every
-event there that changes the sample and returns ``stop``, and ``process``
-is ``skip`` over one event.  ``run(events, i, stop,
-order)``, over an ``ArrivalOrder`` whose stream holds no deletion, draws
-the same coins without reading the events and applies every event there
-that touches the sample; it takes ``order`` only because the harness
-passes it to every estimator.
+event there that changes the sample and returns ``stop``.  ``run(events,
+i, stop, order)``, over an ``ArrivalOrder`` whose stream holds no
+deletion, draws the same coins without reading the events and applies
+every event there that touches the sample; the harness passes ``order``
+to every estimator.  ``process``, a one-event ``skip``, is kept only for
+the traced benchmark driver; the harness and the criteria use ``replay``.
 
 Both assume a consistent stream: no addition of a present edge and no
 deletion of an absent one.  The replay driver rejects any other, so the

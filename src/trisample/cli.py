@@ -16,6 +16,7 @@ from .harness import (
     replay,
     run_experiment,
     trace_path_for,
+    write_summary,
 )
 from .seeding import derive_seed
 from .stream import (
@@ -149,7 +150,7 @@ def cmd_compare(args) -> int:
         truth = report.truth
         print(f"-- sample fraction {frac:g} (reservoir {capacity})")
         _print_report(report)
-    emit_csv(MetricsReport(rows=all_rows, truth=truth), [], args.out)
+    write_summary(MetricsReport(rows=all_rows, truth=truth), args.out)
     print(f"wrote {args.out}")
     return 0
 

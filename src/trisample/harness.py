@@ -469,13 +469,18 @@ def trace_path_for(path) -> Path:
     return p.with_name(p.stem + "_trace" + (p.suffix or ".csv"))
 
 
-def emit_csv(report: MetricsReport, traces, path) -> None:
-    """Write the summary CSV at ``path`` and the stride trace next to it."""
-    p = Path(path)
-    with open(p, "w", encoding="utf-8") as fh:
+def write_summary(report: MetricsReport, path) -> None:
+    """Write the summary CSV at ``path``, one row per estimator."""
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(SUMMARY_HEADER + "\n")
         for row in report.rows:
             fh.write(",".join(_fmt(v) for v in astuple(row)) + "\n")
+
+
+def emit_csv(report: MetricsReport, traces, path) -> None:
+    """Write the summary CSV at ``path`` and the stride trace next to it."""
+    p = Path(path)
+    write_summary(report, p)
     with open(trace_path_for(p), "w", encoding="utf-8") as fh:
         fh.write(TRACE_HEADER + "\n")
         for idx, truth, name, est in traces:

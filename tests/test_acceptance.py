@@ -27,12 +27,13 @@ from trisample import (
     graph_stats,
     read_edge_list,
     read_stream_file,
+    replay,
     run_experiment,
     variance_bound,
     write_edge_list,
     write_stream_file,
 )
-from trisample.harness import trace_path_for
+from trisample.harness import _trace_stops, trace_path_for
 from trisample.seeding import derive_seed
 
 from helpers import brute_force_triangles, complete_graph_edges
@@ -71,17 +72,12 @@ def test_c02_tracker_matches_recount_checkpoints():
     stride = max(1, len(events) // 20)
     g = Graph()
     tracker = ExactTracker()
-    checks = 0
-    for i, ev in enumerate(events, start=1):
-        if ev.beta == 1:
-            assert g.add_edge(ev.u, ev.v)
-            tracker.apply(ev, g)
-        else:
-            tracker.apply(ev, g)
-            assert g.delete_edge(ev.u, ev.v)
-        if i % stride == 0 or i == len(events):
-            assert tracker.count == exact_triangles(g), f"checkpoint at event {i}"
-            checks += 1
+    checks = start = 0
+    for stop in _trace_stops(len(events), stride):
+        replay(events[start:stop], g, (), tracker, stop - start)
+        assert tracker.count == exact_triangles(g), f"checkpoint at event {stop}"
+        checks += 1
+        start = stop
     report(2, checks >= 20, f"tracker equals recount at {checks} checkpoints over {len(events)} events")
 
 
@@ -111,28 +107,13 @@ def test_c04_esd_unbiased_fully_dynamic():
     g = ba_criterion_graph()
     events = StreamSpec("edge-deletion", edges=list(g.edges()), p_e=0.001, p_d=0.05).realize(2024)
     assert any(ev.beta == -1 for ev in events)
-    gt = Graph()
-    tracker = ExactTracker()
-    for ev in events:
-        if ev.beta == 1:
-            gt.add_edge(ev.u, ev.v)
-            tracker.apply(ev, gt)
-        else:
-            tracker.apply(ev, gt)
-            gt.delete_edge(ev.u, ev.v)
-    truth = tracker.count
-    assert truth == exact_triangles(gt)
-
     r = 400
     ests = [EsdEstimator(0.05, seed=5000 + i) for i in range(r)]
-    g2 = Graph()
-    for ev in events:
-        if ev.beta == 1:
-            g2.add_edge(ev.u, ev.v)
-        else:
-            g2.delete_edge(ev.u, ev.v)
-        for est in ests:
-            est.process_event(ev, g2)
+    gt = Graph()
+    tracker = ExactTracker()
+    replay(events, gt, ests, tracker, len(events))
+    truth = tracker.count
+    assert truth == exact_triangles(gt)
     finals = [est.estimate() for est in ests]
     mean = statistics.fmean(finals)
     se = statistics.stdev(finals) / math.sqrt(r)
@@ -181,9 +162,8 @@ def test_c06_degenerate_exactness():
         events = StreamSpec("permutation", edges=edges).realize(8)
         dou = DoulionEstimator(1.0, seed=9)
         tri = TriestEstimator(max(1, len(edges)), seed=10)
-        for ev in events:
-            dou.process(ev)
-            tri.process(ev)
+        for est in (dou, tri):
+            est.skip(events, 0, len(events))
         assert dou.estimate() == truth, name
         assert tri.estimate() == truth, name
 
@@ -207,18 +187,11 @@ def test_c06_degenerate_exactness():
 def test_c07_variance_bound():
     def check(edges, stream_seed, alpha, r=5000):
         events = StreamSpec("permutation", edges=edges).realize(stream_seed)
-        g = Graph()
         tracker = ExactTracker()
-        for ev in events:
-            g.add_edge(ev.u, ev.v)
-            tracker.apply(ev, g)
-        bound = variance_bound(tracker.h_trace, tracker.count, tracker.max_degree, alpha)
         ests = [EsdEstimator(alpha, seed=9000 + i) for i in range(r)]
-        g2 = Graph()
-        for ev in events:
-            g2.add_edge(ev.u, ev.v)
-            for est in ests:
-                est.process_event(ev, g2)
+        # one trace stop, at the end: a stop reads every estimate
+        replay(events, Graph(), ests, tracker, len(events))
+        bound = variance_bound(tracker.h_trace, tracker.count, tracker.max_degree, alpha)
         var = statistics.variance([e.estimate() for e in ests])
         return var, bound
 

@@ -33,8 +33,7 @@ from test_time_index import StateAtStops, simple_graphs
 
 
 def drive(est, events):
-    for ev in events:
-        est.process(ev)
+    est.skip(events, 0, len(events))
     return est
 
 
@@ -52,11 +51,7 @@ def test_doulion_p_one_mirrors_graph_exactly():
     events = StreamSpec("edge-deletion", edges=list(base.edges()), p_e=0.05, p_d=0.3).realize(2)
     est = drive(DoulionEstimator(1.0, seed=3), events)
     g = Graph()
-    for ev in events:
-        if ev.beta == 1:
-            g.add_edge(ev.u, ev.v)
-        else:
-            g.delete_edge(ev.u, ev.v)
+    replay(events, g)
     assert sorted_edges(est.sample) == sorted_edges(g)
     assert est.estimate() == exact_triangles(g)
 
@@ -83,18 +78,16 @@ def test_doulion_triangle_stream_unbiased():
 def test_doulion_incremental_count_matches_recount():
     base = er_graph(40, 0.3, seed=6)
     events = StreamSpec("edge-deletion", edges=list(base.edges()), p_e=0.05, p_d=0.25).realize(7)
-    est = DoulionEstimator(0.6, seed=8)
-    for i, ev in enumerate(events, start=1):
-        est.process(ev)
-        if i % 1000 == 0 or i == len(events):
-            assert est.tri_in_sample == exact_triangles(est.sample)
+    est, start = DoulionEstimator(0.6, seed=8), 0
+    for stop in _trace_stops(len(events), 1000):
+        est.skip(events, start, stop)
+        assert est.tri_in_sample == exact_triangles(est.sample)
+        start = stop
 
 
 def test_doulion_deletion_of_unsampled_edge_noop():
-    est = DoulionEstimator(0.0, seed=9)
-    est.process(EdgeEvent(1, 2, 1))
-    est.process(EdgeEvent(1, 2, -1))
-    est.process(EdgeEvent(3, 4, -1))
+    events = [EdgeEvent(1, 2, 1), EdgeEvent(1, 2, -1), EdgeEvent(3, 4, -1)]
+    est = drive(DoulionEstimator(0.0, seed=9), events)
     assert est.tri_in_sample == 0
     assert est.sample.edge_count == 0
 
@@ -118,11 +111,7 @@ def test_triest_capacity_covers_dynamic_stream_is_exact():
     events = StreamSpec("edge-deletion", edges=list(base.edges()), p_e=0.05, p_d=0.3).realize(14)
     est = drive(TriestEstimator(len(list(base.edges())), seed=15), events)
     g = Graph()
-    for ev in events:
-        if ev.beta == 1:
-            g.add_edge(ev.u, ev.v)
-        else:
-            g.delete_edge(ev.u, ev.v)
+    replay(events, g)
     assert est.estimate() == exact_triangles(g)
     assert sorted_edges(est.sample) == sorted_edges(g)
 
@@ -170,12 +159,12 @@ def test_triest_unbiased_on_addition_stream():
 def test_triest_tau_matches_sample_recount_on_dynamic_stream():
     base = er_graph(40, 0.3, seed=19)
     events = StreamSpec("edge-deletion", edges=list(base.edges()), p_e=0.05, p_d=0.25).realize(20)
-    est = TriestEstimator(60, seed=21)
-    for i, ev in enumerate(events, start=1):
-        est.process(ev)
-        if i % 1000 == 0 or i == len(events):
-            assert est.tau == exact_triangles(est.sample)
-            assert est.edges_sampled <= 60
+    est, start = TriestEstimator(60, seed=21), 0
+    for stop in _trace_stops(len(events), 1000):
+        est.skip(events, start, stop)
+        assert est.tau == exact_triangles(est.sample)
+        assert est.edges_sampled <= 60
+        start = stop
 
 
 @settings(max_examples=200, deadline=None)
@@ -186,8 +175,8 @@ def test_triest_read_after_every_event_ends_where_an_unread_one_does(events, cap
     # change at once, re-added edges included, and must end where the one
     # fed and read event by event does
     read, unread = TriestEstimator(capacity, seed=seed), TriestEstimator(capacity, seed=seed)
-    for ev in events:
-        read.process(ev)
+    for k in range(len(events)):
+        read.skip(events, k, k + 1)
         read.estimate()
         sample = read.sample
         assert read.tau == exact_triangles(sample)
@@ -250,12 +239,10 @@ def test_triest_reads_do_no_work(monkeypatch, feed):
         events = StreamSpec("edge-deletion", edges=edges, p_e=0.05, p_d=0.25).realize(67)
     est, start = TriestEstimator(20, seed=68), 0
     for stop in _trace_stops(len(events), 1 if feed == "per-event" else 7):
-        if feed == "store":
-            est.skip(events, start, stop)
-        elif feed == "indexed":
+        if feed == "indexed":
             est.run(events, start, stop, order)
         else:
-            est.process(events[start])
+            est.skip(events, start, stop)
         start = stop
         assert not est._pending
         settled = dict(calls)
@@ -282,8 +269,8 @@ def test_indexed_triest_reconciles_each_slot_once_per_stretch(edges, capacity, s
         stops = _trace_stops(len(events), stride)
         fed, states, start = TriestEstimator(capacity, seed=seeds[1]), [], 0
         for stop in stops:
-            for ev in events[start:stop]:
-                fed.process(ev)
+            for k in range(start, stop):
+                fed.skip(events, k, k + 1)
             states.append(state(fed))
             start = stop
         indexed = StateAtStops(TriestEstimator(capacity, seed=seeds[1]))
@@ -301,9 +288,8 @@ def test_triest_sample_holds_only_the_nodes_of_its_edges():
 
 
 def test_triest_estimate_scaling_formula():
-    est = TriestEstimator(5, seed=22)
-    for u, v in complete_graph_edges(5):  # 10 edges through a size-5 reservoir
-        est.process(EdgeEvent(u, v, 1))
+    events = [EdgeEvent(u, v, 1) for u, v in complete_graph_edges(5)]
+    est = drive(TriestEstimator(5, seed=22), events)  # 10 edges through a size-5 reservoir
     s = est.live_edges
     assert s == 10
     rho = (s * (s - 1) * (s - 2)) / (5 * 4 * 3)
@@ -327,8 +313,8 @@ def test_triest_random_pairing_counters_stay_nonnegative():
     base = er_graph(20, 0.5, seed=25)
     events = StreamSpec("edge-deletion", edges=list(base.edges()), p_e=0.3, p_d=0.4).realize(26)
     est = TriestEstimator(10, seed=27)
-    for ev in events:
-        est.process(ev)
+    for k in range(len(events)):
+        est.skip(events, k, k + 1)
         assert est.c_bad >= 0 and est.c_good >= 0
         assert est.edges_sampled <= 10
 
@@ -370,9 +356,8 @@ def test_triest_kappa_matches_its_definition_on_debt_states(capacity, live, c_ba
 
 
 def test_triest_estimate_is_zero_below_three_sampled_edges():
-    est = TriestEstimator(10, seed=1)
-    for ev in [EdgeEvent(0, 1, 1), EdgeEvent(1, 2, 1), EdgeEvent(0, 2, 1), EdgeEvent(0, 2, -1)]:
-        est.process(ev)
+    events = [EdgeEvent(0, 1, 1), EdgeEvent(1, 2, 1), EdgeEvent(0, 2, 1), EdgeEvent(0, 2, -1)]
+    est = drive(TriestEstimator(10, seed=1), events)
     assert est.edges_sampled == 2 and est.estimate() == 0.0
 
 

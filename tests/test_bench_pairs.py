@@ -1,7 +1,9 @@
-"""``tools/bench_pairs.py``'s summary of hand-made runs, with no subprocess."""
+"""``tools/bench_pairs.py``'s summary of hand-made runs and its checkout rule,
+with no subprocess."""
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -109,3 +111,40 @@ def test_summarize_takes_its_metrics_from_the_benchmark_file(tmp_path):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(declared))
     with pytest.raises(ValueError, match="extra_s"):
         bench_pairs.summarize(runs)
+
+
+@pytest.mark.parametrize(
+    "sides, message",
+    [
+        (("here", "a"), "--parent .* is this tool's own checkout"),
+        (("a", "here"), "--change .* is this tool's own checkout"),
+        (("a", "a"), "--parent and --change are both"),
+        (("a", "b/../a/"), "--parent and --change are both"),
+        (("a", "b"), None),
+    ],
+)
+def test_main_refuses_its_own_checkout_and_one_directory_for_both_sides(
+    tmp_path, monkeypatch, capsys, sides, message
+):
+    # the docstring's rule: neither side is the working repository, and
+    # the two sides are two checkouts; both are refused before any run
+    bench_pairs = _bench_pairs()
+
+    def run_once(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+    parent, change = (str(bench_pairs.HERE if side == "here" else tmp_path / side) for side in sides)
+    out = tmp_path / "out.json"
+    argv = ["--parent", parent, "--change", change, "--workload", "perm-ba2k", "--out", str(out)]
+    if message is None:  # two sibling checkouts go on to the first run
+        with pytest.raises(AssertionError, match="a run started"):
+            bench_pairs.main(argv)
+        return
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert exc.value.code == 2
+    assert re.search(message, capsys.readouterr().err)
+    assert not out.exists()

@@ -252,6 +252,7 @@ def test_compare_sweep(tmp_path):
     assert rc == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 1 + 2 * 3  # header + three estimators per size
+    assert not (tmp_path / "cmp_trace.csv").exists()
 
 
 def test_compare_rejects_bad_fraction(tmp_path, capsys):

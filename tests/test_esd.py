@@ -228,7 +228,7 @@ def test_step_on_lists_before_or_after_the_event():
 def test_replay_fetches_each_events_lists_once():
     # every ESD due at an event is handed the one pair of lists the replay
     # reads there, Γ(u) then Γ(v): two reads per event where any step runs,
-    # however many are due, and each ESD ends where feeding it every event
+    # however many are due, and each ESD ends where a replay of it alone
     # ends
     edges = list(er_graph(30, 0.3, seed=36).edges())
     events = StreamSpec("edge-deletion", edges=edges, p_e=0.05, p_d=0.3).realize(37)
@@ -249,11 +249,8 @@ def test_replay_fetches_each_events_lists_once():
     assert len(stepped) > len(acted)  # some event had several steps due
     assert g.read == [w for i in acted for w in (events[i].u, events[i].v)]
     refs = [EsdEstimator(0.5, seed=seed) for seed in seeds]
-    plain = Graph()
-    for ev in events:
-        replay([ev], plain)
-        for ref in refs:
-            ref.process_event(ev, plain)
+    for ref in refs:
+        trisample.replay(events, Graph(), [ref])
     assert [state(est) for est in ests] == [state(ref) for ref in refs]
 
 
@@ -374,10 +371,7 @@ def test_static_mode_guards():
 
 def run_additions(events, alpha, seed):
     est = EsdEstimator(alpha, seed=seed)
-    g = Graph()
-    for ev in events:
-        g.add_edge(ev.u, ev.v)
-        est.process_event(ev, g)
+    trisample.replay(events, Graph(), [est])
     return est
 
 
@@ -398,29 +392,14 @@ def test_unbiased_on_addition_stream():
 def test_unbiased_under_deletions():
     base = er_graph(50, 0.35, seed=16)
     events = StreamSpec("edge-deletion", edges=list(base.edges()), p_e=0.02, p_d=0.2).realize(17)
+    r = 400
+    ests = [EsdEstimator(0.3, seed=500 + i) for i in range(r)]
     g = Graph()
     tracker = ExactTracker()
-    for ev in events:
-        if ev.beta == 1:
-            g.add_edge(ev.u, ev.v)
-            tracker.apply(ev, g)
-        else:
-            tracker.apply(ev, g)
-            g.delete_edge(ev.u, ev.v)
+    trisample.replay(events, g, ests, tracker, len(events))
     truth = tracker.count
     assert truth == exact_triangles(g)
     assert truth > 0
-
-    r = 400
-    ests = [EsdEstimator(0.3, seed=500 + i) for i in range(r)]
-    g2 = Graph()
-    for ev in events:
-        if ev.beta == 1:
-            g2.add_edge(ev.u, ev.v)
-        else:
-            g2.delete_edge(ev.u, ev.v)
-        for est in ests:
-            est.process_event(ev, g2)
     finals = [est.estimate() for est in ests]
     mean = statistics.fmean(finals)
     se = statistics.stdev(finals) / math.sqrt(r)

@@ -16,6 +16,7 @@ from trisample import (
     ba_graph,
     er_graph,
     exact_triangles,
+    replay,
     triangles_of_edge,
     variance_bound,
 )
@@ -280,18 +281,8 @@ def test_variance_bound_dominates_empirical_variance_k4():
     # small Monte Carlo sanity check; the acceptance suite runs the full one
     edges = complete_graph_edges(4)
     events = StreamSpec("permutation", edges=edges).realize(21)
-    g = Graph()
     tracker = ExactTracker()
-    for ev in events:
-        g.add_edge(ev.u, ev.v)
-        tracker.apply(ev, g)
+    ests = [EsdEstimator(0.2, seed=seed) for seed in range(3000)]
+    replay(events, Graph(), ests, tracker, len(events))
     bound = variance_bound(tracker.h_trace, tracker.count, tracker.max_degree, alpha=0.2)
-    finals = []
-    for seed in range(3000):
-        est = EsdEstimator(0.2, seed=seed)
-        g2 = Graph()
-        for ev in events:
-            g2.add_edge(ev.u, ev.v)
-            est.process_event(ev, g2)
-        finals.append(est.estimate())
-    assert statistics.variance(finals) <= bound * 1.1
+    assert statistics.variance([est.estimate() for est in ests]) <= bound * 1.1

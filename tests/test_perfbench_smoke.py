@@ -1,9 +1,18 @@
 """The benchmark's smoke run must keep working against the package.
 
 ``perfbench`` drives the package through its public API and reads some
-internals (``ExactTracker.h_trace``, ``EsdEstimator.process_event`` and
-``t_est``, ``TriestEstimator.live_edges``); a package change that breaks
-any of them fails here rather than only when the benchmark runs.
+internals; a package change that breaks any of them fails here rather than
+only when the benchmark runs.  Its traced driver, ``perfbench/tracing.py``,
+feeds and reads:
+
+- ``EsdEstimator.process_event`` and ``t_est``
+- ``DoulionEstimator.process`` and ``TriestEstimator.process``
+- ``ExactTracker.h_trace`` and ``ExactTracker.max_degree``
+- ``edges_sampled``, ``sample.edge_count`` and ``tri_in_sample``
+- ``TriestEstimator.live_edges``, ``c_bad`` and ``c_good``
+
+Nothing under ``tests/`` calls the baselines' ``process``: that driver is
+why it survives.
 """
 
 import subprocess

@@ -1,7 +1,7 @@
 """The replay schedule: ``replay`` drives every estimator through ``skip``,
 and ESD also through ``step``, and must leave it exactly where feeding it
-every event through ``process`` (baselines) or ``process_event`` (ESD)
-does, with the same random draws and the same trace rows; its running
+every event through a one-event ``skip`` (baselines) or ``process_event``
+(ESD) does, with the same random draws and the same trace rows; its running
 truth must match a recount after every event.  ESD itself must end in the same state whether
 it is fed before or after the store applies each event."""
 
@@ -31,16 +31,16 @@ def feed_every_event(specs, seeds, events, stride=None):
     With a stride, returns the trace rows ``replay`` returns with a tracker."""
     ests = [spec.build(seed) for spec, seed in zip(specs, seeds)]
     g, tracker, rows = Graph(), ExactTracker(), []
-    for i, ev in enumerate(events, start=1):
+    for i, ev in enumerate(events):
         helpers.replay([ev], g)
         tracker.apply(ev, g)
         for spec, est in zip(specs, ests):
             if spec.kind == "esd":
                 est.process_event(ev, g)
             else:
-                est.process(ev)
-        if stride is not None and (i % stride == 0 or i == len(events)):
-            rows.append((i, tracker.count, [est.estimate() for est in ests]))
+                est.skip(events, i, i + 1)
+        if stride is not None and ((i + 1) % stride == 0 or i + 1 == len(events)):
+            rows.append((i + 1, tracker.count, [est.estimate() for est in ests]))
     return ests, g, rows
 
 

@@ -158,8 +158,13 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=10.0)
     ap.add_argument("--out", type=Path, default=HERE / "BENCH.json")
     args = ap.parse_args(argv)
-    end_to_end()  # refuse a metric the summary cannot compare before any run
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, checkout in sides.items():
+        if checkout == HERE:
+            ap.error(f"--{side} {checkout} is this tool's own checkout, not a fresh sibling one")
+    if sides["parent"] == sides["change"]:
+        ap.error(f"--parent and --change are both {sides['parent']}")
+    end_to_end()  # refuse a metric the summary cannot compare before any run
 
     record = {
         "python": platform.python_version(),
