@@ -2,11 +2,13 @@
 
 Each stream event is inspected with probability ``alpha``.  For a sampled
 edge (u, v), each endpoint's other neighbors Γ(u)∖{v} are probed for a
-node closing a triangle, and the running estimate moves by the inverse of
+node closing a triangle, and the estimate moves by β·ω·d/α, the inverse of
 the probability of the observed (edge, node) tuple, weighted because the
-same triangle is observable from both endpoints.  Γ(u)∖{v} is the same set
-before and after the store applies the event, so the estimator may run
-either side of the mutation.  Sampled edges are discarded immediately: the
+same triangle is observable from both endpoints.  The state is one
+integer, S = Σ β·d over closing probes, scaled to ω·S/α when read, so a
+long stream accumulates no float drift.  Γ(u)∖{v} is the same set before
+and after the store applies the event, so the estimator may run either
+side of the mutation.  Sampled edges are discarded immediately: the
 estimator holds no subgraph and reads only the neighbor lists Γ(u) and
 Γ(v) of a sampled edge, which the store's update is handed, at O(log d):
 one presence test for the edge and one probe per endpoint.
@@ -32,7 +34,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 
-from .stream import EdgeEvent, rate
+from .stream import rate
 
 OMEGA_DYNAMIC = 0.5  # a new triangle is observable via 2 tuples of its closing edge
 OMEGA_STATIC = 1.0 / 6.0  # full-edge streams expose all 3 edges, 2 tuples each
@@ -55,11 +57,13 @@ class EsdEstimator:
     ``alpha`` is fixed at construction (the inverse-probability scale
     factors assume it never changes).  ``mode`` is "dynamic" for add/delete
     streams or "static" for a one-pass random-order stream over a fixed
-    graph's edges.  Each event consumes one ``rng.random()`` coin, drawn by
-    ``skip``, ``run`` or the ``step`` of the sampled event before it, and
-    each neighbor probe of a sampled event draws one uniform index, the
-    value ``rng.randrange`` gives, from ``rng.getrandbits``, so runs replay
-    deterministically from the seed either way.  ``rng`` defaults to
+    graph's edges; it picks the weight ``omega``, applied on read.  The
+    state is one int, ``s`` = Σ β·d over closing probes, and ``estimate()``
+    is ``omega * s / alpha``.  Each event consumes one ``rng.random()``
+    coin, drawn by ``skip``, ``run`` or the ``step`` of the sampled event
+    before it, and each neighbor probe of a sampled event draws one uniform
+    index, the value ``rng.randrange`` gives, from ``rng.getrandbits``, so
+    runs replay deterministically from the seed either way.  ``rng`` defaults to
     ``random.Random(seed)``; one passed in needs ``random`` and
     ``getrandbits``, or the constructor raises ``TypeError``.
     """
@@ -70,7 +74,7 @@ class EsdEstimator:
             raise ValueError(f"mode must be 'dynamic' or 'static', got {mode!r}")
         self.mode = mode
         self.omega = OMEGA_DYNAMIC if mode == "dynamic" else OMEGA_STATIC
-        self.t_est = 0.0
+        self.s = 0
         if rng is None:
             rng = random.Random(seed)
         for method in ("random", "getrandbits"):
@@ -86,15 +90,20 @@ class EsdEstimator:
         return self._alpha
 
     def estimate(self) -> float:
-        """Current running estimate.  May dip below zero transiently after
+        """Current estimate, ω·S/α.  May dip below zero transiently after
         deletion updates; clamping would bias it."""
-        return self.t_est
+        return self.omega * self.s / self._alpha
+
+    # a read-only alias of estimate(), which the traced benchmark driver reads
+    t_est = property(estimate)
 
     def process_event(self, ev, g) -> None:
         """Consume one stream event; the store ``g`` may hold the graph
-        before or after it, and ``step`` gets its endpoints' lists."""
-        if self.mode != "dynamic":
-            raise ValueError("process_event requires dynamic mode")
+        before or after it, and ``step`` gets its endpoints' lists.  In
+        static mode ``g`` is the whole graph and the event must add one of
+        its edges, or ``ValueError`` is raised."""
+        if self.mode == "static" and (ev.beta != 1 or not g.has_edge(ev.u, ev.v)):
+            raise ValueError(f"static mode takes additions of edges in the graph, got {ev}")
         events = (ev,)
         if self.skip(events, 0, 1) == 0:
             self.step(events, 0, 1, g.adjacency(ev.u), g.adjacency(ev.v))
@@ -119,8 +128,8 @@ class EsdEstimator:
         first.  The probe draws one uniform index j < d = |Γ(a)∖{b}|, as
         ``rng.randrange(d)`` would, and picks the j-th node w in id order.
         w closes a triangle when it is in Γ(b), that is when (w, b) is an
-        edge, and then the estimate moves by ``beta`` times the inverse
-        probability of the observed tuple, alpha/d.  One bisect of Γ(u)
+        edge, and then ``s`` gains beta·d: the estimate moves by beta·ω over
+        the probability of the observed tuple, alpha/d.  One bisect of Γ(u)
         tells whether the edge is present, and if it is, j skips b's slot
         in Γ(a).
         """
@@ -144,7 +153,7 @@ class EsdEstimator:
                 w = nu[j + 1]
             p = bisect_left(nv, w)
             if p < len(nv) and nv[p] == w:
-                self.t_est += ev.beta * self.omega * d / alpha
+                self.s += ev.beta * d
         d = len(nv) - present
         if d > 0:
             k = d.bit_length()
@@ -156,7 +165,7 @@ class EsdEstimator:
                 w = nv[j + 1]
             p = bisect_left(nu, w)
             if p < len(nu) and nu[p] == w:
-                self.t_est += ev.beta * self.omega * d / alpha
+                self.s += ev.beta * d
         return first_won(rand, alpha, i + 1, stop)
 
     def run(self, events, i: int, stop: int, order) -> int:
@@ -190,18 +199,6 @@ class EsdEstimator:
                     w = nbrs[s + earlier.item(j)]
                     p = bisect_left(nbrs, w, sb, eb)
                     if p < eb and nbrs[p] == w and arrived[p] < i:
-                        self.t_est += ev.beta * self.omega * d / alpha
+                        self.s += ev.beta * d
             i = first_won(rand, alpha, i + 1, stop)
         return stop
-
-    def process_static(self, edge, g) -> None:
-        """Static variant: ``g`` is the whole graph and the stream delivers
-        each of its edges exactly once, in random order.  Sampled edges are
-        probed like additions, with the static weight."""
-        if self.mode != "static":
-            raise ValueError("process_static requires static mode")
-        u, v = edge
-        if not g.has_edge(u, v):
-            raise ValueError(f"edge ({u}, {v}) is not in the graph")
-        if self.skip((edge,), 0, 1) == 0:
-            self.step((EdgeEvent(u, v, 1),), 0, 1, g.adjacency(u), g.adjacency(v))

@@ -222,10 +222,10 @@ class _Timed:
         return call
 
 
-def _trace_stops(last: int, stride: int | None) -> list[int]:
+def _trace_stops(last: int, stride: int | None = None) -> list[int]:
     """Where a traced pass over ``last`` events writes its rows: every
-    ``stride`` events, by default ``max(1, last // 500)``, and at the end."""
-    stride = stride or max(1, last // 500)
+    ``stride`` events, if one is given, and at the end."""
+    stride = stride or last
     return [*range(stride, last, stride), last] if last else []
 
 
@@ -238,8 +238,8 @@ def replay(events, g, ests=(), tracker=None, stride=None) -> list:
     stream: ...")``, since the estimators and the tracker assume a
     consistent stream.  With a tracker, returns one trace row
     ``(position, tracker.count, [estimates])`` every ``stride`` events
-    (``positive_int``'s rule), by default ``max(1, len(events) // 500)``,
-    and at the stream's end; without one, returns ``[]``.
+    (``positive_int``'s rule), if one is given, and at the stream's end;
+    without one, returns ``[]``.
 
     ``g`` is a mutable store, and ``replay`` mutates it; which replications
     ``run_experiment`` replays is the module docstring's rule.  Its trace
@@ -378,13 +378,14 @@ def _replicate(cfg: ExperimentConfig, r: int, reuse: _Reuse):
         order = TimeIndexedGraph.of(events)
     else:
         order = reuse.index.ordered(events) if reuse.index is not None else None
+    stride = cfg.trace_stride or max(1, len(events) // 500)
     if order is not None:
-        stops = _trace_stops(len(events), cfg.trace_stride) if r == 0 else [len(events)]
+        stops = _trace_stops(len(events), stride) if r == 0 else [len(events)]
         rows = _drive(ests, events, order, stops)
     else:
         g = Graph()
         tracker = ExactTracker() if r == 0 else None
-        rows = replay(events, g, ests, tracker, cfg.trace_stride)
+        rows = replay(events, g, ests, tracker, stride)
     if r == 0:
         if order is not None:
             # the triangles closed in each stretch, totalled up to its stop

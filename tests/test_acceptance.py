@@ -74,7 +74,7 @@ def test_c02_tracker_matches_recount_checkpoints():
     tracker = ExactTracker()
     checks = start = 0
     for stop in _trace_stops(len(events), stride):
-        replay(events[start:stop], g, (), tracker, stop - start)
+        replay(events[start:stop], g, (), tracker)
         assert tracker.count == exact_triangles(g), f"checkpoint at event {stop}"
         checks += 1
         start = stop
@@ -111,7 +111,7 @@ def test_c04_esd_unbiased_fully_dynamic():
     ests = [EsdEstimator(0.05, seed=5000 + i) for i in range(r)]
     gt = Graph()
     tracker = ExactTracker()
-    replay(events, gt, ests, tracker, len(events))
+    replay(events, gt, ests, tracker)
     truth = tracker.count
     assert truth == exact_triangles(gt)
     finals = [est.estimate() for est in ests]
@@ -136,7 +136,7 @@ def test_c05_static_mode_k30():
     stream = StreamSpec("permutation", edges=edges)
     for rep_idx, est in enumerate(ests):
         for ev in stream.realize(derive_seed(9, "static", rep_idx)):
-            est.process_static((ev.u, ev.v), g)
+            est.process_event(ev, g)
     finals = [est.estimate() for est in ests]
     mean = statistics.fmean(finals)
     se = statistics.stdev(finals) / math.sqrt(r)
@@ -189,8 +189,7 @@ def test_c07_variance_bound():
         events = StreamSpec("permutation", edges=edges).realize(stream_seed)
         tracker = ExactTracker()
         ests = [EsdEstimator(alpha, seed=9000 + i) for i in range(r)]
-        # one trace stop, at the end: a stop reads every estimate
-        replay(events, Graph(), ests, tracker, len(events))
+        replay(events, Graph(), ests, tracker)
         bound = variance_bound(tracker.h_trace, tracker.count, tracker.max_degree, alpha)
         var = statistics.variance([e.estimate() for e in ests])
         return var, bound

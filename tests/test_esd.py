@@ -52,6 +52,14 @@ def test_alpha_is_fixed_after_construction():
         est.alpha = 0.5
 
 
+def test_t_est_is_a_read_only_alias_of_the_estimate():
+    est = EsdEstimator(0.3)
+    est.s = 7
+    assert est.t_est == est.estimate() == 0.5 * 7 / 0.3
+    with pytest.raises(AttributeError):
+        est.t_est = 1.0
+
+
 def test_mode_weights():
     assert EsdEstimator(0.5).omega == 0.5
     assert EsdEstimator(0.5, mode="static").omega == pytest.approx(1 / 6)
@@ -331,7 +339,7 @@ def test_static_k3_is_exact():
     for seed in range(5):
         est = EsdEstimator(1.0, mode="static", seed=seed)
         for ev in StreamSpec("permutation", edges=list(g.edges())).realize(seed):
-            est.process_static((ev.u, ev.v), g)
+            est.process_event(ev, g)
         assert est.estimate() == pytest.approx(1.0)
 
 
@@ -339,7 +347,7 @@ def test_static_star_is_zero():
     g = Graph.from_edges([(0, i) for i in range(1, 8)])
     est = EsdEstimator(1.0, mode="static", seed=3)
     for u, v in g.edges():
-        est.process_static((u, v), g)
+        est.process_event(EdgeEvent(u, v, 1), g)
     assert est.estimate() == 0.0
 
 
@@ -350,7 +358,7 @@ def test_static_k4_unbiased():
     for seed in range(10_000):
         est = EsdEstimator(1.0, mode="static", seed=seed)
         for ev in stream.realize(seed + 1_000_000):
-            est.process_static((ev.u, ev.v), g)
+            est.process_event(ev, g)
         finals.append(est.estimate())
     mean = statistics.fmean(finals)
     se = statistics.stdev(finals) / math.sqrt(len(finals))
@@ -361,12 +369,10 @@ def test_static_mode_guards():
     g = Graph.from_edges([(1, 2)])
     est = EsdEstimator(0.5, mode="static", seed=0)
     with pytest.raises(ValueError):
-        est.process_static((1, 3), g)  # edge not in graph
+        est.process_event(EdgeEvent(1, 3, 1), g)  # edge not in graph
     with pytest.raises(ValueError):
-        est.process_event(EdgeEvent(1, 2, 1), g)  # wrong mode
-    dyn = EsdEstimator(0.5, seed=0)
-    with pytest.raises(ValueError):
-        dyn.process_static((1, 2), g)
+        est.process_event(EdgeEvent(1, 2, -1), g)  # a deletion
+    est.process_event(EdgeEvent(1, 2, 1), g)
 
 
 def run_additions(events, alpha, seed):
@@ -396,7 +402,7 @@ def test_unbiased_under_deletions():
     ests = [EsdEstimator(0.3, seed=500 + i) for i in range(r)]
     g = Graph()
     tracker = ExactTracker()
-    trisample.replay(events, g, ests, tracker, len(events))
+    trisample.replay(events, g, ests, tracker)
     truth = tracker.count
     assert truth == exact_triangles(g)
     assert truth > 0
@@ -451,12 +457,10 @@ def closing_increments(events, alpha, seed):
     without the estimator: a coin per event, and per sampled event one
     ``randrange`` pick per endpoint over its other neighbors, read after
     the store applies the event.  Returns beta * d for every pick that
-    closes a triangle, in order, and the float sum ESD accumulates from
-    them."""
+    closes a triangle, in order."""
     rng = random.Random(seed)
     g = Graph()
     closing = []
-    t_est = 0.0
     for ev in events:
         if ev.beta == 1:
             g.add_edge(ev.u, ev.v)
@@ -468,14 +472,15 @@ def closing_increments(events, alpha, seed):
             cands = [w for w in g.adjacency(a) if w != b]
             if cands and g.has_edge(cands[rng.randrange(len(cands))], b):
                 closing.append(ev.beta * len(cands))
-                t_est += ev.beta * 0.5 * len(cands) / alpha
-    return closing, t_est
+    return closing
 
 
-def test_float_estimate_keeps_the_exact_sum_of_its_increments():
-    # t_est adds one float per closing probe; over a BA edge-deletion
-    # stream it must stay far below the CSV's 10 significant digits from
-    # the exact sum, and hit it exactly where the increments cancel
+def test_estimate_is_the_exact_sum_of_its_increments_rounded_once():
+    # ESD keeps the int sum of beta * d over its closing probes and reads
+    # 0.5 * sum / alpha, so over a BA edge-deletion stream the estimate is
+    # the exact sum of its increments beta * 0.5 * d / alpha, correctly
+    # rounded, at an alpha where a float running sum drifts (0.3) and at
+    # one where every increment is an integer (0.05)
     edges = sorted(ba_graph(BaConfig(600, 20, 0.2, 5, 1.5, seed=33)).edges())
     events = StreamSpec("edge-deletion", edges=edges, p_e=0.01, p_d=0.05).realize(34)
     assert any(ev.beta == -1 for ev in events)
@@ -483,8 +488,7 @@ def test_float_estimate_keeps_the_exact_sum_of_its_increments():
         ests = [EsdEstimator(alpha, seed=35 + i) for i in range(8)]
         trisample.replay(events, Graph(), ests)
         for i, est in enumerate(ests):
-            closing, t_est = closing_increments(events, alpha, 35 + i)
-            assert est.t_est == t_est  # the re-run made the estimator's draws
+            closing = closing_increments(events, alpha, 35 + i)
             assert any(x < 0 for x in closing) and any(x > 0 for x in closing)
-            exact = Fraction(sum(closing)) * Fraction(est.omega) / Fraction(alpha)
-            assert abs(Fraction(est.t_est) - exact) <= abs(exact) / 10**12
+            assert type(est.s) is int
+            assert est.estimate() == float(Fraction(sum(closing), 2) / Fraction(alpha))

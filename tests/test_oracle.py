@@ -283,6 +283,6 @@ def test_variance_bound_dominates_empirical_variance_k4():
     events = StreamSpec("permutation", edges=edges).realize(21)
     tracker = ExactTracker()
     ests = [EsdEstimator(0.2, seed=seed) for seed in range(3000)]
-    replay(events, Graph(), ests, tracker, len(events))
+    replay(events, Graph(), ests, tracker)
     bound = variance_bound(tracker.h_trace, tracker.count, tracker.max_degree, alpha=0.2)
     assert statistics.variance([est.estimate() for est in ests]) <= bound * 1.1

@@ -5,7 +5,8 @@ internals; a package change that breaks any of them fails here rather than
 only when the benchmark runs.  Its traced driver, ``perfbench/tracing.py``,
 feeds and reads:
 
-- ``EsdEstimator.process_event`` and ``t_est``
+- ``EsdEstimator.process_event`` and ``t_est``, now a read-only alias of
+  ``estimate()`` over ESD's integer state, kept for this driver
 - ``DoulionEstimator.process`` and ``TriestEstimator.process``
 - ``ExactTracker.h_trace`` and ``ExactTracker.max_degree``
 - ``edges_sampled``, ``sample.edge_count`` and ``tri_in_sample``

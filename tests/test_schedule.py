@@ -183,3 +183,14 @@ def test_replay_rejects_non_positive_stride(stride):
     rows = replay(events, Graph(), tracker=ExactTracker(), stride=3.0)
     assert rows == replay(events, Graph(), tracker=ExactTracker(), stride=3)
     assert [row[0] for row in rows] == [3, 6, 7]
+
+
+def test_replay_without_a_stride_stops_only_at_the_end():
+    # a tracker with no stride reads the estimators once, at the stream's
+    # end, however short the stream is
+    g = er_graph(60, 0.3, seed=44)
+    events = StreamSpec("permutation", edges=list(g.edges())).realize(45)[:497]
+    assert len(events) == 497
+    tracker = ExactTracker()
+    rows = replay(events, Graph(), (), tracker)
+    assert rows == [(497, tracker.count, [])]
