@@ -63,9 +63,9 @@ class EsdEstimator:
     coin, drawn by ``skip``, ``run`` or the ``step`` of the sampled event
     before it, and each neighbor probe of a sampled event draws one uniform
     index, the value ``rng.randrange`` gives, from ``rng.getrandbits``, so
-    runs replay deterministically from the seed either way.  ``rng`` defaults to
-    ``random.Random(seed)``; one passed in needs ``random`` and
-    ``getrandbits``, or the constructor raises ``TypeError``.
+    runs replay deterministically from the seed either way.  ``rng``
+    defaults to ``random.Random(seed)``; one passed in needs ``random``
+    and ``getrandbits``, or the constructor raises ``TypeError``.
     """
 
     def __init__(self, alpha: float, mode: str = "dynamic", seed: int = 0, rng=None):

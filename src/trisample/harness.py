@@ -222,7 +222,7 @@ class _Timed:
         return call
 
 
-def _trace_stops(last: int, stride: int | None = None) -> list[int]:
+def _trace_stops(last: int, stride: int | None) -> list[int]:
     """Where a traced pass over ``last`` events writes its rows: every
     ``stride`` events, if one is given, and at the end."""
     stride = stride or last
