@@ -8,23 +8,23 @@ graph store (the CLI's ``exact --stream`` uses it too), so it is also the
 one place that rejects an inconsistent stream, which the estimators rely
 on.
 
-Both drivers, ``replay`` on a store and ``_drive`` on an arrival index,
-feed the sampling estimator and both baselines through one schedule, with
-the same random draws and results as feeding each every event.  A stretch
-is the events between two trace stops (the last is the stream's end); no
-call draws past its stop, so at each stop every estimator's state, RNG
-included, is a per-event replay's, and the stop's row is read after all of
-the stretch's calls.  On the store each stretch begins with one
-``skip(events, start, stop)`` per estimator: it draws the coins ahead,
-applies every update that reads no store and returns the next event whose
-update does, or ``stop``.  Only the sampling estimator has such events;
-its ``step(events, i, stop, nu, nv)`` applies one once the store has, from
-the endpoints' neighbor lists, which the driver reads once per event and
-hands to every step due there, draws ahead again and returns the next, or
-``stop``.  Over an arrival index, where no store changes between events,
-one ``run(events, start, stop, order)`` call per estimator and stretch
-draws the stretch's coins and acts on every event the estimator acts on
-there.
+``_drive`` is the one stop loop, over either view of a replication: it
+feeds the sampling estimator and both baselines one stretch at a time, the
+events between two trace stops (the last is the stream's end), with the
+same random draws and results as feeding each every event.  No call draws
+past its stop, so at each stop every estimator's state, RNG included, is a
+per-event replay's, and the stop's row of estimates is read after all of
+the stretch's calls.  On a store each stretch is one ``replay``, which
+applies exactly one stretch: one ``skip(events, 0, len(events))`` per
+estimator draws the coins ahead, applies every update that reads no store
+and returns the next event whose update does, or the end.  Only the
+sampling estimator has such events; its ``step(events, i, stop, nu, nv)``
+applies one once the store has, from the endpoints' neighbor lists, which
+``replay`` reads once per event and hands to every step due there, draws
+ahead again and returns the next, or ``stop``.  Over an arrival index,
+whose positions are absolute, one ``run(events, start, stop, order)`` call
+per estimator and stretch draws the stretch's coins and acts on every
+event the estimator acts on there.
 
 The view, truth and reuse of each replication, stated here once:
 
@@ -32,12 +32,12 @@ The view, truth and reuse of each replication, stated here once:
   arrival from the events alone (``TimeIndexedGraph.of``), and a later
   replication made of exactly those objects, each once, reads the same
   index (``ordered``).  Over the index no store or tracker runs: each
-  estimator runs on its own (``_drive``), stopping where ``replay`` writes
-  its trace rows.  Its draws are the store path's: the neighbors of a node
-  before event i are the slots of its final row that arrived before i, in
-  id order, which is the list the store holds at that point, so ESD's d,
-  its index draws, the node it picks and its closure test are the same,
-  and the baselines never read a store.  Every other replication replays
+  estimator runs on its own, with the stops a store would have.  Its
+  draws are the store path's: the neighbors of a node before event i are
+  the slots of its final row that arrived before i, in id order, which is
+  the list the store holds at that point, so ESD's d, its index draws, the
+  node it picks and its closure test are the same, and the baselines never
+  read a store.  Every other replication replays
   into a fresh store through ``replay``: one with deletions, a replication
   0 the index refuses (a repeated object or edge, which ``replay`` then
   rejects, or a node id that is not an integer within int64), and a later
@@ -59,7 +59,7 @@ The view, truth and reuse of each replication, stated here once:
 Reports are a pure function of the config: per-estimator wall-clock stays
 0.0 unless timing is explicitly enabled, since measured times would break
 byte-identical output.  With timing, each estimator is wrapped once in
-``_Timed``, which times every call either driver makes.
+``_Timed``, which times every call ``replay`` and ``_drive`` make.
 """
 
 from __future__ import annotations
@@ -222,76 +222,57 @@ class _Timed:
         return call
 
 
-def _trace_stops(last: int, stride: int | None) -> list[int]:
-    """Where a traced pass over ``last`` events writes its rows: every
-    ``stride`` events, if one is given, and at the end."""
-    stride = stride or last
+def _trace_stops(last: int, stride: int) -> list[int]:
+    """Replication 0's trace stops over ``last`` events: every ``stride``
+    events and at the end; none on an empty stream."""
     return [*range(stride, last, stride), last] if last else []
 
 
-def replay(events, g, ests=(), tracker=None, stride=None) -> list:
-    """Apply ``events`` to the graph store ``g`` and feed the estimators
-    ``ests`` and the exact ``tracker`` (both optional) with each event.
+def replay(events, g, ests=(), tracker=None) -> None:
+    """Apply ``events`` to the graph store ``g`` as one stretch and feed
+    the estimators ``ests`` and the exact ``tracker`` (both optional).
 
     This is the one place a stream is checked: an addition of a present
     edge or a deletion of an absent one raises ``ValueError("inconsistent
     stream: ...")``, since the estimators and the tracker assume a
-    consistent stream.  With a tracker, returns one trace row
-    ``(position, tracker.count, [estimates])`` every ``stride`` events
-    (``positive_int``'s rule), if one is given, and at the stream's end;
-    without one, returns ``[]``.
+    consistent stream.  ``g`` is a mutable store, and ``replay`` mutates
+    it.  A caller that reads the estimators part way through replays each
+    stretch in its own call, as ``_drive`` does at its stops.
 
-    ``g`` is a mutable store, and ``replay`` mutates it; which replications
-    ``run_experiment`` replays is the module docstring's rule.  Its trace
-    points are ``_trace_stops``, where the indexed replication 0 stops too.
-
-    Each stretch restarts one dict, ``due``: each estimator's ``skip``
-    files its ``step`` under the position it returns, where the ``step``
-    runs once the store has applied that event and files itself again.
-    At an event where steps are due, the endpoints' lists Γ(u) and Γ(v) are
-    read once, after the store applies it, and handed to every one.
-    Neither returns past ``stop``, where every estimator waits for the next
-    stretch's ``skip``.  Each estimator draws from its own RNG, so the
-    order they are fed in changes nothing.
+    Each estimator's ``skip`` files its ``step`` in one dict, ``due``,
+    under the position it returns, where the ``step`` runs once the store
+    has applied that event and files itself again.  At an event where steps
+    are due, the endpoints' lists Γ(u) and Γ(v) are read once, after the
+    store applies it, and handed to every one.  Each estimator draws from
+    its own RNG, so the order they are fed in changes nothing.
     """
-    if stride is not None:
-        stride = positive_int("stride", stride)
     last = len(events)
-    bounds = [last] if tracker is None else _trace_stops(last, stride)
-    calls = [(getattr(est, "step", None), est.skip) for est in ests]
     add, delete, adjacency = g.add_edge, g.delete_edge, g.adjacency
-    rows = []
-    start = 0
-    for stop in bounds:
-        # a plain dict, not a defaultdict: the pop below runs on every event,
-        # and it is slower on a dict subclass
-        due: dict[int, list] = {}
-        for step, skip in calls:
-            due.setdefault(skip(events, start, stop), []).append(step)
-        pop = due.pop
-        for i in range(start, stop):
-            ev = events[i]
-            u, v = ev.u, ev.v
-            if ev.beta == 1:
-                if not add(u, v):
-                    raise ValueError(f"inconsistent stream: duplicate addition ({u}, {v})")
-            elif not delete(u, v):
-                raise ValueError(f"inconsistent stream: absent deletion ({u}, {v})")
-            if tracker is not None:
-                tracker.apply(ev, g)
-            steps = pop(i, None)
-            if steps is not None:
-                nu, nv = adjacency(u), adjacency(v)
-                for step in steps:
-                    k = step(events, i, stop, nu, nv)
-                    if k in due:
-                        due[k].append(step)
-                    else:
-                        due[k] = [step]
+    # a plain dict, not a defaultdict: the pop below runs on every event,
+    # and it is slower on a dict subclass
+    due: dict[int, list] = {}
+    for est in ests:
+        due.setdefault(est.skip(events, 0, last), []).append(getattr(est, "step", None))
+    pop = due.pop
+    for i in range(last):
+        ev = events[i]
+        u, v = ev.u, ev.v
+        if ev.beta == 1:
+            if not add(u, v):
+                raise ValueError(f"inconsistent stream: duplicate addition ({u}, {v})")
+        elif not delete(u, v):
+            raise ValueError(f"inconsistent stream: absent deletion ({u}, {v})")
         if tracker is not None:
-            rows.append((stop, tracker.count, [est.estimate() for est in ests]))
-        start = stop
-    return rows
+            tracker.apply(ev, g)
+        steps = pop(i, None)
+        if steps is not None:
+            nu, nv = adjacency(u), adjacency(v)
+            for step in steps:
+                k = step(events, i, last, nu, nv)
+                if k in due:
+                    due[k].append(step)
+                else:
+                    due[k] = [step]
 
 
 class Trace(Sequence):
@@ -303,9 +284,8 @@ class Trace(Sequence):
     indexes and slices as the list of those tuples, and compares equal to
     it either way round."""
 
-    def __init__(self, stops: list, truths: list, names: tuple, estimates):
-        self._stops, self._truths, self._names = stops, truths, names
-        self._estimates = np.array(estimates, dtype=np.float64).reshape(len(stops), len(names))
+    def __init__(self, stops: list, truths: list, names: tuple, estimates: np.ndarray):
+        self._stops, self._truths, self._names, self._estimates = stops, truths, names, estimates
 
     def __len__(self) -> int:
         return self._estimates.size
@@ -340,21 +320,28 @@ class _Reuse:
     events: list | None = None
 
 
-def _drive(ests, events, order, bounds) -> list:
-    """Run the estimators over ``events`` on an ``ArrivalOrder`` ``order``,
-    the module docstring's indexed schedule: one ``run`` call per estimator
-    from each of the ``bounds`` to the next (the last one ``len(events)``,
-    the first from 0).  Returns the estimates at each bound, read after
-    that stretch's calls.  The stops are ``replay``'s, so each estimator
-    draws what it draws there."""
-    rows = []
+def _drive(ests, events, stops, view, tracker=None):
+    """The one stop loop: feed ``ests`` each stretch of ``events`` up to
+    the next of the ``stops`` and read every estimate there, over the
+    ``view``: an ``ArrivalOrder``, with one ``run`` per estimator and
+    stretch, or a store ``Graph``, with one ``replay`` per stretch and the
+    optional exact ``tracker``.  Returns the estimates as a float64 matrix
+    of stops × estimators, and the tracker's count at each stop if one
+    runs."""
+    estimates = np.empty((len(stops), len(ests)))
+    counts = []
     start = 0
-    for stop in bounds:
-        for est in ests:
-            est.run(events, start, stop, order)
-        rows.append([est.estimate() for est in ests])
+    for k, stop in enumerate(stops):
+        if isinstance(view, Graph):
+            replay(events[start:stop], view, ests, tracker)
+            if tracker is not None:
+                counts.append(tracker.count)
+        else:
+            for est in ests:
+                est.run(events, start, stop, view)
+        estimates[k] = [est.estimate() for est in ests]
         start = stop
-    return rows
+    return estimates, counts
 
 
 def _replicate(cfg: ExperimentConfig, r: int, reuse: _Reuse):
@@ -379,13 +366,13 @@ def _replicate(cfg: ExperimentConfig, r: int, reuse: _Reuse):
     else:
         order = reuse.index.ordered(events) if reuse.index is not None else None
     stride = cfg.trace_stride or max(1, len(events) // 500)
+    stops = _trace_stops(len(events), stride) if r == 0 else [len(events)]
     if order is not None:
-        stops = _trace_stops(len(events), stride) if r == 0 else [len(events)]
-        rows = _drive(ests, events, order, stops)
+        estimates, _ = _drive(ests, events, stops, order)
     else:
         g = Graph()
         tracker = ExactTracker() if r == 0 else None
-        rows = replay(events, g, ests, tracker, stride)
+        estimates, truths = _drive(ests, events, stops, g, tracker)
     if r == 0:
         if order is not None:
             # the triangles closed in each stretch, totalled up to its stop
@@ -394,10 +381,8 @@ def _replicate(cfg: ExperimentConfig, r: int, reuse: _Reuse):
             truths = list(accumulate(sums))
             reuse.truth, reuse.index = truths[-1] if truths else 0, order.index
         else:
-            stops, truths = [row[0] for row in rows], [row[1] for row in rows]
-            rows = [row[2] for row in rows]
             reuse.truth, reuse.events = tracker.count, events
-        reuse.trace = Trace(stops, truths, tuple(spec.name for spec in cfg.estimators), rows)
+        reuse.trace = Trace(stops, truths, tuple(spec.name for spec in cfg.estimators), estimates)
     finals = [est.estimate() for est in ests]
     sampled = [est.edges_sampled for est in ests]
     wall = [est.seconds for est in ests] if cfg.timing else [0.0] * len(ests)

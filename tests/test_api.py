@@ -94,8 +94,8 @@ def test_only_esd_has_a_step():
 
 def test_drivers_take_no_timing():
     # timing wraps each estimator once, so neither driver is told about it
-    assert list(inspect.signature(trisample.replay).parameters) == ["events", "g", "ests", "tracker", "stride"]
-    assert list(inspect.signature(_drive).parameters) == ["ests", "events", "order", "bounds"]
+    assert str(inspect.signature(trisample.replay, eval_str=True)) == "(events, g, ests=(), tracker=None) -> None"
+    assert list(inspect.signature(_drive).parameters) == ["ests", "events", "stops", "view", "tracker"]
 
 
 def test_step_takes_the_endpoints_lists():

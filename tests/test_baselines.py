@@ -1,6 +1,5 @@
 import math
 import statistics
-from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -274,7 +273,7 @@ def test_indexed_triest_reconciles_each_slot_once_per_stretch(edges, capacity, s
             states.append(state(fed))
             start = stop
         indexed = StateAtStops(TriestEstimator(capacity, seed=seeds[1]))
-        _drive([indexed], events, order, stops)
+        _drive([indexed], events, stops, order)
         assert indexed.states == states
 
 
@@ -369,7 +368,7 @@ DELETION_HEAVY = dict(
 
 
 def test_mid_stream_means_match_the_tracker_on_a_deletion_heavy_stream():
-    # Thousands of estimators ride one replay, so the store and the tracker
+    # Thousands of estimators ride one stop loop, so the store and the tracker
     # are built once; each estimator kind's mean at every trace point must
     # sit within 4 standard errors of the tracker's count.  A TRIÈST whose
     # coin counts every addition ever made and whose estimate has no kappa
@@ -383,9 +382,10 @@ def test_mid_stream_means_match_the_tracker_on_a_deletion_heavy_stream():
         "esd": [EsdEstimator(0.3, seed=s) for s in range(n)],
     }
     ests = [est for group in kinds.values() for est in group]
-    rows = replay(events, Graph(), ests, ExactTracker(), stride=10)
-    assert max(truth for _, truth, _ in rows) == 19
-    for position, truth, estimates in rows:
+    stops = _trace_stops(len(events), 10)
+    rows, truths = _drive(ests, events, stops, Graph(), ExactTracker())
+    assert max(truths) == 19
+    for position, truth, estimates in zip(stops, truths, rows.tolist()):
         for k, name in enumerate(kinds):
             xs = estimates[k * n : (k + 1) * n]
             mean = statistics.fmean(xs)
@@ -555,21 +555,22 @@ def test_indexed_skip_reads_only_the_events_acted_on(make, picks):
     position = {frozenset((ev.u, ev.v)): k for k, ev in enumerate(events)}
     acts = [position[e] for e in applied]
     ref = make()
-    _drive([ref], events, order, [m])
+    _drive([ref], events, [m], order)
     assert state(ref) == state(stored)
     read = set(acts)
     assert len(read) < m / 2
     est = make()
-    _drive([est], [ev if k in read else Unread() for k, ev in enumerate(events)], order, [m])
+    _drive([est], [ev if k in read else Unread() for k, ev in enumerate(events)], [m], order)
     assert state(est) == state(ref)
 
 
 def test_indexed_drive_runs_each_estimator_once_per_stretch():
-    # on the store every estimator gets one ``skip`` per stretch; only ESD
-    # has a ``step``, and it acts on several events of some stretch, while
-    # a baseline's ``skip`` applies its whole stretch.  Over the index each
-    # estimator gets one ``run`` call per stretch and never a ``skip`` or
-    # ``step``, and every row and state is the replay's
+    # on the store every estimator gets one ``skip`` per stretch, over the
+    # stretch's own events; only ESD has a ``step``, and it acts on several
+    # events of some stretch, while a baseline's ``skip`` applies its whole
+    # stretch.  Over the index each estimator gets one ``run`` call per
+    # stretch and never a ``skip`` or ``step``, and every row and state is
+    # the store's
     events = StreamSpec("permutation", edges=list(er_graph(30, 0.3, seed=66).edges())).realize(67)
     order = TimeIndexedGraph.of(events)
     stops = _trace_stops(len(events), 7)
@@ -580,15 +581,15 @@ def test_indexed_drive_runs_each_estimator_once_per_stretch():
     ]
     stored = [make() for make in makes]
     stored_calls = [{name: recording_calls(est, name) for name in ("skip", "step")} for est in stored]
-    rows = replay(events, Graph(), stored, ExactTracker(), 7)
+    rows, _ = _drive(stored, events, stops, Graph(), ExactTracker())
     indexed = [make() for make in makes]
     indexed_calls = [{name: recording_calls(est, name) for name in ("skip", "step", "run")} for est in indexed]
-    assert _drive(indexed, events, order, stops) == [row[2] for row in rows]
+    assert _drive(indexed, events, stops, order)[0].tolist() == rows.tolist()
     assert [state(est) for est in indexed] == [state(est) for est in stored]
     stretches = list(zip([0, *stops], stops))
     for calls in indexed_calls:
         assert calls == {"skip": [], "step": [], "run": stretches}
-    assert [calls["skip"] for calls in stored_calls] == [stretches] * 3
+    assert [calls["skip"] for calls in stored_calls] == [[(0, stop - start) for start, stop in stretches]] * 3
     steps, *baseline_steps = [calls["step"] for calls in stored_calls]
     assert baseline_steps == [[], []]
-    assert len(steps) > len({bisect_right(stops, i) for i, _ in steps})  # a stretch holds several
+    assert len(steps) > len(stops)  # so some stretch holds several

@@ -32,10 +32,9 @@ from trisample import (
     exact_triangles,
     nrmse,
     relative_error,
-    replay,
     run_experiment,
 )
-from trisample.harness import SUMMARY_HEADER, TRACE_HEADER, Trace, trace_path_for
+from trisample.harness import SUMMARY_HEADER, TRACE_HEADER, Trace, _drive, _trace_stops, trace_path_for
 
 from helpers import complete_graph_edges
 
@@ -299,15 +298,16 @@ def test_emit_csv_empty_traces_header_only(tmp_path):
 
 def _tuple_trace(cfg) -> list:
     """Replication 0's trace rows of ``cfg`` as a list of tuples, the form
-    ``run_experiment`` returned before ``Trace``: from ``replay``'s rows on
-    a store, whose draws and truths the arrival index repeats."""
+    ``run_experiment`` returned before ``Trace``: from the stop loop on a
+    store, whose draws and truths the arrival index repeats."""
     events = cfg.stream.realize(derive_seed(cfg.seed, "stream", 0))
     ests = [spec.build(derive_seed(cfg.seed, spec.kind, i, 0)) for i, spec in enumerate(cfg.estimators)]
-    rows = replay(events, Graph(), ests, ExactTracker(), cfg.trace_stride)
+    stops = _trace_stops(len(events), cfg.trace_stride)
+    estimates, truths = _drive(ests, events, stops, Graph(), ExactTracker())
     return [
         (stop, truth, spec.name, est)
-        for stop, truth, estimates in rows
-        for spec, est in zip(cfg.estimators, estimates)
+        for stop, truth, row in zip(stops, truths, estimates.tolist())
+        for spec, est in zip(cfg.estimators, row)
     ]
 
 

@@ -1,9 +1,11 @@
 """The replay schedule: ``replay`` drives every estimator through ``skip``,
 and ESD also through ``step``, and must leave it exactly where feeding it
 every event through a one-event ``skip`` (baselines) or ``process_event``
-(ESD) does, with the same random draws and the same trace rows; its running
-truth must match a recount after every event.  ESD itself must end in the same state whether
-it is fed before or after the store applies each event."""
+(ESD) does, with the same random draws; the stop loop on a store, one
+``replay`` per stretch, must read the same trace rows, and its running
+truth must match a recount after every event.  ESD itself must end in the
+same state whether it is fed before or after the store applies each
+event."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from hypothesis import strategies as st
 
 from trisample import (
     DoulionEstimator,
-    EdgeEvent,
     EsdEstimator,
     EstimatorSpec,
     ExactTracker,
@@ -21,6 +22,7 @@ from trisample import (
     er_graph,
     replay,
 )
+from trisample.harness import _drive, _trace_stops
 
 import helpers
 from helpers import assert_graph_invariants, brute_force_triangles, sorted_edges, state, toggled
@@ -28,7 +30,8 @@ from helpers import assert_graph_invariants, brute_force_triangles, sorted_edges
 
 def feed_every_event(specs, seeds, events, stride=None):
     """Reference run: every estimator sees every event after the graph does.
-    With a stride, returns the trace rows ``replay`` returns with a tracker."""
+    With a stride, returns the trace rows ``(stop, truth, [estimates])`` at
+    every stride and at the end."""
     ests = [spec.build(seed) for spec, seed in zip(specs, seeds)]
     g, tracker, rows = Graph(), ExactTracker(), []
     for i, ev in enumerate(events):
@@ -45,10 +48,17 @@ def feed_every_event(specs, seeds, events, stride=None):
 
 
 def scheduled(specs, seeds, events, stride=None):
+    """The stop loop on a store: one ``replay`` of the whole stream, or,
+    with a stride, one per stretch, with the rows ``feed_every_event``
+    returns."""
     ests = [spec.build(seed) for spec, seed in zip(specs, seeds)]
     g = Graph()
-    rows = replay(events, g, ests, ExactTracker() if stride else None, stride)
-    return ests, g, rows
+    if stride is None:
+        replay(events, g, ests)
+        return ests, g, []
+    stops = _trace_stops(len(events), stride)
+    estimates, truths = _drive(ests, events, stops, g, ExactTracker())
+    return ests, g, list(zip(stops, truths, estimates.tolist()))
 
 
 @pytest.mark.parametrize(
@@ -148,14 +158,15 @@ def test_esd_is_the_same_fed_before_or_after_the_mutation(events, alpha, seed):
 @given(events=consistent_streams())
 def test_replay_truth_matches_recount_after_every_event(events):
     g = Graph()
-    rows = replay(events, g, tracker=ExactTracker(), stride=1)
-    assert [i for i, _, _ in rows] == list(range(1, len(events) + 1))
-    for i, truth, estimates in rows:
-        assert estimates == []
+    stops = _trace_stops(len(events), 1)
+    estimates, truths = _drive((), events, stops, g, ExactTracker())
+    assert stops == list(range(1, len(events) + 1))
+    assert estimates.shape == (len(events), 0)
+    for i, truth in zip(stops, truths, strict=True):
         assert truth == brute_force_triangles(helpers.replay(events[:i]))
     assert_graph_invariants(g)
     untraced = Graph()
-    assert replay(events, untraced) == []
+    assert replay(events, untraced) is None
     assert sorted_edges(untraced) == sorted_edges(g) == sorted_edges(helpers.replay(events))
 
 
@@ -172,25 +183,3 @@ def test_full_sample_baselines_are_exact_on_random_streams(events, seed, spare):
     replay(events, g, ests)
     truth = brute_force_triangles(g)
     assert [est.estimate() for est in ests] == [truth, truth]
-
-
-@pytest.mark.parametrize("stride", [0, -5, 2.5, float("nan"), float("inf")])
-def test_replay_rejects_non_positive_stride(stride):
-    with pytest.raises(ValueError, match="stride must be >= 1"):
-        replay([EdgeEvent(1, 2, 1)], Graph(), tracker=ExactTracker(), stride=stride)
-    # an integral stride runs as that int
-    events = [EdgeEvent(u, u + 1, 1) for u in range(7)]
-    rows = replay(events, Graph(), tracker=ExactTracker(), stride=3.0)
-    assert rows == replay(events, Graph(), tracker=ExactTracker(), stride=3)
-    assert [row[0] for row in rows] == [3, 6, 7]
-
-
-def test_replay_without_a_stride_stops_only_at_the_end():
-    # a tracker with no stride reads the estimators once, at the stream's
-    # end, however short the stream is
-    g = er_graph(60, 0.3, seed=44)
-    events = StreamSpec("permutation", edges=list(g.edges())).realize(45)[:497]
-    assert len(events) == 497
-    tracker = ExactTracker()
-    rows = replay(events, Graph(), (), tracker)
-    assert rows == [(497, tracker.count, [])]

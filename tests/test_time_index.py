@@ -83,7 +83,7 @@ def test_index_draws_what_a_fresh_store_draws(edges, specs, seeds):
 
     est_seeds = seeds[2:]
     indexed = [s.build(seed) for s, seed in zip(specs, est_seeds)]
-    _drive(indexed, events, order, [len(events)])
+    _drive(indexed, events, [len(events)], order)
     stored = [s.build(seed) for s, seed in zip(specs, est_seeds)]
     replay(events, Graph(), stored)
     assert [state(est) for est in indexed] == [state(est) for est in stored]
@@ -117,21 +117,23 @@ def test_closings_are_the_trackers_trace(edges, specs, seeds):
     # the recount runs the same lister over the final graph
     assert int(counts.sum()) == exact_triangles(Graph.from_edges(edges))
 
-    # replication 0's indexed pass writes replay's trace rows at every stride
+    # replication 0's indexed pass reads the store's trace rows at every stride
     for stride in (1, 3):
-        stored = [s.build(seed) for s, seed in zip(specs, seeds[1:])]
-        rows = replay(events, Graph(), stored, ExactTracker(), stride)
         stops = _trace_stops(len(events), stride)
-        assert [row[0] for row in rows] == stops
-        assert [int(counts[:stop].sum()) for stop in stops] == [row[1] for row in rows]
+        stored = [s.build(seed) for s, seed in zip(specs, seeds[1:])]
+        estimates, truths = _drive(stored, events, stops, Graph(), ExactTracker())
+        assert [int(counts[:stop].sum()) for stop in stops] == truths
         indexed = [s.build(seed) for s, seed in zip(specs, seeds[1:])]
-        assert _drive(indexed, events, order, stops) == [row[2] for row in rows]
+        indexed_estimates, indexed_truths = _drive(indexed, events, stops, order)
+        assert indexed_estimates.tolist() == estimates.tolist()
+        assert indexed_truths == []
 
 
 class StateAtStops:
     """An estimator that records its full ``state`` whenever its estimate is
-    read, which ``replay`` and ``_drive`` do at each stop alone.  It has a
-    ``step`` only where the estimator has one, as ESD alone does."""
+    read, which the stop loop ``_drive`` does at each stop alone, on either
+    view.  It has a ``step`` only where the estimator has one, as ESD alone
+    does."""
 
     def __init__(self, est):
         self.est, self.states = est, []
@@ -156,10 +158,11 @@ def test_states_at_every_stop_are_replays(edges, specs, seeds):
     events = StreamSpec("permutation", edges=edges).realize(seeds[0])
     order = TimeIndexedGraph.of(events)
     for stride in (1, 3):
+        stops = _trace_stops(len(events), stride)
         stored = [StateAtStops(s.build(seed)) for s, seed in zip(specs, seeds[1:])]
-        replay(events, Graph(), stored, ExactTracker(), stride)
+        _drive(stored, events, stops, Graph(), ExactTracker())
         indexed = [StateAtStops(s.build(seed)) for s, seed in zip(specs, seeds[1:])]
-        _drive(indexed, events, order, _trace_stops(len(events), stride))
+        _drive(indexed, events, stops, order)
         assert [est.states for est in indexed] == [est.states for est in stored]
 
 
@@ -171,10 +174,11 @@ def test_esd_over_sparse_negative_int64_ids_is_a_replay_at_every_stop(alpha):
     events = StreamSpec("permutation", edges=edges).realize(58)
     order = TimeIndexedGraph.of(events)
     assert order is not None
+    stops = _trace_stops(len(events), 1)
     stored = [StateAtStops(EstimatorSpec("esd", alpha).build(59))]
-    replay(events, Graph(), stored, ExactTracker(), 1)
+    _drive(stored, events, stops, Graph(), ExactTracker())
     indexed = [StateAtStops(EstimatorSpec("esd", alpha).build(59))]
-    _drive(indexed, events, order, _trace_stops(len(events), 1))
+    _drive(indexed, events, stops, order)
     assert len(stored[0].states) == len(events)
     assert indexed[0].states == stored[0].states
 
@@ -415,7 +419,7 @@ def test_hub_rows_match_the_store_on_a_ba_graph():
     events = spec.realize(1)
     specs = [EstimatorSpec("esd", alpha) for alpha in (0.05, 0.5, 1.0)]
     indexed = [s.build(55 + k) for k, s in enumerate(specs)]
-    _drive(indexed, events, index.ordered(events), [len(events)])
+    _drive(indexed, events, [len(events)], index.ordered(events))
     stored = [s.build(55 + k) for k, s in enumerate(specs)]
     replay(events, Graph(), stored)
     assert [state(e) for e in indexed] == [state(e) for e in stored]
