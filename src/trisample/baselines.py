@@ -5,13 +5,14 @@ Both keep their own sampled subgraph and see only the event stream, so
 neither reads a graph store.  They speak the replay protocol of the
 sampling estimator; the ``harness`` module states its schedule.  No
 update of theirs reads the store, so they have no ``step``: ``skip(events,
-start, stop)`` draws the coins of ``events[start:stop]``, applies every
-event there that changes the sample and returns ``stop``.  ``run(events,
-i, stop, order)``, over an ``ArrivalOrder`` whose stream holds no
-deletion, draws the same coins without reading the events and applies
-every event there that touches the sample; the harness passes ``order``
-to every estimator.  ``process``, a one-event ``skip``, is kept only for
-the traced benchmark driver; the harness and the criteria use ``replay``.
+start, stop)`` draws the randomness of ``events[start:stop]``, applies
+every event there that changes the sample and returns ``stop``.
+``run(events, i, stop, order)``, over an ``ArrivalOrder`` whose stream
+holds no deletion, makes the same draws without reading the events and
+applies every event there that touches the sample; the harness passes
+``order`` to every estimator.  ``process``, a one-event ``skip``, is kept
+only for the traced benchmark driver; the harness and the criteria use
+``replay``.
 
 Both assume a consistent stream: no addition of a present edge and no
 deletion of an absent one.  The replay driver rejects any other, so the
@@ -26,9 +27,8 @@ return, so reading ``estimate()``, ``tau`` or ``sample`` does no work.
 from __future__ import annotations
 
 import random
-from math import exp, lgamma
+from math import exp, floor, inf, lgamma, log, log1p
 
-from .esd import first_won
 from .graph import Graph
 from .oracle import triangles_of_edge
 from .stream import canonical, positive_int, probability
@@ -42,6 +42,12 @@ class DoulionEstimator:
     count rescales by p^-3.  The count is maintained incrementally on every
     sample mutation, which makes the estimate queryable mid-stream while
     ending at exactly the value a batch recount would give.
+
+    The coins are drawn as gaps: a countdown of the additions to pass over
+    before the next one kept, drawn at construction and after each kept
+    addition, so a kept addition costs one ``random()`` and a passed one
+    none.  ``skip``, ``run`` and ``process`` all consume it, so every feed
+    makes the same draws.
     """
 
     def __init__(self, p: float, seed: int = 0):
@@ -50,35 +56,56 @@ class DoulionEstimator:
         self.sample = Graph()
         self.tri_in_sample = 0
         self.edges_sampled = 0
+        self._gap = self._draw_gap()
+
+    def _draw_gap(self):
+        """The additions to pass over before the next one kept: G =
+        floor(ln U / log1p(-p)) with U = 1 - ``random()`` in (0, 1], so
+        P(G >= g) = (1 - p)^g (Vitter, CACM 1984).  p = 1 keeps every
+        addition and p = 0 none, and neither draws.  p = 0 gives ``inf``,
+        a countdown that never reaches 0, and so does a gap too large for
+        a float, which only a p below about 1e-307 can draw."""
+        p = self.p
+        if p == 1.0:
+            return 0
+        if p == 0.0:
+            return inf
+        g = log(1.0 - self.rng.random()) / log1p(-p)
+        return floor(g) if g < inf else inf
 
     def process(self, ev) -> None:
         self.skip((ev,), 0, 1)
 
     def skip(self, events, start: int, stop: int) -> int:
         """Apply every event of ``events[start:stop]`` that changes the
-        sample: an addition whose coin is won, or a deletion of a sampled
-        edge.  Other deletions need no draw.  Returns ``stop``."""
-        rand = self.rng.random
-        p = self.p
+        sample: the addition the countdown reaches 0 at, which draws the
+        next gap, or a deletion of a sampled edge, which draws nothing.
+        Returns ``stop``."""
+        gap = self._gap
         has_edge = self.sample.has_edge
         for k in range(start, stop):
             ev = events[k]
             if ev.beta == 1:
-                if rand() < p:
+                if gap:
+                    gap -= 1
+                else:
                     self._apply(ev)
+                    gap = self._draw_gap()
             elif has_edge(ev.u, ev.v):
                 self._apply(ev)
+        self._gap = gap
         return stop
 
     def run(self, events, i: int, stop: int, order) -> int:
-        """Add every won addition of ``events[i:stop]``, a stretch of a
-        stream with no deletion, drawing ``skip``'s coins without reading
-        the other events; returns ``stop``."""
-        rand, p = self.rng.random, self.p
-        i = first_won(rand, p, i, stop)
-        while i < stop:
-            self._apply(events[i])
-            i = first_won(rand, p, i + 1, stop)
+        """Add every kept addition of ``events[i:stop]``, a stretch of a
+        stream with no deletion, jumping from one to the next by its gap
+        without reading the other events; the countdown left at ``stop`` is
+        ``skip``'s.  Returns ``stop``."""
+        k = i + self._gap
+        while k < stop:
+            self._apply(events[k])
+            k += 1 + self._draw_gap()
+        self._gap = k - stop
         return stop
 
     def _apply(self, ev) -> None:

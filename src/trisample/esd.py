@@ -43,8 +43,7 @@ OMEGA_STATIC = 1.0 / 6.0  # full-edge streams expose all 3 edges, 2 tuples each
 def first_won(rand, p: float, start: int, stop: int) -> int:
     """The first position in ``range(start, stop)`` whose coin ``rand() <
     p`` is won, drawing one coin per position up to it, or ``stop``: every
-    coin of ESD's ``skip``, ``step`` and ``run``, and Doulion's ``run``,
-    where no event is a deletion.  No event is read."""
+    coin of ESD's ``skip``, ``step`` and ``run``.  No event is read."""
     for k in range(start, stop):
         if rand() < p:
             return k

@@ -333,7 +333,9 @@ def _drive(ests, events, stops, view, tracker=None):
     start = 0
     for k, stop in enumerate(stops):
         if isinstance(view, Graph):
-            replay(events[start:stop], view, ests, tracker)
+            # a whole-stream stretch is the list itself, not a copy of it
+            stretch = events if stop - start == len(events) else events[start:stop]
+            replay(stretch, view, ests, tracker)
             if tracker is not None:
                 counts.append(tracker.count)
         else:

@@ -86,7 +86,7 @@ def state(est):
         "edges_sampled": est.edges_sampled,
         "rng": est.rng.getstate(),
     }
-    for name in ("tau", "c_bad", "c_good", "live_edges", "_edges", "tri_in_sample"):
+    for name in ("tau", "c_bad", "c_good", "live_edges", "_edges", "tri_in_sample", "_gap"):
         if hasattr(est, name):
             s[name] = getattr(est, name)
     if hasattr(est, "sample"):
@@ -170,6 +170,14 @@ class DrawWalker:
         cap = self.capacity
         assert cap is not None and cap <= 1 << k, f"a uniform pick over {cap} cannot come from {k} bits"
         return self.fork([1.0 / cap] * cap)
+
+    def gap(self, p: float, h: int) -> int:
+        """A geometric gap G, P(G = g) = p(1 - p)^g, forked over 0..h-1 and
+        "at least h", served as h.  With h at least the stream's additions,
+        a gap of h or more is never counted down, so serving it as h keeps
+        every path's draws and results.  A ``_Coin`` cannot go through the
+        logarithm of Doulion's gap, so its ``_draw_gap`` is walked here."""
+        return self.fork([p * (1 - p) ** g for g in range(h)] + [(1 - p) ** h])
 
     def walk(self, run) -> list:
         self._path, self._ways, out = [], [], []

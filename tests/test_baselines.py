@@ -26,7 +26,15 @@ from trisample import baselines
 from trisample.graph import TimeIndexedGraph
 from trisample.harness import _drive, _trace_stops
 
-from helpers import DrawWalker, brute_force_triangles, complete_graph_edges, sorted_edges, state, toggled
+from helpers import (
+    DrawWalker,
+    ScriptedRng,
+    brute_force_triangles,
+    complete_graph_edges,
+    sorted_edges,
+    state,
+    toggled,
+)
 from test_schedule import consistent_streams
 from test_time_index import StateAtStops, simple_graphs
 
@@ -48,17 +56,53 @@ def test_doulion_validation():
 def test_doulion_p_one_mirrors_graph_exactly():
     base = er_graph(30, 0.3, seed=1)
     events = StreamSpec("edge-deletion", edges=list(base.edges()), p_e=0.05, p_d=0.3).realize(2)
-    est = drive(DoulionEstimator(1.0, seed=3), events)
+    est = DoulionEstimator(1.0, seed=3)
+    unused = est.rng.getstate()
+    drive(est, events)
     g = Graph()
     replay(events, g)
     assert sorted_edges(est.sample) == sorted_edges(g)
     assert est.estimate() == exact_triangles(g)
+    assert est.edges_sampled == sum(ev.beta == 1 for ev in events)  # every addition is kept
+    assert est.rng.getstate() == unused  # every gap is 0, and none is drawn
 
 
 def test_doulion_p_zero_always_zero():
+    # no addition is ever kept, so the countdown never runs out and nothing
+    # is drawn, on the store and over the arrival order alike
     events = StreamSpec("permutation", edges=complete_graph_edges(5)).realize(4)
-    est = drive(DoulionEstimator(0.0, seed=5), events)
-    assert est.estimate() == 0.0
+    order = TimeIndexedGraph.of(events)
+    stored, indexed = DoulionEstimator(0.0, seed=5), DoulionEstimator(0.0, seed=5)
+    unused = stored.rng.getstate()
+    drive(stored, events)
+    indexed.run(events, 0, len(events), order)
+    for est in (stored, indexed):
+        assert est.estimate() == 0.0
+        assert est.edges_sampled == 0
+        assert est.rng.getstate() == unused
+
+
+@pytest.mark.parametrize("p", [0.01, 0.3, 0.7])
+def test_doulion_gap_tail_is_geometric(p):
+    # G = floor(ln U / log1p(-p)) with U = 1 - r is at least g exactly when
+    # U <= (1 - p)^g, so P(G >= g) = (1 - p)^g: an r just below 1 - (1 - p)^g
+    # gives g - 1 and one just above gives g, for every g whose tail a
+    # float r can still straddle
+    est = DoulionEstimator(p)
+    for g in range(1, 31):
+        tail = (1 - p) ** g
+        if tail < 1e-9:
+            break
+        est.rng = ScriptedRng([1 - tail * (1 + 1e-6), 1 - tail * (1 - 1e-6)])
+        assert (est._draw_gap(), est._draw_gap()) == (g - 1, g)
+
+
+def test_doulion_gap_too_large_for_a_float_never_runs_out():
+    # ln U / log1p(-p) overflows for a p below about 1e-307: the countdown
+    # is then one that never reaches 0, as at p = 0
+    est = DoulionEstimator(5e-324, seed=1)
+    assert est._gap == math.inf
+    drive(est, [EdgeEvent(0, 1, 1), EdgeEvent(1, 2, 1)])
     assert est.edges_sampled == 0
 
 
@@ -418,11 +462,17 @@ def expected_at_every_prefix(make, events, capacity=None, order=None) -> list:
     """E[estimate] after each event, fed one at a time through ``skip``, or
     through ``run`` over the arrival order ``order`` when one is given,
     exactly: the weighted mean over every draw path of the estimator
-    ``make()`` builds, with ``DrawWalker`` as its rng."""
+    ``make()`` builds, with ``DrawWalker`` as its rng.  Doulion's gaps are
+    walked by ``DrawWalker.gap``, and its first gap, drawn by the
+    constructor from the seed, is drawn again from the walker."""
+    adds = sum(ev.beta == 1 for ev in events)
 
     def run(rng):
         est = make()
         est.rng = rng
+        if isinstance(est, DoulionEstimator):
+            est._draw_gap = lambda: rng.gap(est.p, adds)
+            est._gap = est._draw_gap()
         estimates = []
         for k in range(len(events)):
             if order is None:

@@ -366,6 +366,24 @@ def test_dropping_the_trace_frees_a_float_per_cell():
     assert freed <= 24 * cells + 4096
 
 
+def test_a_whole_stream_stretch_is_replayed_uncopied(monkeypatch):
+    # a later replication on a store has one stop, the stream's end, and
+    # replays the event list itself: a slice would copy a pointer per event
+    edges = list(er_graph(20, 0.4, seed=6).edges())
+    events = StreamSpec("edge-deletion", edges=edges, p_e=0.05, p_d=0.2).realize(7)
+    stretches, real = [], trisample.harness.replay
+
+    def recording(stretch, *args):
+        stretches.append(stretch)
+        return real(stretch, *args)
+
+    monkeypatch.setattr(trisample.harness, "replay", recording)
+    _drive([], events, [len(events)], Graph())
+    _drive([], events, [5, len(events)], Graph())
+    assert stretches[0] is events
+    assert stretches[1:] == [events[:5], events[5:]]
+
+
 def test_run_experiment_rejects_inconsistent_stream():
     from trisample import EdgeEvent
 
@@ -515,9 +533,11 @@ def test_timing_counts_estimate_reads(monkeypatch, spec, method, stream):
 # pin every seeded draw of the stream and the three estimators: a change
 # that alters RNG use must update them and say so in CHANGES.md.  Updated
 # when TRIÈST became TRIÈST-FD (coin capacity/s, estimate over |S| and
-# kappa), which changed the triest lines and no other.
-GOLDEN_SUMMARY_SHA256 = "35f0de6a18caa396a71178b4120458e749400e4dc4340d0b2c7da99d0f9be40a"
-GOLDEN_TRACE_SHA256 = "de51601b0079bf52410c71fa429d2c805f0eb1ea7c5374f0b57b58f9b16c1d5d"
+# kappa), which changed the triest lines and no other, and when Doulion's
+# coins became geometric gaps, which changed the doulion lines and no
+# other.
+GOLDEN_SUMMARY_SHA256 = "a70b159bfb4dfaaf6e91af4e291e85046410fad702c502542c43cd6f9f54a611"
+GOLDEN_TRACE_SHA256 = "c66f25201999a8058476f3938a64bf4ad5916f9f9bfad7ec484c594d90313e9e"
 
 
 def test_emit_csv_golden_sha256(tmp_path):
@@ -649,8 +669,8 @@ def test_deletion_free_replications_on_other_graphs_recount(monkeypatch, fresh):
 
 # The same pins for a permutation stream, whose later replications reuse
 # the truth instead of recounting; recorded before that reuse existed.
-GOLDEN_PERMUTATION_SUMMARY_SHA256 = "829a94d3d218a584ca9466f6675043372074023d43c834e9d7d184ab65c59443"
-GOLDEN_PERMUTATION_TRACE_SHA256 = "0d4771a48030824e7cfd8fcf2581af60c94fe892ef3d2f41653ff38fd0ff5edd"
+GOLDEN_PERMUTATION_SUMMARY_SHA256 = "ffb5f018195cfa947ee9a493681a3f509af237f5d9a8d4df3c0f88585cb23ffe"
+GOLDEN_PERMUTATION_TRACE_SHA256 = "613abe24a9e41dc0be4e5a9926d03c0d93baf0a0978076f1d0025a7b05a7f249"
 
 
 def test_emit_csv_golden_sha256_permutation(tmp_path):
@@ -676,9 +696,10 @@ def test_emit_csv_golden_sha256_permutation(tmp_path):
 # The same pins for a node-deletion stream of a BA graph whose hub has
 # degree 379, so ESD probes ranges past 256 that need rejection draws;
 # recorded before the probes and the shuffle drew from getrandbits, and
-# updated, in its triest lines only, when TRIÈST became TRIÈST-FD.
-GOLDEN_NODE_DELETION_SUMMARY_SHA256 = "0aa3d96358ef961c637bbfedc655942493afd46190b84eb09a17a21a6ef7f4fe"
-GOLDEN_NODE_DELETION_TRACE_SHA256 = "c0f80a658a6d40adbc3e01d42efb931add407981fb22c34f777f3e9b4de731d0"
+# updated, in its triest lines only, when TRIÈST became TRIÈST-FD, and in
+# its doulion lines only, when Doulion's coins became geometric gaps.
+GOLDEN_NODE_DELETION_SUMMARY_SHA256 = "17c4ba3070a3dc8342d9a26b94481e9c30ee0735185d5216f87b17904d65e8c8"
+GOLDEN_NODE_DELETION_TRACE_SHA256 = "e72a820a9068c9c94e3e217b9730662a5b5de149c0d028899fd7a47eb6315f7a"
 
 
 def test_emit_csv_golden_sha256_node_deletion(tmp_path):
@@ -702,11 +723,13 @@ def test_emit_csv_golden_sha256_node_deletion(tmp_path):
 # the benchmark workloads' setups give at a fixed replication count and
 # seed 7.  The benchmark sizes its runs by wall time, so its own digests
 # compare only runs that fit equal counts; these compare every change.
+# Updated, in the doulion summary lines only, when Doulion's coins became
+# geometric gaps.
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 GOLDEN_WORKLOAD_SHA256 = {  # workload: (replications, digest)
-    "perm-ba2k": (6, "d278f71c03be914dc9f4d05018445ee20db188c6f4cc59eee981cfc45befc959"),
-    "dynfan-ba2k": (3, "98f2d2d6135b602ac0ec6e50a3db78c81dc875b7d53472b6d6e170fbb9c1461c"),
-    "perm-ba20k": (2, "5feed9ce58745ca95c39afc716d6d4adf1890853c23e01905398ff5f900cab12"),
+    "perm-ba2k": (6, "1dc46b279ab4a1932ee78e9f8395714454a792611a29a23aebe7b643b780ce1d"),
+    "dynfan-ba2k": (3, "233b7ad2932bb1d5dce93a40afef009f45339b2fb2ae41ef191e36cfe83ce40d"),
+    "perm-ba20k": (2, "6330942178fbbb07d557a5e84efc07e5ccd8b2999898b65ad42af5635b25fdce"),
 }
 
 
