@@ -11,14 +11,12 @@ from .graph import Graph
 from .harness import (
     EstimatorSpec,
     ExperimentConfig,
-    MetricsReport,
     emit_csv,
     replay,
     run_experiment,
     trace_path_for,
     write_summary,
 )
-from .seeding import derive_seed
 from .stream import (
     StreamSpec, rate, read_edge_list, read_snapshot_dir, read_stream_file, snapshot_diffs,
     write_edge_list, write_stream_file,
@@ -94,8 +92,8 @@ def _stream_spec_from_args(args) -> StreamSpec:
     return StreamSpec("permutation", edges=edges)
 
 
-def _print_report(report) -> None:
-    for row in report.rows:
+def _print_report(rows) -> None:
+    for row in rows:
         print(
             f"{row.name:>8}  param={row.param:<8g} mean={row.mean:<12.6g} "
             f"rel_err={row.rel_err:<+10.4g} nrmse={row.nrmse:<10.4g} "
@@ -122,7 +120,7 @@ def cmd_run(args) -> int:
     report, traces = run_experiment(cfg)
     emit_csv(report, traces, args.out)
     print(f"truth={report.truth:g}  ({args.out}, {trace_path_for(args.out)})")
-    _print_report(report)
+    _print_report(report.rows)
     return 0
 
 
@@ -131,26 +129,21 @@ def cmd_compare(args) -> int:
     fractions = [rate("sample fraction", float(tok)) for tok in args.sizes.split(",") if tok]
     if not fractions:
         raise ValueError("--sizes must list at least one fraction")
-    all_rows = []
-    truth = 0.0
-    for i, frac in enumerate(fractions):
-        capacity = max(1, round(frac * len(edges)))
-        cfg = ExperimentConfig(
-            stream=StreamSpec("permutation", edges=edges),
-            estimators=[
-                EstimatorSpec("esd", frac),
-                EstimatorSpec("doulion", frac),
-                EstimatorSpec("triest", capacity),
-            ],
-            replications=args.reps,
-            seed=derive_seed(args.seed, "size", i),
-        )
-        report, _ = run_experiment(cfg)
-        all_rows.extend(report.rows)
-        truth = report.truth
+    capacities = [max(1, round(frac * len(edges))) for frac in fractions]
+    # one experiment over every size, esd, doulion and triest per fraction in
+    # --sizes order: each spec's seed follows its index, so --sizes f writes
+    # what run --alpha f --p f --reservoir <capacity> writes
+    specs = [
+        EstimatorSpec(kind, param)
+        for frac, capacity in zip(fractions, capacities)
+        for kind, param in (("esd", frac), ("doulion", frac), ("triest", capacity))
+    ]
+    stream = StreamSpec("permutation", edges=edges)
+    report, _ = run_experiment(ExperimentConfig(stream, specs, replications=args.reps, seed=args.seed))
+    for i, (frac, capacity) in enumerate(zip(fractions, capacities)):
         print(f"-- sample fraction {frac:g} (reservoir {capacity})")
-        _print_report(report)
-    write_summary(MetricsReport(rows=all_rows, truth=truth), args.out)
+        _print_report(report.rows[3 * i:3 * i + 3])
+    write_summary(report, args.out)
     print(f"wrote {args.out}")
     return 0
 

@@ -1,6 +1,6 @@
 import pytest
 
-from trisample import read_edge_list, read_stream_file, write_edge_list
+from trisample import cli, read_edge_list, read_stream_file, write_edge_list
 from trisample.cli import main
 
 from helpers import complete_graph_edges, replay
@@ -244,15 +244,69 @@ def test_run_missing_file_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_compare_sweep(tmp_path):
-    er = tmp_path / "er.txt"
-    assert main(["generate", "er", "--nodes", "24", "--edge-prob", "0.4", "--seed", "11", "--out", str(er)]) == 0
+def write_er(tmp_path, nodes, edge_prob, seed):
+    path = tmp_path / "er.txt"
+    args = ["--nodes", str(nodes), "--edge-prob", str(edge_prob), "--seed", str(seed)]
+    assert main(["generate", "er", *args, "--out", str(path)]) == 0
+    return path
+
+
+def summary_rows(path):
+    return [line.split(",") for line in path.read_text().strip().splitlines()[1:]]
+
+
+def test_compare_sweep(tmp_path, capsys, monkeypatch):
+    # every size runs in one experiment, so all rows share one truth
+    er = write_er(tmp_path, 24, 0.4, 11)
+    m = len(read_edge_list(er))
+    real, calls = cli.run_experiment, []
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: calls.append(cfg) or real(cfg))
     out = tmp_path / "cmp.csv"
-    rc = main(["compare", "--edges", str(er), "--sizes", "0.2,0.5", "--reps", "5", "--seed", "2", "--out", str(out)])
+    capsys.readouterr()
+    rc = main(["compare", "--edges", str(er), "--sizes", "0.2,0.5,0.1", "--reps", "5", "--seed", "2", "--out", str(out)])
     assert rc == 0
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 1 + 2 * 3  # header + three estimators per size
+    assert len(calls) == 1
+    rows = summary_rows(out)
+    sizes = [0.2, 0.5, 0.1]
+    assert [(row[0], float(row[1])) for row in rows] == [
+        (kind, param) for f in sizes
+        for kind, param in (("esd", f), ("doulion", f), ("triest", max(1, round(f * m))))
+    ]
+    assert len({row[3] for row in rows}) == 1
     assert not (tmp_path / "cmp_trace.csv").exists()
+    # each "-- sample fraction" block prints that fraction's three rows
+    blocks = capsys.readouterr().out.split("-- sample fraction ")[1:]
+    assert [float(block.split()[0]) for block in blocks] == sizes
+    for block, f in zip(blocks, sizes):
+        lines = block.strip().splitlines()[1:]
+        assert [line.split()[0] for line in lines[:3]] == ["esd", "doulion", "triest"]
+        assert f"param={f:g} " in lines[0]
+
+
+@pytest.mark.parametrize("frac", [0.05, 0.3])
+def test_compare_one_size_writes_what_run_writes(tmp_path, frac):
+    er = write_er(tmp_path, 40, 0.3, 1)
+    capacity = max(1, round(frac * len(read_edge_list(er))))
+    common = ["--edges", str(er), "--reps", "4", "--seed", "5"]
+    cmp_out, run_out = tmp_path / "cmp.csv", tmp_path / "run.csv"
+    assert main(["compare", *common, "--sizes", str(frac), "--out", str(cmp_out)]) == 0
+    assert main([
+        "run", *common, "--alpha", str(frac), "--p", str(frac), "--reservoir", str(capacity),
+        "--out", str(run_out),
+    ]) == 0
+    assert cmp_out.read_bytes() == run_out.read_bytes()
+
+
+def test_run_timing_fills_only_the_wall_time_column(tmp_path):
+    er = write_er(tmp_path, 40, 0.3, 1)
+    for name, flags in [("plain", []), ("timed", ["--timing"])]:
+        assert main([
+            "run", "--edges", str(er), "--alpha", "0.2", "--p", "0.2", "--reservoir", "20",
+            "--reps", "3", "--seed", "8", *flags, "--out", str(tmp_path / f"{name}.csv"),
+        ]) == 0
+    assert [float(row[-1]) for row in summary_rows(tmp_path / "plain.csv")] == [0.0, 0.0, 0.0]
+    assert all(float(row[-1]) > 0 for row in summary_rows(tmp_path / "timed.csv"))
+    assert (tmp_path / "plain_trace.csv").read_bytes() == (tmp_path / "timed_trace.csv").read_bytes()
 
 
 def test_compare_rejects_bad_fraction(tmp_path, capsys):
