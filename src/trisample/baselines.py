@@ -3,16 +3,15 @@ edge reservoir with random pairing for deletions.
 
 Both keep their own sampled subgraph and see only the event stream, so
 neither reads a graph store.  They speak the replay protocol of the
-sampling estimator; the ``harness`` module states its schedule.  No
-update of theirs reads the store, so they have no ``step``: ``skip(events,
-start, stop)`` draws the randomness of ``events[start:stop]``, applies
-every event there that changes the sample and returns ``stop``.
-``run(events, i, stop, order)``, over an ``ArrivalOrder`` whose stream
-holds no deletion, makes the same draws without reading the events and
-applies every event there that touches the sample; the harness passes
-``order`` to every estimator.  ``process``, a one-event ``skip``, is kept
-only for the traced benchmark driver; the harness and the criteria use
-``replay``.
+sampling estimator, whose schedule the ``harness`` module states.  No
+update of theirs reads the store, so they have no ``step``: ``skip(events)``
+draws the randomness of ``events``, applies every event there that changes
+the sample and returns ``len(events)``.  ``run(events, i, stop, order)``,
+over an ``ArrivalOrder`` whose stream holds no deletion, makes the same
+draws for ``events[i:stop]`` without reading the events and applies every
+event there that touches the sample; the harness passes ``order`` to
+every estimator.  ``process``, a one-event ``skip``, is kept only for the
+traced benchmark driver; the harness and the criteria use ``replay``.
 
 Both assume a consistent stream: no addition of a present edge and no
 deletion of an absent one.  The replay driver rejects any other, so the
@@ -74,17 +73,16 @@ class DoulionEstimator:
         return floor(g) if g < inf else inf
 
     def process(self, ev) -> None:
-        self.skip((ev,), 0, 1)
+        self.skip((ev,))
 
-    def skip(self, events, start: int, stop: int) -> int:
-        """Apply every event of ``events[start:stop]`` that changes the
-        sample: the addition the countdown reaches 0 at, which draws the
-        next gap, or a deletion of a sampled edge, which draws nothing.
-        Returns ``stop``."""
+    def skip(self, events) -> int:
+        """Apply every event of ``events`` that changes the sample: the
+        addition the countdown reaches 0 at, which draws the next gap, or a
+        deletion of a sampled edge, which draws nothing.  Returns
+        ``len(events)``."""
         gap = self._gap
         has_edge = self.sample.has_edge
-        for k in range(start, stop):
-            ev = events[k]
+        for ev in events:
             if ev.beta == 1:
                 if gap:
                     gap -= 1
@@ -94,19 +92,18 @@ class DoulionEstimator:
             elif has_edge(ev.u, ev.v):
                 self._apply(ev)
         self._gap = gap
-        return stop
+        return len(events)
 
-    def run(self, events, i: int, stop: int, order) -> int:
+    def run(self, events, i: int, stop: int, order) -> None:
         """Add every kept addition of ``events[i:stop]``, a stretch of a
         stream with no deletion, jumping from one to the next by its gap
         without reading the other events; the countdown left at ``stop`` is
-        ``skip``'s.  Returns ``stop``."""
+        ``skip``'s."""
         k = i + self._gap
         while k < stop:
             self._apply(events[k])
             k += 1 + self._draw_gap()
         self._gap = k - stop
-        return stop
 
     def _apply(self, ev) -> None:
         if ev.beta == 1:
@@ -164,10 +161,10 @@ class TriestEstimator:
         return self._live
 
     def process(self, ev) -> None:
-        self.skip((ev,), 0, 1)
+        self.skip((ev,))
 
-    def skip(self, events, start: int, stop: int) -> int:
-        """Apply every event of ``events[start:stop]``; returns ``stop``.  An
+    def skip(self, events) -> int:
+        """Apply every event of ``events``; returns ``len(events)``.  An
         addition is counted, and it is inserted while the reservoir fills.
         After that, without debts, its coin against capacity/s, s counting
         the addition, is drawn before a replacement draws its slot; with
@@ -178,8 +175,7 @@ class TriestEstimator:
         cap = self.capacity
         edges, slot = self._edges, self._slot
         c_bad, c_good, live = self.c_bad, self.c_good, self._live
-        for i in range(start, stop):
-            ev = events[i]
+        for ev in events:
             if ev.beta == 1:
                 live += 1
                 if c_bad or c_good:
@@ -202,17 +198,17 @@ class TriestEstimator:
                     c_good += 1
         self.c_bad, self.c_good, self._live = c_bad, c_good, live
         self._settle()
-        return stop
+        return len(events)
 
-    def run(self, events, i: int, stop: int, order) -> int:
+    def run(self, events, i: int, stop: int, order) -> None:
         """Act on every event of ``events[i:stop]``, a stretch of a stream
-        with no deletion and so with no debts, that changes the reservoir;
-        returns ``stop``.  The reservoir fills from ``events[i]`` on, and
-        once it is full, the coins against capacity/s are drawn without
-        reading the events.  A won coin draws its slot and notes the event
-        as the slot's last occupant; at ``stop`` each noted slot is replaced
-        once, by its last occupant, which nets the pending changes out as a
-        replacement at each won coin would."""
+        with no deletion and so with no debts, that changes the reservoir.
+        The reservoir fills from ``events[i]`` on, and once it is full, the
+        coins against capacity/s are drawn without reading the events.  A
+        won coin draws its slot and notes the event as the slot's last
+        occupant; at ``stop`` each noted slot is replaced once, by its last
+        occupant, which nets the pending changes out as a replacement at
+        each won coin would."""
         cap, rand = self.capacity, self.rng.random
         base = self._live - i + 1  # base + k: the live edges with event k
         fill = min(stop, i + cap - len(self._edges))  # events[i:fill] fill the reservoir
@@ -231,7 +227,6 @@ class TriestEstimator:
             self._replace(j, canonical(ev.u, ev.v))
         self._live = base + stop - 1
         self._settle()
-        return stop
 
     def estimate(self) -> float:
         """tau * s(s-1)(s-2) / (|S|(|S|-1)(|S|-2)) / kappa, and 0 while the

@@ -139,7 +139,11 @@ def cmd_compare(args) -> int:
         for kind, param in (("esd", frac), ("doulion", frac), ("triest", capacity))
     ]
     stream = StreamSpec("permutation", edges=edges)
-    report, _ = run_experiment(ExperimentConfig(stream, specs, replications=args.reps, seed=args.seed))
+    # compare writes no trace, so replication 0 stops once, at the end of
+    # its len(edges) events; stops never change the draws
+    report, _ = run_experiment(
+        ExperimentConfig(stream, specs, replications=args.reps, seed=args.seed, trace_stride=max(1, len(edges)))
+    )
     for i, (frac, capacity) in enumerate(zip(fractions, capacities)):
         print(f"-- sample fraction {frac:g} (reservoir {capacity})")
         _print_report(report.rows[3 * i:3 * i + 3])

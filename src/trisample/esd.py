@@ -18,15 +18,13 @@ Randomness comes from an ``rng`` with ``random()`` for the coins and
 uniform index, the value ``rng.randrange(d)`` gives, with the same draws:
 k = d.bit_length() bits, redrawn while the value is >= d.
 
-The estimator speaks the replay protocol that the baselines share; the
-``harness`` module states its schedule.  ``skip`` draws the coins of
-upcoming events until one is won, ``step`` makes the won event's update
-from the two endpoints' lists that the store's driver hands it, and draws
-on to the next won coin, and ``run`` does both over an ``ArrivalOrder``,
-which holds the graph as of every event.  Either way the draws are those
-of ``process_event`` on every event, in the same order.  Like the
-baselines, it assumes a consistent stream (no duplicate addition, no
-absent deletion); the driver rejects any other.
+The estimator speaks the replay protocol that the baselines share:
+``skip(events)``, ``step(events, i, nu, nv)`` and ``run(events, i, stop,
+order)``, whose schedule the ``harness`` module states.  On a store or
+an arrival index, the draws are those of ``process_event`` on every
+event, in the same order.  Like the baselines, it assumes a consistent
+stream (no duplicate addition, no absent deletion); the driver rejects
+any other.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ OMEGA_STATIC = 1.0 / 6.0  # full-edge streams expose all 3 edges, 2 tuples each
 def first_won(rand, p: float, start: int, stop: int) -> int:
     """The first position in ``range(start, stop)`` whose coin ``rand() <
     p`` is won, drawing one coin per position up to it, or ``stop``: every
-    coin of ESD's ``skip``, ``step`` and ``run``.  No event is read."""
+    coin of ESD's protocol methods.  No event is read."""
     for k in range(start, stop):
         if rand() < p:
             return k
@@ -104,23 +102,23 @@ class EsdEstimator:
         if self.mode == "static" and (ev.beta != 1 or not g.has_edge(ev.u, ev.v)):
             raise ValueError(f"static mode takes additions of edges in the graph, got {ev}")
         events = (ev,)
-        if self.skip(events, 0, 1) == 0:
-            self.step(events, 0, 1, g.adjacency(ev.u), g.adjacency(ev.v))
+        if self.skip(events) == 0:
+            self.step(events, 0, g.adjacency(ev.u), g.adjacency(ev.v))
 
-    def skip(self, events, start: int, stop: int) -> int:
-        """Draw the coins of ``events[start:stop]``, stopping at the first
-        one won, and return its position (``stop`` when none was won).  A
-        lost coin needs no bookkeeping, so the events are not read.  The
-        won event's coin has been drawn, so ``step`` draws none for it."""
-        return first_won(self.rng.random, self._alpha, start, stop)
+    def skip(self, events) -> int:
+        """Draw the coins of ``events``, stopping at the first one won, and
+        return its position (``len(events)`` when none was won).  A lost
+        coin needs no bookkeeping, so the events are not read.  The won
+        event's coin has been drawn, so ``step`` draws none for it."""
+        return first_won(self.rng.random, self._alpha, 0, len(events))
 
-    def step(self, events, i: int, stop: int, nu, nv) -> int:
+    def step(self, events, i: int, nu, nv) -> int:
         """The update for ``events[i]``, whose coin was won, then the coins
-        of ``events[i+1:stop]`` as ``skip`` draws them; returns the position
-        of the next won coin (``stop`` when none was).  ``nu`` and ``nv``
-        are the sorted neighbor lists Γ(u) and Γ(v) of the event's edge
-        (u, v), as a store holds them before or after ``events[i]``, and the
-        update reads nothing else.
+        of the events after it as ``skip`` draws them; returns the position
+        of the next won coin (``len(events)`` when none was).  ``nu`` and
+        ``nv`` are the sorted neighbor lists Γ(u) and Γ(v) of the event's
+        edge (u, v), as a store holds them before or after ``events[i]``,
+        and the update reads nothing else.
 
         Each endpoint a, with b the other one, probes Γ(a)∖{b}, which does
         not depend on whether the lists hold the edge (u, v); u probes
@@ -132,8 +130,7 @@ class EsdEstimator:
         tells whether the edge is present, and if it is, j skips b's slot
         in Γ(a).
         """
-        rand, bits = self.rng.random, self.rng.getrandbits
-        alpha = self._alpha
+        bits = self.rng.getrandbits
         ev = events[i]
         self.edges_sampled += 1
         u, v = ev.u, ev.v
@@ -165,17 +162,17 @@ class EsdEstimator:
             p = bisect_left(nu, w)
             if p < len(nu) and nu[p] == w:
                 self.s += ev.beta * d
-        return first_won(rand, alpha, i + 1, stop)
+        return first_won(self.rng.random, self._alpha, i + 1, len(events))
 
-    def run(self, events, i: int, stop: int, order) -> int:
+    def run(self, events, i: int, stop: int, order) -> None:
         """``skip`` and ``step`` over ``events[i:stop]`` on ``order``, an
         ``ArrivalOrder`` holding the graph as of every event: the same draws
-        and updates; returns ``stop``.  Γ(a)∖{b} is a's final neighbors that
-        arrived before the won event (b's own edge arrives with it).  One
-        mask over the arrivals of a's row gives their slots, d is how many
-        there are and w is the rank in the j-th.  w is in Γ(b) when one
-        bisect of b's row finds it with an earlier arrival.  The rows are
-        found, and w and the closure read, through ``views``, as Python ints."""
+        and updates.  Γ(a)∖{b} is a's final neighbors that arrived before
+        the won event (b's own edge arrives with it).  One mask over the
+        arrivals of a's row gives their slots, d is how many there are and
+        w is the rank in the j-th.  w is in Γ(b) when one bisect of b's row
+        finds it with an earlier arrival.  The rows are found, and w and
+        the closure read, through ``views``, as Python ints."""
         rand, alpha, bits = self.rng.random, self._alpha, self.rng.getrandbits
         arrival = order.arrival
         nodes, start, nbrs, arrived = order.views
@@ -200,4 +197,3 @@ class EsdEstimator:
                     if p < eb and nbrs[p] == w and arrived[p] < i:
                         self.s += ev.beta * d
             i = first_won(rand, alpha, i + 1, stop)
-        return stop

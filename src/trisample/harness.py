@@ -14,17 +14,18 @@ events between two trace stops (the last is the stream's end), with the
 same random draws and results as feeding each every event.  No call draws
 past its stop, so at each stop every estimator's state, RNG included, is a
 per-event replay's, and the stop's row of estimates is read after all of
-the stretch's calls.  On a store each stretch is one ``replay``, which
-applies exactly one stretch: one ``skip(events, 0, len(events))`` per
+the stretch's calls.  On a store each stretch is one ``replay``, whose
+calls take positions in the stretch's own list: one ``skip(events)`` per
 estimator draws the coins ahead, applies every update that reads no store
-and returns the next event whose update does, or the end.  Only the
-sampling estimator has such events; its ``step(events, i, stop, nu, nv)``
-applies one once the store has, from the endpoints' neighbor lists, which
-``replay`` reads once per event and hands to every step due there, draws
-ahead again and returns the next, or ``stop``.  Over an arrival index,
-whose positions are absolute, one ``run(events, start, stop, order)`` call
-per estimator and stretch draws the stretch's coins and acts on every
-event the estimator acts on there.
+and returns the next event whose update does, or ``len(events)``.  Only
+the sampling estimator has such events; its
+``step(events, i, nu, nv)`` applies event i once the store has, from the
+endpoints' neighbor lists, which ``replay`` reads once per event and hands
+to every step due there, draws ahead again and returns the next, or
+``len(events)``.  Over an arrival index, whose positions are absolute, one
+``run(events, start, stop, order)`` call per estimator and stretch draws
+the stretch's coins and acts on every event the estimator acts on there;
+it returns nothing.
 
 The view, truth and reuse of each replication, stated here once:
 
@@ -246,15 +247,14 @@ def replay(events, g, ests=(), tracker=None) -> None:
     store applies it, and handed to every one.  Each estimator draws from
     its own RNG, so the order they are fed in changes nothing.
     """
-    last = len(events)
     add, delete, adjacency = g.add_edge, g.delete_edge, g.adjacency
     # a plain dict, not a defaultdict: the pop below runs on every event,
     # and it is slower on a dict subclass
     due: dict[int, list] = {}
     for est in ests:
-        due.setdefault(est.skip(events, 0, last), []).append(getattr(est, "step", None))
+        due.setdefault(est.skip(events), []).append(getattr(est, "step", None))
     pop = due.pop
-    for i in range(last):
+    for i in range(len(events)):
         ev = events[i]
         u, v = ev.u, ev.v
         if ev.beta == 1:
@@ -268,7 +268,7 @@ def replay(events, g, ests=(), tracker=None) -> None:
         if steps is not None:
             nu, nv = adjacency(u), adjacency(v)
             for step in steps:
-                k = step(events, i, last, nu, nv)
+                k = step(events, i, nu, nv)
                 if k in due:
                     due[k].append(step)
                 else:

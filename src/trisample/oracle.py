@@ -99,7 +99,8 @@ def _rank_table(nodes) -> np.ndarray | None:
 
 
 class ExactTracker:
-    """Incremental exact triangle count over an event stream.
+    """Incremental exact triangle count over an event stream, read from
+    ``count`` after each ``apply``.
 
     Call contract: apply each event once, before or after the graph
     applies it.  The count does not depend on which, since Γ(u) ∩ Γ(v)
@@ -118,7 +119,7 @@ class ExactTracker:
         self.h_trace: list[int] = []
         self.max_degree = 0
 
-    def apply(self, ev, g) -> int:
+    def apply(self, ev, g) -> None:
         nu, nv = g.adjacency(ev.u), g.adjacency(ev.v)
         h = common_neighbor_count(nu, nv)
         self.count += h if ev.beta == 1 else -h
@@ -132,7 +133,6 @@ class ExactTracker:
         if d >= self.max_degree:  # only then can the peak grow; it counts the edge held
             s = bisect_left(nu, ev.v)
             self.max_degree = d + (s == len(nu) or nu[s] != ev.v)
-        return self.count
 
 
 def variance_bound(h_trace, n_t: float, d_max: int, alpha: float) -> float:

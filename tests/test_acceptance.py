@@ -163,7 +163,7 @@ def test_c06_degenerate_exactness():
         dou = DoulionEstimator(1.0, seed=9)
         tri = TriestEstimator(max(1, len(edges)), seed=10)
         for est in (dou, tri):
-            est.skip(events, 0, len(events))
+            est.skip(events)
         assert dou.estimate() == truth, name
         assert tri.estimate() == truth, name
 

@@ -2,7 +2,10 @@ import ast
 import inspect
 from pathlib import Path
 
+import pytest
+
 import trisample
+from trisample.graph import TimeIndexedGraph
 from trisample.harness import _drive
 
 # The public names, pinned so that a name only tests would use is not
@@ -101,4 +104,23 @@ def test_drivers_take_no_timing():
 def test_step_takes_the_endpoints_lists():
     # the store hands ESD's update the two lists it reads and no store
     params = inspect.signature(trisample.EsdEstimator.step).parameters
-    assert list(params) == ["self", "events", "i", "stop", "nu", "nv"]
+    assert list(params) == ["self", "events", "i", "nu", "nv"]
+
+
+@pytest.mark.parametrize("kind, param", [("esd", 1.0), ("doulion", 1.0), ("triest", 3)])
+def test_skip_takes_its_stretch_whole_and_run_returns_nothing(kind, param):
+    # a store replay hands each call its stretch's own list, while ``run``
+    # takes absolute positions over the arrival index; no driver reads
+    # what ``run`` returns
+    est = trisample.EstimatorSpec(kind, param).build(0)
+    assert list(inspect.signature(type(est).skip).parameters) == ["self", "events"]
+    assert list(inspect.signature(type(est).run).parameters) == ["self", "events", "i", "stop", "order"]
+    events = trisample.StreamSpec("permutation", edges=[(0, 1), (1, 2), (0, 2)]).realize(1)
+    assert est.run(events, 0, 3, TimeIndexedGraph.of(events)) is None
+
+
+def test_tracker_apply_returns_nothing():
+    # callers read the running total from ``count``
+    tracker = trisample.ExactTracker()
+    assert tracker.apply(trisample.EdgeEvent(0, 1, 1), trisample.Graph()) is None
+    assert tracker.count == 0

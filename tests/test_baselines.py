@@ -40,7 +40,7 @@ from test_time_index import StateAtStops, simple_graphs
 
 
 def drive(est, events):
-    est.skip(events, 0, len(events))
+    est.skip(events)
     return est
 
 
@@ -123,7 +123,7 @@ def test_doulion_incremental_count_matches_recount():
     events = StreamSpec("edge-deletion", edges=list(base.edges()), p_e=0.05, p_d=0.25).realize(7)
     est, start = DoulionEstimator(0.6, seed=8), 0
     for stop in _trace_stops(len(events), 1000):
-        est.skip(events, start, stop)
+        est.skip(events[start:stop])
         assert est.tri_in_sample == exact_triangles(est.sample)
         start = stop
 
@@ -204,7 +204,7 @@ def test_triest_tau_matches_sample_recount_on_dynamic_stream():
     events = StreamSpec("edge-deletion", edges=list(base.edges()), p_e=0.05, p_d=0.25).realize(20)
     est, start = TriestEstimator(60, seed=21), 0
     for stop in _trace_stops(len(events), 1000):
-        est.skip(events, start, stop)
+        est.skip(events[start:stop])
         assert est.tau == exact_triangles(est.sample)
         assert est.edges_sampled <= 60
         start = stop
@@ -219,12 +219,12 @@ def test_triest_read_after_every_event_ends_where_an_unread_one_does(events, cap
     # fed and read event by event does
     read, unread = TriestEstimator(capacity, seed=seed), TriestEstimator(capacity, seed=seed)
     for k in range(len(events)):
-        read.skip(events, k, k + 1)
+        read.skip(events[k : k + 1])
         read.estimate()
         sample = read.sample
         assert read.tau == exact_triangles(sample)
         assert sorted(sample.edges()) == sorted(read._edges)
-    assert unread.skip(events, 0, len(events)) == len(events)
+    assert unread.skip(events) == len(events)
     assert state(unread) == state(read)
 
 
@@ -259,7 +259,7 @@ def test_indexed_triest_pass_builds_only_the_final_sample(monkeypatch):
     order = TimeIndexedGraph.of(events)
     m, cap = len(events), 10
     est = TriestEstimator(cap, seed=65)
-    assert est.run(events, 0, m, order) == m
+    est.run(events, 0, m, order)
     assert (calls["add_edge"], calls["delete_edge"]) == (cap, 0)  # the reservoir is full
     assert not est._pending
     settled = dict(calls)
@@ -285,7 +285,7 @@ def test_triest_reads_do_no_work(monkeypatch, feed):
         if feed == "indexed":
             est.run(events, start, stop, order)
         else:
-            est.skip(events, start, stop)
+            est.skip(events[start:stop])
         start = stop
         assert not est._pending
         settled = dict(calls)
@@ -313,7 +313,7 @@ def test_indexed_triest_reconciles_each_slot_once_per_stretch(edges, capacity, s
         fed, states, start = TriestEstimator(capacity, seed=seeds[1]), [], 0
         for stop in stops:
             for k in range(start, stop):
-                fed.skip(events, k, k + 1)
+                fed.skip(events[k : k + 1])
             states.append(state(fed))
             start = stop
         indexed = StateAtStops(TriestEstimator(capacity, seed=seeds[1]))
@@ -357,7 +357,7 @@ def test_triest_random_pairing_counters_stay_nonnegative():
     events = StreamSpec("edge-deletion", edges=list(base.edges()), p_e=0.3, p_d=0.4).realize(26)
     est = TriestEstimator(10, seed=27)
     for k in range(len(events)):
-        est.skip(events, k, k + 1)
+        est.skip(events[k : k + 1])
         assert est.c_bad >= 0 and est.c_good >= 0
         assert est.edges_sampled <= 10
 
@@ -476,7 +476,7 @@ def expected_at_every_prefix(make, events, capacity=None, order=None) -> list:
         estimates = []
         for k in range(len(events)):
             if order is None:
-                est.skip(events, k, k + 1)
+                est.skip(events[k : k + 1])
             else:
                 est.run(events, k, k + 1, order)
             estimates.append(est.estimate())
@@ -538,44 +538,39 @@ class Unread:
         raise AssertionError(f"read .{name} of an event the estimator does not act on")
 
 
-def recording_calls(est, name: str) -> list:
-    """The ``(start, stop)`` of each call made to ``est``'s ``name``
-    method, in call order.  A method ``est`` lacks is never called, and no
-    stand-in is added for it."""
-    calls, method = [], getattr(est, name, None)
+def recording(est, picks: dict) -> dict:
+    """What each call made to ``est``'s methods named in ``picks`` is
+    handed, as ``picks[name]`` reads it from the call's arguments, per name
+    in call order.  A method ``est`` lacks is never called, and no stand-in
+    is added for it."""
+    calls = {name: [] for name in picks}
 
-    def recording(events, start, stop, *g):
-        calls.append((start, stop))
-        return method(events, start, stop, *g)
+    def wrap(method, pick, into):
+        def recorded(*args):
+            into.append(pick(*args))
+            return method(*args)
 
-    if method is not None:
-        setattr(est, name, recording)
+        return recorded
+
+    for name, pick in picks.items():
+        method = getattr(est, name, None)
+        if method is not None:
+            setattr(est, name, wrap(method, pick, calls[name]))
     return calls
 
 
-def recording_edges(est, picks: dict) -> list:
-    """The edge applied by each call made to ``est``'s methods named in
-    ``picks``, in call order, as an unordered pair; ``picks`` maps each
-    name to the function that reads the edge from the call's arguments."""
-    edges = []
-
-    def wrap(method, pick):
-        def recording(*args):
-            edges.append(frozenset(pick(*args)))
-            return method(*args)
-
-        return recording
-
-    for name, pick in picks.items():
-        setattr(est, name, wrap(getattr(est, name), pick))
-    return edges
-
-
-# where each estimator applies an edge on the store, and how to read it
-# from the call's arguments
-DOULION_APPLIES = {"_apply": lambda ev: (ev.u, ev.v)}
-TRIEST_APPLIES = {"_insert": lambda e: e, "_replace": lambda j, e: e, "_remove": lambda e: e}
-ESD_APPLIES = {"step": lambda events, i, stop, nu, nv: (events[i].u, events[i].v)}
+# where each estimator applies an edge on the store, read from the call's
+# arguments as an unordered pair
+DOULION_APPLIES = {"_apply": lambda ev: frozenset((ev.u, ev.v))}
+TRIEST_APPLIES = {"_insert": frozenset, "_replace": lambda j, e: frozenset(e), "_remove": frozenset}
+ESD_APPLIES = {"step": lambda events, i, nu, nv: frozenset((events[i].u, events[i].v))}
+# the stretch each protocol call covers: a store call's list is its
+# stretch, and a ``step`` covers one position of it
+STRETCHES = {
+    "skip": len,
+    "step": lambda events, i, nu, nv: i,
+    "run": lambda events, start, stop, order: (start, stop),
+}
 
 
 @pytest.mark.parametrize(
@@ -600,10 +595,10 @@ def test_indexed_skip_reads_only_the_events_acted_on(make, picks):
     order = TimeIndexedGraph.of(events)
     m = len(events)
     stored = make()
-    applied = recording_edges(stored, picks)
+    applied = recording(stored, picks)
     replay(events, Graph(), [stored])
     position = {frozenset((ev.u, ev.v)): k for k, ev in enumerate(events)}
-    acts = [position[e] for e in applied]
+    acts = [position[e] for edges in applied.values() for e in edges]
     ref = make()
     _drive([ref], events, [m], order)
     assert state(ref) == state(stored)
@@ -630,16 +625,16 @@ def test_indexed_drive_runs_each_estimator_once_per_stretch():
         lambda: TriestEstimator(3, seed=68),
     ]
     stored = [make() for make in makes]
-    stored_calls = [{name: recording_calls(est, name) for name in ("skip", "step")} for est in stored]
+    stored_calls = [recording(est, STRETCHES) for est in stored]
     rows, _ = _drive(stored, events, stops, Graph(), ExactTracker())
     indexed = [make() for make in makes]
-    indexed_calls = [{name: recording_calls(est, name) for name in ("skip", "step", "run")} for est in indexed]
+    indexed_calls = [recording(est, STRETCHES) for est in indexed]
     assert _drive(indexed, events, stops, order)[0].tolist() == rows.tolist()
     assert [state(est) for est in indexed] == [state(est) for est in stored]
     stretches = list(zip([0, *stops], stops))
     for calls in indexed_calls:
         assert calls == {"skip": [], "step": [], "run": stretches}
-    assert [calls["skip"] for calls in stored_calls] == [[(0, stop - start) for start, stop in stretches]] * 3
+    assert [calls["skip"] for calls in stored_calls] == [[stop - start for start, stop in stretches]] * 3
     steps, *baseline_steps = [calls["step"] for calls in stored_calls]
     assert baseline_steps == [[], []]
     assert len(steps) > len(stops)  # so some stretch holds several

@@ -256,17 +256,24 @@ def summary_rows(path):
 
 
 def test_compare_sweep(tmp_path, capsys, monkeypatch):
-    # every size runs in one experiment, so all rows share one truth
+    # every size runs in one experiment, so all rows share one truth, and
+    # its replication 0, whose trace is not written, stops once, at the end
     er = write_er(tmp_path, 24, 0.4, 11)
     m = len(read_edge_list(er))
     real, calls = cli.run_experiment, []
-    monkeypatch.setattr(cli, "run_experiment", lambda cfg: calls.append(cfg) or real(cfg))
+
+    def spy(cfg):
+        calls.append(real(cfg))
+        return calls[-1]
+
+    monkeypatch.setattr(cli, "run_experiment", spy)
     out = tmp_path / "cmp.csv"
     capsys.readouterr()
     rc = main(["compare", "--edges", str(er), "--sizes", "0.2,0.5,0.1", "--reps", "5", "--seed", "2", "--out", str(out)])
     assert rc == 0
-    assert len(calls) == 1
+    ((_, trace),) = calls
     rows = summary_rows(out)
+    assert [row[0] for row in trace] == [m] * len(rows)
     sizes = [0.2, 0.5, 0.1]
     assert [(row[0], float(row[1])) for row in rows] == [
         (kind, param) for f in sizes

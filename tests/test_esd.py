@@ -6,6 +6,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
 
 import trisample
 from trisample import (
@@ -22,6 +23,7 @@ from trisample import (
 )
 
 from helpers import ScriptedRng, complete_graph_edges, replay, state
+from test_schedule import consistent_streams
 
 
 def test_constructor_validation():
@@ -94,7 +96,7 @@ def test_worked_addition_example():
 def step_one(est, ev, g) -> None:
     """Apply one sampled event through ``step``, which then has no coin to
     draw ahead."""
-    assert est.step((ev,), 0, 1, g.adjacency(ev.u), g.adjacency(ev.v)) == 1
+    assert est.step((ev,), 0, g.adjacency(ev.u), g.adjacency(ev.v)) == 1
 
 
 def test_step_addition_increment_scale():
@@ -225,10 +227,10 @@ def test_step_on_lists_before_or_after_the_event():
     assert any(ev.beta == -1 for ev in events)
     g = Graph()
     before, after = EsdEstimator(1.0, seed=38), EsdEstimator(1.0, seed=38)
-    for i, ev in enumerate(events):
-        assert before.step(events, i, i + 1, g.adjacency(ev.u), g.adjacency(ev.v)) == i + 1
+    for ev in events:
+        assert before.step((ev,), 0, g.adjacency(ev.u), g.adjacency(ev.v)) == 1
         replay([ev], g)
-        assert after.step(events, i, i + 1, g.adjacency(ev.u), g.adjacency(ev.v)) == i + 1
+        assert after.step((ev,), 0, g.adjacency(ev.u), g.adjacency(ev.v)) == 1
     assert before.t_est == after.t_est != 0.0
     assert before.rng.getstate() == after.rng.getstate()
 
@@ -246,9 +248,9 @@ def test_replay_fetches_each_events_lists_once():
     stepped = []
     for est in ests:
 
-        def recording(events, i, stop, nu, nv, step=est.step):
+        def recording(events, i, nu, nv, step=est.step):
             stepped.append(i)
-            return step(events, i, stop, nu, nv)
+            return step(events, i, nu, nv)
 
         est.step = recording
     g = ReadRecordingGraph()
@@ -324,6 +326,21 @@ def test_expected_increment_equals_edge_triangle_count():
         assert after == pytest.approx(beta * h, abs=1e-12)
         checked += 1
     assert checked > 100
+
+
+@settings(max_examples=100, deadline=None)
+@given(events=consistent_streams())
+def test_expected_increment_equals_edge_triangle_count_on_random_streams(events):
+    # the same on every event of a random consistent stream, with h counted
+    # before the store applies the event
+    g = Graph()
+    for ev in events:
+        h = triangles_of_edge(g, ev.u, ev.v)
+        before = expected_event_increment(g, ev.u, ev.v, ev.beta)
+        replay([ev], g)
+        after = expected_event_increment(g, ev.u, ev.v, ev.beta)
+        assert before == pytest.approx(ev.beta * h, abs=1e-12)
+        assert after == pytest.approx(ev.beta * h, abs=1e-12)
 
 
 def test_static_expected_increment_is_third_of_edge_count():

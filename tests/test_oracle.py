@@ -191,10 +191,11 @@ def test_tracker_triangle_build_and_teardown():
     counts = []
     for ev in [EdgeEvent(1, 2, 1), EdgeEvent(2, 3, 1), EdgeEvent(1, 3, 1)]:
         g.add_edge(ev.u, ev.v)
-        counts.append(tracker.apply(ev, g))
+        tracker.apply(ev, g)
+        counts.append(tracker.count)
     assert counts == [0, 0, 1]
-    ev = EdgeEvent(2, 3, -1)
-    assert tracker.apply(ev, g) == 0  # counted before removal
+    tracker.apply(EdgeEvent(2, 3, -1), g)
+    assert tracker.count == 0  # counted before removal
     g.delete_edge(2, 3)
     assert tracker.h_trace == [0, 0, 1, 1]
     assert tracker.max_degree == 2

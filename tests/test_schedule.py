@@ -1,5 +1,6 @@
-"""The replay schedule: ``replay`` drives every estimator through ``skip``,
-and ESD also through ``step``, and must leave it exactly where feeding it
+"""The replay schedule, which the ``harness`` module states: ``replay``
+drives every estimator through ``skip(events)``, and ESD also through
+``step(events, i, nu, nv)``, and must leave it exactly where feeding it
 every event through a one-event ``skip`` (baselines) or ``process_event``
 (ESD) does, with the same random draws; the stop loop on a store, one
 ``replay`` per stretch, must read the same trace rows, and its running
@@ -41,7 +42,7 @@ def feed_every_event(specs, seeds, events, stride=None):
             if spec.kind == "esd":
                 est.process_event(ev, g)
             else:
-                est.skip(events, i, i + 1)
+                est.skip(events[i : i + 1])
         if stride is not None and ((i + 1) % stride == 0 or i + 1 == len(events)):
             rows.append((i + 1, tracker.count, [est.estimate() for est in ests]))
     return ests, g, rows
