@@ -117,7 +117,7 @@ class DoulionEstimator:
             self.sample.delete_edge(ev.u, ev.v)
 
     def estimate(self) -> float:
-        if self.p == 0.0:
+        if not self.tri_in_sample:  # p = 0 keeps nothing, and p**3 may underflow to 0.0
             return 0.0
         return self.tri_in_sample / self.p**3
 

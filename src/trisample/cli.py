@@ -124,9 +124,17 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _fraction(tok: str) -> float:
+    try:
+        x = float(tok)
+    except ValueError:
+        raise ValueError(f"sample fraction must be a number, got {tok!r}") from None
+    return rate("sample fraction", x)
+
+
 def cmd_compare(args) -> int:
     edges = read_edge_list(args.edges)
-    fractions = [rate("sample fraction", float(tok)) for tok in args.sizes.split(",") if tok]
+    fractions = [_fraction(tok) for tok in args.sizes.split(",") if tok]
     if not fractions:
         raise ValueError("--sizes must list at least one fraction")
     capacities = [max(1, round(frac * len(edges))) for frac in fractions]

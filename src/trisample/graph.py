@@ -104,18 +104,18 @@ def triangle_slots(start: np.ndarray, nbrs: np.ndarray):
 class Graph:
     """Mutable undirected simple graph with sorted neighbor lists."""
 
-    __slots__ = ("_adj", "_edge_count")
+    __slots__ = ("_adj",)
 
     def __init__(self):
         self._adj: dict[int, list[int]] = {}
-        self._edge_count = 0
 
     # ------------------------------------------------------------------
     # queries
 
     @property
     def edge_count(self) -> int:
-        return self._edge_count
+        """Present edges, counted from the rows when read: O(nodes)."""
+        return sum(map(len, self._adj.values())) // 2
 
     @property
     def node_count(self) -> int:
@@ -139,13 +139,10 @@ class Graph:
         return len(self._adj.get(u, ()))
 
     def has_edge(self, u: int, v: int) -> bool:
-        """O(log d) membership test over the smaller neighbor list."""
-        if u == v:
-            return False
-        a = self._adj.get(u)
-        b = self._adj.get(v)
-        if not a or not b:
-            return False
+        """O(log d) membership test over the smaller neighbor list.  A row
+        never holds its own node, and an unknown node's row is empty."""
+        a = self._adj.get(u, ())
+        b = self._adj.get(v, ())
         nbrs, target = (a, v) if len(a) <= len(b) else (b, u)
         i = bisect_left(nbrs, target)
         return i < len(nbrs) and nbrs[i] == target
@@ -181,7 +178,6 @@ class Graph:
             adj[v] = [u]
         else:
             b.insert(bisect_left(b, u), u)
-        self._edge_count += 1
         return True
 
     def delete_edge(self, u: int, v: int) -> bool:
@@ -191,9 +187,7 @@ class Graph:
         store's size follows its live edges (plus ``add_node``'s nodes):
         an estimator's sample graph stays as small as its sample.
         """
-        a = self._adj.get(u)
-        if not a:
-            return False
+        a = self._adj.get(u, ())
         i = bisect_left(a, v)
         if i == len(a) or a[i] != v:
             return False
@@ -204,7 +198,6 @@ class Graph:
         del b[bisect_left(b, u)]
         if not b:
             del self._adj[v]
-        self._edge_count -= 1
         return True
 
     # ------------------------------------------------------------------
@@ -232,16 +225,15 @@ class Graph:
 
     @classmethod
     def _of_rows(cls, adj: dict[int, list[int]]) -> "Graph":
-        """A graph holding ``adj`` itself, node → sorted neighbor list, with
-        its edges counted.  Nothing is checked: the rows must be symmetric,
-        strictly sorted and free of self-loops."""
+        """A graph holding ``adj`` itself, node → sorted neighbor list.
+        Nothing is checked: the rows must be symmetric, strictly sorted and
+        free of self-loops."""
         g = cls()
         g._adj = adj
-        g._edge_count = sum(map(len, adj.values())) // 2
         return g
 
     def __repr__(self):
-        return f"Graph(nodes={self.node_count}, edges={self._edge_count})"
+        return f"Graph(nodes={self.node_count}, edges={self.edge_count})"
 
 
 class TimeIndexedGraph:

@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Sequence
 from dataclasses import astuple, dataclass
 from itertools import accumulate
 from pathlib import Path
@@ -275,26 +274,19 @@ def replay(events, g, ests=(), tracker=None) -> None:
                     due[k] = [step]
 
 
-class Trace(Sequence):
+class Trace:
     """Replication 0's trace rows ``(event_index, truth, name, estimate)``,
     read-only and held as columns: the stops and the truths as int lists,
     the estimator names once and the estimates as one float64 matrix of
-    stops × estimators, 8 bytes per estimator per stop.  Row k is stop
-    ``k // len(names)`` and estimator ``k % len(names)``, so it iterates,
-    indexes and slices as the list of those tuples, and compares equal to
-    it either way round."""
+    stops × estimators, 8 bytes per estimator per stop.  It iterates stop
+    by stop, each stop's estimators in order, as the list of those tuples,
+    has that list's length, and compares equal to it either way round."""
 
     def __init__(self, stops: list, truths: list, names: tuple, estimates: np.ndarray):
         self._stops, self._truths, self._names, self._estimates = stops, truths, names, estimates
 
     def __len__(self) -> int:
         return self._estimates.size
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[j] for j in range(*k.indices(len(self)))]
-        s, j = divmod(range(len(self))[k], len(self._names))
-        return (self._stops[s], self._truths[s], self._names[j], float(self._estimates[s, j]))
 
     def __iter__(self):
         names = self._names
@@ -303,7 +295,7 @@ class Trace(Sequence):
                 yield stop, truth, name, est
 
     def __eq__(self, other):
-        if not isinstance(other, Sequence):
+        if not isinstance(other, (list, Trace)):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
@@ -404,7 +396,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[MetricsReport, Trace]:
     estimate) come from the first replication only, every trace-stride
     events and at stream end, each with the exact truth there.  They are a
     read-only ``Trace``, held as columns at 8 bytes per estimator per stop,
-    that iterates, indexes and compares equal as the list of those tuples.
+    that iterates as the list of those tuples, has its length and compares
+    equal to it.
     Each replication's view and truth follow the module docstring's rule;
     when the replications end on different graphs the per-replication
     truths differ and metrics normalize by their mean.  Of ``cfg.stream``

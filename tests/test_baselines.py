@@ -69,17 +69,19 @@ def test_doulion_p_one_mirrors_graph_exactly():
 
 def test_doulion_p_zero_always_zero():
     # no addition is ever kept, so the countdown never runs out and nothing
-    # is drawn, on the store and over the arrival order alike
+    # is drawn, on the store and over the arrival order alike; at 1e-110,
+    # p**3 underflows to 0.0, yet the estimate is still 0
     events = StreamSpec("permutation", edges=complete_graph_edges(5)).realize(4)
     order = TimeIndexedGraph.of(events)
-    stored, indexed = DoulionEstimator(0.0, seed=5), DoulionEstimator(0.0, seed=5)
-    unused = stored.rng.getstate()
-    drive(stored, events)
-    indexed.run(events, 0, len(events), order)
-    for est in (stored, indexed):
-        assert est.estimate() == 0.0
-        assert est.edges_sampled == 0
-        assert est.rng.getstate() == unused
+    for p in (0.0, 1e-110):
+        stored, indexed = DoulionEstimator(p, seed=5), DoulionEstimator(p, seed=5)
+        unused = stored.rng.getstate()
+        drive(stored, events)
+        indexed.run(events, 0, len(events), order)
+        for est in (stored, indexed):
+            assert est.estimate() == 0.0
+            assert est.edges_sampled == 0
+            assert est.rng.getstate() == unused
 
 
 @pytest.mark.parametrize("p", [0.01, 0.3, 0.7])
@@ -104,6 +106,7 @@ def test_doulion_gap_too_large_for_a_float_never_runs_out():
     assert est._gap == math.inf
     drive(est, [EdgeEvent(0, 1, 1), EdgeEvent(1, 2, 1)])
     assert est.edges_sampled == 0
+    assert est.estimate() == 0.0
 
 
 def test_doulion_triangle_stream_unbiased():
@@ -510,6 +513,27 @@ def test_triest_expectation_is_the_truth_at_every_prefix(capacity, stream):
     # random pairing is exactly unbiased only with kappa, which the debts
     # left by deletions move below 1
     events = toggled(debt_pairs(capacity) if stream == "debts" else WALKED[stream])
+    expected = expected_at_every_prefix(lambda: TriestEstimator(capacity), events, capacity)
+    assert expected == pytest.approx(truths_at_every_prefix(events), abs=1e-9)
+
+
+# up to 10 toggles on nodes 0-4: TRIÈST's walk forks capacity + 1 ways per
+# addition once full, so the streams stay short
+short_streams = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda p: p[0] != p[1]), max_size=10
+).map(toggled)
+
+
+@settings(max_examples=60, deadline=None)
+@given(events=short_streams, p=st.sampled_from([0.3, 0.7]))
+def test_doulion_expectation_is_the_truth_on_random_streams(events, p):
+    expected = expected_at_every_prefix(lambda: DoulionEstimator(p), events)
+    assert expected == pytest.approx(truths_at_every_prefix(events), abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(events=short_streams, capacity=st.integers(3, 5))
+def test_triest_expectation_is_the_truth_on_random_streams(events, capacity):
     expected = expected_at_every_prefix(lambda: TriestEstimator(capacity), events, capacity)
     assert expected == pytest.approx(truths_at_every_prefix(events), abs=1e-9)
 

@@ -326,6 +326,7 @@ def test_compare_rejects_bad_fraction(tmp_path, capsys):
         ("0", "sample fraction must be in (0, 1], got 0.0"),
         ("1.1", "sample fraction must be in (0, 1], got 1.1"),
         ("nan", "sample fraction must be in (0, 1], got nan"),
+        ("abc", "sample fraction must be a number, got 'abc'"),
         (",", "--sizes must list at least one fraction"),
     ]:
         rc = main(["compare", "--edges", str(er), "--sizes", sizes, "--reps", "2", "--out", str(out)])
