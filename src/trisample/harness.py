@@ -280,7 +280,8 @@ class Trace:
     the estimator names once and the estimates as one float64 matrix of
     stops × estimators, 8 bytes per estimator per stop.  It iterates stop
     by stop, each stop's estimators in order, as the list of those tuples,
-    has that list's length, and compares equal to it either way round."""
+    has that list's length, and compares equal to it either way round, or
+    to another ``Trace`` with the same rows."""
 
     def __init__(self, stops: list, truths: list, names: tuple, estimates: np.ndarray):
         self._stops, self._truths, self._names, self._estimates = stops, truths, names, estimates
