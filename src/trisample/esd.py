@@ -14,7 +14,8 @@ estimator holds no subgraph and reads only the neighbor lists Γ(u) and
 one presence test for the edge and one probe per endpoint.
 
 Randomness comes from an ``rng`` with ``random()`` for the coins and
-``getrandbits(k)`` for the probes.  A probe over d candidates draws one
+``getrandbits(k)`` for the probes, both bound when the estimator is built,
+so the protocol methods look neither up per call.  A probe over d candidates draws one
 uniform index, the value ``rng.randrange(d)`` gives, with the same draws:
 k = d.bit_length() bits, redrawn while the value is >= d.
 
@@ -52,7 +53,9 @@ class EsdEstimator:
     """Running triangle estimate over a fully dynamic edge stream.
 
     ``alpha`` is fixed at construction (the inverse-probability scale
-    factors assume it never changes).  ``mode`` is "dynamic" for add/delete
+    factors assume it never changes), and so is ``rng``: its ``random`` and
+    ``getrandbits`` are bound there, and every method draws through them.
+    ``mode`` is "dynamic" for add/delete
     streams or "static" for a one-pass random-order stream over a fixed
     graph's edges; it picks the weight ``omega``, applied on read.  The
     state is one int, ``s`` = Σ β·d over closing probes, and ``estimate()``
@@ -77,7 +80,8 @@ class EsdEstimator:
         for method in ("random", "getrandbits"):
             if not callable(getattr(rng, method, None)):
                 raise TypeError(f"rng must provide {method}(), which {type(rng).__name__} lacks")
-        self.rng = rng
+        self._rng = rng
+        self._rand, self._bits = rng.random, rng.getrandbits
         self.edges_sampled = 0
 
     @property
@@ -85,6 +89,12 @@ class EsdEstimator:
         """Sampling fraction; read-only because mid-stream changes would
         corrupt the inverse-probability weighting."""
         return self._alpha
+
+    @property
+    def rng(self):
+        """The random source; read-only because its methods are bound at
+        construction."""
+        return self._rng
 
     def estimate(self) -> float:
         """Current estimate, ω·S/α.  May dip below zero transiently after
@@ -110,7 +120,7 @@ class EsdEstimator:
         return its position (``len(events)`` when none was won).  A lost
         coin needs no bookkeeping, so the events are not read.  The won
         event's coin has been drawn, so ``step`` draws none for it."""
-        return first_won(self.rng.random, self._alpha, 0, len(events))
+        return first_won(self._rand, self._alpha, 0, len(events))
 
     def step(self, events, i: int, nu, nv) -> int:
         """The update for ``events[i]``, whose coin was won, then the coins
@@ -130,15 +140,16 @@ class EsdEstimator:
         tells whether the edge is present, and if it is, j skips b's slot
         in Γ(a).
         """
-        bits = self.rng.getrandbits
+        bits = self._bits
         ev = events[i]
         self.edges_sampled += 1
         u, v = ev.u, ev.v
+        lu, lv = len(nu), len(nv)
         s = bisect_left(nu, v)
-        present = s < len(nu) and nu[s] == v
+        present = s < lu and nu[s] == v
         # the two probes are written out: a loop over the endpoint pairs
         # made the 64-ESD store replay about 7% slower
-        d = len(nu) - present
+        d = lu - present
         if d > 0:
             k = d.bit_length()
             j = bits(k)
@@ -148,9 +159,9 @@ class EsdEstimator:
             if present and w >= v:
                 w = nu[j + 1]
             p = bisect_left(nv, w)
-            if p < len(nv) and nv[p] == w:
+            if p < lv and nv[p] == w:
                 self.s += ev.beta * d
-        d = len(nv) - present
+        d = lv - present
         if d > 0:
             k = d.bit_length()
             j = bits(k)
@@ -160,9 +171,9 @@ class EsdEstimator:
             if present and w >= u:
                 w = nv[j + 1]
             p = bisect_left(nu, w)
-            if p < len(nu) and nu[p] == w:
+            if p < lu and nu[p] == w:
                 self.s += ev.beta * d
-        return first_won(self.rng.random, self._alpha, i + 1, len(events))
+        return first_won(self._rand, self._alpha, i + 1, len(events))
 
     def run(self, events, i: int, stop: int, order) -> None:
         """``skip`` and ``step`` over ``events[i:stop]`` on ``order``, an
@@ -173,7 +184,7 @@ class EsdEstimator:
         w is the rank in the j-th.  w is in Γ(b) when one bisect of b's row
         finds it with an earlier arrival.  The rows are found, and w and
         the closure read, through ``views``, as Python ints."""
-        rand, alpha, bits = self.rng.random, self._alpha, self.rng.getrandbits
+        rand, alpha, bits = self._rand, self._alpha, self._bits
         arrival = order.arrival
         nodes, start, nbrs, arrived = order.views
         i = first_won(rand, alpha, i, stop)

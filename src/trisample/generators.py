@@ -5,7 +5,8 @@ and hand the rows to the store once.  Preferential attachment reads every
 weight from one table of degree powers.  Each new node costs a fixed
 handful of numpy calls, whatever the graph's size: one sequential prefix
 sum over the existing nodes' weights (native code, linear in their number)
-and one search per round of picks; plus k appends and k + 1 table reads.
+and one search for its first k picks; plus one bisection per repeated
+pick, k appends and k + 1 table reads.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,43 +97,46 @@ def _pick_distinct(w: np.ndarray, cum: np.ndarray, k: int, rng) -> list[int]:
     inversion; zero-weight entries are never picked and neither array is
     modified.
 
-    Rejection on within-batch repeats keeps each pick exactly proportional
-    among the not-yet-picked.  Picks are resolved in rounds: a round draws
-    one coin per pick still missing, inverts them with one search and
-    rejects repeats in draw order.  The one-at-a-time loop would draw every
-    one of those coins too, since it stops only once ``k`` are picked, so
-    the RNG use is the same.  If rejection stalls (weight concentrated on
-    picked nodes) the running sum is rebuilt without them.  When every
+    Rejection on repeats keeps each pick exactly proportional among the
+    not-yet-picked: coins are drawn one per attempt until ``k`` distinct
+    indices are picked, each kept unless it repeats.  The first ``k`` coins
+    are inverted with one search; each later coin, one per repeat, with a
+    bisection of the same sums.  If rejection stalls (weight concentrated
+    on picked nodes) the running sum is rebuilt without them.  When every
     remaining weight is zero the pick falls back to uniform.
     """
     m = len(w)
     if m < k:
         raise ValueError(f"cannot attach {k} edges among {m} existing nodes")
-    picked: list[int] = []
-    chosen: set[int] = set()
-    attempts_left = 200 * k + 200
     rand = rng.random
+    total = float(cum[-1])
+    attempts_left = 200 * k + 200
+    picked: list[int] = []
+    if total > 0.0:
+        attempts_left -= k
+        coins = [rand() * total for _ in range(k)]
+        picked += dict.fromkeys(cum.searchsorted(coins, side="right").tolist())
+        if len(picked) == k:
+            return picked
+    chosen = set(picked)
+    sums = memoryview(cum)  # bisects read the sums as Python floats
     while len(picked) < k:
-        total = float(cum[-1])
         if total <= 0.0:
             idx = rng.randrange(m)
-            if idx not in chosen:
-                picked.append(idx)
-                chosen.add(idx)
-            continue
-        if attempts_left <= 0:
+        elif attempts_left <= 0:
             w = w.copy()
             w[list(chosen)] = 0.0
             cum = np.cumsum(w)
+            sums = memoryview(cum)
+            total = float(cum[-1])
             attempts_left = 200 * k + 200
             continue
-        draws = min(k - len(picked), attempts_left)
-        attempts_left -= draws
-        coins = [rand() * total for _ in range(draws)]
-        for idx in cum.searchsorted(coins, side="right").tolist():
-            if idx not in chosen:
-                picked.append(idx)
-                chosen.add(idx)
+        else:
+            attempts_left -= 1
+            idx = bisect_right(sums, rand() * total)
+        if idx not in chosen:
+            picked.append(idx)
+            chosen.add(idx)
     return picked
 
 
@@ -144,9 +149,10 @@ def ba_graph(cfg: BaConfig) -> Graph:
     (n_total - seed_nodes) * edges_per_new_node grown edges.
 
     Per new node the cost is one ``np.add.accumulate`` running sum over the
-    existing nodes' weights, one ``searchsorted`` per round of picks, k row
-    appends and k + 1 weight writes.  The new node's id exceeds every id so
-    far, so appending it keeps each target's row sorted.  A node's weight
+    existing nodes' weights, one ``searchsorted`` over k coins, one
+    bisection per repeated pick, k row appends and k + 1 weight writes.
+    The new node's id exceeds every id so far, so appending it keeps each
+    target's row sorted.  A node's weight
     is ``power[len(row)]``, from one ``np.power`` table over every degree,
     so every weight and sum is bitwise what recomputing them all would give.
     """

@@ -8,6 +8,14 @@ are consistent by construction (they never add a present edge nor delete an
 absent one).  The readers turn files into edge lists and events for a spec
 to replay, through one record parser; no code here touches a graph store.
 
+The generated kinds share one shuffle, ``_shuffle``, Fisher–Yates with the
+draws of ``random.Random.shuffle``: the permutation kind runs it on its
+list of addition events, the deletion kinds on the positions of their
+additions, and gather the events from those.  The deletion kinds hold the
+present graph as a numpy bool mask over canonical edge ranks, each edge's
+position in ascending (u, v) order, from a rank table built once per spec
+at its first realization; they allocate no tuple per addition.
+
 The input rules of every layer live here too, each returning what it
 checked or raising ``ValueError`` naming the field: ``positive_int`` (a
 count), ``probability`` ([0, 1]), ``rate`` (a sampling fraction, (0, 1])
@@ -17,8 +25,14 @@ and ``canonical`` (an edge's key, its endpoints in order).
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import lt
 from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,71 +111,126 @@ def _check_simple(edges) -> list[tuple[int, int]]:
     return out
 
 
-def _edge_victims(present, p_d: float, rng) -> list[tuple[int, int]]:
-    """Each present edge (``present`` is sorted), in ascending order,
-    deleted with probability p_d."""
-    return [e for e in present if rng.random() < p_d]
+class _Ranks(NamedTuple):
+    """A deletion spec's edges by canonical rank, their position in
+    ascending (u, v) order: ``rank[i]`` is the rank of the i-th validated
+    edge, or ``rank`` is None when every edge is its own rank, and
+    ``edges[r]`` is the canonical tuple of rank r.  ``ends`` holds, for
+    node deletion only, each rank's endpoints as node indices in ascending
+    id order, and the node count."""
+
+    rank: np.ndarray | None
+    edges: list
+    ends: tuple | None
 
 
-def _node_victims(present, p_d: float, rng) -> list[tuple[int, int]]:
-    """The present edges (``present`` is sorted) touching a node marked with
-    probability p_d; the nodes with an incident edge are visited in
-    ascending id order."""
-    touched = sorted({x for e in present for x in e})
-    marked = {node for node in touched if rng.random() < p_d}
+def _rank_table(edges, with_ends: bool) -> _Ranks:
+    """The ranks of ``edges``, the validated canonical tuples, reused as
+    they are; an edge list already in ascending order is its own table."""
+    m = len(edges)
+    if all(map(lt, edges, islice(edges, 1, None))):
+        rank, by_rank = None, edges
+    else:
+        order = sorted(range(m), key=edges.__getitem__)
+        by_rank = [edges[i] for i in order]
+        rank = np.empty(m, np.intp)
+        rank[order] = np.arange(m)
+    ends = None
+    if with_ends:
+        nodes = sorted({x for e in by_rank for x in e})
+        index = dict(zip(nodes, range(len(nodes))))
+        us = np.fromiter((index[u] for u, _ in by_rank), np.intp, m)
+        vs = np.fromiter((index[v] for _, v in by_rank), np.intp, m)
+        ends = (us, vs, len(nodes))
+    return _Ranks(rank, by_rank, ends)
+
+
+def _edge_victims(present, p_d: float, rng, ranks: _Ranks) -> list[int]:
+    """Each present edge (``present`` holds their ascending ranks), in
+    ascending order, deleted with probability p_d."""
+    rand = rng.random
+    return present[[i for i in range(len(present)) if rand() < p_d]].tolist()
+
+
+def _node_victims(present, p_d: float, rng, ranks: _Ranks) -> list[int]:
+    """The present edges (``present`` holds their ascending ranks) touching
+    a node marked with probability p_d; the nodes with an incident edge are
+    visited in ascending id order."""
+    us, vs, n_nodes = ranks.ends
+    pu, pv = us[present], vs[present]
+    rand = rng.random
+    marked = [x for x in np.union1d(pu, pv).tolist() if rand() < p_d]
     if not marked:
         return []
-    return [e for e in present if e[0] in marked or e[1] in marked]
+    hit = np.zeros(n_nodes, bool)
+    hit[marked] = True
+    return present[hit[pu] | hit[pv]].tolist()
 
 
 # the generated kinds and their deletion rules (None: additions only)
 _VICTIMS = {"permutation": None, "edge-deletion": _edge_victims, "node-deletion": _node_victims}
 
 
-def _generate(additions, p_e: float, victims, p_d: float, seed: int) -> list[EdgeEvent]:
-    """A shuffled copy of ``additions``.  When ``p_e`` is positive, a
-    ``p_e`` coin follows each addition, and a won coin deletes the edges
-    that ``victims(present, p_d, rng)`` picks from the sorted present edges.
+def _shuffle(seq, rng) -> None:
+    """Shuffle ``seq`` in place by Fisher–Yates from the last slot down.
 
-    The shuffle is Fisher–Yates from the last slot down.  Slot i swaps with
-    an index below n = i + 1 drawn from ``getrandbits`` by the rejection
-    rule of ``random.Random._randbelow`` (k = n.bit_length() bits, redrawn
-    while the value is >= n), so it is the permutation ``rng.shuffle``
-    makes, with the same draws, for every seed and length, without depending
-    on how the standard library implements ``shuffle``.  The slots run one
-    bit-length band at a time: every slot i with 2^(k-1) <= i + 1 < 2^k
-    draws k bits, so k is fixed for the band and a draw is kept once it is
-    <= i.  It depends only on the seed and the length, not on what the list
-    holds."""
-    rng = random.Random(seed)
-    order = list(additions)
+    Slot i swaps with an index below n = i + 1 drawn from ``getrandbits``
+    by the rejection rule of ``random.Random._randbelow`` (k =
+    n.bit_length() bits, redrawn while the value is >= n), so it is the
+    permutation ``rng.shuffle`` makes, with the same draws, for every seed
+    and length, without depending on how the standard library implements
+    ``shuffle``.  The slots run one bit-length band at a time: every slot i
+    with 2^(k-1) <= i + 1 < 2^k draws k bits, so k is fixed for the band
+    and a draw is kept once it is <= i.  It depends only on the seed and
+    the length, not on what ``seq`` holds."""
     bits = rng.getrandbits
-    top = len(order) - 1
-    for k in range(len(order).bit_length(), 1, -1):
+    top = len(seq) - 1
+    for k in range(len(seq).bit_length(), 1, -1):
         for i in range(top, (1 << (k - 1)) - 2, -1):
             j = bits(k)
             while j > i:
                 j = bits(k)
-            order[i], order[j] = order[j], order[i]
+            seq[i], seq[j] = seq[j], seq[i]
         top = (1 << (k - 1)) - 2
+
+
+def _generate(additions, ranks: _Ranks, p_e: float, victims, p_d: float, rng) -> list[EdgeEvent]:
+    """A shuffled copy of ``additions``.  When ``p_e`` is positive, a
+    ``p_e`` coin follows each addition, and a won coin deletes the edges
+    that ``victims(present, p_d, rng, ranks)`` picks from the ascending
+    ranks of the present edges.
+
+    The one shuffle runs over the additions' positions, held in an
+    ``array('i')``, and the events are gathered from it: the order of
+    ``_shuffle`` on the events themselves.  The present graph is a bool
+    mask over the canonical edge ranks: each run of additions up to a won
+    coin is appended as one slice and set in the mask, the victims are read
+    from the mask in ascending rank, the same order as the sorted edges,
+    and their deletion events are built from the canonical tuples."""
+    pos = array("i", range(len(additions)))
+    _shuffle(pos, rng)
+    order = list(map(additions.__getitem__, pos))
     if not p_e:
         return order
-    events = []
-    present: list[tuple[int, int]] = []  # sorted, as of the last won coin
-    batch: list[tuple[int, int]] = []  # the additions since then
-    for ev in order:
-        events.append(ev)
-        batch.append((ev.u, ev.v))
-        if rng.random() < p_e:
-            # Timsort keeps the sorted survivors as one run and merges into it
-            present += batch
-            present.sort()
-            batch = []
-            gone = victims(present, p_d, rng)
+    arrived = np.frombuffer(pos, np.intc)  # each addition's rank, in stream order
+    if ranks.rank is not None:
+        arrived = ranks.rank[arrived]
+    mask = np.zeros(len(order), bool)
+    by_rank = ranks.edges
+    rand = rng.random
+    events: list[EdgeEvent] = []
+    start = 0
+    for i in range(len(order)):
+        if rand() < p_e:
+            stop = i + 1
+            events += order[start:stop]
+            mask[arrived[start:stop]] = True
+            start = stop
+            gone = victims(np.flatnonzero(mask), p_d, rng, ranks)
             if gone:
-                events += _events(gone, -1)
-                dead = set(gone)
-                present = [e for e in present if e not in dead]
+                events += _events(map(by_rank.__getitem__, gone), -1)
+                mask[gone] = False
+    events += order[start:]
     return events
 
 
@@ -283,9 +352,10 @@ class StreamSpec:
     the others, and ``p_e`` and ``p_d`` shape only the two deletion models;
     an input the kind does not read raises ``ValueError``.
 
-    The first ``realize`` validates the input and builds its events once;
-    later calls reuse them, so the inputs are read at that first call and
-    not again.  Each call returns a new list: callers may mutate it.
+    The first ``realize`` validates the input and builds its events once,
+    and for the deletion kinds the rank table of its edges; later calls
+    reuse them, so the inputs are read at that first call and not again.
+    Each call returns a new list: callers may mutate it.
     """
 
     kind: str
@@ -294,6 +364,7 @@ class StreamSpec:
     p_e: float = 0.0
     p_d: float = 0.0
     _base: list | None = field(default=None, init=False, repr=False, compare=False)
+    _ranks: _Ranks | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _SPEC_KINDS:
@@ -308,17 +379,25 @@ class StreamSpec:
         if not _VICTIMS.get(self.kind) and (self.p_e or self.p_d):
             raise ValueError(f"stream kind {self.kind!r} takes no p_e or p_d")
 
-    def _build(self) -> list[EdgeEvent]:
+    def _build(self) -> tuple[list[EdgeEvent], _Ranks | None]:
         """The seed-independent events: one addition per edge of the
         validated edge list for the generated kinds, a copy of the given
-        events for the events kind."""
+        events for the events kind; and, for the deletion kinds only, the
+        rank table of the validated edges."""
         if self.kind == "events":
-            return list(self.events)
-        return _events(_check_simple(self.edges), 1)
+            return list(self.events), None
+        edges = _check_simple(self.edges)
+        victims = _VICTIMS[self.kind]
+        ranks = _rank_table(edges, victims is _node_victims) if victims else None
+        return _events(edges, 1), ranks
 
     def realize(self, seed: int) -> list[EdgeEvent]:
         if self._base is None:
-            self._base = self._build()
-        if self.kind in _VICTIMS:
-            return _generate(self._base, self.p_e, _VICTIMS[self.kind], self.p_d, seed)
-        return list(self._base)
+            self._base, self._ranks = self._build()
+        victims = _VICTIMS.get(self.kind)
+        if victims:
+            return _generate(self._base, self._ranks, self.p_e, victims, self.p_d, random.Random(seed))
+        order = list(self._base)
+        if self.kind == "permutation":
+            _shuffle(order, random.Random(seed))
+        return order

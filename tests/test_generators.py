@@ -279,6 +279,67 @@ def test_pick_distinct_top_coin_lands_on_the_last_positive_weight():
     assert _pick_distinct(w, np.cumsum(w), 1, rng) == [1]
 
 
+def _round_based_pick_distinct(w, cum, k, rng) -> list[int]:
+    """``_pick_distinct`` as it was when each round of picks drew one coin
+    per pick still missing and inverted them with one search; the graphs
+    and digests above were recorded with it."""
+    m = len(w)
+    if m < k:
+        raise ValueError(f"cannot attach {k} edges among {m} existing nodes")
+    picked: list[int] = []
+    chosen: set[int] = set()
+    attempts_left = 200 * k + 200
+    rand = rng.random
+    while len(picked) < k:
+        total = float(cum[-1])
+        if total <= 0.0:
+            idx = rng.randrange(m)
+            if idx not in chosen:
+                picked.append(idx)
+                chosen.add(idx)
+            continue
+        if attempts_left <= 0:
+            w = w.copy()
+            w[list(chosen)] = 0.0
+            cum = np.cumsum(w)
+            attempts_left = 200 * k + 200
+            continue
+        draws = min(k - len(picked), attempts_left)
+        attempts_left -= draws
+        coins = [rand() * total for _ in range(draws)]
+        for idx in cum.searchsorted(coins, side="right").tolist():
+            if idx not in chosen:
+                picked.append(idx)
+                chosen.add(idx)
+    return picked
+
+
+@st.composite
+def attachment_weights(draw):
+    # few distinct magnitudes, so that hubs stall the rejection and zero
+    # weights leave too few candidates for the running sum
+    w = draw(st.lists(st.sampled_from([0.0, 1e-12, 1.0, 2.5, 1e6, 1e12]), min_size=1, max_size=12))
+    return np.array(w), draw(st.integers(1, len(w)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(wk=attachment_weights(), seed=st.integers(0, 2**32 - 1))
+# the hub takes every coin after the first pick: one stall and a rebuild
+@example(wk=(np.array([1e12, 1.0, 1.0]), 3), seed=0)
+# one positive weight among four picks: a stall, then a zero running sum
+@example(wk=(np.array([0.0, 1.0, 0.0, 0.0, 0.0]), 4), seed=1)
+# every weight zero: uniform from the first pick
+@example(wk=(np.zeros(6), 3), seed=2)
+def test_pick_distinct_matches_the_round_based_reference(wk, seed):
+    # the first k coins are one search and each repeat one bisection, so
+    # every coin, stall and uniform draw falls where the rounds put them
+    w, k = wk
+    cum = np.cumsum(w)
+    rng, ref = random.Random(seed), random.Random(seed)
+    assert _pick_distinct(w, cum, k, rng) == _round_based_pick_distinct(w, cum, k, ref)
+    assert rng.getstate() == ref.getstate()
+
+
 def test_attachment_zero_weights_falls_back_to_uniform():
     w = np.zeros(6)
     rng = random.Random(9)

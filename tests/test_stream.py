@@ -6,7 +6,7 @@ from itertools import permutations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -225,6 +225,94 @@ def test_node_deletion_golden_events(kind, p_e, p_d, seed, digest):
     events = StreamSpec(kind, edges=edges, p_e=p_e, p_d=p_d).realize(seed)
     rows = [(ev.u, ev.v, ev.beta) for ev in events]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# The deletion kinds against the tuple-based generator they replaced
+
+
+def _reference_edge_victims(present, p_d, rng):
+    return [e for e in present if rng.random() < p_d]
+
+
+def _reference_node_victims(present, p_d, rng):
+    touched = sorted({x for e in present for x in e})
+    marked = {node for node in touched if rng.random() < p_d}
+    if not marked:
+        return []
+    return [e for e in present if e[0] in marked or e[1] in marked]
+
+
+def _reference_generate(additions, p_e, victims, p_d, seed):
+    """The deletion kinds' generator as it was when the present graph was a
+    sorted list of edge tuples: the goldens above were recorded with it."""
+    rng = random.Random(seed)
+    order = list(additions)
+    bits = rng.getrandbits
+    top = len(order) - 1
+    for k in range(len(order).bit_length(), 1, -1):
+        for i in range(top, (1 << (k - 1)) - 2, -1):
+            j = bits(k)
+            while j > i:
+                j = bits(k)
+            order[i], order[j] = order[j], order[i]
+        top = (1 << (k - 1)) - 2
+    if not p_e:
+        return order
+    events = []
+    present = []
+    batch = []
+    for ev in order:
+        events.append(ev)
+        batch.append((ev.u, ev.v))
+        if rng.random() < p_e:
+            present += batch
+            present.sort()
+            batch = []
+            gone = victims(present, p_d, rng)
+            if gone:
+                events += [EdgeEvent(u, v, -1) for u, v in gone]
+                dead = set(gone)
+                present = [e for e in present if e not in dead]
+    return events
+
+
+REFERENCE_VICTIMS = {"edge-deletion": _reference_edge_victims, "node-deletion": _reference_node_victims}
+
+# small ids make dense graphs; the others sit around 2^63 and 2^64, past
+# what a numpy int64 holds
+node_ids = st.one_of(
+    st.integers(0, 12), st.integers(2**63 - 3, 2**63 + 3), st.integers(2**64 - 2, 2**64 + 2)
+)
+# each edge once, in either orientation, as a tuple or a list
+edge_lists = st.lists(
+    st.tuples(st.tuples(node_ids, node_ids).filter(lambda p: p[0] != p[1]), st.booleans()),
+    unique_by=lambda row: frozenset(row[0]),
+    max_size=60,
+).map(lambda rows: [list(p) if as_list else p for p, as_list in rows])
+rates = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["edge-deletion", "node-deletion"]),
+    edges=edge_lists,
+    p_e=rates,
+    p_d=rates,
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+)
+# a sorted edge list is its own rank table
+@example(kind="edge-deletion", edges=random_edges(20, 60, seed=1), p_e=0.3, p_d=0.5, seeds=[0, 1])
+@example(kind="node-deletion", edges=random_edges(20, 60, seed=1), p_e=1.0, p_d=0.2, seeds=[2])
+def test_deletion_streams_match_the_tuple_based_reference(kind, edges, p_e, p_d, seeds):
+    # the rank mask, the one shuffle over positions and the cached rank
+    # table draw and emit what the sorted tuple lists did, realization
+    # after realization of one spec
+    spec = StreamSpec(kind, edges=edges, p_e=p_e, p_d=p_d)
+    additions = [EdgeEvent(min(u, v), max(u, v), 1) for u, v in edges]
+    for seed in seeds:
+        expected = _reference_generate(additions, p_e, REFERENCE_VICTIMS[kind], p_d, seed)
+        assert spec.realize(seed) == expected
 
 
 def test_snapshot_diff_identical_snapshots_no_events():
