@@ -14,10 +14,11 @@ estimator holds no subgraph and reads only the neighbor lists Γ(u) and
 one presence test for the edge and one probe per endpoint.
 
 Randomness comes from an ``rng`` with ``random()`` for the coins and
-``getrandbits(k)`` for the probes, both bound when the estimator is built,
-so the protocol methods look neither up per call.  A probe over d candidates draws one
-uniform index, the value ``rng.randrange(d)`` gives, with the same draws:
-k = d.bit_length() bits, redrawn while the value is >= d.
+``getrandbits(k)`` for the probes, both bound when the estimator is
+built, so the protocol methods look neither up per call.  A probe over d
+candidates draws one uniform index, the value ``rng.randrange(d)`` gives,
+with the same draws: k = d.bit_length() bits, redrawn while the value is
+>= d.
 
 The estimator speaks the replay protocol that the baselines share:
 ``skip(events)``, ``step(events, i, nu, nv)`` and ``run(events, i, stop,
@@ -55,17 +56,17 @@ class EsdEstimator:
     ``alpha`` is fixed at construction (the inverse-probability scale
     factors assume it never changes), and so is ``rng``: its ``random`` and
     ``getrandbits`` are bound there, and every method draws through them.
-    ``mode`` is "dynamic" for add/delete
-    streams or "static" for a one-pass random-order stream over a fixed
-    graph's edges; it picks the weight ``omega``, applied on read.  The
-    state is one int, ``s`` = Σ β·d over closing probes, and ``estimate()``
-    is ``omega * s / alpha``.  Each event consumes one ``rng.random()``
-    coin, drawn by ``skip``, ``run`` or the ``step`` of the sampled event
-    before it, and each neighbor probe of a sampled event draws one uniform
-    index, the value ``rng.randrange`` gives, from ``rng.getrandbits``, so
-    runs replay deterministically from the seed either way.  ``rng``
-    defaults to ``random.Random(seed)``; one passed in needs ``random``
-    and ``getrandbits``, or the constructor raises ``TypeError``.
+    ``mode`` is "dynamic" for add/delete streams or "static" for a
+    one-pass random-order stream over a fixed graph's edges; it picks the
+    weight ``omega``, applied on read.  The state is one int, ``s`` = Σ β·d
+    over closing probes, and ``estimate()`` is ``omega * s / alpha``.  Each
+    event consumes one ``rng.random()`` coin, drawn by ``skip``, ``run`` or
+    the ``step`` of the sampled event before it, and each neighbor probe of
+    a sampled event draws one uniform index, the value ``rng.randrange``
+    gives, from ``rng.getrandbits``, so runs replay deterministically from
+    the seed either way.  ``rng`` defaults to ``random.Random(seed)``; one
+    passed in needs ``random`` and ``getrandbits``, or the constructor
+    raises ``TypeError``.
     """
 
     def __init__(self, alpha: float, mode: str = "dynamic", seed: int = 0, rng=None):

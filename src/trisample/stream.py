@@ -212,7 +212,9 @@ def _generate(additions, ranks: _Ranks, p_e: float, victims, p_d: float, rng) ->
     order = list(map(additions.__getitem__, pos))
     if not p_e:
         return order
-    arrived = np.frombuffer(pos, np.intc)  # each addition's rank, in stream order
+    # each addition's rank, in stream order: its position when the edges
+    # came in (u, v) order
+    arrived = np.frombuffer(pos, np.intc)
     if ranks.rank is not None:
         arrived = ranks.rank[arrived]
     mask = np.zeros(len(order), bool)
