@@ -54,6 +54,16 @@ def test_alpha_is_fixed_after_construction():
         est.alpha = 0.5
 
 
+def test_rng_is_fixed_after_construction():
+    # skip, step and run draw through the rng's methods bound at
+    # construction, so a later rng could not take effect
+    rng = random.Random(4)
+    est = EsdEstimator(0.3, rng=rng)
+    assert est.rng is rng
+    with pytest.raises(AttributeError):
+        est.rng = random.Random(5)
+
+
 def test_t_est_is_a_read_only_alias_of_the_estimate():
     est = EsdEstimator(0.3)
     est.s = 7
