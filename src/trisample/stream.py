@@ -25,7 +25,6 @@ and ``canonical`` (an edge's key, its endpoints in order).
 from __future__ import annotations
 
 import random
-from array import array
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import lt
@@ -200,23 +199,22 @@ def _generate(additions, ranks: _Ranks, p_e: float, victims, p_d: float, rng) ->
     that ``victims(present, p_d, rng, ranks)`` picks from the ascending
     ranks of the present edges.
 
-    The one shuffle runs over the additions' positions, held in an
-    ``array('i')``, and the events are gathered from it: the order of
+    The one shuffle runs over the additions' positions, a numpy int array
+    shuffled through a memoryview, and the events are gathered from it: the order of
     ``_shuffle`` on the events themselves.  The present graph is a bool
     mask over the canonical edge ranks: each run of additions up to a won
     coin is appended as one slice and set in the mask, the victims are read
     from the mask in ascending rank, the same order as the sorted edges,
     and their deletion events are built from the canonical tuples."""
-    pos = array("i", range(len(additions)))
-    _shuffle(pos, rng)
-    order = list(map(additions.__getitem__, pos))
+    pos = np.arange(len(additions), dtype=np.intc)
+    view = memoryview(pos)  # reads and writes the positions as Python ints
+    _shuffle(view, rng)
+    order = list(map(additions.__getitem__, view))
     if not p_e:
         return order
     # each addition's rank, in stream order: its position when the edges
     # came in (u, v) order
-    arrived = np.frombuffer(pos, np.intc)
-    if ranks.rank is not None:
-        arrived = ranks.rank[arrived]
+    arrived = pos if ranks.rank is None else ranks.rank[pos]
     mask = np.zeros(len(order), bool)
     by_rank = ranks.edges
     rand = rng.random
