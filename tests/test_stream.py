@@ -245,7 +245,7 @@ def _reference_node_victims(present, p_d, rng):
 
 def _reference_generate(additions, p_e, victims, p_d, seed):
     """The deletion kinds' generator as it was when the present graph was a
-    sorted list of edge tuples: the goldens above were recorded with it."""
+    sorted list of edge tuples; the goldens above pin it on fixed inputs."""
     rng = random.Random(seed)
     order = list(additions)
     bits = rng.getrandbits
