@@ -85,11 +85,8 @@ def _stream_spec_from_args(args) -> StreamSpec:
         return StreamSpec("events", events=read_stream_file(other))
     if not args.pe and (args.pd or args.node_del):
         raise ValueError("--pd and --node-del need a positive --pe")
-    edges = read_edge_list(args.edges)
-    if args.pe:
-        kind = "node-deletion" if args.node_del else "edge-deletion"
-        return StreamSpec(kind, edges=edges, p_e=args.pe, p_d=args.pd)
-    return StreamSpec("permutation", edges=edges)
+    kind = "permutation" if not args.pe else "node-deletion" if args.node_del else "edge-deletion"
+    return StreamSpec(kind, edges=read_edge_list(args.edges), p_e=args.pe, p_d=args.pd)
 
 
 def _print_report(rows) -> None:

@@ -119,8 +119,9 @@ class Graph:
 
     @property
     def node_count(self) -> int:
-        """Known nodes: the endpoints of present edges, plus the nodes that
-        ``add_node`` added and no edge has touched since."""
+        """Known nodes: the endpoints of present edges, plus any isolated
+        rows a generator handed over through ``_of_rows`` that no edge has
+        touched since."""
         return len(self._adj)
 
     def nodes(self):
@@ -149,10 +150,6 @@ class Graph:
 
     # ------------------------------------------------------------------
     # mutations
-
-    def add_node(self, u: int) -> None:
-        """Ensure ``u`` exists in the adjacency map (no edges implied)."""
-        self._adj.setdefault(u, [])
 
     def add_edge(self, u: int, v: int) -> bool:
         """Insert undirected edge (u, v).
@@ -184,8 +181,10 @@ class Graph:
         """Remove undirected edge (u, v); False when absent.
 
         An endpoint whose last edge goes leaves the adjacency map, so a
-        store's size follows its live edges (plus ``add_node``'s nodes):
-        an estimator's sample graph stays as small as its sample.
+        store's nodes are the endpoints of its edges, plus any isolated
+        rows handed over through ``_of_rows``, and its size follows its
+        live edges: an estimator's sample graph stays as small as its
+        sample.
         """
         a = self._adj.get(u, ())
         i = bisect_left(a, v)

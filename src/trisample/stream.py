@@ -9,12 +9,14 @@ absent one).  The readers turn files into edge lists and events for a spec
 to replay, through one record parser; no code here touches a graph store.
 
 The generated kinds share one shuffle, ``_shuffle``, Fisher–Yates with the
-draws of ``random.Random.shuffle``: the permutation kind runs it on its
-list of addition events, the deletion kinds on the positions of their
-additions, and gather the events from those.  The deletion kinds hold the
-present graph as a numpy bool mask over canonical edge ranks, each edge's
-position in ascending (u, v) order, from a rank table built once per spec
-at its first realization; they allocate no tuple per addition.
+draws of ``random.Random.shuffle``, and ``p_e`` picks what it runs on.  At
+``p_e`` = 0 no deletion event can run, so every generated kind is the
+permutation: the shuffle runs on a copy of its list of addition events.  A
+positive ``p_e`` runs it on the positions of the additions, and the events
+are gathered from those; the present graph is a numpy bool mask over
+canonical edge ranks, each edge's position in ascending (u, v) order, from
+a rank table built once per spec at its first realization, and no tuple is
+allocated per addition.
 
 The input rules of every layer live here too, each returning what it
 checked or raising ``ValueError`` naming the field: ``positive_int`` (a
@@ -166,8 +168,8 @@ def _node_victims(present, p_d: float, rng, ranks: _Ranks) -> list[int]:
     return present[hit[pu] | hit[pv]].tolist()
 
 
-# the generated kinds and their deletion rules (None: additions only)
-_VICTIMS = {"permutation": None, "edge-deletion": _edge_victims, "node-deletion": _node_victims}
+# the deletion kinds and their deletion rules
+_VICTIMS = {"edge-deletion": _edge_victims, "node-deletion": _node_victims}
 
 
 def _shuffle(seq, rng) -> None:
@@ -194,10 +196,10 @@ def _shuffle(seq, rng) -> None:
 
 
 def _generate(additions, ranks: _Ranks, p_e: float, victims, p_d: float, rng) -> list[EdgeEvent]:
-    """A shuffled copy of ``additions``.  When ``p_e`` is positive, a
-    ``p_e`` coin follows each addition, and a won coin deletes the edges
-    that ``victims(present, p_d, rng, ranks)`` picks from the ascending
-    ranks of the present edges.
+    """A shuffled copy of ``additions``, ``p_e`` positive: a ``p_e`` coin
+    follows each addition, and a won coin deletes the edges that
+    ``victims(present, p_d, rng, ranks)`` picks from the ascending ranks of
+    the present edges.
 
     The one shuffle runs over the additions' positions, a numpy int array
     shuffled through a memoryview, and the events are gathered from it: the order of
@@ -210,8 +212,6 @@ def _generate(additions, ranks: _Ranks, p_e: float, victims, p_d: float, rng) ->
     view = memoryview(pos)  # reads and writes the positions as Python ints
     _shuffle(view, rng)
     order = list(map(additions.__getitem__, view))
-    if not p_e:
-        return order
     # each addition's rank, in stream order: its position when the edges
     # came in (u, v) order
     arrived = pos if ranks.rank is None else ranks.rank[pos]
@@ -259,24 +259,27 @@ def _records(path, usage: str, comments: str, ok=None):
     skipped.  A record has as many fields as ``usage`` and passes ``ok``;
     its first two fields are node ids, unsigned decimal integers (ASCII
     digits only) that differ.  A bad line raises ``ValueError`` naming
-    ``path:lineno``.
+    ``path:lineno``, and a file that is not UTF-8 text one naming ``path``.
     """
     width = len(usage.split())
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line[0] in comments:
-                continue
-            fields = line.split()
-            if len(fields) != width or (ok is not None and not ok(fields)):
-                raise ValueError(f"{path}:{lineno}: expected '{usage}', got {raw.rstrip()!r}")
-            a, b = fields[0], fields[1]
-            if not (a.isascii() and a.isdigit() and b.isascii() and b.isdigit()):
-                raise ValueError(f"{path}:{lineno}: node ids must be unsigned integers")
-            u, v = int(a), int(b)
-            if u == v:
-                raise ValueError(f"{path}:{lineno}: self-loop on node {u}")
-            yield u, v, fields
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line[0] in comments:
+                    continue
+                fields = line.split()
+                if len(fields) != width or (ok is not None and not ok(fields)):
+                    raise ValueError(f"{path}:{lineno}: expected '{usage}', got {raw.rstrip()!r}")
+                a, b = fields[0], fields[1]
+                if not (a.isascii() and a.isdigit() and b.isascii() and b.isdigit()):
+                    raise ValueError(f"{path}:{lineno}: node ids must be unsigned integers")
+                u, v = int(a), int(b)
+                if u == v:
+                    raise ValueError(f"{path}:{lineno}: self-loop on node {u}")
+                yield u, v, fields
+        except UnicodeDecodeError:  # raised by reading the file, the only decode here
+            raise ValueError(f"{path}: not UTF-8 text") from None
 
 
 def read_edge_list(path) -> list[tuple[int, int]]:
@@ -311,14 +314,15 @@ def write_stream_file(events, path) -> None:
 
 def read_snapshot_dir(path) -> list[list[tuple[int, int]]]:
     """Read a directory of edge-list files as an ordered snapshot chain,
-    consumed in lexicographic filename order."""
-    files = sorted(p for p in Path(path).iterdir() if p.is_file())
+    consumed in lexicographic filename order.  Hidden files, whose names
+    begin with '.', such as ``.DS_Store``, are skipped."""
+    files = sorted(p for p in Path(path).iterdir() if p.is_file() and not p.name.startswith("."))
     if not files:
         raise ValueError(f"no snapshot files in {path}")
     return [read_edge_list(p) for p in files]
 
 
-_SPEC_KINDS = (*_VICTIMS, "events")
+_SPEC_KINDS = ("permutation", *_VICTIMS, "events")
 
 
 @dataclass
@@ -350,10 +354,12 @@ class StreamSpec:
     included, raises ``ValueError`` at every ``realize``.  Each kind takes
     only its own inputs: ``events`` for the events kind and ``edges`` for
     the others, and ``p_e`` and ``p_d`` shape only the two deletion models;
-    an input the kind does not read raises ``ValueError``.
+    an input the kind does not read raises ``ValueError``.  At ``p_e`` = 0
+    no deletion event runs, so a deletion kind realizes as the permutation,
+    through the same shuffle, byte for byte, whatever ``p_d`` is.
 
     The first ``realize`` validates the input and builds its events once,
-    and for the deletion kinds the rank table of its edges; later calls
+    and, when ``p_e`` is positive, the rank table of its edges; later calls
     reuse them, so the inputs are read at that first call and not again.
     Each call returns a new list: callers may mutate it.
     """
@@ -376,28 +382,28 @@ class StreamSpec:
             raise ValueError(f"stream kind {self.kind!r} requires {needs}")
         probability("p_e", self.p_e)
         probability("p_d", self.p_d)
-        if not _VICTIMS.get(self.kind) and (self.p_e or self.p_d):
+        if self.kind not in _VICTIMS and (self.p_e or self.p_d):
             raise ValueError(f"stream kind {self.kind!r} takes no p_e or p_d")
 
     def _build(self) -> tuple[list[EdgeEvent], _Ranks | None]:
         """The seed-independent events: one addition per edge of the
         validated edge list for the generated kinds, a copy of the given
-        events for the events kind; and, for the deletion kinds only, the
+        events for the events kind; and, for a positive ``p_e`` only, the
         rank table of the validated edges."""
         if self.kind == "events":
             return list(self.events), None
         edges = _check_simple(self.edges)
-        victims = _VICTIMS[self.kind]
-        ranks = _rank_table(edges, victims is _node_victims) if victims else None
+        ranks = _rank_table(edges, self.kind == "node-deletion") if self.p_e else None
         return _events(edges, 1), ranks
 
     def realize(self, seed: int) -> list[EdgeEvent]:
         if self._base is None:
             self._base, self._ranks = self._build()
-        victims = _VICTIMS.get(self.kind)
-        if victims:
-            return _generate(self._base, self._ranks, self.p_e, victims, self.p_d, random.Random(seed))
+        if self.kind == "events":
+            return list(self._base)
+        rng = random.Random(seed)
+        if self.p_e:
+            return _generate(self._base, self._ranks, self.p_e, _VICTIMS[self.kind], self.p_d, rng)
         order = list(self._base)
-        if self.kind == "permutation":
-            _shuffle(order, random.Random(seed))
+        _shuffle(order, rng)
         return order

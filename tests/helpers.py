@@ -35,6 +35,17 @@ def complete_graph_edges(n: int) -> list:
     return list(combinations(range(n), 2))
 
 
+def graph_with_isolated(nodes, edges) -> Graph:
+    """A store whose rows start as one empty row per node of ``nodes``,
+    handed over through ``Graph._of_rows`` as the generators hand theirs,
+    and then gain ``edges`` one ``add_edge`` each: a node no edge touches
+    stays as an isolated node."""
+    g = Graph._of_rows({u: [] for u in nodes})
+    for u, v in edges:
+        g.add_edge(u, v)
+    return g
+
+
 def sorted_edges(g: Graph) -> list:
     """The edges of ``g``, sorted: equal for two graphs exactly when they
     hold the same edges, since ``edges()`` never lists a node of degree 0."""
@@ -235,13 +246,11 @@ def _reference_pick_distinct(w, cum, k, rng) -> list[int]:
 
 
 def reference_er_graph(n: int, edge_prob: float, seed: int) -> Graph:
-    """Per-pair ``er_graph`` reference: nodes 0..n-1 added first, then one
-    ``Graph.add_edge`` per pair (u, v), u < v, that its coin keeps, pairs
-    in increasing order."""
+    """Per-pair ``er_graph`` reference: an empty row for each of nodes
+    0..n-1 first, then one ``Graph.add_edge`` per pair (u, v), u < v, that
+    its coin keeps, pairs in increasing order."""
     rng = random.Random(seed)
-    g = Graph()
-    for u in range(n):
-        g.add_node(u)
+    g = Graph._of_rows({u: [] for u in range(n)})
     for u in range(n):
         for v in range(u + 1, n):
             if rng.random() < edge_prob:

@@ -26,6 +26,7 @@ from helpers import (
     brute_force_common_neighbors,
     brute_force_triangles,
     complete_graph_edges,
+    graph_with_isolated,
 )
 
 
@@ -54,15 +55,14 @@ ODD_IDS = st.one_of(
 
 @st.composite
 def graphs_with_odd_ids(draw):
-    """A random simple graph on up to 12 ``ODD_IDS``, plus a few nodes that
-    ``add_node`` adds and no edge touches."""
+    """A random simple graph on up to 12 ``ODD_IDS``, plus a few nodes
+    whose empty rows are handed over through ``Graph._of_rows`` and that no
+    edge may touch."""
     ids = draw(st.lists(ODD_IDS, min_size=2, max_size=12, unique=True))
     pairs = list(combinations(ids, 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    g = Graph.from_edges(pair for pair, k in zip(pairs, keep) if k)
-    for u in draw(st.lists(ODD_IDS, max_size=3)):
-        g.add_node(u)
-    return g
+    isolated = draw(st.lists(ODD_IDS, max_size=3))
+    return graph_with_isolated(isolated, (pair for pair, k in zip(pairs, keep) if k))
 
 
 @settings(max_examples=200, deadline=None)
@@ -75,8 +75,9 @@ def test_exact_triangles_matches_brute_force_on_any_ids(g):
 def graphs_with_dense_ids(draw):
     """A random simple graph on n int ids, and their span: the ids lie in
     ``span`` consecutive ints from an offset anywhere in int64, n <= span <=
-    2·n, both ends taken and the gaps left unused, and each is added by
-    ``add_node``, so one that no edge touches is an isolated node."""
+    2·n, both ends taken and the gaps left unused, and each has a row
+    handed over through ``Graph._of_rows``, so one that no edge touches is
+    an isolated node."""
     n = draw(st.integers(2, 12))
     span = draw(st.one_of(st.sampled_from([2 * n - 1, 2 * n]), st.integers(n, 2 * n)))
     ends = [-(2**63), -(2**62), 0, 2**62, 2**63 - span]
@@ -85,10 +86,7 @@ def graphs_with_dense_ids(draw):
     ids = [lo + i for i in [0, *inner, span - 1]]
     pairs = list(combinations(ids, 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    g = Graph.from_edges(pair for pair, k in zip(pairs, keep) if k)
-    for u in ids:
-        g.add_node(u)
-    return g, span
+    return graph_with_isolated(ids, (pair for pair, k in zip(pairs, keep) if k)), span
 
 
 @settings(max_examples=200, deadline=None)
@@ -98,9 +96,8 @@ def test_exact_triangles_rank_table_and_dict_agree(drawn):
     n = g.node_count
     assert (_rank_table(sorted(g.nodes())) is not None) == (span < 2 * n)
     # x -> x * 2**40 - 3 spreads the ids far apart (and most beyond int64)
-    sparse = Graph.from_edges((u * 2**40 - 3, v * 2**40 - 3) for u, v in g.edges())
-    for u in g.nodes():
-        sparse.add_node(u * 2**40 - 3)
+    spread = [u * 2**40 - 3 for u in g.nodes()]
+    sparse = graph_with_isolated(spread, ((u * 2**40 - 3, v * 2**40 - 3) for u, v in g.edges()))
     assert _rank_table(sorted(sparse.nodes())) is None
     assert exact_triangles(g) == exact_triangles(sparse) == brute_force_triangles(g)
 
@@ -150,8 +147,7 @@ def test_exact_triangles_degree_ties():
 
 
 def test_exact_triangles_keeps_degree_zero_nodes():
-    g = Graph.from_edges(complete_graph_edges(6))
-    g.add_node(40)
+    g = graph_with_isolated([40], complete_graph_edges(6))
     for u, v in [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2)]:
         g.delete_edge(u, v)
     assert g.degree(0) == 0 and 0 not in g.nodes()

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 import tempfile
 from itertools import permutations
 from pathlib import Path
@@ -10,10 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import trisample.stream
 from trisample import (
+    BaConfig,
     EdgeEvent,
     StreamSpec,
+    ba_graph,
     read_edge_list,
+    read_snapshot_dir,
     read_stream_file,
     snapshot_diffs,
     write_edge_list,
@@ -123,6 +128,37 @@ def test_edge_deletion_stream_pe_zero_is_pure_permutation():
     assert [ev.beta for ev in shuffled] == [1] * 60
     for kind in ("edge-deletion", "node-deletion"):
         assert StreamSpec(kind, edges=edges, p_e=0.0, p_d=0.5).realize(2) == shuffled
+
+
+def _ba_edge_lists():
+    """A small BA graph's edges, sorted, and shuffled with every other pair
+    reversed and every third a list."""
+    edges = sorted(ba_graph(BaConfig(80, 10, 0.3, 3, 1.0, seed=7)).edges())
+    mixed = list(edges)
+    random.Random(8).shuffle(mixed)
+    mixed = [(v, u) if i % 2 else (u, v) for i, (u, v) in enumerate(mixed)]
+    return {"sorted": edges, "mixed": [list(e) if i % 3 == 0 else e for i, e in enumerate(mixed)]}
+
+
+BA_EDGE_LISTS = _ba_edge_lists()
+
+
+@pytest.mark.parametrize("kind", ["edge-deletion", "node-deletion"])
+@pytest.mark.parametrize("order", ["sorted", "mixed"])
+@pytest.mark.parametrize("p_d", [0.0, 0.4, 1.0])
+def test_deletion_kinds_at_pe_zero_run_the_permutation_path(monkeypatch, kind, order, p_d):
+    # at p_e = 0 no deletion event can run: the stream is the permutation,
+    # shuffled from its events, with no rank table and no ``_generate``
+    def no_generate(*args):
+        raise AssertionError("_generate called at p_e = 0")
+
+    monkeypatch.setattr(trisample.stream, "_generate", no_generate)
+    edges = BA_EDGE_LISTS[order]
+    spec = StreamSpec(kind, edges=edges, p_e=0.0, p_d=p_d)
+    permutation = StreamSpec("permutation", edges=edges)
+    for seed in range(12):
+        assert spec.realize(seed) == permutation.realize(seed)
+    assert spec._ranks is None
 
 
 def test_edge_deletion_stream_full_wipe():
@@ -397,6 +433,26 @@ def test_stream_file_errors_carry_line_number(tmp_path, content):
     with pytest.raises(ValueError) as err:
         read_stream_file(path)
     assert ":1:" in str(err.value)
+
+
+def test_a_file_that_is_not_utf8_names_itself(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"1 2\n\xff\xfe 3\n")
+    for read in (read_edge_list, read_stream_file):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not UTF-8 text$"):
+            read(path)
+
+
+def test_snapshot_dir_skips_hidden_files(tmp_path):
+    (tmp_path / "0.txt").write_text("1 2\n")
+    (tmp_path / "1.txt").write_text("1 2\n2 3\n")
+    (tmp_path / ".DS_Store").write_bytes(b"\x00\x00\x00\x01Bud1\xff\xfe")
+    assert read_snapshot_dir(tmp_path) == [[(1, 2)], [(1, 2), (2, 3)]]
+    for name in ("0.txt", "1.txt"):
+        (tmp_path / name).unlink()
+    (tmp_path / ".hidden.txt").write_text("1 2\n")
+    with pytest.raises(ValueError, match="no snapshot files"):
+        read_snapshot_dir(tmp_path)
 
 
 def test_generated_streams_byte_identical(tmp_path):
