@@ -119,9 +119,8 @@ class Graph:
 
     @property
     def node_count(self) -> int:
-        """Known nodes: the endpoints of present edges, plus any isolated
-        rows a generator handed over through ``_of_rows`` that no edge has
-        touched since."""
+        """Known nodes: the endpoints of present edges, plus isolated rows
+        a generator handed over through ``_of_rows`` and no edge touched."""
         return len(self._adj)
 
     def nodes(self):
@@ -181,10 +180,9 @@ class Graph:
         """Remove undirected edge (u, v); False when absent.
 
         An endpoint whose last edge goes leaves the adjacency map, so a
-        store's nodes are the endpoints of its edges, plus any isolated
-        rows handed over through ``_of_rows``, and its size follows its
-        live edges: an estimator's sample graph stays as small as its
-        sample.
+        store's nodes are its edges' endpoints, plus any isolated rows
+        handed over through ``_of_rows``: an estimator's sample graph
+        stays as small as its sample.
         """
         a = self._adj.get(u, ())
         i = bisect_left(a, v)

@@ -9,14 +9,12 @@ absent one).  The readers turn files into edge lists and events for a spec
 to replay, through one record parser; no code here touches a graph store.
 
 The generated kinds share one shuffle, ``_shuffle``, Fisher–Yates with the
-draws of ``random.Random.shuffle``, and ``p_e`` picks what it runs on.  At
-``p_e`` = 0 no deletion event can run, so every generated kind is the
-permutation: the shuffle runs on a copy of its list of addition events.  A
-positive ``p_e`` runs it on the positions of the additions, and the events
-are gathered from those; the present graph is a numpy bool mask over
-canonical edge ranks, each edge's position in ascending (u, v) order, from
-a rank table built once per spec at its first realization, and no tuple is
-allocated per addition.
+draws of ``random.Random.shuffle``.  At ``p_e`` = 0 every generated kind is
+the permutation: the shuffle runs on a copy of the addition events.  A
+positive ``p_e`` runs it on the additions' positions and gathers the events;
+the present graph is a numpy bool mask over canonical edge ranks (ascending
+(u, v) order), from a rank table built once per spec at its first
+realization, and no tuple is allocated per addition.
 
 The input rules of every layer live here too, each returning what it
 checked or raising ``ValueError`` naming the field: ``positive_int`` (a
@@ -313,9 +311,8 @@ def write_stream_file(events, path) -> None:
 
 
 def read_snapshot_dir(path) -> list[list[tuple[int, int]]]:
-    """Read a directory of edge-list files as an ordered snapshot chain,
-    consumed in lexicographic filename order.  Hidden files, whose names
-    begin with '.', such as ``.DS_Store``, are skipped."""
+    """Read a directory's edge-list files, in lexicographic filename order,
+    as a snapshot chain, skipping hidden files (a name beginning with '.')."""
     files = sorted(p for p in Path(path).iterdir() if p.is_file() and not p.name.startswith("."))
     if not files:
         raise ValueError(f"no snapshot files in {path}")
@@ -355,8 +352,8 @@ class StreamSpec:
     only its own inputs: ``events`` for the events kind and ``edges`` for
     the others, and ``p_e`` and ``p_d`` shape only the two deletion models;
     an input the kind does not read raises ``ValueError``.  At ``p_e`` = 0
-    no deletion event runs, so a deletion kind realizes as the permutation,
-    through the same shuffle, byte for byte, whatever ``p_d`` is.
+    a deletion kind runs no deletion event: it is the permutation, bytes and
+    draws alike, whatever ``p_d`` is.
 
     The first ``realize`` validates the input and builds its events once,
     and, when ``p_e`` is positive, the rank table of its edges; later calls

@@ -55,9 +55,9 @@ ODD_IDS = st.one_of(
 
 @st.composite
 def graphs_with_odd_ids(draw):
-    """A random simple graph on up to 12 ``ODD_IDS``, plus a few nodes
-    whose empty rows are handed over through ``Graph._of_rows`` and that no
-    edge may touch."""
+    """A random simple graph on up to 12 ``ODD_IDS``, plus up to 3 more
+    nodes whose empty rows are handed over through ``Graph._of_rows``, each
+    isolated unless an edge touches it."""
     ids = draw(st.lists(ODD_IDS, min_size=2, max_size=12, unique=True))
     pairs = list(combinations(ids, 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
