@@ -139,13 +139,12 @@ class Graph:
         return len(self._adj.get(u, ()))
 
     def has_edge(self, u: int, v: int) -> bool:
-        """O(log d) membership test over the smaller neighbor list.  A row
-        never holds its own node, and an unknown node's row is empty."""
+        """O(log d) membership test: one bisect of Γ(u) for v.  Rows are
+        symmetric, so Γ(u) alone answers; a row never holds its own node,
+        and an unknown node's row is empty."""
         a = self._adj.get(u, ())
-        b = self._adj.get(v, ())
-        nbrs, target = (a, v) if len(a) <= len(b) else (b, u)
-        i = bisect_left(nbrs, target)
-        return i < len(nbrs) and nbrs[i] == target
+        i = bisect_left(a, v)
+        return i < len(a) and a[i] == v
 
     # ------------------------------------------------------------------
     # mutations

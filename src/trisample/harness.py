@@ -44,10 +44,9 @@ The view, truth and reuse of each replication, stated here once:
   rejects, or a node id that is not an integer within int64), and a later
   one made of other event objects.
 - Truth.  Replication 0's truth at each trace stop is, over the index, the
-  running total of the stretch sums of ``ArrivalOrder.closings`` (the
-  triangles whose last edge arrived in each stretch, summed up to the stop)
-  and, in a store, the count of the incremental exact tracker, which runs
-  on replication 0 only.
+  running sum of ``ArrivalOrder.closings`` read at the stop (the triangles
+  whose last edge arrived up to it) and, in a store, the count of the
+  incremental exact tracker, which runs on replication 0 only.
 - Reuse.  Replication 0 keeps its proof: its index, or else its events.  A
   later replication takes replication 0's final truth only when its events
   prove that it ends on the same graph: the index serves it, or
@@ -68,7 +67,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import astuple, dataclass
-from itertools import accumulate
 from pathlib import Path
 from statistics import NormalDist
 
@@ -358,10 +356,10 @@ def _replicate(cfg: ExperimentConfig, r: int, reuse: _Reuse):
         ests = [_Timed(est) for est in ests]
     if r == 0:
         order = TimeIndexedGraph.of(events)
+        stops = _trace_stops(len(events), cfg.trace_stride or max(1, len(events) // 500))
     else:
         order = reuse.index.ordered(events) if reuse.index is not None else None
-    stride = cfg.trace_stride or max(1, len(events) // 500)
-    stops = _trace_stops(len(events), stride) if r == 0 else [len(events)]
+        stops = [len(events)]
     if order is not None:
         estimates, _ = _drive(ests, events, stops, order)
     else:
@@ -370,10 +368,8 @@ def _replicate(cfg: ExperimentConfig, r: int, reuse: _Reuse):
         estimates, truths = _drive(ests, events, stops, g, tracker)
     if r == 0:
         if order is not None:
-            # the triangles closed in each stretch, totalled up to its stop
-            starts = [0, *stops[:-1]]
-            sums = np.add.reduceat(order.closings(), starts, dtype=np.int64).tolist() if stops else []
-            truths = list(accumulate(sums))
+            # the triangles closed up to each stop; an empty stream has none
+            truths = np.cumsum(order.closings(), dtype=np.int64)[[stop - 1 for stop in stops]].tolist()
             reuse.truth, reuse.index = truths[-1] if truths else 0, order.index
         else:
             reuse.truth, reuse.events = tracker.count, events

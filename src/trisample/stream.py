@@ -258,9 +258,10 @@ def _records(path, usage: str, comments: str, ok=None):
     its first two fields are node ids, unsigned decimal integers (ASCII
     digits only) that differ.  A bad line raises ``ValueError`` naming
     ``path:lineno``, and a file that is not UTF-8 text one naming ``path``.
+    A byte-order mark that starts the file is skipped.
     """
     width = len(usage.split())
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()

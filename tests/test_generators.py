@@ -23,6 +23,7 @@ from trisample.generators import _pick_distinct
 
 from helpers import (
     ScriptedRng,
+    _reference_pick_distinct,
     assert_graph_invariants,
     complete_graph_edges,
     reference_ba_graph,
@@ -279,41 +280,6 @@ def test_pick_distinct_top_coin_lands_on_the_last_positive_weight():
     assert _pick_distinct(w, np.cumsum(w), 1, rng) == [1]
 
 
-def _round_based_pick_distinct(w, cum, k, rng) -> list[int]:
-    """``_pick_distinct`` as it was when each round of picks drew one coin
-    per pick still missing and inverted them with one search; the graphs
-    and digests above were recorded with it."""
-    m = len(w)
-    if m < k:
-        raise ValueError(f"cannot attach {k} edges among {m} existing nodes")
-    picked: list[int] = []
-    chosen: set[int] = set()
-    attempts_left = 200 * k + 200
-    rand = rng.random
-    while len(picked) < k:
-        total = float(cum[-1])
-        if total <= 0.0:
-            idx = rng.randrange(m)
-            if idx not in chosen:
-                picked.append(idx)
-                chosen.add(idx)
-            continue
-        if attempts_left <= 0:
-            w = w.copy()
-            w[list(chosen)] = 0.0
-            cum = np.cumsum(w)
-            attempts_left = 200 * k + 200
-            continue
-        draws = min(k - len(picked), attempts_left)
-        attempts_left -= draws
-        coins = [rand() * total for _ in range(draws)]
-        for idx in cum.searchsorted(coins, side="right").tolist():
-            if idx not in chosen:
-                picked.append(idx)
-                chosen.add(idx)
-    return picked
-
-
 @st.composite
 def attachment_weights(draw):
     # few distinct magnitudes, so that hubs stall the rejection and zero
@@ -332,11 +298,12 @@ def attachment_weights(draw):
 @example(wk=(np.zeros(6), 3), seed=2)
 def test_pick_distinct_matches_the_round_based_reference(wk, seed):
     # the first k coins are one search and each repeat one bisection, so
-    # every coin, stall and uniform draw falls where the rounds put them
+    # every coin, stall and uniform draw falls where the rounds of the
+    # reference that ``reference_ba_graph`` grows with put them
     w, k = wk
     cum = np.cumsum(w)
     rng, ref = random.Random(seed), random.Random(seed)
-    assert _pick_distinct(w, cum, k, rng) == _round_based_pick_distinct(w, cum, k, ref)
+    assert _pick_distinct(w, cum, k, rng) == _reference_pick_distinct(w, cum, k, ref)
     assert rng.getstate() == ref.getstate()
 
 

@@ -100,6 +100,14 @@ def test_has_edge():
     assert g.has_edge(3, 1)
     assert not g.has_edge(1, 4)
     assert not g.has_edge(1, 1)
+    # a hub meets a leaf: Γ(u) alone answers from either end
+    star = Graph.from_edges([(0, i) for i in range(1, 1001)])
+    assert star.has_edge(0, 500)
+    assert star.has_edge(500, 0)
+    assert not star.has_edge(500, 501)
+    assert not star.has_edge(0, 0)
+    assert not star.has_edge(0, 5000)
+    assert not star.has_edge(5000, 0)
 
 
 def test_zero_degree_node_behaves_like_unknown():

@@ -443,6 +443,34 @@ def test_a_file_that_is_not_utf8_names_itself(tmp_path):
             read(path)
 
 
+_BOM = b"\xef\xbb\xbf"  # UTF-8 byte-order mark, as some Windows editors save it
+
+
+def test_a_leading_bom_is_skipped_in_an_edge_list(tmp_path):
+    plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    plain.write_bytes(b"1 2\n2 3\n1 3\n")
+    bom.write_bytes(_BOM + plain.read_bytes())
+    assert read_edge_list(bom) == read_edge_list(plain) == [(1, 2), (2, 3), (1, 3)]
+    # past the start of the file it is a character, and no node id holds one
+    late = tmp_path / "late.txt"
+    late.write_bytes(b"1 2\n" + _BOM + b"2 3\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(late))}:2: node ids must be unsigned integers$"):
+        read_edge_list(late)
+
+
+def test_a_leading_bom_is_skipped_in_a_stream_file(tmp_path):
+    plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    plain.write_bytes(b"1 2 +1\n1 2 -1\n")
+    bom.write_bytes(_BOM + plain.read_bytes())
+    assert read_stream_file(bom) == read_stream_file(plain) == [EdgeEvent(1, 2, 1), EdgeEvent(1, 2, -1)]
+
+
+def test_a_leading_bom_is_skipped_in_a_snapshot(tmp_path):
+    (tmp_path / "0.txt").write_bytes(_BOM + b"1 2\n")
+    (tmp_path / "1.txt").write_bytes(b"1 2\n2 3\n")
+    assert read_snapshot_dir(tmp_path) == [[(1, 2)], [(1, 2), (2, 3)]]
+
+
 def test_snapshot_dir_skips_hidden_files(tmp_path):
     (tmp_path / "0.txt").write_text("1 2\n")
     (tmp_path / "1.txt").write_text("1 2\n2 3\n")
