@@ -140,6 +140,18 @@ def _pick_distinct(w: np.ndarray, cum: np.ndarray, k: int, rng) -> list[int]:
     return picked
 
 
+# d ** gamma in correctly rounded IEEE 754 steps, the same on every machine;
+# 0**0 == 1, so gamma=0 is uniform
+_EXACT_POWERS = {0.0: np.ones_like, 1.0: np.copy, 1.5: lambda d: d * np.sqrt(d), 2.0: lambda d: d * d}
+
+
+def _degree_weights(d, gamma: float):
+    """``d ** gamma`` over an array of degrees; a gamma outside
+    ``_EXACT_POWERS`` reads ``np.power``, whose last bit depends on the CPU."""
+    exact = _EXACT_POWERS.get(gamma)
+    return np.power(d, gamma) if exact is None else exact(d)
+
+
 def ba_graph(cfg: BaConfig) -> Graph:
     """Grow a preferential-attachment graph from an ER seed.
 
@@ -152,16 +164,15 @@ def ba_graph(cfg: BaConfig) -> Graph:
     existing nodes' weights, one ``searchsorted`` over k coins, one
     bisection per repeated pick, k row appends and k + 1 weight writes.
     The new node's id exceeds every id so far, so appending it keeps each
-    target's row sorted.  A node's weight
-    is ``power[len(row)]``, from one ``np.power`` table over every degree,
-    so every weight and sum is bitwise what recomputing them all would give.
+    target's row sorted.  A node's weight is ``power[len(row)]``, from one
+    ``_degree_weights`` table over every degree, so every weight and sum is
+    bitwise what recomputing them all would give.
     """
     g = er_graph(cfg.seed_nodes, cfg.seed_edge_prob, derive_seed(cfg.seed, "er-seed"))
     adj = {u: list(g.adjacency(u)) for u in g.nodes()}
     rng = random.Random(derive_seed(cfg.seed, "attach"))
     k = cfg.edges_per_new_node
-    # 0**0 == 1, so gamma=0 is uniform
-    power = np.power(np.arange(cfg.n_total, dtype=float), cfg.gamma).tolist()
+    power = _degree_weights(np.arange(cfg.n_total, dtype=float), cfg.gamma).tolist()
     w = np.empty(cfg.n_total)
     w[: cfg.seed_nodes] = [power[len(row)] for row in adj.values()]
     cum = np.empty_like(w)

@@ -158,11 +158,9 @@ def _node_victims(present, p_d: float, rng, ranks: _Ranks) -> list[int]:
     us, vs, n_nodes = ranks.ends
     pu, pv = us[present], vs[present]
     rand = rng.random
-    marked = [x for x in np.union1d(pu, pv).tolist() if rand() < p_d]
-    if not marked:
-        return []
     hit = np.zeros(n_nodes, bool)
-    hit[marked] = True
+    hit[pu] = hit[pv] = True
+    hit[hit] = [rand() < p_d for _ in range(np.count_nonzero(hit))]
     return present[hit[pu] | hit[pv]].tolist()
 
 

@@ -1,13 +1,15 @@
-"""Shared test utilities: independent oracles, a scripted RNG and a walker
-over every draw path."""
+"""Shared test utilities: independent oracles, a scripted RNG, a walker
+over every draw path, and every strategy more than one test module draws."""
 
 import math
 import random
 from itertools import combinations
 
 import numpy as np
+from hypothesis import strategies as st
 
-from trisample import EdgeEvent, Graph, derive_seed
+from trisample import EdgeEvent, EstimatorSpec, Graph, derive_seed
+from trisample.generators import _degree_weights
 
 
 def brute_force_triangles(g: Graph) -> int:
@@ -103,6 +105,56 @@ def state(est):
     if hasattr(est, "sample"):
         s["sample"] = sorted(est.sample.edges())
     return s
+
+
+class StateAtStops:
+    """An estimator that records its full ``state`` whenever its estimate is
+    read, which the stop loop ``_drive`` does at each stop alone, on either
+    view.  It has a ``step`` only where the estimator has one, as ESD alone
+    does."""
+
+    def __init__(self, est):
+        self.est, self.states = est, []
+        self.skip, self.run = est.skip, est.run
+        if hasattr(est, "step"):
+            self.step = est.step
+
+    def estimate(self):
+        self.states.append(state(self.est))
+        return self.est.estimate()
+
+
+@st.composite
+def consistent_streams(draw):
+    """Toggle random pairs on a few nodes (``toggled``)."""
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda p: p[0] != p[1]),
+            max_size=80,
+        )
+    )
+    return toggled(pairs)
+
+
+@st.composite
+def simple_graphs(draw):
+    """Distinct pairs on up to 9 nodes, each in a random orientation."""
+    pairs = draw(
+        st.sets(st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(lambda p: p[0] < p[1]), max_size=36)
+    )
+    flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return [(v, u) if flip else (u, v) for (u, v), flip in zip(sorted(pairs), flips)]
+
+
+estimator_specs = st.lists(
+    st.one_of(
+        st.builds(EstimatorSpec, st.just("esd"), st.sampled_from([1e-9, 0.2, 0.5, 0.6, 1.0])),
+        st.builds(EstimatorSpec, st.just("doulion"), st.sampled_from([0.0, 0.3, 0.4, 0.7, 1.0])),
+        st.builds(EstimatorSpec, st.just("triest"), st.integers(1, 12)),
+    ),
+    min_size=1,
+    max_size=4,
+)
 
 
 class ScriptedRng:
@@ -261,7 +313,7 @@ def reference_er_graph(n: int, edge_prob: float, seed: int) -> Graph:
 def reference_ba_graph(cfg) -> Graph:
     """Per-node ``ba_graph`` reference: degrees and weights in numpy arrays,
     one ``np.cumsum`` per new node, numpy fancy indexing for the degree and
-    weight updates.  ``ba_graph`` must grow the same graph, node order and
+    weight updates, each weight by the ``_degree_weights`` rule.  ``ba_graph`` must grow the same graph, node order and
     neighbor order included, for every config."""
     g = reference_er_graph(cfg.seed_nodes, cfg.seed_edge_prob, derive_seed(cfg.seed, "er-seed"))
     rng = random.Random(derive_seed(cfg.seed, "attach"))
@@ -269,7 +321,7 @@ def reference_ba_graph(cfg) -> Graph:
     degrees = np.zeros(cfg.n_total, dtype=np.float64)
     for u in range(cfg.seed_nodes):
         degrees[u] = g.degree(u)
-    w = np.power(degrees, cfg.gamma)
+    w = _degree_weights(degrees, cfg.gamma)
     cum = np.empty_like(w)
     for new in range(cfg.seed_nodes, cfg.n_total):
         targets = _reference_pick_distinct(w[:new], np.cumsum(w[:new], out=cum[:new]), k, rng)
@@ -278,5 +330,5 @@ def reference_ba_graph(cfg) -> Graph:
         degrees[targets] += 1.0
         degrees[new] = float(k)
         touched = targets + [new]
-        w[touched] = np.power(degrees[touched], cfg.gamma)
+        w[touched] = _degree_weights(degrees[touched], cfg.gamma)
     return g

@@ -124,3 +124,19 @@ def test_tracker_apply_returns_nothing():
     tracker = trisample.ExactTracker()
     assert tracker.apply(trisample.EdgeEvent(0, 1, 1), trisample.Graph()) is None
     assert tracker.count == 0
+
+
+def test_no_test_module_imports_another_or_scipy():
+    # what two test modules share lives in helpers.py, and no test needs scipy
+    found = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            top = [name.split(".")[0] for name in modules]
+            found += [f"{path.name}: {name}" for name in top if name.startswith("test_") or name == "scipy"]
+    assert found == []

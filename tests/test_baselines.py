@@ -29,14 +29,15 @@ from trisample.harness import _drive, _trace_stops
 from helpers import (
     DrawWalker,
     ScriptedRng,
+    StateAtStops,
     brute_force_triangles,
     complete_graph_edges,
+    consistent_streams,
+    simple_graphs,
     sorted_edges,
     state,
     toggled,
 )
-from test_schedule import consistent_streams
-from test_time_index import StateAtStops, simple_graphs
 
 
 def drive(est, events):

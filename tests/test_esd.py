@@ -22,8 +22,7 @@ from trisample import (
     triangles_of_edge,
 )
 
-from helpers import ScriptedRng, complete_graph_edges, replay, state
-from test_schedule import consistent_streams
+from helpers import ScriptedRng, complete_graph_edges, consistent_streams, replay, state
 
 
 def test_constructor_validation():

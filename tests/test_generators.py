@@ -19,7 +19,7 @@ from trisample import (
     exact_triangles,
     graph_stats,
 )
-from trisample.generators import _pick_distinct
+from trisample.generators import _degree_weights, _pick_distinct
 
 from helpers import (
     ScriptedRng,
@@ -217,22 +217,23 @@ def test_ba_graph_matches_the_per_node_reference(cfg):
     assert_graph_invariants(g)
 
 
-@pytest.mark.parametrize("gamma", [0.0, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 1.5, 2.0])
 def test_weight_table_equals_the_per_node_power_calls(gamma):
-    # ba_graph reads each weight from one np.power over every degree, while
-    # reference_ba_graph makes one np.power per new node over its k + 1
-    # touched degrees: on a numpy build where the two disagree, this fails
-    # by name rather than only as a reference or golden digest mismatch
-    table = np.power(np.arange(20000, dtype=float), gamma)
-    degrees = [float(d) for d in range(20000)]
+    # ba_graph reads each weight from one _degree_weights table over every
+    # degree, while reference_ba_graph calls it once per new node over its
+    # k + 1 touched degrees: on a numpy build where the two disagree (only
+    # np.power, at gamma 0.5 here, can), this fails by name rather than only
+    # as a reference or golden digest mismatch
+    degrees = np.arange(20000, dtype=float)
+    table = _degree_weights(degrees, gamma)
     for k in (3, 4, 5, 10):  # the golden configs' edges_per_new_node
-        short = [np.power(degrees[i : i + k + 1], gamma) for i in range(len(degrees) - k)]
+        short = [_degree_weights(degrees[i : i + k + 1], gamma) for i in range(len(degrees) - k)]
         assert np.array_equal(short, sliding_window_view(table, k + 1)), f"k={k}"
 
 
 def test_attachment_uniform_when_gamma_zero():
     # degree**0 == 1 for every node, including isolated ones
-    w = np.power(np.array([0.0, 1.0, 5.0, 2.0]), 0.0)  # as ba_graph weighs them
+    w = _degree_weights(np.array([0.0, 1.0, 5.0, 2.0]), 0.0)  # as ba_graph weighs them
     cum = np.cumsum(w)
     rng = random.Random(7)
     counts = [0, 0, 0, 0]

@@ -524,33 +524,59 @@ def test_timing_counts_estimate_reads(monkeypatch, spec, method, stream):
     assert row.wall_ms_mean >= 2.0
 
 
-# sha256 of emit_csv's summary and trace files for the config below.  These
-# pin every seeded draw of the stream and the three estimators: a change
-# that alters RNG use must update them and say so in CHANGES.md.  Updated
-# when TRIÈST became TRIÈST-FD (coin capacity/s, estimate over |S| and
-# kappa), which changed the triest lines and no other, and when Doulion's
-# coins became geometric gaps, which changed the doulion lines and no
-# other.
-GOLDEN_SUMMARY_SHA256 = "a70b159bfb4dfaaf6e91af4e291e85046410fad702c502542c43cd6f9f54a611"
-GOLDEN_TRACE_SHA256 = "c66f25201999a8058476f3938a64bf4ad5916f9f9bfad7ec484c594d90313e9e"
+def _golden_config(kind: str) -> ExperimentConfig:
+    """The seeded run over a stream of ``kind`` whose CSVs
+    ``GOLDEN_CSV_SHA256[kind]`` pins."""
+    three = [EstimatorSpec("esd", 0.3), EstimatorSpec("doulion", 0.3), EstimatorSpec("triest", 60)]
+    if kind == "edge-deletion":
+        edges = list(er_graph(40, 0.3, seed=21).edges())
+        return ExperimentConfig(StreamSpec(kind, edges=edges, p_e=0.05, p_d=0.2), three, replications=3, seed=22)
+    if kind == "permutation":
+        edges = list(er_graph(40, 0.3, seed=23).edges())
+        return ExperimentConfig(StreamSpec(kind, edges=edges), three, replications=4, seed=24)
+    edges = sorted(ba_graph(BaConfig(800, 20, 0.2, 3, 1.5, seed=5)).edges())
+    estimators = [EstimatorSpec("esd", 0.5, label=f"esd-{i}") for i in range(8)]
+    estimators += [EstimatorSpec("doulion", 0.5), EstimatorSpec("triest", 600)]
+    return ExperimentConfig(StreamSpec(kind, edges=edges, p_e=0.002, p_d=0.05), estimators, replications=2, seed=32)
 
 
-def test_emit_csv_golden_sha256(tmp_path):
-    edges = list(er_graph(40, 0.3, seed=21).edges())
-    cfg = ExperimentConfig(
-        stream=StreamSpec("edge-deletion", edges=edges, p_e=0.05, p_d=0.2),
-        estimators=[
-            EstimatorSpec("esd", 0.3),
-            EstimatorSpec("doulion", 0.3),
-            EstimatorSpec("triest", 60),
-        ],
-        replications=3,
-        seed=22,
-    )
+# sha256 of emit_csv's summary and trace files for each config above.
+# These pin every seeded draw of the stream and the three estimators: a
+# change that alters RNG use must update them and say so in CHANGES.md.
+GOLDEN_CSV_SHA256 = {  # stream kind: (summary, trace)
+    # Updated when TRIÈST became TRIÈST-FD (coin capacity/s, estimate over
+    # |S| and kappa), which changed the triest lines and no other, and when
+    # Doulion's coins became geometric gaps, which changed the doulion lines
+    # and no other.
+    "edge-deletion": (
+        "a70b159bfb4dfaaf6e91af4e291e85046410fad702c502542c43cd6f9f54a611",
+        "c66f25201999a8058476f3938a64bf4ad5916f9f9bfad7ec484c594d90313e9e",
+    ),
+    # A permutation stream, whose later replications reuse the truth instead
+    # of recounting; recorded before that reuse existed.
+    "permutation": (
+        "ffb5f018195cfa947ee9a493681a3f509af237f5d9a8d4df3c0f88585cb23ffe",
+        "613abe24a9e41dc0be4e5a9926d03c0d93baf0a0978076f1d0025a7b05a7f249",
+    ),
+    # A node-deletion stream of a BA graph whose hub has degree 379, so ESD
+    # probes ranges past 256 that need rejection draws; recorded before the
+    # probes and the shuffle drew from getrandbits, and updated, in its
+    # triest lines only, when TRIÈST became TRIÈST-FD, and in its doulion
+    # lines only, when Doulion's coins became geometric gaps.
+    "node-deletion": (
+        "17c4ba3070a3dc8342d9a26b94481e9c30ee0735185d5216f87b17904d65e8c8",
+        "e72a820a9068c9c94e3e217b9730662a5b5de149c0d028899fd7a47eb6315f7a",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", GOLDEN_CSV_SHA256)
+def test_emit_csv_golden_sha256(tmp_path, kind):
     out = tmp_path / "golden.csv"
-    emit_csv(*run_experiment(cfg), out)
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SUMMARY_SHA256
-    assert hashlib.sha256(trace_path_for(out).read_bytes()).hexdigest() == GOLDEN_TRACE_SHA256
+    emit_csv(*run_experiment(_golden_config(kind)), out)
+    summary, trace = GOLDEN_CSV_SHA256[kind]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == summary
+    assert hashlib.sha256(trace_path_for(out).read_bytes()).hexdigest() == trace
 
 
 def _count_recounts(monkeypatch) -> list:
@@ -660,58 +686,6 @@ def test_deletion_free_replications_on_other_graphs_recount(monkeypatch, fresh):
     assert replicated == truths
     assert report.truth == float(np.asarray(truths, dtype=float).mean())
     assert report.rows[0].nrmse == 0.0  # Doulion at p=1 mirrors each final graph
-
-
-# The same pins for a permutation stream, whose later replications reuse
-# the truth instead of recounting; recorded before that reuse existed.
-GOLDEN_PERMUTATION_SUMMARY_SHA256 = "ffb5f018195cfa947ee9a493681a3f509af237f5d9a8d4df3c0f88585cb23ffe"
-GOLDEN_PERMUTATION_TRACE_SHA256 = "613abe24a9e41dc0be4e5a9926d03c0d93baf0a0978076f1d0025a7b05a7f249"
-
-
-def test_emit_csv_golden_sha256_permutation(tmp_path):
-    edges = list(er_graph(40, 0.3, seed=23).edges())
-    cfg = ExperimentConfig(
-        stream=StreamSpec("permutation", edges=edges),
-        estimators=[
-            EstimatorSpec("esd", 0.3),
-            EstimatorSpec("doulion", 0.3),
-            EstimatorSpec("triest", 60),
-        ],
-        replications=4,
-        seed=24,
-    )
-    out = tmp_path / "golden.csv"
-    emit_csv(*run_experiment(cfg), out)
-    summary = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert summary == GOLDEN_PERMUTATION_SUMMARY_SHA256
-    trace = hashlib.sha256(trace_path_for(out).read_bytes()).hexdigest()
-    assert trace == GOLDEN_PERMUTATION_TRACE_SHA256
-
-
-# The same pins for a node-deletion stream of a BA graph whose hub has
-# degree 379, so ESD probes ranges past 256 that need rejection draws;
-# recorded before the probes and the shuffle drew from getrandbits, and
-# updated, in its triest lines only, when TRIÈST became TRIÈST-FD, and in
-# its doulion lines only, when Doulion's coins became geometric gaps.
-GOLDEN_NODE_DELETION_SUMMARY_SHA256 = "17c4ba3070a3dc8342d9a26b94481e9c30ee0735185d5216f87b17904d65e8c8"
-GOLDEN_NODE_DELETION_TRACE_SHA256 = "e72a820a9068c9c94e3e217b9730662a5b5de149c0d028899fd7a47eb6315f7a"
-
-
-def test_emit_csv_golden_sha256_node_deletion(tmp_path):
-    edges = sorted(ba_graph(BaConfig(800, 20, 0.2, 3, 1.5, seed=5)).edges())
-    cfg = ExperimentConfig(
-        stream=StreamSpec("node-deletion", edges=edges, p_e=0.002, p_d=0.05),
-        estimators=[EstimatorSpec("esd", 0.5, label=f"esd-{i}") for i in range(8)]
-        + [EstimatorSpec("doulion", 0.5), EstimatorSpec("triest", 600)],
-        replications=2,
-        seed=32,
-    )
-    out = tmp_path / "golden.csv"
-    emit_csv(*run_experiment(cfg), out)
-    summary = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert summary == GOLDEN_NODE_DELETION_SUMMARY_SHA256
-    trace = hashlib.sha256(trace_path_for(out).read_bytes()).hexdigest()
-    assert trace == GOLDEN_NODE_DELETION_TRACE_SHA256
 
 
 # sha256 of the summary CSV bytes followed by the trace CSV bytes that

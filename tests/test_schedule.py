@@ -26,7 +26,14 @@ from trisample import (
 from trisample.harness import _drive, _trace_stops
 
 import helpers
-from helpers import assert_graph_invariants, brute_force_triangles, sorted_edges, state, toggled
+from helpers import (
+    assert_graph_invariants,
+    brute_force_triangles,
+    consistent_streams,
+    estimator_specs,
+    sorted_edges,
+    state,
+)
 
 
 def feed_every_event(specs, seeds, events, stride=None):
@@ -101,27 +108,6 @@ def test_schedule_matches_feeding_every_event(kind, param):
         assert all(sorted(est.sample.edges()) == sorted(g.edges()) for est in ests)
 
 
-@st.composite
-def consistent_streams(draw):
-    """Toggle random pairs on a few nodes (``toggled``)."""
-    pairs = draw(
-        st.lists(
-            st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda p: p[0] != p[1]),
-            max_size=80,
-        )
-    )
-    return toggled(pairs)
-
-
-estimator_specs = st.lists(
-    st.one_of(
-        st.builds(EstimatorSpec, st.just("esd"), st.sampled_from([1e-9, 0.2, 0.6, 1.0])),
-        st.builds(EstimatorSpec, st.just("doulion"), st.sampled_from([0.0, 0.3, 0.7, 1.0])),
-        st.builds(EstimatorSpec, st.just("triest"), st.integers(1, 12)),
-    ),
-    min_size=1,
-    max_size=4,
-)
 seeds = st.lists(st.integers(0, 2**32), min_size=4, max_size=4)
 
 

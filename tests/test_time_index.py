@@ -34,28 +34,7 @@ from trisample import (
 from trisample.graph import TimeIndexedGraph
 from trisample.harness import _drive, _trace_stops, trace_path_for
 
-from helpers import state
-
-
-@st.composite
-def simple_graphs(draw):
-    """Distinct pairs on up to 9 nodes, each in a random orientation."""
-    pairs = draw(
-        st.sets(st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(lambda p: p[0] < p[1]), max_size=36)
-    )
-    flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return [(v, u) if flip else (u, v) for (u, v), flip in zip(sorted(pairs), flips)]
-
-
-estimator_specs = st.lists(
-    st.one_of(
-        st.builds(EstimatorSpec, st.just("esd"), st.sampled_from([1e-9, 0.2, 0.5, 1.0])),
-        st.builds(EstimatorSpec, st.just("doulion"), st.sampled_from([0.0, 0.4, 1.0])),
-        st.builds(EstimatorSpec, st.just("triest"), st.integers(1, 12)),
-    ),
-    min_size=1,
-    max_size=4,
-)
+from helpers import StateAtStops, estimator_specs, simple_graphs, state
 
 
 def slots(order, a):
@@ -127,23 +106,6 @@ def test_closings_are_the_trackers_trace(edges, specs, seeds):
         indexed_estimates, indexed_truths = _drive(indexed, events, stops, order)
         assert indexed_estimates.tolist() == estimates.tolist()
         assert indexed_truths == []
-
-
-class StateAtStops:
-    """An estimator that records its full ``state`` whenever its estimate is
-    read, which the stop loop ``_drive`` does at each stop alone, on either
-    view.  It has a ``step`` only where the estimator has one, as ESD alone
-    does."""
-
-    def __init__(self, est):
-        self.est, self.states = est, []
-        self.skip, self.run = est.skip, est.run
-        if hasattr(est, "step"):
-            self.step = est.step
-
-    def estimate(self):
-        self.states.append(state(self.est))
-        return self.est.estimate()
 
 
 @settings(max_examples=150, deadline=None)
@@ -305,9 +267,9 @@ def test_empty_and_one_edge_streams(edges, monkeypatch, tmp_path):
 
 @pytest.fixture(scope="module")
 def numpy_modules_imported():
-    """One fresh interpreter runs a permutation and an edge-deletion
-    experiment; returns the process and, for ``numpy.ma`` and
-    ``numpy.random``, whether the run imported it ("True" or "False")."""
+    """One fresh interpreter runs a permutation, an edge-deletion and a
+    node-deletion experiment; returns the process and, for ``numpy.ma`` and
+    ``numpy.random``, whether the runs imported it ("True" or "False")."""
     code = """
 import sys
 from trisample import EstimatorSpec, ExperimentConfig, StreamSpec, er_graph, run_experiment
@@ -316,6 +278,7 @@ ests = [EstimatorSpec("esd", 0.5), EstimatorSpec("doulion", 0.5), EstimatorSpec(
 for stream in (
     StreamSpec("permutation", edges=edges),
     StreamSpec("edge-deletion", edges=edges, p_e=0.1, p_d=0.3),
+    StreamSpec("node-deletion", edges=edges, p_e=0.1, p_d=0.3),
 ):
     run_experiment(ExperimentConfig(stream, ests, replications=3, seed=2))
 for name in ("numpy.ma", "numpy.random"):
@@ -328,8 +291,9 @@ for name in ("numpy.ma", "numpy.random"):
 
 
 def test_runs_do_not_import_numpy_ma(numpy_modules_imported):
-    # ``graph._distinct`` stands in for ``np.unique``, whose import of
-    # ``numpy.ma`` adds about 0.5 MB to a run's resident memory
+    # ``graph._distinct`` stands in for ``np.unique``, and node deletion
+    # marks its nodes in a mask, not by ``np.union1d``: both import
+    # ``numpy.ma``, which adds about 0.5 MB to a run's resident memory
     proc, imported = numpy_modules_imported
     assert proc.returncode == 0, proc.stderr
     assert imported["numpy.ma"] == "False"
