@@ -64,6 +64,7 @@ byte-identical output.  With timing, each estimator is wrapped once in
 
 from __future__ import annotations
 
+import csv
 import math
 import time
 from dataclasses import astuple, dataclass
@@ -448,18 +449,21 @@ def trace_path_for(path) -> Path:
 
 
 def write_summary(report: MetricsReport, path) -> None:
-    """Write the summary CSV at ``path``, one row per estimator."""
+    """Write the summary CSV at ``path``, one row per estimator.  A label
+    holding a comma, a quote or a newline is quoted; no other field is."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(SUMMARY_HEADER + "\n")
-        for row in report.rows:
-            fh.write(",".join(_fmt(v) for v in astuple(row)) + "\n")
+        rows = ([_fmt(v) for v in astuple(row)] for row in report.rows)
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def emit_csv(report: MetricsReport, traces, path) -> None:
-    """Write the summary CSV at ``path`` and the stride trace next to it."""
+    """Write the summary CSV at ``path`` and the stride trace next to it,
+    quoted as the summary is."""
     p = Path(path)
     write_summary(report, p)
     with open(trace_path_for(p), "w", encoding="utf-8") as fh:
         fh.write(TRACE_HEADER + "\n")
-        for idx, truth, name, est in traces:
-            fh.write(f"{idx},{truth},{name},{_fmt(float(est))}\n")
+        csv.writer(fh, lineterminator="\n").writerows(
+            (idx, truth, name, _fmt(float(est))) for idx, truth, name, est in traces
+        )

@@ -36,7 +36,8 @@ import numpy as np
 
 @dataclass(frozen=True, slots=True)
 class EdgeEvent:
-    """One stream element: edge (u, v) added (beta=+1) or deleted (beta=-1)."""
+    """One stream element: edge (u, v) added (beta=+1) or deleted (beta=-1).
+    ``beta`` is kept as the int it equals, so 1.0 and True are kept as 1."""
 
     u: int
     v: int
@@ -47,6 +48,7 @@ class EdgeEvent:
             raise ValueError(f"self-loop event on node {self.u}")
         if self.beta not in (1, -1):
             raise ValueError(f"beta must be +1 or -1, got {self.beta}")
+        object.__setattr__(self, "beta", int(self.beta))
 
 
 _new_event = object.__new__
@@ -311,11 +313,21 @@ def write_stream_file(events, path) -> None:
 
 def read_snapshot_dir(path) -> list[list[tuple[int, int]]]:
     """Read a directory's edge-list files, in lexicographic filename order,
-    as a snapshot chain, skipping hidden files (a name beginning with '.')."""
+    as a snapshot chain, skipping hidden files (a name beginning with '.').
+    A snapshot that is not a simple edge list raises ``ValueError`` naming
+    its file."""
     files = sorted(p for p in Path(path).iterdir() if p.is_file() and not p.name.startswith("."))
     if not files:
         raise ValueError(f"no snapshot files in {path}")
-    return [read_edge_list(p) for p in files]
+    snapshots = []
+    for p in files:
+        edges = read_edge_list(p)
+        try:
+            _check_simple(edges)
+        except ValueError as err:
+            raise ValueError(f"{p}: {err}") from None
+        snapshots.append(edges)
+    return snapshots
 
 
 _SPEC_KINDS = ("permutation", *_VICTIMS, "events")

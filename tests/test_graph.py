@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from trisample import Graph, StreamSpec, read_edge_list, write_edge_list
+from trisample import Graph, StreamSpec, read_edge_list
 from trisample.cli import main
 
 from helpers import assert_graph_invariants, sorted_edges
@@ -156,18 +156,6 @@ def test_graph_of_rows_is_a_store_like_from_edges():
         assert_graph_invariants(g)
     assert list(g.nodes()) == [3, 7, 1, 5]
     assert tuple(g.adjacency(1)) == (3, 7)
-
-
-def test_edge_list_round_trip(tmp_path):
-    rng = random.Random(3)
-    edges = []
-    for _ in range(10_000):
-        u, v = rng.randrange(1 << 32), rng.randrange(1 << 32)
-        if u != v:
-            edges.append((u, v))
-    path = tmp_path / "edges.txt"
-    write_edge_list(edges, path)
-    assert read_edge_list(path) == edges
 
 
 def test_edge_list_comments_and_blank_lines(tmp_path):

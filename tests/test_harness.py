@@ -8,7 +8,6 @@ import statistics
 import sys
 import time
 import tracemalloc
-from collections import defaultdict
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -37,7 +36,7 @@ from trisample import (
 )
 from trisample.harness import SUMMARY_HEADER, TRACE_HEADER, Trace, _drive, _trace_stops, trace_path_for
 
-from helpers import complete_graph_edges
+from helpers import brute_force_triangles, complete_graph_edges, replay
 
 TRIANGLE = [(1, 2), (2, 3), (1, 3)]
 
@@ -189,29 +188,6 @@ def test_run_experiment_k3_alpha_one_exact():
     assert list(traces)[-1][:2] == (3, 1)
 
 
-def test_run_experiment_deterministic_and_csv_bytes(tmp_path):
-    edges = list(er_graph(20, 0.4, seed=4).edges())
-    cfg = dict(
-        stream=StreamSpec("edge-deletion", edges=edges, p_e=0.05, p_d=0.2),
-        estimators=[
-            EstimatorSpec("esd", 0.5),
-            EstimatorSpec("doulion", 0.5),
-            EstimatorSpec("triest", 20),
-        ],
-        replications=3,
-        seed=5,
-    )
-    r1, t1 = run_experiment(ExperimentConfig(**cfg))
-    r2, t2 = run_experiment(ExperimentConfig(**cfg))
-    assert r1 == r2
-    assert t1 == t2
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit_csv(r1, t1, p1)
-    emit_csv(r2, t2, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-    assert trace_path_for(p1).read_bytes() == trace_path_for(p2).read_bytes()
-
-
 def test_run_experiment_truth_from_tracker_with_deletions():
     edges = list(er_graph(25, 0.4, seed=6).edges())
     cfg = ExperimentConfig(
@@ -283,6 +259,25 @@ def test_emit_csv_formats(tmp_path):
     assert len(trows[0]) == 4
     # 28 events at stride 7: trace points at 7, 14, 21, 28 for each estimator
     assert [int(r[0]) for r in trows[1:]] == [7, 7, 14, 14, 21, 21, 28, 28]
+
+
+@pytest.mark.parametrize("label", ["esd, a=0.5", "esd\na=0.5", '"esd'])
+def test_a_label_reads_back_whole_from_both_csvs(tmp_path, label):
+    cfg = ExperimentConfig(
+        stream=StreamSpec("permutation", edges=TRIANGLE),
+        estimators=[EstimatorSpec("esd", 0.5, label=label)],
+        replications=2,
+        trace_stride=1,
+    )
+    out = tmp_path / "s.csv"
+    emit_csv(*run_experiment(cfg), out)
+    # the label is the summary's first field and the trace's third
+    for path, width, rows, column in ((out, 12, 1, 0), (trace_path_for(out), 4, 3, 2)):
+        with open(path, newline="") as fh:
+            header, *body = csv.reader(fh)
+        assert len(header) == width and len(body) == rows
+        for row in body:
+            assert len(row) == width and row[column] == label
 
 
 def test_emit_csv_empty_traces_header_only(tmp_path):
@@ -397,25 +392,6 @@ def test_run_experiment_rejects_inconsistent_stream():
 # recounts its final graph
 
 
-def _set_recount(edges) -> int:
-    adj = defaultdict(set)
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return sum(len(adj[u] & adj[v]) for u, v in edges) // 3
-
-
-def _final_edges(events):
-    present = set()
-    for ev in events:
-        e = (min(ev.u, ev.v), max(ev.u, ev.v))
-        if ev.beta == 1:
-            present.add(e)
-        else:
-            present.remove(e)
-    return present
-
-
 @pytest.mark.parametrize("kind", ["edge-deletion", "node-deletion"])
 def test_truth_is_mean_of_per_replication_recounts(kind):
     edges = list(er_graph(30, 0.35, seed=13).edges())
@@ -429,7 +405,7 @@ def test_truth_is_mean_of_per_replication_recounts(kind):
     )
     report, traces = run_experiment(cfg)
     truths = [
-        _set_recount(_final_edges(StreamSpec(**stream).realize(derive_seed(seed, "stream", r))))
+        brute_force_triangles(replay(StreamSpec(**stream).realize(derive_seed(seed, "stream", r))))
         for r in range(reps)
     ]
     assert len(set(truths)) > 1  # the deletions really differ per replication
@@ -447,12 +423,18 @@ def test_permutation_truth_is_base_graph_count():
     )
     report, traces = run_experiment(cfg)
     truth = exact_triangles(base)
-    assert truth == _set_recount(list(base.edges())) > 0
+    assert truth == brute_force_triangles(base) > 0
     assert report.truth == truth
     assert list(traces)[-1][1] == truth
 
 
-def _assert_timing_changes_only_wall_ms(stream):
+_INDEXED = dict(kind="permutation")
+_STORE = dict(kind="edge-deletion", p_e=0.05, p_d=0.2)
+
+
+# the store path, and the time-indexed path of a deletion-free stream
+@pytest.mark.parametrize("stream", [_STORE, _INDEXED], ids=["store", "indexed"])
+def test_timing_changes_only_wall_ms(stream):
     edges = list(er_graph(30, 0.35, seed=25).edges())
     cfg_args = dict(
         stream=StreamSpec(edges=edges, **stream),
@@ -472,20 +454,6 @@ def _assert_timing_changes_only_wall_ms(stream):
         assert a.wall_ms_mean == 0.0
         assert b.wall_ms_mean > 0.0
         assert a == dataclasses.replace(b, wall_ms_mean=0.0)
-
-
-def test_timing_changes_only_wall_ms():
-    # the store path
-    _assert_timing_changes_only_wall_ms(dict(kind="edge-deletion", p_e=0.05, p_d=0.2))
-
-
-def test_timing_changes_only_wall_ms_indexed():
-    # the time-indexed path of a deletion-free stream
-    _assert_timing_changes_only_wall_ms(dict(kind="permutation"))
-
-
-_INDEXED = dict(kind="permutation")
-_STORE = dict(kind="edge-deletion", p_e=0.05, p_d=0.2)
 
 
 @pytest.mark.parametrize(
@@ -610,7 +578,7 @@ def test_deletion_free_replications_reuse_the_truth(monkeypatch):
     )
     # every replication replays replication 0's events, so none recounts
     assert recounted == []
-    assert report.truth == _set_recount(_final_edges(events))
+    assert report.truth == brute_force_triangles(replay(events))
 
 
 @pytest.mark.parametrize("seed", [0, 2])  # replication 0 with deletions, and without
@@ -638,7 +606,7 @@ def test_per_replication_truths_with_some_deletion_free(monkeypatch, seed):
     realized = [StreamSpec(**stream).realize(derive_seed(seed, "stream", r)) for r in range(reps)]
     free = [all(ev.beta == 1 for ev in events) for events in realized]
     assert any(free) and not all(free)  # both paths run
-    truths = [_set_recount(_final_edges(events)) for events in realized]
+    truths = [brute_force_triangles(replay(events)) for events in realized]
     assert replicated == truths
     assert report.truth == float(np.asarray(truths, dtype=float).mean())
     assert report.rows[1].nrmse == 0.0  # Doulion at p=1 mirrors each final graph
@@ -681,7 +649,7 @@ def test_deletion_free_replications_on_other_graphs_recount(monkeypatch, fresh):
         ExperimentConfig(stream, [EstimatorSpec("doulion", 1.0)], reps, seed=seed)
     )
     realized = [stream.realize(derive_seed(seed, "stream", r)) for r in range(reps)]
-    truths = [_set_recount([(ev.u, ev.v) for ev in events]) for events in realized]
+    truths = [brute_force_triangles(replay(events)) for events in realized]
     assert len(set(truths)) > 1  # the replications end on different graphs
     assert replicated == truths
     assert report.truth == float(np.asarray(truths, dtype=float).mean())

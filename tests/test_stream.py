@@ -39,6 +39,15 @@ def test_edge_event_validation():
     assert (ev.u, ev.v, ev.beta) == (1, 2, -1)
 
 
+@pytest.mark.parametrize("beta, kept", [(1.0, 1), (-1.0, -1), (True, 1)])
+def test_edge_event_keeps_beta_as_the_int_it_equals(tmp_path, beta, kept):
+    ev = EdgeEvent(1, 2, beta)
+    assert type(ev.beta) is int and ev.beta == kept
+    path = tmp_path / "s.txt"
+    write_stream_file([ev], path)
+    assert path.read_text() == f"1 2 {kept:+d}\n"
+
+
 def test_spec_events_are_edge_events_like_any_other():
     # a spec builds its events without re-running EdgeEvent's checks on
     # pairs it has already validated; they must still be ordinary events
@@ -58,14 +67,6 @@ def test_permutation_stream_is_permutation_of_additions():
     assert len(events) == 3
     assert all(ev.beta == 1 for ev in events)
     assert {(ev.u, ev.v) for ev in events} == set(TRIANGLE)
-
-
-def test_permutation_stream_deterministic():
-    a = StreamSpec("permutation", edges=TRIANGLE).realize(11)
-    b = StreamSpec("permutation", edges=TRIANGLE).realize(11)
-    assert a == b
-    c = StreamSpec("permutation", edges=TRIANGLE).realize(12)
-    assert len(c) == 3  # different seed may or may not differ; only length is guaranteed
 
 
 def test_permutation_is_the_stdlib_shuffle_of_the_additions():
@@ -390,18 +391,6 @@ def test_snapshot_chain_replay_reconstructs_every_snapshot():
         assert set(replay(prefix).edges()) == set(snapshots[k - 1])
 
 
-def test_stream_file_round_trip(tmp_path):
-    rng = random.Random(12)
-    events = []
-    for _ in range(10_000):
-        u, v = rng.randrange(1000), rng.randrange(1000)
-        if u != v:
-            events.append(EdgeEvent(u, v, rng.choice((1, -1))))
-    path = tmp_path / "stream.txt"
-    write_stream_file(events, path)
-    assert read_stream_file(path) == events
-
-
 node_pairs = st.tuples(st.integers(0, 10**12), st.integers(0, 10**12)).filter(lambda p: p[0] != p[1])
 
 
@@ -483,15 +472,6 @@ def test_snapshot_dir_skips_hidden_files(tmp_path):
     (tmp_path / ".hidden.txt").write_text("1 2\n")
     with pytest.raises(ValueError, match="no snapshot files"):
         read_snapshot_dir(tmp_path)
-
-
-def test_generated_streams_byte_identical(tmp_path):
-    edges = random_edges(40, 150, seed=13)
-    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-    for out in (a, b):
-        spec = StreamSpec("edge-deletion", edges=edges, p_e=0.1, p_d=0.2)
-        write_stream_file(spec.realize(14), out)
-    assert a.read_bytes() == b.read_bytes()
 
 
 def test_stream_spec_dispatch():
