@@ -111,9 +111,17 @@ def test_schedule_matches_feeding_every_event(kind, param):
 seeds = st.lists(st.integers(0, 2**32), min_size=4, max_size=4)
 
 
-# no stride is one ``replay`` of the whole stream, with no rows
-@settings(max_examples=250, deadline=None)
-@given(events=consistent_streams(), specs=estimator_specs, seeds=seeds, stride=st.sampled_from([None, 1, 3]))
+@settings(max_examples=150, deadline=None)
+@given(events=consistent_streams(), specs=estimator_specs, seeds=seeds)
+def test_schedule_state_matches_on_random_streams(events, specs, seeds):
+    fed, g, _ = feed_every_event(specs, seeds, events)
+    ests, g2, _ = scheduled(specs, seeds, events)
+    assert sorted_edges(g2) == sorted_edges(g)
+    assert [state(est) for est in ests] == [state(est) for est in fed]
+
+
+@settings(max_examples=100, deadline=None)
+@given(events=consistent_streams(), specs=estimator_specs, seeds=seeds, stride=st.sampled_from([1, 3]))
 def test_schedule_trace_rows_match_on_random_streams(events, specs, seeds, stride):
     fed, g, expected = feed_every_event(specs, seeds, events, stride)
     ests, g2, rows = scheduled(specs, seeds, events, stride)
