@@ -64,7 +64,6 @@ byte-identical output.  With timing, each estimator is wrapped once in
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import astuple, dataclass
@@ -129,7 +128,8 @@ _KINDS = {"esd": EsdEstimator, "doulion": DoulionEstimator, "triest": TriestEsti
 
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """One estimator to run: a ``kind`` of ``_KINDS`` and its ``param``."""
+    """One estimator to run: a ``kind`` of ``_KINDS``, its ``param`` and the
+    ``label`` of its CSV rows (``kind`` if empty): printable, no ``,`` or ``"``."""
 
     kind: str
     param: float
@@ -138,6 +138,9 @@ class EstimatorSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
+        label = self.label
+        if label is not None and not (isinstance(label, str) and label.isprintable() and {",", '"'}.isdisjoint(label)):
+            raise ValueError(f"estimator label must be printable text with no comma or double quote, got {label!r}")
         # each constructor owns its parameter's rule, so one build refuses,
         # before any replication, a param it would not run as given
         self.build(0)
@@ -449,21 +452,18 @@ def trace_path_for(path) -> Path:
 
 
 def write_summary(report: MetricsReport, path) -> None:
-    """Write the summary CSV at ``path``, one row per estimator.  A label
-    holding a comma, a quote or a newline is quoted; no other field is."""
+    """Write the summary CSV at ``path``, one row per estimator."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(SUMMARY_HEADER + "\n")
-        rows = ([_fmt(v) for v in astuple(row)] for row in report.rows)
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+        for row in report.rows:
+            fh.write(",".join(_fmt(v) for v in astuple(row)) + "\n")
 
 
 def emit_csv(report: MetricsReport, traces, path) -> None:
-    """Write the summary CSV at ``path`` and the stride trace next to it,
-    quoted as the summary is."""
+    """Write the summary CSV at ``path`` and the stride trace next to it."""
     p = Path(path)
     write_summary(report, p)
     with open(trace_path_for(p), "w", encoding="utf-8") as fh:
         fh.write(TRACE_HEADER + "\n")
-        csv.writer(fh, lineterminator="\n").writerows(
-            (idx, truth, name, _fmt(float(est))) for idx, truth, name, est in traces
-        )
+        for idx, truth, name, est in traces:
+            fh.write(f"{idx},{truth},{name},{_fmt(float(est))}\n")

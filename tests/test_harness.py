@@ -6,6 +6,7 @@ import math
 import random
 import statistics
 import sys
+import tempfile
 import time
 import tracemalloc
 from collections.abc import Sequence
@@ -13,7 +14,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import trisample.baselines
 import trisample.harness
 from trisample import (
     BaConfig,
@@ -261,23 +265,30 @@ def test_emit_csv_formats(tmp_path):
     assert [int(r[0]) for r in trows[1:]] == [7, 7, 14, 14, 21, 21, 28, 28]
 
 
-@pytest.mark.parametrize("label", ["esd, a=0.5", "esd\na=0.5", '"esd'])
-def test_a_label_reads_back_whole_from_both_csvs(tmp_path, label):
-    cfg = ExperimentConfig(
-        stream=StreamSpec("permutation", edges=TRIANGLE),
-        estimators=[EstimatorSpec("esd", 0.5, label=label)],
-        replications=2,
-        trace_stride=1,
-    )
-    out = tmp_path / "s.csv"
-    emit_csv(*run_experiment(cfg), out)
-    # the label is the summary's first field and the trace's third
-    for path, width, rows, column in ((out, 12, 1, 0), (trace_path_for(out), 4, 3, 2)):
-        with open(path, newline="") as fh:
-            header, *body = csv.reader(fh)
-        assert len(header) == width and len(body) == rows
-        for row in body:
-            assert len(row) == width and row[column] == label
+@pytest.mark.parametrize("label", ["esd,a", 'esd"', "esd\ra", "esd\na", "esd\ta", "esd\x00a", "esd\u2028a", 5])
+def test_a_label_a_plain_row_cannot_hold_is_refused_at_the_spec(label):
+    with pytest.raises(ValueError, match="estimator label"):
+        EstimatorSpec("esd", 0.5, label=label)
+
+
+@settings(max_examples=100, deadline=None)
+@given(label=st.text())
+def test_an_accepted_label_reads_back_whole_from_both_csvs(label):
+    try:
+        spec = EstimatorSpec("esd", 0.5, label=label)
+    except ValueError:
+        return
+    cfg = ExperimentConfig(StreamSpec("permutation", edges=TRIANGLE), [spec], replications=2, trace_stride=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "s.csv"
+        emit_csv(*run_experiment(cfg), out)
+        # the name is the summary's first field and the trace's third
+        for path, width, rows, column in ((out, 12, 1, 0), (trace_path_for(out), 4, 3, 2)):
+            with open(path, newline="", encoding="utf-8") as fh:
+                header, *body = csv.reader(fh)
+            assert len(header) == width and len(body) == rows
+            for row in body:
+                assert len(row) == width and row[column] == (label or "esd")
 
 
 def test_emit_csv_empty_traces_header_only(tmp_path):
@@ -546,6 +557,33 @@ def test_emit_csv_golden_sha256(tmp_path, kind):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == summary
     assert hashlib.sha256(trace_path_for(out).read_bytes()).hexdigest() == trace
 
+
+def test_golden_runs_stay_clear_of_libm_rounding_edges(monkeypatch):
+    """The golden CSVs read libm where it may round differently between
+    machines: Doulion's gap floor(log U / log1p(-p)) and TRIÈST's kappa,
+    through lgamma and exp.  A quotient's error is a few ulps, about 1e-15
+    of its size, so a margin of 1e-12 of its size from an integer keeps a
+    thousandfold headroom; these configs' closest is 1.05e-4 over 2,863
+    gaps.  Every kappa they read is exactly 0 or 1, from the branches that
+    call neither lgamma nor exp."""
+    quotients, kappas = [], []
+    kappa = TriestEstimator.kappa
+
+    def recording_floor(g):
+        quotients.append(g)
+        return math.floor(g)
+
+    def recording_kappa(self):
+        kappas.append(kappa(self))
+        return kappas[-1]
+
+    monkeypatch.setattr(trisample.baselines, "floor", recording_floor)
+    monkeypatch.setattr(TriestEstimator, "kappa", recording_kappa)
+    for kind in GOLDEN_CSV_SHA256:
+        run_experiment(_golden_config(kind))
+    assert quotients and kappas
+    assert min(min(g % 1, 1 - g % 1) / g for g in quotients if g) > 1e-12
+    assert set(kappas) <= {0.0, 1.0}
 
 def _count_recounts(monkeypatch) -> list:
     """Record every graph the harness recounts."""
